@@ -155,8 +155,11 @@ class Tensor:
     # -- elementwise functions ------------------------------------------
 
     def exp(self):
-        out = Tensor(np.exp(self.data), (self,))
-        out._backward_fn = lambda g: self._accum(g * out.data)
+        # the backward captures the array, not `out`: a closure over its own
+        # node would be a reference cycle that keeps the whole tape alive
+        e = np.exp(self.data)
+        out = Tensor(e, (self,))
+        out._backward_fn = lambda g: self._accum(g * e)
         return out
 
     def log(self):

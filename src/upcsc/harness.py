@@ -200,6 +200,8 @@ def run_protocol(config: TrainConfig, jobs: int = 1,
     With jobs > 1 the runs execute in a process pool; results are merged in
     task order, so parallel and serial protocols produce identical output.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     num_domains = config.benchmark.num_domains
     tasks = [(config, target, seed, collect_logs)
              for target in range(num_domains) for seed in config.seeds]

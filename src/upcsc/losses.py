@@ -7,8 +7,10 @@ never through the partition, the pseudo labels, or the surrogate weights.
 
 A sample is "confident" when its top confidence reaches the threshold; it
 then carries a pseudo label. Every other sample is "unconfident" and carries
-its candidate set, the classes scoring strictly above uniform (1/C); the
-excluded set is the complement and is always derived, never stored.
+a row of the boolean candidate matrix K (n_unconfident, C): K[a, y] is True
+when class y scores strictly above uniform (1/C). A row's excluded classes
+are ~K[a], always derived, never stored. Every pair selection is an array
+expression over K and the pseudo labels.
 """
 
 from __future__ import annotations
@@ -33,36 +35,34 @@ class MethodFlags:
     sc: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchPartition:
-    confident: tuple          # ((batch_index, pseudo_label), ...)
-    unconfident: tuple        # ((batch_index, frozenset(candidates)), ...)
+    """Roles of the rows of one unlabeled batch, as arrays.
+
+    confident_indices (n_c,) are batch rows in increasing order and
+    pseudo_labels (n_c,) their labels. unconfident_indices (n_u,) are the
+    remaining rows in increasing order and candidates is the candidate
+    matrix K, boolean of shape (n_u, C), one row per unconfident sample.
+    """
+    confident_indices: np.ndarray
+    pseudo_labels: np.ndarray
+    unconfident_indices: np.ndarray
+    candidates: np.ndarray
     threshold: float
-    num_classes: int
+
+    # batch rows of each role, so len() counts the role (bench/tracer.py does)
+    @property
+    def confident(self) -> np.ndarray:
+        return self.confident_indices
 
     @property
-    def confident_indices(self) -> np.ndarray:
-        return np.asarray([i for i, _ in self.confident], dtype=np.int64)
-
-    @property
-    def pseudo_labels(self) -> np.ndarray:
-        return np.asarray([y for _, y in self.confident], dtype=np.int64)
-
-    @property
-    def unconfident_indices(self) -> np.ndarray:
-        return np.asarray([i for i, _ in self.unconfident], dtype=np.int64)
-
-    @property
-    def candidate_sets(self) -> tuple:
-        return tuple(cand for _, cand in self.unconfident)
+    def unconfident(self) -> np.ndarray:
+        return self.unconfident_indices
 
     @property
     def degenerate_uniform(self) -> int:
-        """Unconfident samples whose candidate set is empty (row exactly uniform)."""
-        return sum(1 for _, cand in self.unconfident if not cand)
-
-    def excluded(self, cand: frozenset) -> frozenset:
-        return frozenset(range(self.num_classes)) - cand
+        """Unconfident samples with no candidate class (row exactly uniform)."""
+        return int(np.count_nonzero(~self.candidates.any(axis=1)))
 
 
 def check_threshold(tau: float, num_classes: int) -> None:
@@ -77,19 +77,14 @@ def partition_unlabeled(conf, tau: float) -> BatchPartition:
     membership is strict (> 1/C), so an exactly uniform row gets an empty set.
     """
     conf = as_matrix(conf)
-    n, c = conf.shape
+    c = conf.shape[1]
     if c < 2:
         raise ShapeError("confidence matrix needs at least two columns")
     check_threshold(tau, c)
-    uniform = 1.0 / c
-    confident, unconfident = [], []
-    for i in range(n):
-        row = conf[i]
-        if row.max() >= tau:
-            confident.append((i, int(row.argmax())))
-        else:
-            unconfident.append((i, frozenset(int(y) for y in np.flatnonzero(row > uniform))))
-    return BatchPartition(tuple(confident), tuple(unconfident), tau, c)
+    is_confident = conf.max(axis=1) >= tau
+    ci = np.flatnonzero(is_confident)
+    ui = np.flatnonzero(~is_confident)
+    return BatchPartition(ci, conf[ci].argmax(axis=1), ui, conf[ui] > 1.0 / c, tau)
 
 
 @dataclass(frozen=True)
@@ -163,8 +158,7 @@ def consistency_loss(state, x_u, tau: float, rng, sigma_weak: float = 0.05,
     x_u = np.asarray(x_u, dtype=np.float64)
     c = state.dims.num_classes
     if len(x_u) == 0:
-        check_threshold(tau, c)
-        part = BatchPartition((), (), tau, c)
+        part = partition_unlabeled(np.zeros((0, c)), tau)
         return 0.0, GradientSet.zeros_like(state), part
     xw = weak_augment(x_u, rng, sigma_weak)
     conf = class_confidence(state, featurize(state, xw))
@@ -205,20 +199,29 @@ def pcl_reference_loss(z, w, labels) -> float:
     return total / len(z)
 
 
+def _candidate_matrix(candidates, n: int, c: int = 0) -> np.ndarray:
+    """Boolean (n, C) candidate matrix; an empty sequence stands for n = 0."""
+    cand = np.asarray(candidates, dtype=bool)
+    if cand.size == 0 and cand.ndim < 2:
+        cand = cand.reshape(0, c)
+    if cand.ndim != 2 or len(cand) != n or (c and cand.shape[1] != c):
+        raise ShapeError(f"candidate matrix must be ({n}, C), got {cand.shape}")
+    return cand
+
+
 def upc_negative_masks(pseudo, candidates) -> tuple[np.ndarray, np.ndarray]:
     """0/1 negative-pair selections for the confident-anchor loss.
 
     Returns (vs_confident, vs_unconfident): vs_confident[i, j] = 1 when
     confident j carries a different pseudo label than anchor i, and
-    vs_unconfident[i, j] = 1 when unconfident j's candidate set excludes
-    anchor i's pseudo label. These are the masks the loss itself consumes.
+    vs_unconfident[i, j] = 1 when unconfident j's candidate row K[j]
+    excludes anchor i's pseudo label. These are the masks the loss itself
+    consumes.
     """
     pseudo = np.asarray(pseudo, dtype=np.int64)
+    cand = np.asarray(candidates, dtype=bool)
     vs_confident = (pseudo[:, None] != pseudo[None, :]).astype(np.float64)
-    vs_unconfident = np.asarray(
-        [[0.0 if pseudo[i] in candidates[j] else 1.0
-          for j in range(len(candidates))] for i in range(len(pseudo))],
-    ).reshape(len(pseudo), len(candidates))
+    vs_unconfident = (~cand[:, pseudo].T).astype(np.float64)
     return vs_confident, vs_unconfident
 
 
@@ -226,20 +229,20 @@ def upc_loss(z_uc, w, pseudo, z_uu, candidates) -> Tensor:
     """Contrastive pull of confident embeddings toward their pseudo proxies.
 
     Anchor i (confident) pairs with w_{pseudo_i}. Negatives: confident j with
-    a different pseudo label, plus unconfident j whose candidate set excludes
-    pseudo_i. Returns a scalar Tensor (call .item() for the value, .backward()
-    for gradients); with no confident samples the result is a constant zero.
+    a different pseudo label, plus unconfident j whose candidate row
+    (`candidates`, the (n_uu, C) matrix K) excludes pseudo_i. Returns a
+    scalar Tensor (call .item() for the value, .backward() for gradients);
+    with no confident samples the result is a constant zero.
     """
     z_uc, w, z_uu = as_tensor(z_uc), as_tensor(w), as_tensor(z_uu)
     pseudo = np.asarray(pseudo, dtype=np.int64)
     n_uc, n_uu = z_uc.shape[0], z_uu.shape[0]
     if len(pseudo) != n_uc:
         raise ShapeError("pseudo labels and confident embeddings disagree in length")
-    if len(candidates) != n_uu:
-        raise ShapeError("candidate sets and unconfident embeddings disagree in length")
+    c = w.shape[0]
+    candidates = _candidate_matrix(candidates, n_uu, c)
     if n_uc == 0:
         return as_tensor(0.0)
-    c = w.shape[0]
     if pseudo.min() < 0 or pseudo.max() >= c:
         raise ValueError("pseudo label out of range")
     onehot = np.zeros((n_uc, c))
@@ -255,68 +258,59 @@ def upc_loss(z_uc, w, pseudo, z_uu, candidates) -> Tensor:
 
 
 def surrogate_class(conf_row, candidate, w):
-    """Confidence-weighted blend of candidate proxies for one unconfident sample."""
+    """Confidence-weighted blend of candidate proxies for one unconfident
+    sample; `candidate` is its boolean row of the candidate matrix."""
     conf_row = np.asarray(conf_row, dtype=np.float64).reshape(-1)
+    candidate = np.asarray(candidate, dtype=bool).reshape(-1)
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != conf_row.size:
-        raise ShapeError("proxy matrix must have one row per class")
-    if not candidate:
+    if w.ndim != 2 or w.shape[0] != conf_row.size or candidate.size != conf_row.size:
+        raise ShapeError("proxy matrix and candidate row must have one entry per class")
+    if not candidate.any():
         raise DegenerateInputError("empty candidate set has no surrogate class")
-    weights = np.zeros(conf_row.size)
-    for y in candidate:
-        weights[y] = conf_row[y]
-    return weights @ w
+    return np.where(candidate, conf_row, 0.0) @ w
 
 
 def _surrogate_weights(conf_u: np.ndarray, candidates) -> np.ndarray:
     """Per-row proxy weights, zero outside the candidate set."""
-    weights = np.zeros_like(conf_u)
-    for i, cand in enumerate(candidates):
-        for y in cand:
-            weights[i, y] = conf_u[i, y]
-    return weights
+    return np.where(candidates, conf_u, 0.0)
 
 
 def sc_anchor_indices(candidates) -> np.ndarray:
-    """Unconfident rows that qualify as anchors: nonempty candidate set."""
-    return np.asarray([i for i in range(len(candidates)) if candidates[i]],
-                      dtype=np.int64)
+    """Unconfident rows that qualify as anchors: at least one candidate."""
+    return np.flatnonzero(np.asarray(candidates, dtype=bool).any(axis=1))
 
 
 def sc_negative_masks(candidates, pseudo) -> tuple[np.ndarray, np.ndarray]:
     """0/1 negative-pair selections for the unconfident-anchor loss.
 
     Row order follows sc_anchor_indices(candidates). vs_confident[a, j] = 1
-    when confident j's pseudo label falls outside anchor a's candidate set;
-    vs_unconfident[a, j] = 1 when unconfident j's candidate set shares no
+    when confident j's pseudo label falls outside anchor a's candidate row;
+    vs_unconfident[a, j] = 1 when unconfident j's candidate row shares no
     class with anchor a's. These are the masks the loss itself consumes.
     """
     pseudo = np.asarray(pseudo, dtype=np.int64)
-    anchors = sc_anchor_indices(candidates)
-    vs_confident = np.asarray(
-        [[0.0 if pseudo[j] in candidates[i] else 1.0
-          for j in range(len(pseudo))] for i in anchors],
-    ).reshape(len(anchors), len(pseudo))
-    vs_unconfident = np.asarray(
-        [[1.0 if candidates[i].isdisjoint(candidates[j]) else 0.0
-          for j in range(len(candidates))] for i in anchors],
-    ).reshape(len(anchors), len(candidates))
+    cand = np.asarray(candidates, dtype=bool)
+    cand_a = cand[cand.any(axis=1)]
+    vs_confident = (~cand_a[:, pseudo]).astype(np.float64)
+    # shared-candidate counts are small integers, exact in float64
+    shared = cand_a.astype(np.float64) @ cand.T.astype(np.float64)
+    vs_unconfident = (shared == 0.0).astype(np.float64)
     return vs_confident, vs_unconfident
 
 
 def sc_loss(z_uu, surrogates, candidates, z_uc, pseudo) -> Tensor:
     """Contrastive pull of unconfident embeddings toward their surrogate class.
 
-    Anchors are unconfident samples with a nonempty candidate set; rows with
-    an empty set are skipped as anchors but still obey the negative rules.
-    Negatives: confident j whose pseudo label the anchor excludes, plus
-    unconfident j whose candidate set is disjoint from the anchor's.
+    Anchors are unconfident samples with at least one candidate in
+    `candidates`, the (n_uu, C) matrix K; rows with none are skipped as
+    anchors but still obey the negative rules. Negatives: confident j whose
+    pseudo label the anchor excludes, plus unconfident j whose candidate row
+    shares no class with the anchor's.
     """
     z_uu, surrogates, z_uc = as_tensor(z_uu), as_tensor(surrogates), as_tensor(z_uc)
     pseudo = np.asarray(pseudo, dtype=np.int64)
     n_uu, n_uc = z_uu.shape[0], z_uc.shape[0]
-    if len(candidates) != n_uu:
-        raise ShapeError("candidate sets and unconfident embeddings disagree in length")
+    candidates = _candidate_matrix(candidates, n_uu)
     if surrogates.shape != z_uu.shape:
         raise ShapeError("surrogates must align with unconfident embeddings")
     if len(pseudo) != n_uc:
@@ -375,8 +369,7 @@ def build_loss_graph(state, batch, flags: MethodFlags, tau: float, rng,
                 raise ShapeError(f"pinned confidences must be {(len(x_u), c)}, got {conf.shape}")
         part = partition_unlabeled(conf, tau)
     else:
-        check_threshold(tau, c)
-        part = BatchPartition((), (), tau, c)
+        part = partition_unlabeled(np.zeros((0, c)), tau)
 
     unsup = upc = sc = as_tensor(0.0)
     ci = part.confident_indices
@@ -390,11 +383,11 @@ def build_loss_graph(state, batch, flags: MethodFlags, tau: float, rng,
         z_uc = concat_rows([gather_rows(z_w, ci), gather_rows(z_s, ci)])
         z_uu = concat_rows([gather_rows(z_w, ui), gather_rows(z_s, ui)])
         pseudo2 = np.concatenate([part.pseudo_labels, part.pseudo_labels])
-        cands2 = part.candidate_sets + part.candidate_sets
+        cands2 = np.concatenate([part.candidates, part.candidates])
         if flags.upc:
             upc = upc_loss(z_uc, w, pseudo2, z_uu, cands2)
         if flags.sc:
-            weights = _surrogate_weights(conf[ui], part.candidate_sets)
+            weights = _surrogate_weights(conf[ui], part.candidates)
             surrogates = np.concatenate([weights, weights]) @ w
             sc = sc_loss(z_uu, surrogates, cands2, z_uc, pseudo2)
 
@@ -416,8 +409,8 @@ def total_loss(state, batch, flags: MethodFlags, tau: float, rng,
         l_upc=terms["upc"].item(),
         l_sc=terms["sc"].item(),
         l_total=total.item(),
-        n_confident=len(part.confident),
-        n_unconfident=len(part.unconfident),
+        n_confident=len(part.confident_indices),
+        n_unconfident=len(part.unconfident_indices),
         degenerate_uniform=part.degenerate_uniform,
     )
     return breakdown, tp.gradient_set()

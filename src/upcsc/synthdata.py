@@ -66,8 +66,9 @@ class BenchmarkConfig:
         for name in ("class_separation", "noise_sigma", "sigma_weak", "sigma_strong"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
-        if not 0.0 <= self.strong_dropout <= 1.0:
-            raise ConfigError("strong_dropout must be in [0, 1]")
+        # at 1.0 every strong view is all zeros and has no projection direction
+        if not 0.0 <= self.strong_dropout < 1.0:
+            raise ConfigError("strong_dropout must be in [0, 1)")
 
     def test_per_class(self) -> int:
         return max(1, round(TEST_FRACTION * self.samples_per_class_per_domain))

@@ -75,25 +75,33 @@ def test_criterion_3_pair_selection_oracle():
                        if conf[i].max() >= tau]
         expect_unconf = [(i, frozenset(y for y in range(c) if conf[i][y] > 1 / c))
                          for i in range(n) if conf[i].max() < tau]
-        assert list(part.confident) == expect_conf
-        assert list(part.unconfident) == expect_unconf
+        got_conf = list(zip(part.confident_indices.tolist(), part.pseudo_labels.tolist()))
+        got_unconf = [(i, frozenset(np.flatnonzero(row).tolist()))
+                      for i, row in zip(part.unconfident_indices.tolist(), part.candidates)]
+        assert got_conf == expect_conf
+        assert got_unconf == expect_unconf
 
-        pseudo = part.pseudo_labels
-        cands = part.candidate_sets
+        # the oracle's own pseudo labels and candidate sets, not the partition's
+        pseudo = [y for _, y in expect_conf]
+        cands = [cand for _, cand in expect_unconf]
 
         # confident-anchor negatives from the set definitions
-        vs_c, vs_u = upc_negative_masks(pseudo, cands)
-        for a, (i, y_i) in enumerate(part.confident):
-            for b, (j, y_j) in enumerate(part.confident):
+        vs_c, vs_u = upc_negative_masks(part.pseudo_labels, part.candidates)
+        assert vs_c.shape == (len(pseudo), len(pseudo))
+        assert vs_u.shape == (len(pseudo), len(cands))
+        for a, (i, y_i) in enumerate(expect_conf):
+            for b, (j, y_j) in enumerate(expect_conf):
                 assert vs_c[a, b] == (1.0 if y_j != y_i else 0.0)
-            for b, (j, c_j) in enumerate(part.unconfident):
+            for b, (j, c_j) in enumerate(expect_unconf):
                 excluded_j = frozenset(range(c)) - c_j
                 assert vs_u[a, b] == (1.0 if y_i in excluded_j else 0.0)
 
         # unconfident-anchor selection: anchors, then both negative kinds
-        anchors = sc_anchor_indices(cands)
+        anchors = sc_anchor_indices(part.candidates)
         assert anchors.tolist() == [idx for idx, cand in enumerate(cands) if cand]
-        svs_c, svs_u = sc_negative_masks(cands, pseudo)
+        svs_c, svs_u = sc_negative_masks(part.candidates, part.pseudo_labels)
+        assert svs_c.shape == (len(anchors), len(pseudo))
+        assert svs_u.shape == (len(anchors), len(cands))
         for row, a in enumerate(anchors):
             excluded_a = frozenset(range(c)) - cands[a]
             for b in range(len(pseudo)):

@@ -131,6 +131,15 @@ def test_invalid_tau_exits_2(cfg_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_protocol_nonpositive_jobs_exits_2(cfg_path, tmp_path, capsys):
+    for jobs in ("0", "-1"):
+        code = main(["protocol", "--config", cfg_path, "--jobs", jobs,
+                     "--out", str(tmp_path / "proto")])
+        assert code == 2
+        assert "jobs" in capsys.readouterr().err
+    assert not (tmp_path / "proto").exists()
+
+
 def test_missing_input_file_exits_1(tmp_path, capsys):
     code = main(["stats", "--confidences", str(tmp_path / "nope.csv"),
                  "--truth-dir", str(tmp_path)])

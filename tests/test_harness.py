@@ -142,6 +142,13 @@ def test_run_protocol_parallel_matches_serial():
             assert np.array_equal(pa, pb), name
 
 
+def test_run_protocol_rejects_nonpositive_jobs():
+    cfg = small_config(seeds=(0,), epochs=1, steps_per_epoch=2)
+    for jobs in (0, -2):
+        with pytest.raises(ConfigError):
+            run_protocol(cfg, jobs=jobs)
+
+
 def test_paired_deltas():
     cfg = small_config(seeds=(0,), epochs=1, steps_per_epoch=2)
     a = run_protocol(cfg)

@@ -1,6 +1,8 @@
 """Partitioning, the contrastive objectives, and the combined loss graph."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -41,6 +43,15 @@ def unit_rows(seed, n, d):
     return l2_normalize_rows(substream(seed).standard_normal((n, d)))
 
 
+def cand_matrix(sets, c=3):
+    """Boolean candidate matrix K with one row per class set."""
+    out = np.zeros((len(sets), c), dtype=bool)
+    for a, classes in enumerate(sets):
+        for y in classes:
+            out[a, y] = True
+    return out
+
+
 # ---------------------------------------------------------------- partition
 
 def test_partition_hand_case():
@@ -50,10 +61,11 @@ def test_partition_hand_case():
         [1 / 3, 1 / 3, 1 / 3],  # exactly uniform: empty candidate set
     ])
     part = partition_unlabeled(conf, tau=0.9)
-    assert part.confident == ((0, 0),)
-    assert part.unconfident == ((1, frozenset({0, 1})), (2, frozenset()))
+    assert part.confident_indices.tolist() == [0]
+    assert part.pseudo_labels.tolist() == [0]
+    assert part.unconfident_indices.tolist() == [1, 2]
+    assert part.candidates.tolist() == [[True, True, False], [False, False, False]]
     assert part.degenerate_uniform == 1
-    assert part.excluded(frozenset({0, 1})) == frozenset({2})
 
 
 def test_partition_threshold_boundary_is_inclusive():
@@ -65,7 +77,8 @@ def test_partition_threshold_boundary_is_inclusive():
 
 def test_partition_argmax_tie_lowest_index():
     part = partition_unlabeled(np.array([[0.48, 0.48, 0.04]]), tau=0.4)
-    assert part.confident == ((0, 0),)
+    assert part.confident_indices.tolist() == [0]
+    assert part.pseudo_labels.tolist() == [0]
 
 
 def test_partition_rejects_bad_tau():
@@ -93,8 +106,12 @@ def test_partition_matches_bruteforce_sets():
                 expect_conf.append((i, int(np.argmax(row))))
             else:
                 expect_unconf.append((i, frozenset(y for y in range(c) if row[y] > 1 / c)))
-        assert list(part.confident) == expect_conf
-        assert list(part.unconfident) == expect_unconf
+        got_conf = list(zip(part.confident_indices.tolist(), part.pseudo_labels.tolist()))
+        got_unconf = [(i, frozenset(np.flatnonzero(row).tolist()))
+                      for i, row in zip(part.unconfident_indices.tolist(), part.candidates)]
+        assert got_conf == expect_conf
+        assert got_unconf == expect_unconf
+        assert part.candidates.shape == (len(expect_unconf), c)
 
 
 # ----------------------------------------------------------- supervised loss
@@ -142,8 +159,8 @@ def test_consistency_loss_no_confident_is_zero():
     value, grads, part = consistency_loss(state, x_u, tau=0.999999, rng=substream(10))
     assert value == 0.0
     assert grads.max_abs() == 0.0
-    assert len(part.confident) == 0
-    assert len(part.unconfident) == 10
+    assert len(part.confident_indices) == 0
+    assert len(part.unconfident_indices) == 10
 
 
 def test_consistency_loss_empty_batch():
@@ -151,7 +168,8 @@ def test_consistency_loss_empty_batch():
     value, grads, part = consistency_loss(state, np.zeros((0, DIMS.input_dim)),
                                           tau=0.9, rng=substream(11))
     assert value == 0.0 and grads.max_abs() == 0.0
-    assert part.confident == () and part.unconfident == ()
+    assert part.confident_indices.size == 0 and part.unconfident_indices.size == 0
+    assert part.candidates.shape == (0, DIMS.num_classes)
 
 
 def test_consistency_loss_compositional_oracle():
@@ -160,7 +178,7 @@ def test_consistency_loss_compositional_oracle():
     state = sharp_state()
     x_u = substream(12).standard_normal((10, DIMS.input_dim))
     value, grads, part = consistency_loss(state, x_u, tau=0.65, rng=substream(13))
-    assert len(part.confident) > 0
+    assert len(part.confident_indices) > 0
 
     replay = substream(13)
     xw = weak_augment(x_u, replay, 0.05)
@@ -182,7 +200,7 @@ def test_consistency_loss_near_zero_when_predictions_match():
     x_u = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.1], [0.1, 1.0]])
     value, _, part = consistency_loss(state, x_u, tau=0.9, rng=substream(14),
                                       sigma_weak=0.01, sigma_strong=0.01, strong_dropout=0.0)
-    assert len(part.confident) == 4
+    assert len(part.confident_indices) == 4
     assert value < 1e-3
 
 
@@ -229,7 +247,7 @@ def test_upc_exclusion_gates_unconfident_negatives():
     w = unit_rows(25, 3, 4)
     z_uu = unit_rows(26, 2, 4)
     # first unconfident still considers class 0; second excludes it
-    cands = (frozenset({0, 1}), frozenset({1, 2}))
+    cands = cand_matrix([{0, 1}, {1, 2}])
     value = upc_loss(z_uc, w, [0], z_uu, cands).item()
     pos = float(z_uc[0] @ w[0])
     rest = math.exp(float(z_uc[0] @ z_uu[1]))
@@ -246,7 +264,7 @@ def test_upc_no_negatives_is_zero():
 
 def test_upc_no_confident_returns_constant_zero():
     out = upc_loss(np.zeros((0, 4)), unit_rows(29, 3, 4), [], unit_rows(30, 2, 4),
-                   (frozenset({0}), frozenset({1})))
+                   cand_matrix([{0}, {1}]))
     assert out.item() == 0.0
 
 
@@ -254,7 +272,7 @@ def test_upc_gradients_flow_to_inputs():
     z_uc = Tensor(unit_rows(31, 3, 4))
     w = Tensor(unit_rows(32, 3, 4))
     z_uu = Tensor(unit_rows(33, 2, 4))
-    cands = (frozenset({1}), frozenset({2}))
+    cands = cand_matrix([{1}, {2}])
     out = upc_loss(z_uc, w, [0, 1, 2], z_uu, cands)
     out.backward()
     assert np.abs(z_uc.grad).max() > 0
@@ -267,7 +285,10 @@ def test_upc_shape_validation():
         upc_loss(unit_rows(34, 2, 4), unit_rows(35, 3, 4), [0], np.zeros((0, 4)), ())
     with pytest.raises(ShapeError):
         upc_loss(unit_rows(34, 2, 4), unit_rows(35, 3, 4), [0, 1],
-                 unit_rows(36, 2, 4), (frozenset(),))
+                 unit_rows(36, 2, 4), cand_matrix([set()]))
+    with pytest.raises(ShapeError):  # candidate rows need one column per class
+        upc_loss(unit_rows(34, 2, 4), unit_rows(35, 3, 4), [0, 1],
+                 unit_rows(36, 2, 4), cand_matrix([{0}, {1}], c=4))
 
 
 # ------------------------------------------------------- surrogate + sc loss
@@ -275,16 +296,16 @@ def test_upc_shape_validation():
 def test_surrogate_class_hand_value_and_batched_agreement():
     w = unit_rows(40, 3, 5)
     conf = np.array([0.40, 0.35, 0.25])
-    cand = frozenset({0, 1})
+    cand = cand_matrix([{0, 1}])
     expect = 0.40 * w[0] + 0.35 * w[1]
-    assert np.allclose(surrogate_class(conf, cand, w), expect, atol=1e-15)
-    weights = _surrogate_weights(conf[None, :], (cand,))
+    assert np.allclose(surrogate_class(conf, cand[0], w), expect, atol=1e-15)
+    weights = _surrogate_weights(conf[None, :], cand)
     assert np.allclose(weights @ w, expect[None, :], atol=1e-15)
 
 
 def test_surrogate_class_empty_candidate_rejected():
     with pytest.raises(DegenerateInputError):
-        surrogate_class(np.array([0.4, 0.3, 0.3]), frozenset(), unit_rows(41, 3, 4))
+        surrogate_class(np.array([0.4, 0.3, 0.3]), np.zeros(3, dtype=bool), unit_rows(41, 3, 4))
 
 
 def test_surrogate_norm_bounded_by_one():
@@ -293,8 +314,8 @@ def test_surrogate_norm_bounded_by_one():
         c = int(rng.integers(2, 7))
         w = l2_normalize_rows(rng.standard_normal((c, 6)))
         conf = softmax_rows(rng.standard_normal((1, c)) * 2)[0]
-        cand = frozenset(int(y) for y in np.flatnonzero(conf > 1 / c))
-        if not cand:
+        cand = conf > 1 / c
+        if not cand.any():
             continue
         assert np.linalg.norm(surrogate_class(conf, cand, w)) <= 1.0 + 1e-12
 
@@ -303,21 +324,21 @@ def test_sc_loss_hand_value_with_both_negative_kinds():
     z_uu = unit_rows(43, 2, 4)
     z_uc = unit_rows(44, 2, 4)
     w = unit_rows(45, 3, 4)
-    cands = (frozenset({0}), frozenset({1, 2}))  # disjoint from each other
+    sets = ({0}, {1, 2})  # disjoint from each other
     pseudo = [0, 1]  # pseudo 1 is excluded by anchor 0; pseudo 0 is not
     conf = np.array([[0.5, 0.2, 0.3], [0.2, 0.45, 0.35]])
-    surrogates = _surrogate_weights(conf, cands) @ w
-    value = sc_loss(z_uu, surrogates, cands, z_uc, pseudo).item()
+    surrogates = _surrogate_weights(conf, cand_matrix(sets)) @ w
+    value = sc_loss(z_uu, surrogates, cand_matrix(sets), z_uc, pseudo).item()
 
     expect_terms = []
     for i in range(2):
         pos = float(z_uu[i] @ surrogates[i])
         rest = 0.0
         for j in range(2):  # confident negatives
-            if pseudo[j] not in cands[i]:
+            if pseudo[j] not in sets[i]:
                 rest += math.exp(float(z_uu[i] @ z_uc[j]))
         for j in range(2):  # unconfident negatives
-            if cands[i].isdisjoint(cands[j]):
+            if sets[i].isdisjoint(sets[j]):
                 rest += math.exp(float(z_uu[i] @ z_uu[j]))
         expect_terms.append(math.log(math.exp(pos) + rest) - pos)
     assert value == pytest.approx(np.mean(expect_terms), abs=1e-12)
@@ -327,7 +348,7 @@ def test_sc_loss_hand_value_with_both_negative_kinds():
 def test_sc_loss_degenerate_rows_skip_anchor_but_stay_negative():
     z_uu = unit_rows(46, 3, 4)
     w = unit_rows(47, 3, 4)
-    cands = (frozenset({0}), frozenset(), frozenset({0, 1}))
+    cands = cand_matrix([{0}, set(), {0, 1}])
     conf = np.full((3, 3), 1 / 3)
     conf[0] = [0.5, 0.25, 0.25]
     conf[2] = [0.4, 0.4, 0.2]
@@ -344,7 +365,7 @@ def test_sc_loss_degenerate_rows_skip_anchor_but_stay_negative():
 
 
 def test_sc_loss_no_anchors_zero():
-    value = sc_loss(unit_rows(48, 2, 4), np.zeros((2, 4)), (frozenset(), frozenset()),
+    value = sc_loss(unit_rows(48, 2, 4), np.zeros((2, 4)), cand_matrix([set(), set()]),
                     np.zeros((0, 4)), []).item()
     assert value == 0.0
 
@@ -353,7 +374,7 @@ def test_sc_loss_no_negatives_zero():
     # single anchor, overlapping sets everywhere, no confident samples
     z_uu = unit_rows(49, 2, 4)
     w = unit_rows(50, 3, 4)
-    cands = (frozenset({0, 1}), frozenset({1, 2}))
+    cands = cand_matrix([{0, 1}, {1, 2}])
     conf = np.array([[0.4, 0.4, 0.2], [0.2, 0.4, 0.4]])
     surrogates = _surrogate_weights(conf, cands) @ w
     value = sc_loss(z_uu, surrogates, cands, np.zeros((0, 4)), []).item()
@@ -440,7 +461,7 @@ def test_build_loss_graph_counts_degenerate_uniform():
     terms, part, _ = build_loss_graph(state, batch, ALL, 0.65, substream(111),
                                       confidences=conf)
     assert part.degenerate_uniform == 1
-    assert len(part.confident) == 1 and len(part.unconfident) == 2
+    assert len(part.confident_indices) == 1 and len(part.unconfident_indices) == 2
     assert np.isfinite(terms["sc"].item())
 
 
@@ -466,15 +487,50 @@ def test_pinning_the_natural_confidences_changes_nothing():
     pinned_terms, pinned_part, _ = build_loss_graph(state, batch, ALL, 0.65,
                                                     substream(115),
                                                     confidences=conf, **knobs)
-    assert pinned_part.confident == free_part.confident
-    assert pinned_part.unconfident == free_part.unconfident
+    for field in ("confident_indices", "pseudo_labels", "unconfident_indices", "candidates"):
+        assert np.array_equal(getattr(pinned_part, field), getattr(free_part, field)), field
     for name in ("sup", "unsup", "upc", "sc"):
         assert pinned_terms[name].item() == free_terms[name].item(), name
 
 
+def _exp_nodes(root):
+    # every node whose backward was built by Tensor.exp, reached from root
+    found, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        fn = node._backward_fn
+        if fn is not None and fn.__qualname__.startswith("Tensor.exp."):
+            found.append(weakref.ref(node))
+        stack.extend(node._parents)
+    return found
+
+
+def test_loss_graph_is_freed_without_the_cycle_collector():
+    # a finished step's tape must die by reference counting alone; a node
+    # that references itself keeps the whole upstream graph, arrays and
+    # grads included, alive until the cyclic collector happens to run
+    state = sharp_state()
+    gc.collect()
+    gc.disable()
+    try:
+        terms, _, tp = build_loss_graph(state, random_batch(116), ALL, 0.65, substream(117),
+                                        strong_dropout=0.05)
+        total = terms["sup"] + terms["unsup"] + terms["upc"] + terms["sc"]
+        total.backward()
+        exp_refs = _exp_nodes(total)
+        assert exp_refs
+        del terms, tp, total
+        assert all(ref() is None for ref in exp_refs)
+    finally:
+        gc.enable()
+
+
 def test_negative_mask_shapes_on_empty_sides():
-    vs_c, vs_u = upc_negative_masks([0, 1], ())
+    vs_c, vs_u = upc_negative_masks([0, 1], cand_matrix([]))
     assert vs_c.shape == (2, 2) and vs_u.shape == (2, 0)
-    svs_c, svs_u = sc_negative_masks((frozenset({0}),), [])
+    svs_c, svs_u = sc_negative_masks(cand_matrix([{0}]), [])
     assert svs_c.shape == (1, 0) and svs_u.shape == (1, 1)
-    assert sc_negative_masks((frozenset(),), [0])[0].shape == (0, 1)
+    assert sc_negative_masks(cand_matrix([set()]), [0])[0].shape == (0, 1)

@@ -29,7 +29,18 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         BenchmarkConfig(strong_dropout=1.5)
     with pytest.raises(ConfigError):
+        BenchmarkConfig(strong_dropout=-0.1)
+    with pytest.raises(ConfigError):
         BenchmarkConfig(noise_sigma=-0.1)
+
+
+def test_full_strong_dropout_rejected():
+    # dropout 1.0 zeroes every strong view, whose projection then has no
+    # direction; accept 0.0 up to anything short of 1.0
+    with pytest.raises(ConfigError):
+        BenchmarkConfig(strong_dropout=1.0)
+    assert BenchmarkConfig(strong_dropout=0.0).strong_dropout == 0.0
+    assert BenchmarkConfig(strong_dropout=0.99).strong_dropout == 0.99
 
 
 def test_split_sizes_and_balance():
