@@ -7,16 +7,14 @@ diagnostics after the fact, never to influence training.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import FLOAT_FORMAT, format_rows, read_csv, read_header, write_csv
 from .errors import DataError, ShapeError, UndefinedStatisticError
 from .losses import check_threshold
-
-FLOAT_FORMAT = "%.17g"
 
 
 @dataclass
@@ -161,57 +159,48 @@ def log_source_confidences(benchmark, source_ids, confidence_fn, epoch: int) -> 
 
 # ------------------------------------------------------------------- CSV I/O
 
+def _confidence_header(c: int) -> list[str]:
+    return ["epoch", "domain", "sample_index"] + [f"c_{i}" for i in range(c)]
+
+
 def write_confidences_csv(log: ConfidenceLog, path) -> None:
     """epoch,domain,sample_index,c_0..c_{C-1}; sample_index counts within each
     (epoch, domain) group and matches the unlabeled split's row order."""
-    c = log.num_classes
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "domain", "sample_index"] + [f"c_{i}" for i in range(c)])
-        counters: dict[tuple[int, int], int] = {}
-        for i in range(len(log)):
-            key = (int(log.epochs[i]), int(log.domains[i]))
-            idx = counters.get(key, 0)
-            counters[key] = idx + 1
-            writer.writerow([key[0], key[1], idx] + [FLOAT_FORMAT % v for v in log.conf[i]])
+    order = np.lexsort((log.domains, log.epochs))   # stable: log order within a group
+    epochs, domains = log.epochs[order], log.domains[order]
+    group_start = np.ones(len(log), dtype=bool)
+    group_start[1:] = (epochs[1:] != epochs[:-1]) | (domains[1:] != domains[:-1])
+    position = np.arange(len(log))
+    sample_index = np.empty(len(log), dtype=np.int64)
+    sample_index[order] = position - np.maximum.accumulate(np.where(group_start, position, 0))
+    row_format = "%d,%d,%d," + ",".join([FLOAT_FORMAT] * log.num_classes)
+    write_csv(path, _confidence_header(log.num_classes),
+              format_rows(row_format, log.epochs, log.domains, sample_index, log.conf))
 
 
 def load_confidence_log(confidences_path, truth_dir) -> ConfidenceLog:
     """Join a confidences CSV with the per-domain *_truth.csv sidecars."""
-    truths: dict[int, np.ndarray] = {}
-
-    def truth_for(domain: int) -> np.ndarray:
-        if domain not in truths:
-            path = os.path.join(truth_dir, f"domain{domain}_unlabeled_truth.csv")
-            with open(path, newline="") as fh:
-                reader = csv.reader(fh)
-                if next(reader) != ["label"]:
-                    raise DataError(f"unexpected header in {path}")
-                truths[domain] = np.asarray([int(row[0]) for row in reader])
-        return truths[domain]
-
-    epochs, domains, confs, labels = [], [], [], []
-    with open(confidences_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:3] != ["epoch", "domain", "sample_index"]:
-            raise DataError("unexpected confidences header")
-        c = len(header) - 3
-        if c < 2 or header[3:] != [f"c_{i}" for i in range(c)]:
-            raise DataError("unexpected confidence columns")
-        for row in reader:
-            epoch, domain, idx = int(row[0]), int(row[1]), int(row[2])
-            truth = truth_for(domain)
-            if not 0 <= idx < len(truth):
-                raise DataError(f"sample_index {idx} outside truth sidecar for domain {domain}")
-            epochs.append(epoch)
-            domains.append(domain)
-            confs.append([float(v) for v in row[3:]])
-            labels.append(truth[idx])
-    if not epochs:
+    header = read_header(confidences_path)
+    c = len(header) - 3
+    if c < 2 or header != _confidence_header(c):
+        raise DataError(f"unexpected confidences header in {confidences_path}")
+    rows = read_csv(confidences_path, header,
+                    [("epoch", np.int64), ("domain", np.int64), ("sample_index", np.int64),
+                     ("conf", np.float64, (c,))])
+    if not len(rows):
         raise DataError("confidences file has no data rows")
-    return ConfidenceLog(np.asarray(epochs), np.asarray(domains),
-                         np.asarray(confs), np.asarray(labels))
+    domains, sample_index = rows["domain"], rows["sample_index"]
+    labels = np.empty(len(rows), dtype=np.int64)
+    for domain in np.unique(domains).tolist():
+        truth = read_csv(os.path.join(truth_dir, f"domain{domain}_unlabeled_truth.csv"),
+                         ["label"], np.int64)
+        mine = domains == domain
+        idx = sample_index[mine]
+        bad = (idx < 0) | (idx >= len(truth))
+        if bad.any():
+            raise DataError(f"sample_index {idx[bad][0]} outside truth sidecar for domain {domain}")
+        labels[mine] = truth[idx]
+    return ConfidenceLog(rows["epoch"].copy(), domains.copy(), rows["conf"].copy(), labels)
 
 
 def write_stats_csv(log: ConfidenceLog, tau: float, path) -> None:
@@ -245,18 +234,12 @@ def write_stats_csv(log: ConfidenceLog, tau: float, path) -> None:
         defined = [s["inclusion_rate"] for s in per_domain.values() if "inclusion_rate" in s]
         if defined:
             rows.append(("inclusion_rate_macro", epoch, -1, float(np.mean(defined))))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["statistic", "epoch", "domain", "value"])
-        for name, epoch, domain, value in rows:
-            writer.writerow([name, epoch, domain, FLOAT_FORMAT % value])
+    write_csv(path, ["statistic", "epoch", "domain", "value"],
+              format_rows("%s,%d,%d," + FLOAT_FORMAT, *zip(*rows)))
 
 
 def write_histogram_csv(log: ConfidenceLog, tau: float, epoch: int, path) -> None:
     """set_size,count rows for one epoch, ascending by size."""
     hist = confusing_class_histogram(log.filter(epoch=epoch), tau)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["set_size", "count"])
-        for size in sorted(hist):
-            writer.writerow([size, hist[size]])
+    write_csv(path, ["set_size", "count"],
+              format_rows("%d,%d", *zip(*sorted(hist.items()))))

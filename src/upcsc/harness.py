@@ -9,7 +9,6 @@ target, run_seed, step), so runs replay exactly and never share streams.
 
 from __future__ import annotations
 
-import csv
 import math
 import multiprocessing
 from dataclasses import dataclass, field, replace
@@ -17,13 +16,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import analysis
+from .csvio import FLOAT_FORMAT, format_rows, write_csv
 from .errors import ConfigError, UndefinedStatisticError
 from .losses import MethodFlags, check_threshold, total_loss
 from .model import ModelDims, ModelState, class_confidence, featurize, init_model
 from .numerics import LrSchedule, cosine_lr, sgd_step, substream
 from .synthdata import BenchmarkConfig, generate_benchmark, sample_batch
-
-FLOAT_FORMAT = "%.17g"
 
 METHODS = {
     "supervised-only": MethodFlags(unsup=False, upc=False, sc=False),
@@ -224,24 +222,17 @@ def paired_deltas(a: ProtocolResult, b: ProtocolResult) -> np.ndarray:
 
 def write_metrics_csv(result: ProtocolResult, path) -> None:
     """run_id,target_domain,seed,epoch,metric,value with one row per metric."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run_id", "target_domain", "seed", "epoch", "metric", "value"])
-        for run in result.runs:
-            for rec in run.epochs:
-                for metric in EPOCH_METRICS:
-                    writer.writerow([run.run_id, run.target, run.seed, rec.epoch,
-                                     metric, FLOAT_FORMAT % getattr(rec, metric)])
+    rows = [(run.run_id, run.target, run.seed, rec.epoch, metric, getattr(rec, metric))
+            for run in result.runs for rec in run.epochs for metric in EPOCH_METRICS]
+    write_csv(path, ["run_id", "target_domain", "seed", "epoch", "metric", "value"],
+              format_rows("%s,%d,%d,%d,%s," + FLOAT_FORMAT, *zip(*rows)))
 
 
 def write_results_csv(result: ProtocolResult, path) -> None:
     """method,target,seed,final_accuracy; one row per run."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "target", "seed", "final_accuracy"])
-        for run in result.runs:
-            writer.writerow([run.method, run.target, run.seed,
-                             FLOAT_FORMAT % run.final_accuracy])
+    rows = [(run.method, run.target, run.seed, run.final_accuracy) for run in result.runs]
+    write_csv(path, ["method", "target", "seed", "final_accuracy"],
+              format_rows("%s,%d,%d," + FLOAT_FORMAT, *zip(*rows)))
 
 
 # ------------------------------------------------------------ config parsing

@@ -176,6 +176,13 @@ def project_proxies(state):
     return l2_normalize_rows(state.classifier @ w + b)
 
 
+def _param_count(dims: ModelDims) -> int:
+    """Number of float64 values save_model writes for a model of these dims."""
+    d_f = dims.feature_dim
+    featurizer = sum((d_in + 1) * d_out for d_in, d_out in dims.layer_widths())
+    return featurizer + dims.num_classes * d_f + 2 * (d_f + 1) * d_f
+
+
 def save_model(state: ModelState, path) -> None:
     """Flat little-endian binary dump; loads back bit-exactly."""
     dims = state.dims
@@ -214,15 +221,15 @@ def load_model(path) -> ModelState:
     n_hidden = read_u32()
     hidden = tuple(read_u32() for _ in range(n_hidden))
     dims = ModelDims(input_dim, hidden, read_u32(), read_u32())
+    expected = off + 8 * _param_count(dims)
+    if len(raw) < expected:
+        raise ValueError("truncated model file payload")
+    if len(raw) > expected:
+        raise ValueError("trailing bytes after model payload")
 
     arrays = {}
     template = init_model(dims, seed=0)
     for name, arr in template.param_items():
-        nbytes = arr.size * 8
-        if off + nbytes > len(raw):
-            raise ValueError("truncated model file payload")
         arrays[name] = np.frombuffer(raw, dtype="<f8", count=arr.size, offset=off).reshape(arr.shape).copy()
-        off += nbytes
-    if off != len(raw):
-        raise ValueError("trailing bytes after model payload")
+        off += arr.size * 8
     return template.with_params(arrays)

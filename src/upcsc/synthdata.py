@@ -9,18 +9,17 @@ module reads. Training code sees unlabeled inputs only.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvio import FLOAT_FORMAT, format_rows, read_csv, write_csv
 from .errors import ConfigError, DataError, ShapeError
 from .numerics import substream
 
 TEST_FRACTION = 0.2
-FLOAT_FORMAT = "%.17g"
 
 # substream tags under the master seed
 _TAG_PROTOTYPES = 0
@@ -292,24 +291,14 @@ def sample_batch(view, labeled_per_domain: int, unlabeled_per_domain: int,
 
 # ---------------------------------------------------------------- CSV export
 
-def _write_rows(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _feature_header(k: int) -> list[str]:
-    return [f"x_{i}" for i in range(k)]
+    return [f"x_{i}" for i in range(k)] + ["label"]
 
 
-def _xy_rows(x: np.ndarray, y) -> list[list[str]]:
-    rows = []
-    for i in range(len(x)):
-        row = [FLOAT_FORMAT % v for v in x[i]]
-        row.append(str(int(y[i])))
-        rows.append(row)
-    return rows
+def _write_xy(path, x: np.ndarray, y) -> None:
+    k = x.shape[1]
+    write_csv(path, _feature_header(k),
+              format_rows(",".join([FLOAT_FORMAT] * k) + ",%d", x, np.asarray(y)))
 
 
 def export_benchmark(benchmark: DomainBenchmark, out_dir) -> None:
@@ -317,34 +306,20 @@ def export_benchmark(benchmark: DomainBenchmark, out_dir) -> None:
     the real labels go to a *_truth.csv sidecar.
     """
     os.makedirs(out_dir, exist_ok=True)
-    k = benchmark.config.latent_dim
-    header = _feature_header(k) + ["label"]
     for d in benchmark.domain_ids:
-        lx, ly = benchmark.labeled(d)
-        _write_rows(os.path.join(out_dir, f"domain{d}_labeled.csv"), header, _xy_rows(lx, ly))
+        _write_xy(os.path.join(out_dir, f"domain{d}_labeled.csv"), *benchmark.labeled(d))
         ux = benchmark.unlabeled(d)
-        _write_rows(os.path.join(out_dir, f"domain{d}_unlabeled.csv"), header,
-                    _xy_rows(ux, np.full(len(ux), -1)))
-        truth = benchmark.quarantined_truth(d)
-        _write_rows(os.path.join(out_dir, f"domain{d}_unlabeled_truth.csv"), ["label"],
-                    [[str(int(t))] for t in truth])
-        tx, ty = benchmark.test(d)
-        _write_rows(os.path.join(out_dir, f"domain{d}_test.csv"), header, _xy_rows(tx, ty))
+        _write_xy(os.path.join(out_dir, f"domain{d}_unlabeled.csv"), ux, np.full(len(ux), -1))
+        write_csv(os.path.join(out_dir, f"domain{d}_unlabeled_truth.csv"), ["label"],
+                  format_rows("%d", benchmark.quarantined_truth(d)))
+        _write_xy(os.path.join(out_dir, f"domain{d}_test.csv"), *benchmark.test(d))
 
 
 def _read_xy(path, k: int) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != _feature_header(k) + ["label"]:
-            raise DataError(f"unexpected header in {path}")
-        xs, ys = [], []
-        for row in reader:
-            xs.append([float(v) for v in row[:k]])
-            ys.append(int(row[k]))
-    if not xs:
+    rows = read_csv(path, _feature_header(k), [("x", np.float64, (k,)), ("y", np.int64)])
+    if not len(rows):
         raise DataError(f"{path} has no data rows")
-    return np.asarray(xs), np.asarray(ys)
+    return rows["x"].copy(), rows["y"].copy()
 
 
 def import_benchmark(in_dir, config: BenchmarkConfig) -> DomainBenchmark:
@@ -359,12 +334,8 @@ def import_benchmark(in_dir, config: BenchmarkConfig) -> DomainBenchmark:
         ux, neg = _read_xy(os.path.join(in_dir, f"domain{d}_unlabeled.csv"), config.latent_dim)
         if np.any(neg != -1):
             raise DataError("unlabeled split must carry label -1")
-        truth_path = os.path.join(in_dir, f"domain{d}_unlabeled_truth.csv")
-        with open(truth_path, newline="") as fh:
-            reader = csv.reader(fh)
-            if next(reader) != ["label"]:
-                raise DataError(f"unexpected header in {truth_path}")
-            truth = np.asarray([int(row[0]) for row in reader])
+        truth = read_csv(os.path.join(in_dir, f"domain{d}_unlabeled_truth.csv"),
+                         ["label"], np.int64)
         if len(truth) != len(ux):
             raise DataError("truth sidecar length mismatch")
         tx, ty = _read_xy(os.path.join(in_dir, f"domain{d}_test.csv"), config.latent_dim)

@@ -12,6 +12,8 @@ import pytest
 
 from upcsc import analysis
 from upcsc.analysis import ConfidenceLog
+from upcsc.cli import main
+from upcsc.errors import DataError
 from upcsc.harness import (EpochRecord, ProtocolResult, RunRecord, TrainConfig,
                            write_metrics_csv, write_results_csv)
 from upcsc.synthdata import (BenchmarkConfig, DomainBenchmark, DomainSplits,
@@ -116,3 +118,103 @@ def test_csv_outputs_match_golden_digests(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in written}
     assert digests == GOLDEN
+
+
+# ------------------------------------------------------------ loader edges
+
+def write_truth(directory, domain, labels, eol="\n"):
+    (directory / f"domain{domain}_unlabeled_truth.csv").write_bytes(
+        ("label" + eol + "".join(f"{t}{eol}" for t in labels)).encode())
+
+
+def write_confidences(path, rows, c=2, eol="\n"):
+    header = ",".join(["epoch", "domain", "sample_index"] + [f"c_{i}" for i in range(c)])
+    path.write_bytes((header + eol + "".join(row + eol for row in rows)).encode())
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_loader_accepts_either_line_ending(tmp_path, eol):
+    write_truth(tmp_path, 0, [1, 0, 1], eol)
+    write_truth(tmp_path, 2, [0], eol)
+    write_confidences(tmp_path / "conf.csv",
+                      ["1,0,0,0.25,0.75", "1,0,2,0.5,0.5", "1,2,0,1,0", "3,0,1,0.125,0.875"],
+                      eol=eol)
+    log = analysis.load_confidence_log(tmp_path / "conf.csv", tmp_path)
+    assert log.epochs.tolist() == [1, 1, 1, 3]
+    assert log.domains.tolist() == [0, 0, 2, 0]
+    assert log.truth.tolist() == [1, 1, 0, 0]
+    assert np.array_equal(log.conf, [[0.25, 0.75], [0.5, 0.5], [1, 0], [0.125, 0.875]])
+
+
+def test_loader_keeps_a_single_row_two_dimensional(tmp_path):
+    write_truth(tmp_path, 0, [2])
+    write_confidences(tmp_path / "conf.csv", ["4,0,0,0.25,0.5,0.25"], c=3)
+    log = analysis.load_confidence_log(tmp_path / "conf.csv", tmp_path)
+    assert log.conf.shape == (1, 3)
+    assert log.epochs.shape == log.domains.shape == log.truth.shape == (1,)
+    assert log.truth.tolist() == [2]
+
+
+@pytest.mark.parametrize("row", ["1.5,0,0,0.5,0.5", "1,0,0.5,0.5,0.5", "1,0,x,0.5,0.5",
+                                 "1,0,0,0.5", "1,0,0,0.5,0.5,0.5"])
+def test_loader_rejects_malformed_rows(tmp_path, row):
+    write_truth(tmp_path, 0, [1, 0])
+    write_confidences(tmp_path / "conf.csv", ["1,0,1,0.5,0.5", row])
+    with pytest.raises(ValueError):
+        analysis.load_confidence_log(tmp_path / "conf.csv", tmp_path)
+
+
+def test_loader_rejects_negative_sample_index(tmp_path):
+    write_truth(tmp_path, 0, [1, 0])
+    write_confidences(tmp_path / "conf.csv", ["1,0,0,0.5,0.5", "1,0,-1,0.5,0.5"])
+    with pytest.raises(DataError):
+        analysis.load_confidence_log(tmp_path / "conf.csv", tmp_path)
+
+
+def test_loader_rejects_bad_truth_header(tmp_path):
+    (tmp_path / "domain0_unlabeled_truth.csv").write_text("truth\n1\n0\n")
+    write_confidences(tmp_path / "conf.csv", ["1,0,0,0.5,0.5"])
+    with pytest.raises(DataError):
+        analysis.load_confidence_log(tmp_path / "conf.csv", tmp_path)
+
+
+def test_stats_without_truth_sidecar_exits_1(tmp_path, capsys):
+    write_truth(tmp_path, 0, [1])
+    write_confidences(tmp_path / "conf.csv", ["1,0,0,0.5,0.5", "1,1,0,0.5,0.5"])
+    code = main(["stats", "--confidences", str(tmp_path / "conf.csv"),
+                 "--truth-dir", str(tmp_path), "--out", str(tmp_path / "stats")])
+    assert code == 1
+    assert "domain1_unlabeled_truth.csv" in capsys.readouterr().err
+
+
+def test_sample_index_counts_within_interleaved_groups(tmp_path):
+    rng = np.random.Generator(np.random.PCG64(3))
+    n = 500
+    log = ConfidenceLog(rng.integers(1, 4, n), rng.integers(0, 3, n),
+                        rng.random((n, 2)), rng.integers(0, 2, n))
+    path = tmp_path / "conf.csv"
+    analysis.write_confidences_csv(log, path)
+    counters = {}
+    expected = []
+    for e, d in zip(log.epochs.tolist(), log.domains.tolist()):
+        expected.append(counters.get((e, d), 0))
+        counters[(e, d)] = expected[-1] + 1
+    written = [int(line.split(",")[2]) for line in path.read_text().splitlines()[1:]]
+    assert written == expected
+
+
+# ---------------------------------------------------------- atomic replace
+
+def test_failed_write_leaves_the_old_file_and_no_partial(tmp_path):
+    """A write that raises partway leaves the previous file as it was."""
+    n = 20000   # several formatting chunks, so the failure lands mid-file
+    rng = np.random.Generator(np.random.PCG64(5))
+    log = ConfidenceLog(np.ones(n), np.zeros(n), rng.random((n, 3)), np.zeros(n))
+    log.conf = log.conf.astype(object)
+    log.conf[-1, 1] = "not a number"
+    path = tmp_path / "confidences.csv"
+    path.write_bytes(b"previous contents\r\n")
+    with pytest.raises(TypeError):
+        analysis.write_confidences_csv(log, path)
+    assert path.read_bytes() == b"previous contents\r\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["confidences.csv"]

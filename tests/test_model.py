@@ -1,13 +1,17 @@
 """ModelState construction, forward ops, and serialization."""
 
+import struct
+
 import numpy as np
 import pytest
 
+from upcsc import model
 from upcsc.autograd import Tensor
 from upcsc.errors import ConfigError, ShapeError
 from upcsc.losses import _TensorParams
-from upcsc.model import (ModelDims, class_confidence, featurize, init_model,
-                         load_model, project_features, project_proxies, save_model)
+from upcsc.model import (FORMAT_VERSION, MAGIC, ModelDims, class_confidence, featurize,
+                         init_model, load_model, project_features, project_proxies,
+                         save_model)
 
 DIMS = ModelDims(input_dim=3, hidden_dims=(4,), feature_dim=2, num_classes=3)
 
@@ -151,3 +155,16 @@ def test_load_rejects_corrupt_files(tmp_path):
     bad_version.write_bytes(raw[:4] + b"\x63\x00\x00\x00" + raw[8:])
     with pytest.raises(ValueError):
         load_model(bad_version)
+
+
+def test_load_checks_payload_size_before_building_a_model(tmp_path, monkeypatch):
+    def no_init(*args, **kwargs):
+        pytest.fail("init_model called before the payload size was checked")
+
+    monkeypatch.setattr(model, "init_model", no_init)
+    huge = 2 ** 31
+    header = MAGIC + struct.pack("<6I", FORMAT_VERSION, huge, 1, huge, huge, huge)
+    path = tmp_path / "huge.bin"
+    path.write_bytes(header + b"\x00" * 16)
+    with pytest.raises(ValueError, match="truncated"):
+        load_model(path)
