@@ -8,18 +8,17 @@ confidence-weighted surrogate built from their candidate classes.
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigError, DataError, DegenerateInputError, ShapeError,
-                     UndefinedStatisticError)
-from .losses import (BatchPartition, LossBreakdown, MethodFlags, consistency_loss,
-                     partition_unlabeled, pcl_reference_loss, sc_anchor_indices,
-                     sc_loss, sc_negative_masks, supervised_loss, surrogate_class,
+from .errors import (ConfigError, DataError, DegenerateInputError, DivergenceError,
+                     ShapeError, UndefinedStatisticError)
+from .losses import (BatchPartition, LossBreakdown, MethodFlags, build_loss_graph,
+                     partition_unlabeled, sc_anchor_indices, sc_loss, sc_negative_masks,
                      total_loss, upc_loss, upc_negative_masks)
 from .model import (ModelDims, ModelState, class_confidence, featurize, init_model,
                     load_model, project_features, project_proxies, save_model)
 from .harness import (METHODS, ProtocolResult, RunRecord, TrainConfig,
                       build_train_config, paired_deltas, run_protocol, train_one)
 from .synthdata import (BenchmarkConfig, DomainBenchmark, DomainSpec,
-                        export_benchmark, generate_benchmark, import_benchmark,
-                        sample_batch, strong_augment, weak_augment)
+                        export_benchmark, generate_benchmark, sample_batch,
+                        strong_augment, weak_augment)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -211,10 +211,10 @@ def write_stats_csv(log: ConfidenceLog, tau: float, path) -> None:
     omitted where the statistic is undefined (no unconfident samples).
     """
     rows = []
-    for epoch in sorted(set(log.epochs.tolist())):
+    for epoch in np.unique(log.epochs).tolist():
         elog = log.filter(epoch=epoch)
         per_domain = {}
-        for domain in sorted(set(elog.domains.tolist())):
+        for domain in np.unique(elog.domains).tolist():
             dlog = elog.filter(domain=domain)
             stats = {"uus_rate": uus_rate(dlog, tau)}
             try:

@@ -24,3 +24,7 @@ class DataError(ValueError):
 
 class UndefinedStatisticError(ValueError):
     """The requested statistic is undefined on this input (empty denominator)."""
+
+
+class DivergenceError(ArithmeticError):
+    """Training produced a non-finite loss term or gradient."""

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DegenerateInputError
 from .losses import MethodFlags, build_loss_graph
 from .model import ModelDims, class_confidence, featurize, init_model
-from .numerics import GradientSet, max_relative_error, substream
+from .numerics import max_relative_error, substream
 from .synthdata import TrainBatch, strong_augment, weak_augment
 
 LOSS_NAMES = ("sup", "unsup", "upc", "sc", "total")
@@ -52,7 +52,7 @@ def _term_values(state, batch, rng_keys, conf) -> dict[str, float]:
     return values
 
 
-def _analytic_gradients(state, batch, rng_keys, conf) -> dict[str, GradientSet]:
+def _analytic_gradients(state, batch, rng_keys, conf) -> dict[str, dict[str, np.ndarray]]:
     grads = {}
     for name in LOSS_NAMES:
         # fresh graph per backward pass: gradients accumulate on a tape
@@ -65,24 +65,27 @@ def _analytic_gradients(state, batch, rng_keys, conf) -> dict[str, GradientSet]:
     return grads
 
 
-def _fd_gradients(state, batch, rng_keys, conf, h: float = 1e-5) -> dict[str, GradientSet]:
-    """Central differences for all five terms in one sweep over coordinates."""
-    out = {name: {} for name in LOSS_NAMES}
-    for pname, arr in state.param_items():
-        grids = {name: np.zeros_like(arr) for name in LOSS_NAMES}
+def _fd_gradients(values_fn, params, h: float = 1e-5) -> dict[str, dict[str, np.ndarray]]:
+    """Central differences of every value values_fn(params) returns, by name,
+    in one sweep over the parameter coordinates.
+
+    Perturbs the parameter arrays in place and restores them, so values_fn
+    must read the current arrays on every call (and must be deterministic).
+    """
+    out: dict[str, dict[str, np.ndarray]] = {}
+    for pname, arr in params.param_items():
         flat = arr.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            plus = _term_values(state, batch, rng_keys, conf)
+            plus = values_fn(params)
             flat[i] = orig - h
-            minus = _term_values(state, batch, rng_keys, conf)
+            minus = values_fn(params)
             flat[i] = orig
-            for name in LOSS_NAMES:
-                grids[name].reshape(-1)[i] = (plus[name] - minus[name]) / (2.0 * h)
-        for name in LOSS_NAMES:
-            out[name][pname] = grids[name]
-    return {name: GradientSet(arrays) for name, arrays in out.items()}
+            for name in plus:
+                grad = out.setdefault(name, {}).setdefault(pname, np.zeros_like(arr))
+                grad.reshape(-1)[i] = (plus[name] - minus[name]) / (2.0 * h)
+    return out
 
 
 def _relu_margin(state, batch, rng_keys) -> float:
@@ -143,7 +146,7 @@ def check_losses(num_draws: int = 20, seed: int = 0, h: float = 1e-5) -> dict[st
         state, batch, rng_keys = find_checkable_case(seed * 10_000 + k)
         conf = pinned_confidences(state, batch, rng_keys)
         analytic = _analytic_gradients(state, batch, rng_keys, conf)
-        fd = _fd_gradients(state, batch, rng_keys, conf, h)
+        fd = _fd_gradients(lambda st: _term_values(st, batch, rng_keys, conf), state, h)
         for name in LOSS_NAMES:
             worst[name] = max(worst[name], max_relative_error(analytic[name], fd[name]))
     return worst

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import analysis
 from .csvio import FLOAT_FORMAT, format_rows, write_csv
-from .errors import ConfigError, UndefinedStatisticError
+from .errors import ConfigError, DivergenceError, UndefinedStatisticError
 from .losses import MethodFlags, check_threshold, total_loss
 from .model import ModelDims, ModelState, class_confidence, featurize, init_model
 from .numerics import LrSchedule, cosine_lr, sgd_step, substream
@@ -31,9 +31,9 @@ METHODS = {
     "fixmatch+upcsc": MethodFlags(unsup=True, upc=True, sc=True),
 }
 
-EPOCH_METRICS = ("l_sup", "l_unsup", "l_upc", "l_sc", "l_total",
-                 "source_unlabeled_accuracy", "uus_rate", "inclusion_rate",
-                 "target_accuracy")
+_LOSS_TERMS = ("l_sup", "l_unsup", "l_upc", "l_sc", "l_total")
+EPOCH_METRICS = _LOSS_TERMS + ("source_unlabeled_accuracy", "uus_rate", "inclusion_rate",
+                               "target_accuracy")
 
 _TAG_INIT = 7
 _TAG_STEP = 11
@@ -101,7 +101,7 @@ class RunRecord:
 
     @property
     def run_id(self) -> str:
-        return f"{self.method}-t{self.target}-s{self.seed}"
+        return _run_id(self.method, self.target, self.seed)
 
     @property
     def final_accuracy(self) -> float:
@@ -118,6 +118,19 @@ class ProtocolResult:
 
     def mean_accuracy(self) -> float:
         return float(np.mean([r.final_accuracy for r in self.runs]))
+
+
+def _run_id(method: str, target: int, seed: int) -> str:
+    return f"{method}-t{target}-s{seed}"
+
+
+def _first_non_finite(breakdown, grads) -> str | None:
+    """Name of the first loss term or gradient that is nan or infinite."""
+    for name in _LOSS_TERMS:
+        if not math.isfinite(getattr(breakdown, name)):
+            return name
+    return next((f"gradient of {name}" for name, g in grads.items()
+                 if not np.isfinite(g).all()), None)
 
 
 def train_one(config: TrainConfig, target: int, seed: int,
@@ -145,7 +158,7 @@ def train_one(config: TrainConfig, target: int, seed: int,
     records: list[EpochRecord] = []
     logs: list[analysis.ConfidenceLog] = []
     for epoch in range(1, config.epochs + 1):
-        sums = {"l_sup": 0.0, "l_unsup": 0.0, "l_upc": 0.0, "l_sc": 0.0, "l_total": 0.0}
+        sums = dict.fromkeys(_LOSS_TERMS, 0.0)
         degenerate = 0
         for s in range(config.steps_per_epoch):
             step = (epoch - 1) * config.steps_per_epoch + s
@@ -156,6 +169,10 @@ def train_one(config: TrainConfig, target: int, seed: int,
                 state, batch, flags, config.tau, rng,
                 sigma_weak=bc.sigma_weak, sigma_strong=bc.sigma_strong,
                 strong_dropout=bc.strong_dropout)
+            bad = _first_non_finite(breakdown, grads)
+            if bad:
+                raise DivergenceError(f"{_run_id(config.method, target, seed)}: "
+                                      f"non-finite {bad} at step {step}")
             rates = {g: cosine_lr(sch, step) for g, sch in schedules.items()}
             state = sgd_step(state, grads, rates)
             for name in sums:
@@ -187,10 +204,6 @@ def train_one(config: TrainConfig, target: int, seed: int,
     return RunRecord(config.method, target, seed, records, state, full_log)
 
 
-def _run_task(config: TrainConfig, target: int, seed: int, collect_log: bool) -> RunRecord:
-    return train_one(config, target, seed, collect_log)
-
-
 def run_protocol(config: TrainConfig, jobs: int = 1,
                  collect_logs: bool = False) -> ProtocolResult:
     """train_one over every (target, seed) pair, in a fixed order.
@@ -205,9 +218,9 @@ def run_protocol(config: TrainConfig, jobs: int = 1,
              for target in range(num_domains) for seed in config.seeds]
     if jobs > 1:
         with multiprocessing.Pool(processes=jobs) as pool:
-            runs = pool.starmap(_run_task, tasks)
+            runs = pool.starmap(train_one, tasks)
     else:
-        runs = [_run_task(*task) for task in tasks]
+        runs = [train_one(*task) for task in tasks]
     return ProtocolResult(config, list(runs))
 
 
@@ -301,8 +314,3 @@ def build_train_config(overrides: dict) -> TrainConfig:
     )
     train_kwargs = {k: v for k, v in parsed.items() if k in _TRAIN_KEYS}
     return TrainConfig(benchmark=bench, dims=dims, **train_kwargs)
-
-
-def with_overrides(config: TrainConfig, **train_fields) -> TrainConfig:
-    """Functional update helper used by the CLI flag overrides."""
-    return replace(config, **train_fields)

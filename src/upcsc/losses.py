@@ -1,5 +1,6 @@
 """Training objectives: supervised CE, confidence-gated consistency, and the
-two proxy-contrastive terms over the unlabeled batch.
+two proxy-contrastive terms over the unlabeled batch, all built on one tape
+by build_loss_graph.
 
 Batch roles come from the weak-view confidences, which are always treated as
 constants: gradients flow through the projected embeddings and the proxies,
@@ -15,15 +16,14 @@ expression over K and the pseudo labels.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autograd import Tensor, as_tensor, concat_rows, gather_rows, row_logsumexp
-from .errors import ConfigError, DataError, DegenerateInputError, ShapeError
-from .model import class_confidence, featurize, project_features, project_proxies
-from .numerics import GradientSet, as_matrix, softmax_rows
+from .errors import ConfigError, ShapeError
+from .model import featurize, project_features, project_proxies
+from .numerics import as_matrix, softmax_rows
 from .synthdata import strong_augment, weak_augment
 
 
@@ -98,9 +98,6 @@ class LossBreakdown:
     n_unconfident: int
     degenerate_uniform: int
 
-    def term(self, name: str) -> float:
-        return getattr(self, f"l_{name}")
-
 
 class _TensorParams:
     """ModelState mirrored as autograd leaves, shaped like the state itself so
@@ -116,9 +113,10 @@ class _TensorParams:
         self.feature_projector = (lv["feature_projector.weight"], lv["feature_projector.bias"])
         self.classifier_projector = (lv["classifier_projector.weight"], lv["classifier_projector.bias"])
 
-    def gradient_set(self) -> GradientSet:
-        return GradientSet({name: t.grad if t.grad is not None else np.zeros_like(t.data)
-                            for name, t in self.leaves.items()})
+    def gradient_set(self) -> dict[str, np.ndarray]:
+        """One gradient array per parameter name; zeros where none flowed."""
+        return {name: t.grad if t.grad is not None else np.zeros_like(t.data)
+                for name, t in self.leaves.items()}
 
 
 def _cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -132,73 +130,6 @@ def _cross_entropy(logits: Tensor, labels) -> Tensor:
     return (row_logsumexp(logits) - picked).mean()
 
 
-def supervised_loss(state, x_l, y_l) -> tuple[float, GradientSet]:
-    """Mean CE of the proxy classifier on labeled inputs."""
-    x_l = np.asarray(x_l, dtype=np.float64)
-    y_l = np.asarray(y_l, dtype=np.int64)
-    if len(x_l) != len(y_l):
-        raise ShapeError("labeled inputs and labels disagree in length")
-    if len(y_l) == 0:
-        return 0.0, GradientSet.zeros_like(state)
-    tp = _TensorParams(state)
-    loss = _cross_entropy(featurize(tp, x_l) @ tp.classifier.T, y_l)
-    loss.backward()
-    return loss.item(), tp.gradient_set()
-
-
-def consistency_loss(state, x_u, tau: float, rng, sigma_weak: float = 0.05,
-                     sigma_strong: float = 0.5, strong_dropout: float = 0.2
-                     ) -> tuple[float, GradientSet, BatchPartition]:
-    """FixMatch-style consistency: CE on strong views of the confident subset
-    against weak-view pseudo labels.
-
-    RNG consumption order: weak noise over the full batch, then strong noise
-    and the dropout mask over the confident rows only.
-    """
-    x_u = np.asarray(x_u, dtype=np.float64)
-    c = state.dims.num_classes
-    if len(x_u) == 0:
-        part = partition_unlabeled(np.zeros((0, c)), tau)
-        return 0.0, GradientSet.zeros_like(state), part
-    xw = weak_augment(x_u, rng, sigma_weak)
-    conf = class_confidence(state, featurize(state, xw))
-    part = partition_unlabeled(conf, tau)
-    ci = part.confident_indices
-    if ci.size == 0:
-        return 0.0, GradientSet.zeros_like(state), part
-    xs = strong_augment(x_u[ci], rng, sigma_strong, strong_dropout)
-    tp = _TensorParams(state)
-    loss = _cross_entropy(featurize(tp, xs) @ tp.classifier.T, part.pseudo_labels)
-    loss.backward()
-    return loss.item(), tp.gradient_set(), part
-
-
-def pcl_reference_loss(z, w, labels) -> float:
-    """Plain-loop proxy contrastive loss over fully labeled embeddings.
-
-    Positive pair (z_i, w_{y_i}); negatives are embeddings of samples with a
-    different label. Kept deliberately naive to serve as a value oracle.
-    """
-    z = as_matrix(z)
-    w = as_matrix(w)
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(labels) != len(z):
-        raise ShapeError("labels and embeddings disagree in length")
-    if z.shape[1] != w.shape[1]:
-        raise ShapeError("embedding and proxy widths differ")
-    if len(z) == 0:
-        raise DataError("reference loss needs at least one sample")
-    total = 0.0
-    for i in range(len(z)):
-        pos = math.exp(float(z[i] @ w[labels[i]]))
-        rest = 0.0
-        for j in range(len(z)):
-            if labels[j] != labels[i]:
-                rest += math.exp(float(z[i] @ z[j]))
-        total += -math.log(pos / (pos + rest))
-    return total / len(z)
-
-
 def _candidate_matrix(candidates, n: int, c: int = 0) -> np.ndarray:
     """Boolean (n, C) candidate matrix; an empty sequence stands for n = 0."""
     cand = np.asarray(candidates, dtype=bool)
@@ -207,6 +138,23 @@ def _candidate_matrix(candidates, n: int, c: int = 0) -> np.ndarray:
     if cand.ndim != 2 or len(cand) != n or (c and cand.shape[1] != c):
         raise ShapeError(f"candidate matrix must be ({n}, C), got {cand.shape}")
     return cand
+
+
+def _proxy_contrast(z_a: Tensor, pos: Tensor, negatives) -> Tensor:
+    """The proxy-contrastive loss of PCL (Yao et al., CVPR 2022) that UPC and
+    SC share; they differ only in anchors, positives and negative masks.
+
+    Returns mean_i log(1 + sum_j m_ij exp(a_i . k_j) exp(-pos_i)) for anchor
+    rows a_i of z_a, positive logits pos (n_a, 1), and the j running over
+    every (keys, mask) side in `negatives`, mask 0/1 of shape (n_a, n_keys).
+    A side without keys is skipped; at least one side must have keys. This is
+    log(exp(pos) + rest) - pos, arranged so an anchor with no negatives
+    contributes log(1) = 0 exactly instead of rounding noise.
+    """
+    sides = [((z_a @ keys.T).exp() * mask).sum(axis=1, keepdims=True)
+             for keys, mask in negatives if keys.shape[0]]
+    rest = sum(sides[1:], sides[0])
+    return (1.0 + rest * (-pos).exp()).log().mean()
 
 
 def upc_negative_masks(pseudo, candidates) -> tuple[np.ndarray, np.ndarray]:
@@ -249,25 +197,7 @@ def upc_loss(z_uc, w, pseudo, z_uu, candidates) -> Tensor:
     onehot[np.arange(n_uc), pseudo] = 1.0
     pos = (z_uc @ w.T * onehot).sum(axis=1, keepdims=True)
     vs_confident, vs_unconfident = upc_negative_masks(pseudo, candidates)
-    rest = ((z_uc @ z_uc.T).exp() * vs_confident).sum(axis=1, keepdims=True)
-    if n_uu:
-        rest = rest + ((z_uc @ z_uu.T).exp() * vs_unconfident).sum(axis=1, keepdims=True)
-    # log(exp(pos) + rest) - pos, arranged so an anchor with no negatives
-    # contributes log(1) = 0 exactly instead of rounding noise
-    return (1.0 + rest * (-pos).exp()).log().mean()
-
-
-def surrogate_class(conf_row, candidate, w):
-    """Confidence-weighted blend of candidate proxies for one unconfident
-    sample; `candidate` is its boolean row of the candidate matrix."""
-    conf_row = np.asarray(conf_row, dtype=np.float64).reshape(-1)
-    candidate = np.asarray(candidate, dtype=bool).reshape(-1)
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != conf_row.size or candidate.size != conf_row.size:
-        raise ShapeError("proxy matrix and candidate row must have one entry per class")
-    if not candidate.any():
-        raise DegenerateInputError("empty candidate set has no surrogate class")
-    return np.where(candidate, conf_row, 0.0) @ w
+    return _proxy_contrast(z_uc, pos, [(z_uc, vs_confident), (z_uu, vs_unconfident)])
 
 
 def _surrogate_weights(conf_u: np.ndarray, candidates) -> np.ndarray:
@@ -309,11 +239,10 @@ def sc_loss(z_uu, surrogates, candidates, z_uc, pseudo) -> Tensor:
     """
     z_uu, surrogates, z_uc = as_tensor(z_uu), as_tensor(surrogates), as_tensor(z_uc)
     pseudo = np.asarray(pseudo, dtype=np.int64)
-    n_uu, n_uc = z_uu.shape[0], z_uc.shape[0]
-    candidates = _candidate_matrix(candidates, n_uu)
+    candidates = _candidate_matrix(candidates, z_uu.shape[0])
     if surrogates.shape != z_uu.shape:
         raise ShapeError("surrogates must align with unconfident embeddings")
-    if len(pseudo) != n_uc:
+    if len(pseudo) != z_uc.shape[0]:
         raise ShapeError("pseudo labels and confident embeddings disagree in length")
     anchors = sc_anchor_indices(candidates)
     if anchors.size == 0:
@@ -321,13 +250,7 @@ def sc_loss(z_uu, surrogates, candidates, z_uc, pseudo) -> Tensor:
     vs_confident, vs_unconfident = sc_negative_masks(candidates, pseudo)
     z_a = gather_rows(z_uu, anchors)
     pos = (z_a * gather_rows(surrogates, anchors)).sum(axis=1, keepdims=True)
-    if n_uc:
-        rest = ((z_a @ z_uc.T).exp() * vs_confident).sum(axis=1, keepdims=True)
-    else:
-        rest = as_tensor(np.zeros((anchors.size, 1)))
-    rest = rest + ((z_a @ z_uu.T).exp() * vs_unconfident).sum(axis=1, keepdims=True)
-    # same nonnegative arrangement as the confident-side loss
-    return (1.0 + rest * (-pos).exp()).log().mean()
+    return _proxy_contrast(z_a, pos, [(z_uc, vs_confident), (z_uu, vs_unconfident)])
 
 
 def build_loss_graph(state, batch, flags: MethodFlags, tau: float, rng,
@@ -397,7 +320,7 @@ def build_loss_graph(state, batch, flags: MethodFlags, tau: float, rng,
 
 def total_loss(state, batch, flags: MethodFlags, tau: float, rng,
                sigma_weak: float = 0.05, sigma_strong: float = 0.5,
-               strong_dropout: float = 0.2) -> tuple[LossBreakdown, GradientSet]:
+               strong_dropout: float = 0.2) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
     """Equal-weight sum of the enabled terms, with gradients."""
     terms, part, tp = build_loss_graph(state, batch, flags, tau, rng,
                                        sigma_weak, sigma_strong, strong_dropout)

@@ -1,5 +1,4 @@
-"""Dense float64 linear algebra helpers, LR schedule, SGD, and the
-finite-difference gradient oracle.
+"""Dense float64 helpers, seeded substreams, the LR schedule, and SGD.
 
 A "matrix" throughout the package is a 2-D C-contiguous float64 numpy array.
 Heavy lifting (products, reductions) is delegated to numpy; the functions
@@ -10,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -36,14 +35,6 @@ def as_matrix(x) -> np.ndarray:
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
     return m
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def softmax_rows(m) -> np.ndarray:
@@ -89,35 +80,12 @@ def cosine_lr(schedule: LrSchedule, step: int) -> float:
     return schedule.base_rate * 0.5 * (1.0 + math.cos(math.pi * step / schedule.total_steps))
 
 
-class GradientSet:
-    """One gradient array per trainable parameter, keyed by parameter name."""
-
-    def __init__(self, arrays: dict[str, np.ndarray]):
-        self.arrays = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.arrays[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.arrays
-
-    def items(self) -> Iterator[tuple[str, np.ndarray]]:
-        return iter(self.arrays.items())
-
-    def max_abs(self) -> float:
-        return max((float(np.max(np.abs(a))) if a.size else 0.0) for a in self.arrays.values())
-
-    @classmethod
-    def zeros_like(cls, params) -> "GradientSet":
-        return cls({name: np.zeros_like(arr) for name, arr in params.param_items()})
-
-
-def sgd_step(params, grads: GradientSet, rates: Mapping[str, float]):
+def sgd_step(params, grads: Mapping[str, np.ndarray], rates: Mapping[str, float]):
     """theta <- theta - rate(group) * grad, returning a new parameter set.
 
     `params` is any object with param_items() / group_of() / with_params()
-    (see ModelState). Rates are looked up per parameter group; a missing
-    group is an error.
+    (see ModelState) and `grads` maps each parameter name to its gradient.
+    Rates are looked up per parameter group; a missing group is an error.
     """
     updated = {}
     for name, arr in params.param_items():
@@ -128,33 +96,9 @@ def sgd_step(params, grads: GradientSet, rates: Mapping[str, float]):
     return params.with_params(updated)
 
 
-def finite_diff_gradient(loss_fn: Callable, params, h: float = 1e-5) -> GradientSet:
-    """Central-difference gradient of loss_fn over every parameter coordinate.
-
-    Perturbs the parameter arrays in place and restores them, so loss_fn must
-    read the current arrays on every call (and must be deterministic).
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    grads = {}
-    for name, arr in params.param_items():
-        g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            lp = float(loss_fn(params))
-            flat[i] = orig - h
-            lm = float(loss_fn(params))
-            flat[i] = orig
-            gflat[i] = (lp - lm) / (2.0 * h)
-        grads[name] = g
-    return GradientSet(grads)
-
-
-def max_relative_error(a: GradientSet, b: GradientSet, floor: float = 1e-8) -> float:
-    """max over coordinates of |a-b| / max(|a|, |b|, floor)."""
+def max_relative_error(a: Mapping[str, np.ndarray], b: Mapping[str, np.ndarray],
+                       floor: float = 1e-8) -> float:
+    """max over coordinates of |a-b| / max(|a|, |b|, floor), matching names."""
     worst = 0.0
     for name, ga in a.items():
         gb = b[name]

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csvio import FLOAT_FORMAT, format_rows, read_csv, write_csv
-from .errors import ConfigError, DataError, ShapeError
+from .csvio import FLOAT_FORMAT, format_rows, write_csv
+from .errors import ConfigError, DataError
 from .numerics import substream
 
 TEST_FRACTION = 0.2
@@ -87,10 +87,6 @@ class DomainSpec:
     def invert(self, x: np.ndarray) -> np.ndarray:
         return ((x - self.shift) @ self.rotation) / self.scale
 
-    @classmethod
-    def identity(cls, domain_id: int, latent_dim: int) -> "DomainSpec":
-        return cls(domain_id, np.eye(latent_dim), np.ones(latent_dim), np.zeros(latent_dim))
-
 
 def random_rotation(latent_dim: int, rng: np.random.Generator, max_angle: float) -> np.ndarray:
     """Orthogonal matrix rotating k//2 random planes by angles in [0, max_angle].
@@ -135,8 +131,8 @@ class DomainBenchmark:
 
     def __init__(self, config: BenchmarkConfig, prototypes, specs, domains):
         self.config = config
-        self.prototypes = prototypes   # (C, k) latent class centers, or None after import
-        self.specs = specs             # list[DomainSpec] or None after import
+        self.prototypes = prototypes   # (C, k) latent class centers
+        self.specs = specs             # list[DomainSpec]
         self._domains = domains        # list[DomainSplits]
         self.read_counts: dict[tuple[int, str], int] = {}
 
@@ -291,13 +287,9 @@ def sample_batch(view, labeled_per_domain: int, unlabeled_per_domain: int,
 
 # ---------------------------------------------------------------- CSV export
 
-def _feature_header(k: int) -> list[str]:
-    return [f"x_{i}" for i in range(k)] + ["label"]
-
-
 def _write_xy(path, x: np.ndarray, y) -> None:
     k = x.shape[1]
-    write_csv(path, _feature_header(k),
+    write_csv(path, [f"x_{i}" for i in range(k)] + ["label"],
               format_rows(",".join([FLOAT_FORMAT] * k) + ",%d", x, np.asarray(y)))
 
 
@@ -314,30 +306,3 @@ def export_benchmark(benchmark: DomainBenchmark, out_dir) -> None:
                   format_rows("%d", benchmark.quarantined_truth(d)))
         _write_xy(os.path.join(out_dir, f"domain{d}_test.csv"), *benchmark.test(d))
 
-
-def _read_xy(path, k: int) -> tuple[np.ndarray, np.ndarray]:
-    rows = read_csv(path, _feature_header(k), [("x", np.float64, (k,)), ("y", np.int64)])
-    if not len(rows):
-        raise DataError(f"{path} has no data rows")
-    return rows["x"].copy(), rows["y"].copy()
-
-
-def import_benchmark(in_dir, config: BenchmarkConfig) -> DomainBenchmark:
-    """Rebuild a benchmark from CSVs written by export_benchmark.
-
-    Generator internals (prototypes, domain specs) are not stored on disk, so
-    the returned benchmark carries data and splits only.
-    """
-    domains = []
-    for d in range(config.num_domains):
-        lx, ly = _read_xy(os.path.join(in_dir, f"domain{d}_labeled.csv"), config.latent_dim)
-        ux, neg = _read_xy(os.path.join(in_dir, f"domain{d}_unlabeled.csv"), config.latent_dim)
-        if np.any(neg != -1):
-            raise DataError("unlabeled split must carry label -1")
-        truth = read_csv(os.path.join(in_dir, f"domain{d}_unlabeled_truth.csv"),
-                         ["label"], np.int64)
-        if len(truth) != len(ux):
-            raise DataError("truth sidecar length mismatch")
-        tx, ty = _read_xy(os.path.join(in_dir, f"domain{d}_test.csv"), config.latent_dim)
-        domains.append(DomainSplits(lx, ly, ux, truth, tx, ty))
-    return DomainBenchmark(config, None, None, domains)

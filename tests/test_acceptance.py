@@ -9,14 +9,14 @@ import time
 
 import numpy as np
 import pytest
+from oracles import pcl_reference_loss
 
 from upcsc import analysis
 from upcsc.cli import main
 from upcsc.gradcheck import check_losses
 from upcsc.harness import TrainConfig, paired_deltas, run_protocol, train_one
-from upcsc.losses import (MethodFlags, partition_unlabeled, pcl_reference_loss,
-                          sc_anchor_indices, sc_negative_masks, total_loss,
-                          upc_loss, upc_negative_masks)
+from upcsc.losses import (MethodFlags, partition_unlabeled, sc_anchor_indices,
+                          sc_negative_masks, total_loss, upc_loss, upc_negative_masks)
 from upcsc.model import ModelDims, init_model
 from upcsc.numerics import l2_normalize_rows, softmax_rows, substream
 from upcsc.synthdata import BenchmarkConfig, TrainBatch

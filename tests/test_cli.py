@@ -147,6 +147,18 @@ def test_missing_input_file_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_diverging_train_exits_1_without_outputs(tmp_path, capsys):
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text("lr_backbone = 50.0\nlr_classifier = 50.0\n"
+                   "epochs = 1\nsteps_per_epoch = 10\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "non-finite l_sup at step 6" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_required_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["stats", "--truth-dir", "somewhere"])

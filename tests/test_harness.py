@@ -1,14 +1,15 @@
 """Leave-one-domain-out runs, protocol sweeps, and config parsing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from upcsc import harness
-from upcsc.errors import ConfigError
+from upcsc.errors import ConfigError, DivergenceError
 from upcsc.harness import (EPOCH_METRICS, METHODS, TrainConfig, build_train_config,
                            paired_deltas, parse_config_file, run_protocol,
-                           train_one, with_overrides, write_metrics_csv,
-                           write_results_csv)
+                           train_one, write_metrics_csv, write_results_csv)
 from upcsc.model import ModelDims
 from upcsc.synthdata import BenchmarkConfig
 
@@ -65,6 +66,17 @@ def test_train_one_seed_changes_outcome():
     diffs = [not np.array_equal(pa, pb) for (_, pa), (_, pb)
              in zip(a.final_state.param_items(), b.final_state.param_items())]
     assert any(diffs)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_train_one_stops_at_the_first_non_finite_step():
+    # at these rates the default run blows up within ten steps; it used to
+    # train on and report l_total = nan with chance accuracy
+    cfg = TrainConfig(lr_backbone=50.0, lr_classifier=50.0, epochs=1, steps_per_epoch=10)
+    with pytest.raises(DivergenceError,
+                       match=r"^fixmatch\+upcsc-t0-s0: non-finite l_sup at step 6$"):
+        train_one(cfg, target=0, seed=0)
 
 
 def test_train_one_rejects_bad_target():
@@ -233,10 +245,13 @@ def test_build_train_config_rejects_unknown_and_bad_values():
 
 
 def test_with_overrides():
+    # dataclasses.replace re-runs validation, so overrides cannot skip it
     cfg = small_config()
-    out = with_overrides(cfg, method="fixmatch", tau=0.7)
+    out = replace(cfg, method="fixmatch", tau=0.7)
     assert out.method == "fixmatch" and out.tau == 0.7
     assert out.benchmark == cfg.benchmark
+    with pytest.raises(ConfigError):
+        replace(cfg, tau=0.2)
 
 
 def test_method_table_flags():

@@ -7,19 +7,21 @@ import weakref
 import numpy as np
 import pytest
 
+from oracles import pcl_reference_loss
+
 from upcsc.autograd import Tensor
-from upcsc.errors import ConfigError, DegenerateInputError, ShapeError
+from upcsc.errors import ConfigError, ShapeError
 from upcsc.losses import (MethodFlags, _surrogate_weights, build_loss_graph,
-                          consistency_loss, partition_unlabeled, pcl_reference_loss,
-                          sc_loss, sc_negative_masks, supervised_loss,
-                          surrogate_class, total_loss, upc_loss,
-                          upc_negative_masks)
+                          partition_unlabeled, sc_anchor_indices, sc_loss,
+                          sc_negative_masks, total_loss, upc_loss, upc_negative_masks)
 from upcsc.model import ModelDims, class_confidence, featurize, init_model
 from upcsc.numerics import l2_normalize_rows, softmax_rows, substream
 from upcsc.synthdata import TrainBatch, strong_augment, weak_augment
 
 DIMS = ModelDims(input_dim=5, hidden_dims=(6,), feature_dim=4, num_classes=3)
 ALL = MethodFlags(True, True, True)
+SUP_ONLY = MethodFlags(False, False, False)
+UNSUP_ONLY = MethodFlags(True, False, False)
 
 
 def sharp_state(boost=6.0):
@@ -41,6 +43,33 @@ def random_batch(seed, n_l=4, n_u=8):
 
 def unit_rows(seed, n, d):
     return l2_normalize_rows(substream(seed).standard_normal((n, d)))
+
+
+def term_and_grads(state, batch, name, flags, tau, rng, **knobs):
+    """One build_loss_graph term's value, its gradients and the partition."""
+    terms, part, tp = build_loss_graph(state, batch, flags, tau, rng, **knobs)
+    terms[name].backward()
+    return terms[name].item(), tp.gradient_set(), part
+
+
+def sup_term(state, x, y):
+    """terms["sup"] on a batch with no unlabeled rows."""
+    batch = TrainBatch(x, y, np.zeros((0, x.shape[1])))
+    return term_and_grads(state, batch, "sup", SUP_ONLY, 0.65, substream(0))[:2]
+
+
+def unsup_term(state, x_u, tau, rng, **knobs):
+    """terms["unsup"] on a batch with no labeled rows."""
+    batch = TrainBatch(np.zeros((0, x_u.shape[1])), np.zeros(0, dtype=int), x_u)
+    return term_and_grads(state, batch, "unsup", UNSUP_ONLY, tau, rng, **knobs)
+
+
+def max_abs(grads):
+    return max(float(np.abs(g).max()) for g in grads.values())
+
+
+def onehot(labels, c):
+    return np.eye(c, dtype=bool)[np.asarray(labels, dtype=int)]
 
 
 def cand_matrix(sets, c=3):
@@ -114,28 +143,28 @@ def test_partition_matches_bruteforce_sets():
         assert part.candidates.shape == (len(expect_unconf), c)
 
 
-# ----------------------------------------------------------- supervised loss
+# ------------------------------------------- supervised term (terms["sup"])
 
 def test_supervised_loss_matches_manual_ce():
     state = sharp_state()
     rng = substream(7)
     x = rng.standard_normal((6, DIMS.input_dim))
     y = rng.integers(0, DIMS.num_classes, 6)
-    value, grads = supervised_loss(state, x, y)
+    value, grads = sup_term(state, x, y)
     logits = featurize(state, x) @ state.classifier.T
     shifted = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
     manual = float(np.mean(lse - logits[np.arange(6), y]))
     assert value == pytest.approx(manual, abs=1e-12)
     assert grads["classifier.weight"].shape == state.classifier.shape
-    assert grads.max_abs() > 0
+    assert max_abs(grads) > 0
 
 
 def test_supervised_loss_empty_batch():
     state = sharp_state()
-    value, grads = supervised_loss(state, np.zeros((0, DIMS.input_dim)), np.zeros(0, dtype=int))
+    value, grads = sup_term(state, np.zeros((0, DIMS.input_dim)), np.zeros(0, dtype=int))
     assert value == 0.0
-    assert grads.max_abs() == 0.0
+    assert max_abs(grads) == 0.0
 
 
 def test_supervised_loss_permutation_equivariant():
@@ -146,46 +175,49 @@ def test_supervised_loss_permutation_equivariant():
     perm = np.array([2, 0, 1])
     inv = np.argsort(perm)
     permuted = state.with_params({"classifier.weight": state.classifier[perm]})
-    base, _ = supervised_loss(state, x, y)
-    relabeled, _ = supervised_loss(permuted, x, inv[y])
+    base, _ = sup_term(state, x, y)
+    relabeled, _ = sup_term(permuted, x, inv[y])
     assert abs(base - relabeled) <= 1e-12
 
 
-# ---------------------------------------------------------- consistency loss
+# ---------------------------------------- consistency term (terms["unsup"])
 
 def test_consistency_loss_no_confident_is_zero():
     state = init_model(DIMS, seed=3)  # unboosted: confidences stay diffuse
     x_u = substream(9).standard_normal((10, DIMS.input_dim))
-    value, grads, part = consistency_loss(state, x_u, tau=0.999999, rng=substream(10))
+    value, grads, part = unsup_term(state, x_u, tau=0.999999, rng=substream(10))
     assert value == 0.0
-    assert grads.max_abs() == 0.0
+    assert max_abs(grads) == 0.0
     assert len(part.confident_indices) == 0
     assert len(part.unconfident_indices) == 10
 
 
 def test_consistency_loss_empty_batch():
     state = sharp_state()
-    value, grads, part = consistency_loss(state, np.zeros((0, DIMS.input_dim)),
-                                          tau=0.9, rng=substream(11))
-    assert value == 0.0 and grads.max_abs() == 0.0
+    value, grads, part = unsup_term(state, np.zeros((0, DIMS.input_dim)),
+                                    tau=0.9, rng=substream(11))
+    assert value == 0.0 and max_abs(grads) == 0.0
     assert part.confident_indices.size == 0 and part.unconfident_indices.size == 0
     assert part.candidates.shape == (0, DIMS.num_classes)
 
 
 def test_consistency_loss_compositional_oracle():
-    # replaying the documented rng order and feeding the strong views to the
-    # supervised loss must reproduce value and gradients exactly
+    # replaying the graph's rng order (weak views of the full batch, then
+    # strong views of the full batch) and feeding the confident rows' strong
+    # views to the supervised term must reproduce value and gradients exactly
     state = sharp_state()
     x_u = substream(12).standard_normal((10, DIMS.input_dim))
-    value, grads, part = consistency_loss(state, x_u, tau=0.65, rng=substream(13))
-    assert len(part.confident_indices) > 0
+    value, grads, part = unsup_term(state, x_u, tau=0.9, rng=substream(13))
+    assert 0 < len(part.confident_indices) < len(x_u)  # both roles occur
 
     replay = substream(13)
     xw = weak_augment(x_u, replay, 0.05)
+    xs = strong_augment(x_u, replay, 0.5, 0.2)
     conf = class_confidence(state, featurize(state, xw))
-    part2 = partition_unlabeled(conf, 0.65)
-    xs = strong_augment(x_u[part2.confident_indices], replay, 0.5, 0.2)
-    expect_value, expect_grads = supervised_loss(state, xs, part2.pseudo_labels)
+    part2 = partition_unlabeled(conf, 0.9)
+    ci = part2.confident_indices
+    assert np.array_equal(ci, part.confident_indices)
+    expect_value, expect_grads = sup_term(state, xs[ci], part2.pseudo_labels)
     assert value == expect_value
     for name, g in grads.items():
         assert np.array_equal(g, expect_grads[name]), name
@@ -198,8 +230,8 @@ def test_consistency_loss_near_zero_when_predictions_match():
     state.featurizer[0] = (np.eye(2) * 5.0, np.zeros(2))
     state.classifier[:] = np.array([[10.0, 0.0], [0.0, 10.0]])
     x_u = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.1], [0.1, 1.0]])
-    value, _, part = consistency_loss(state, x_u, tau=0.9, rng=substream(14),
-                                      sigma_weak=0.01, sigma_strong=0.01, strong_dropout=0.0)
+    value, _, part = unsup_term(state, x_u, tau=0.9, rng=substream(14),
+                                sigma_weak=0.01, sigma_strong=0.01, strong_dropout=0.0)
     assert len(part.confident_indices) == 4
     assert value < 1e-3
 
@@ -295,17 +327,19 @@ def test_upc_shape_validation():
 
 def test_surrogate_class_hand_value_and_batched_agreement():
     w = unit_rows(40, 3, 5)
-    conf = np.array([0.40, 0.35, 0.25])
-    cand = cand_matrix([{0, 1}])
-    expect = 0.40 * w[0] + 0.35 * w[1]
-    assert np.allclose(surrogate_class(conf, cand[0], w), expect, atol=1e-15)
-    weights = _surrogate_weights(conf[None, :], cand)
-    assert np.allclose(weights @ w, expect[None, :], atol=1e-15)
+    conf = np.array([[0.40, 0.35, 0.25], [0.20, 0.30, 0.50]])
+    cand = cand_matrix([{0, 1}, {1, 2}])
+    expect = np.array([0.40 * w[0] + 0.35 * w[1], 0.30 * w[1] + 0.50 * w[2]])
+    assert np.allclose(_surrogate_weights(conf, cand) @ w, expect, atol=1e-15)
 
 
 def test_surrogate_class_empty_candidate_rejected():
-    with pytest.raises(DegenerateInputError):
-        surrogate_class(np.array([0.4, 0.3, 0.3]), np.zeros(3, dtype=bool), unit_rows(41, 3, 4))
+    # an exactly uniform row has no surrogate class: zero weights, and it is
+    # no SC anchor
+    cand = cand_matrix([{0}, set()])
+    weights = _surrogate_weights(np.array([[0.4, 0.3, 0.3], [1 / 3, 1 / 3, 1 / 3]]), cand)
+    assert weights[1].tolist() == [0.0, 0.0, 0.0]
+    assert sc_anchor_indices(cand).tolist() == [0]
 
 
 def test_surrogate_norm_bounded_by_one():
@@ -313,11 +347,11 @@ def test_surrogate_norm_bounded_by_one():
     for _ in range(100):
         c = int(rng.integers(2, 7))
         w = l2_normalize_rows(rng.standard_normal((c, 6)))
-        conf = softmax_rows(rng.standard_normal((1, c)) * 2)[0]
+        conf = softmax_rows(rng.standard_normal((1, c)) * 2)
         cand = conf > 1 / c
         if not cand.any():
             continue
-        assert np.linalg.norm(surrogate_class(conf, cand, w)) <= 1.0 + 1e-12
+        assert np.linalg.norm(_surrogate_weights(conf, cand) @ w) <= 1.0 + 1e-12
 
 
 def test_sc_loss_hand_value_with_both_negative_kinds():
@@ -370,6 +404,30 @@ def test_sc_loss_no_anchors_zero():
     assert value == 0.0
 
 
+def test_sc_with_one_hot_candidates_is_upc_with_roles_swapped():
+    # one candidate per unconfident row makes its surrogate a single proxy;
+    # SC over those anchors then selects exactly UPC's pairs with the roles
+    # of the two embedding sets swapped, only summed in the other side order
+    for seed in range(50):
+        rng = substream(500 + seed)
+        c = int(rng.integers(2, 6))
+        d = int(rng.integers(2, 7))
+        n_u, n_c = int(rng.integers(1, 9)), int(rng.integers(0, 9))
+        w = l2_normalize_rows(rng.standard_normal((c, d)))
+        p_u, p_c = rng.integers(0, c, n_u), rng.integers(0, c, n_c)
+        z_u = l2_normalize_rows(rng.standard_normal((n_u, d)))
+        z_c = l2_normalize_rows(rng.standard_normal((n_c, d)))
+        sc_in, upc_in = (Tensor(z_u), Tensor(z_c)), (Tensor(z_u), Tensor(z_c))
+        sc = sc_loss(sc_in[0], w[p_u], onehot(p_u, c), sc_in[1], p_c)
+        upc = upc_loss(upc_in[0], w, p_u, upc_in[1], onehot(p_c, c))
+        assert abs(sc.item() - upc.item()) <= 1e-12
+        sc.backward()
+        upc.backward()
+        for a, b in zip(sc_in, upc_in):
+            if a.grad is not None or b.grad is not None:
+                assert np.allclose(a.grad, b.grad, rtol=0.0, atol=1e-12)
+
+
 def test_sc_loss_no_negatives_zero():
     # single anchor, overlapping sets everywhere, no confident samples
     z_uu = unit_rows(49, 2, 4)
@@ -399,9 +457,8 @@ def test_total_loss_breakdown_sums_exactly():
 def test_total_loss_supervised_only_equals_supervised():
     state = sharp_state()
     batch = random_batch(60)
-    breakdown, grads = total_loss(state, batch, MethodFlags(False, False, False),
-                                  0.65, substream(61))
-    expect_value, expect_grads = supervised_loss(state, batch.labeled_x, batch.labeled_y)
+    breakdown, grads = total_loss(state, batch, SUP_ONLY, 0.65, substream(61))
+    expect_value, expect_grads = sup_term(state, batch.labeled_x, batch.labeled_y)
     assert breakdown.l_total == expect_value
     assert breakdown.l_unsup == 0.0 and breakdown.l_upc == 0.0 and breakdown.l_sc == 0.0
     for name, g in grads.items():
@@ -431,7 +488,7 @@ def test_total_loss_empty_unlabeled():
     assert breakdown.n_confident == 0 and breakdown.n_unconfident == 0
     assert breakdown.l_unsup == 0.0 and breakdown.l_upc == 0.0 and breakdown.l_sc == 0.0
     assert breakdown.l_total == breakdown.l_sup
-    assert grads.max_abs() > 0  # supervised part still trains
+    assert max_abs(grads) > 0  # supervised part still trains
 
 
 def test_total_loss_class_permutation_equivariance():

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from upcsc.analysis import load_confidence_log
+from upcsc.csvio import read_csv
 from upcsc.errors import ConfigError, DataError
 from upcsc.numerics import substream
 from upcsc.synthdata import (BenchmarkConfig, DomainSpec, export_benchmark,
-                             generate_benchmark, import_benchmark, random_rotation,
-                             sample_batch, strong_augment, weak_augment)
+                             generate_benchmark, random_rotation, sample_batch,
+                             strong_augment, weak_augment)
 
 # small but structurally complete benchmark for fast tests
 SMALL = BenchmarkConfig(num_domains=3, num_classes=4, latent_dim=6,
@@ -203,17 +205,25 @@ def test_read_counters_track_access():
     assert (0, "test") not in bench.read_counts
 
 
+def read_xy(path, k):
+    rows = read_csv(path, [f"x_{i}" for i in range(k)] + ["label"],
+                    [("x", np.float64, (k,)), ("y", np.int64)])
+    return rows["x"], rows["y"]
+
+
 def test_csv_round_trip_exact(tmp_path):
     bench = generate_benchmark(SMALL)
     export_benchmark(bench, tmp_path)
-    back = import_benchmark(tmp_path, SMALL)
+    k = SMALL.latent_dim
     for d in bench.domain_ids:
-        assert np.array_equal(bench.labeled(d)[0], back.labeled(d)[0])
-        assert np.array_equal(bench.labeled(d)[1], back.labeled(d)[1])
-        assert np.array_equal(bench.unlabeled(d), back.unlabeled(d))
-        assert np.array_equal(bench.quarantined_truth(d), back.quarantined_truth(d))
-        assert np.array_equal(bench.test(d)[0], back.test(d)[0])
-        assert np.array_equal(bench.test(d)[1], back.test(d)[1])
+        for split in ("labeled", "test"):
+            x, y = read_xy(tmp_path / f"domain{d}_{split}.csv", k)
+            want_x, want_y = getattr(bench, split)(d)
+            assert np.array_equal(x, want_x) and np.array_equal(y, want_y)
+        x, y = read_xy(tmp_path / f"domain{d}_unlabeled.csv", k)
+        assert np.array_equal(x, bench.unlabeled(d)) and (y == -1).all()
+        truth = read_csv(tmp_path / f"domain{d}_unlabeled_truth.csv", ["label"], np.int64)
+        assert np.array_equal(truth, bench.quarantined_truth(d))
 
 
 def test_exported_unlabeled_carries_no_labels(tmp_path):
@@ -227,10 +237,15 @@ def test_exported_unlabeled_carries_no_labels(tmp_path):
 
 
 def test_import_rejects_mangled_files(tmp_path):
+    # the stats reader is what reads exported sidecars back; a truncated one
+    # must not silently join the wrong labels
     bench = generate_benchmark(SMALL)
     export_benchmark(bench, tmp_path)
     path = tmp_path / "domain1_unlabeled_truth.csv"
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-3]) + "\n")
+    last = len(bench.unlabeled(1)) - 1
+    (tmp_path / "confidences.csv").write_text(
+        f"epoch,domain,sample_index,c_0,c_1,c_2,c_3\n1,1,{last},0.4,0.3,0.2,0.1\n")
     with pytest.raises(DataError):
-        import_benchmark(tmp_path, SMALL)
+        load_confidence_log(tmp_path / "confidences.csv", tmp_path)
