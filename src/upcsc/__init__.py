@@ -20,5 +20,9 @@ from .harness import (METHODS, ProtocolResult, RunRecord, TrainConfig,
 from .synthdata import (BenchmarkConfig, DomainBenchmark, DomainSpec,
                         export_benchmark, generate_benchmark, sample_batch,
                         strong_augment, weak_augment)
+from . import numerics
+
+numerics.pin_blas_threads()
+numerics.pin_malloc_thresholds()
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -163,16 +163,24 @@ def _confidence_header(c: int) -> list[str]:
     return ["epoch", "domain", "sample_index"] + [f"c_{i}" for i in range(c)]
 
 
-def write_confidences_csv(log: ConfidenceLog, path) -> None:
-    """epoch,domain,sample_index,c_0..c_{C-1}; sample_index counts within each
-    (epoch, domain) group and matches the unlabeled split's row order."""
-    order = np.lexsort((log.domains, log.epochs))   # stable: log order within a group
+def _epoch_domain_groups(log: ConfidenceLog) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): a stable sort of the log by (epoch, domain), which
+    keeps log order within a group, and the sorted position where each
+    group starts."""
+    order = np.lexsort((log.domains, log.epochs))
     epochs, domains = log.epochs[order], log.domains[order]
     group_start = np.ones(len(log), dtype=bool)
     group_start[1:] = (epochs[1:] != epochs[:-1]) | (domains[1:] != domains[:-1])
-    position = np.arange(len(log))
+    return order, np.flatnonzero(group_start)
+
+
+def write_confidences_csv(log: ConfidenceLog, path) -> None:
+    """epoch,domain,sample_index,c_0..c_{C-1}; sample_index counts within each
+    (epoch, domain) group and matches the unlabeled split's row order."""
+    order, starts = _epoch_domain_groups(log)
     sample_index = np.empty(len(log), dtype=np.int64)
-    sample_index[order] = position - np.maximum.accumulate(np.where(group_start, position, 0))
+    group_sizes = np.diff(starts, append=len(log))
+    sample_index[order] = np.arange(len(log)) - np.repeat(starts, group_sizes)
     row_format = "%d,%d,%d," + ",".join([FLOAT_FORMAT] * log.num_classes)
     write_csv(path, _confidence_header(log.num_classes),
               format_rows(row_format, log.epochs, log.domains, sample_index, log.conf))
@@ -210,30 +218,30 @@ def write_stats_csv(log: ConfidenceLog, tau: float, path) -> None:
     of the epoch, macro averages the per-domain values. Inclusion rows are
     omitted where the statistic is undefined (no unconfident samples).
     """
+    unconfident = _unconfident_mask(log, tau)
+    hit = unconfident & (log.conf[np.arange(len(log)), log.truth] > 1.0 / log.num_classes)
+    order, starts = _epoch_domain_groups(log)
+    # samples, unconfident samples and inclusion hits of each (epoch, domain)
+    flags = np.stack([np.ones(len(log), dtype=bool), unconfident, hit], axis=1)
+    counts = np.add.reduceat(flags[order].astype(np.int64), starts, axis=0)
+    group_epochs, group_domains = log.epochs[order[starts]], log.domains[order[starts]]
     rows = []
-    for epoch in np.unique(log.epochs).tolist():
-        elog = log.filter(epoch=epoch)
-        per_domain = {}
-        for domain in np.unique(elog.domains).tolist():
-            dlog = elog.filter(domain=domain)
-            stats = {"uus_rate": uus_rate(dlog, tau)}
-            try:
-                stats["inclusion_rate"] = inclusion_rate(dlog, tau)
-            except UndefinedStatisticError:
-                pass
-            per_domain[domain] = stats
-            for name, value in stats.items():
-                rows.append((name, epoch, domain, value))
-        rows.append(("uus_rate_micro", epoch, -1, uus_rate(elog, tau)))
-        rows.append(("uus_rate_macro", epoch, -1,
-                     float(np.mean([s["uus_rate"] for s in per_domain.values()]))))
-        try:
-            rows.append(("inclusion_rate_micro", epoch, -1, inclusion_rate(elog, tau)))
-        except UndefinedStatisticError:
-            pass
-        defined = [s["inclusion_rate"] for s in per_domain.values() if "inclusion_rate" in s]
-        if defined:
-            rows.append(("inclusion_rate_macro", epoch, -1, float(np.mean(defined))))
+    for epoch in np.unique(group_epochs).tolist():
+        mine = group_epochs == epoch
+        uus, inclusion = [], []
+        for domain, (n, n_unconfident, n_hit) in zip(group_domains[mine].tolist(),
+                                                      counts[mine].tolist()):
+            uus.append(n_unconfident / n)
+            rows.append(("uus_rate", epoch, domain, uus[-1]))
+            if n_unconfident:
+                inclusion.append(n_hit / n_unconfident)
+                rows.append(("inclusion_rate", epoch, domain, inclusion[-1]))
+        n, n_unconfident, n_hit = counts[mine].sum(axis=0).tolist()
+        rows.append(("uus_rate_micro", epoch, -1, n_unconfident / n))
+        rows.append(("uus_rate_macro", epoch, -1, float(np.mean(uus))))
+        if inclusion:
+            rows.append(("inclusion_rate_micro", epoch, -1, n_hit / n_unconfident))
+            rows.append(("inclusion_rate_macro", epoch, -1, float(np.mean(inclusion))))
     write_csv(path, ["statistic", "epoch", "domain", "value"],
               format_rows("%s,%d,%d," + FLOAT_FORMAT, *zip(*rows)))
 

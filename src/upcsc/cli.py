@@ -42,8 +42,7 @@ def cmd_train(args) -> int:
     save_model(run.final_state, os.path.join(args.out, "model.bin"))
     write_metrics_csv(ProtocolResult(config, [run]), os.path.join(args.out, "metrics.csv"))
     analysis.write_confidences_csv(run.confidence_log, os.path.join(args.out, "confidences.csv"))
-    bench_dir = os.path.join(args.out, "benchmark")
-    export_benchmark(generate_benchmark(config.benchmark), bench_dir)
+    export_benchmark(run.benchmark, os.path.join(args.out, "benchmark"))
     print(f"{run.run_id}: final target accuracy {run.final_accuracy:.4f}")
     return 0
 

@@ -21,7 +21,7 @@ from .errors import ConfigError, DivergenceError, UndefinedStatisticError
 from .losses import MethodFlags, check_threshold, total_loss
 from .model import ModelDims, ModelState, class_confidence, featurize, init_model
 from .numerics import LrSchedule, cosine_lr, sgd_step, substream
-from .synthdata import BenchmarkConfig, generate_benchmark, sample_batch
+from .synthdata import BenchmarkConfig, DomainBenchmark, generate_benchmark, sample_batch
 
 METHODS = {
     "supervised-only": MethodFlags(unsup=False, upc=False, sc=False),
@@ -98,6 +98,8 @@ class RunRecord:
     epochs: list[EpochRecord]
     final_state: ModelState
     confidence_log: analysis.ConfidenceLog | None = None
+    # set together with confidence_log: the benchmark holds the log's truth
+    benchmark: DomainBenchmark | None = None
 
     @property
     def run_id(self) -> str:
@@ -136,7 +138,9 @@ def _first_non_finite(breakdown, grads) -> str | None:
 def train_one(config: TrainConfig, target: int, seed: int,
               collect_log: bool = False) -> RunRecord:
     """One leave-one-domain-out run; `seed` varies init and batch draws while
-    the benchmark itself stays fixed by the benchmark master_seed."""
+    the benchmark itself stays fixed by the benchmark master_seed. With
+    `collect_log` the record also carries the confidence log and the
+    benchmark it was scored on."""
     bench = generate_benchmark(config.benchmark)
     if target not in bench.domain_ids:
         raise ConfigError(f"target domain {target} outside 0..{len(bench.domain_ids) - 1}")
@@ -165,16 +169,19 @@ def train_one(config: TrainConfig, target: int, seed: int,
             rng = substream(master, _TAG_STEP, target, seed, step)
             batch = sample_batch(view, config.labeled_per_domain,
                                  config.unlabeled_per_domain, rng)
-            breakdown, grads = total_loss(
-                state, batch, flags, config.tau, rng,
-                sigma_weak=bc.sigma_weak, sigma_strong=bc.sigma_strong,
-                strong_dropout=bc.strong_dropout)
-            bad = _first_non_finite(breakdown, grads)
-            if bad:
-                raise DivergenceError(f"{_run_id(config.method, target, seed)}: "
-                                      f"non-finite {bad} at step {step}")
-            rates = {g: cosine_lr(sch, step) for g, sch in schedules.items()}
-            state = sgd_step(state, grads, rates)
+            # a diverging step is reported once, by the non-finite check
+            # below, rather than by numpy warnings on the way there
+            with np.errstate(over="ignore", invalid="ignore"):
+                breakdown, grads = total_loss(
+                    state, batch, flags, config.tau, rng,
+                    sigma_weak=bc.sigma_weak, sigma_strong=bc.sigma_strong,
+                    strong_dropout=bc.strong_dropout)
+                bad = _first_non_finite(breakdown, grads)
+                if bad:
+                    raise DivergenceError(f"{_run_id(config.method, target, seed)}: "
+                                          f"non-finite {bad} at step {step}")
+                rates = {g: cosine_lr(sch, step) for g, sch in schedules.items()}
+                state = sgd_step(state, grads, rates)
             for name in sums:
                 sums[name] += getattr(breakdown, name)
             degenerate += breakdown.degenerate_uniform
@@ -200,8 +207,10 @@ def train_one(config: TrainConfig, target: int, seed: int,
             degenerate_uniform=degenerate,
         ))
 
-    full_log = analysis.ConfidenceLog.concatenate(logs) if collect_log else None
-    return RunRecord(config.method, target, seed, records, state, full_log)
+    if not collect_log:
+        return RunRecord(config.method, target, seed, records, state)
+    return RunRecord(config.method, target, seed, records, state,
+                     analysis.ConfidenceLog.concatenate(logs), bench)
 
 
 def run_protocol(config: TrainConfig, jobs: int = 1,

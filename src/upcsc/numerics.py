@@ -7,7 +7,10 @@ here add the shape/domain checks the rest of the package relies on.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import platform
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -17,6 +20,88 @@ from .autograd import Tensor
 from .errors import ShapeError, DegenerateInputError
 
 NORM_EPS = 1e-12
+
+
+class _PhdrInfo(ctypes.Structure):
+    # leading fields of struct dl_phdr_info from <link.h>
+    _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
+
+
+def _loaded_library_paths() -> list[str]:
+    """Paths of the shared libraries loaded in this process, from the dynamic
+    linker's dl_iterate_phdr; empty where libc has none (macOS, Windows)."""
+    visitor_type = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.POINTER(_PhdrInfo), ctypes.c_size_t,
+                                    ctypes.c_void_p)
+    try:
+        iterate = ctypes.CDLL(None).dl_iterate_phdr
+    except (AttributeError, OSError, TypeError):
+        return []
+    iterate.argtypes, iterate.restype = [visitor_type, ctypes.c_void_p], ctypes.c_int
+    paths = []
+
+    @visitor_type
+    def visit(info, size, data):
+        if info.contents.name:
+            paths.append(os.fsdecode(info.contents.name))
+        return 0
+
+    iterate(visit, None)
+    return paths
+
+
+def _openblas_functions(verb: str, argtypes, restype) -> list[tuple[str, object]]:
+    """(path, `verb`_num_threads function) of every loaded OpenBLAS; the
+    symbol carries a prefix and suffix in the scipy-openblas builds that
+    numpy wheels ship."""
+    found = []
+    for path in _loaded_library_paths():
+        if "openblas" not in os.path.basename(path).lower():
+            continue
+        lib = ctypes.CDLL(path)
+        for name in (f"openblas_{verb}_num_threads", f"scipy_openblas_{verb}_num_threads64_",
+                     f"scipy_openblas_{verb}_num_threads"):
+            if hasattr(lib, name):
+                fn = getattr(lib, name)
+                fn.argtypes, fn.restype = argtypes, restype
+                found.append((path, fn))
+                break
+    return found
+
+
+def pin_blas_threads() -> None:
+    """Run OpenBLAS on one thread in this process, whatever OPENBLAS_NUM_THREADS
+    says. The thread count changes how products are blocked and so their
+    rounding, and with worker processes it oversubscribes the cores; pinned,
+    outputs do not depend on the machine and `--jobs` is the only parallelism.
+    Without a loaded OpenBLAS (MKL or Accelerate builds) this does nothing."""
+    for _, set_threads in _openblas_functions("set", [ctypes.c_int], None):
+        set_threads(1)
+
+
+# mallopt parameters from glibc's <malloc.h>
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 128 << 10   # glibc's starting value
+
+
+def pin_malloc_thresholds() -> None:
+    """Hold glibc's malloc thresholds still: a block of MMAP_THRESHOLD bytes
+    or more that the heap has no room for gets its own mapping, which goes
+    back to the system when the block is freed, and the heap gives back free
+    memory at its top beyond twice that, the ratio glibc keeps. glibc
+    otherwise raises both each time it frees a large block, so later large
+    arrays come from the heap and may stay resident after they are freed,
+    by an amount that changes from run to run. Held, a process keeps about
+    what its live arrays need. Without glibc this does nothing."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD)
+
+
+def blas_threads() -> dict[str, int]:
+    """Thread count of each loaded OpenBLAS, keyed by its path."""
+    return {path: get() for path, get in _openblas_functions("get", [], ctypes.c_int)}
 
 
 def substream(*keys: int) -> np.random.Generator:

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from upcsc.errors import DataError, ShapeError
+from upcsc.analysis import inclusion_rate, uus_rate
+from upcsc.errors import DataError, ShapeError, UndefinedStatisticError
 from upcsc.numerics import as_matrix
 
 
@@ -32,3 +33,27 @@ def pcl_reference_loss(z, w, labels) -> float:
                 rest += math.exp(float(z[i] @ z[j]))
         total += -math.log(pos / (pos + rest))
     return total / len(z)
+
+
+def stats_rows_reference(log, tau) -> list[tuple]:
+    """write_stats_csv's rows, one filtered copy of the log per epoch and per
+    (epoch, domain), each statistic from the public per-log functions."""
+    rows = []
+    for epoch in sorted(set(log.epochs.tolist())):
+        elog = log.filter(epoch=epoch)
+        uus, inclusion = [], []
+        for domain in sorted(set(elog.domains.tolist())):
+            dlog = elog.filter(domain=domain)
+            uus.append(uus_rate(dlog, tau))
+            rows.append(("uus_rate", epoch, domain, uus[-1]))
+            try:
+                inclusion.append(inclusion_rate(dlog, tau))
+                rows.append(("inclusion_rate", epoch, domain, inclusion[-1]))
+            except UndefinedStatisticError:
+                pass
+        rows.append(("uus_rate_micro", epoch, -1, uus_rate(elog, tau)))
+        rows.append(("uus_rate_macro", epoch, -1, float(np.mean(uus))))
+        if inclusion:
+            rows.append(("inclusion_rate_micro", epoch, -1, inclusion_rate(elog, tau)))
+            rows.append(("inclusion_rate_macro", epoch, -1, float(np.mean(inclusion))))
+    return rows

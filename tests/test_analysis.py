@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import stats_rows_reference
 from upcsc import analysis
 from upcsc.analysis import (ConfidenceLog, candidate_set_sizes,
                             confusing_class_histogram, degenerate_uniform_count,
@@ -209,6 +210,22 @@ def test_stats_csv_shape_and_values(tmp_path):
         macro = np.mean([uus_rate(elog.filter(domain=d), tau) for d in (0, 1)])
         assert by_key[("uus_rate_macro", epoch, -1)] == pytest.approx(macro, abs=1e-15)
         assert by_key[("inclusion_rate_micro", epoch, -1)] == inclusion_rate(elog, tau)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stats_csv_matches_per_group_oracle(tmp_path, seed):
+    # unsorted epochs and domains; at the high thresholds some groups are
+    # all unconfident, at the low ones some have no unconfident sample
+    rng = substream(90, seed)
+    c = int(rng.integers(2, 6))
+    log = random_log(90 + seed, n=int(rng.integers(1, 300)), c=c, epochs=(3, 1, 2),
+                     domains=(2, 0, 5))
+    for tau in (1.0 / c + 1e-3, 0.5 + 0.1 * seed / c, 0.99):
+        path = tmp_path / "stats.csv"
+        write_stats_csv(log, tau, path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        parsed = [(r[0], int(r[1]), int(r[2]), float(r[3])) for r in rows]
+        assert parsed == stats_rows_reference(log, tau)
 
 
 def test_stats_csv_omits_undefined_inclusion(tmp_path):

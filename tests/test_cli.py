@@ -1,8 +1,17 @@
 """End-to-end command-line flows with a shrunken config."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import upcsc
+from upcsc import cli, harness, synthdata
 from upcsc.cli import main
+
+SRC = str(Path(upcsc.__file__).resolve().parent.parent)
 
 SMALL_CFG = """\
 # desk-size setup for fast CLI runs
@@ -39,6 +48,25 @@ def test_train_writes_artifacts(cfg_path, tmp_path, capsys):
         assert (out / name).exists(), name
     assert (out / "benchmark" / "domain0_labeled.csv").exists()
     assert (out / "benchmark" / "domain2_unlabeled_truth.csv").exists()
+
+
+def test_train_generates_the_benchmark_once(cfg_path, tmp_path, monkeypatch):
+    calls = []
+
+    def counting(config, original=synthdata.generate_benchmark):
+        calls.append(config)
+        return original(config)
+
+    for module in (cli, harness):
+        monkeypatch.setattr(module, "generate_benchmark", counting)
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    # the exported benchmark is the one a fresh generation gives
+    fresh = tmp_path / "fresh"
+    synthdata.export_benchmark(synthdata.generate_benchmark(calls[0]), fresh)
+    for path in fresh.iterdir():
+        assert (out / "benchmark" / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_protocol_writes_results(cfg_path, tmp_path, capsys):
@@ -147,16 +175,30 @@ def test_missing_input_file_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+DIVERGING_CFG = "lr_backbone = 50.0\nlr_classifier = 50.0\nepochs = 1\nsteps_per_epoch = 10\n"
+
+
 def test_diverging_train_exits_1_without_outputs(tmp_path, capsys):
     cfg = tmp_path / "diverge.cfg"
-    cfg.write_text("lr_backbone = 50.0\nlr_classifier = 50.0\n"
-                   "epochs = 1\nsteps_per_epoch = 10\n")
+    cfg.write_text(DIVERGING_CFG)
     out = tmp_path / "out"
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
     assert "non-finite l_sup at step 6" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_diverging_train_prints_one_error_line_and_no_warnings(tmp_path):
+    # numpy's overflow and invalid-value warnings must not precede the error
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(DIVERGING_CFG)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "upcsc.cli", "train", "--config", str(cfg),
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "RuntimeWarning" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
 def test_missing_required_flag_exits_2():

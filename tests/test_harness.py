@@ -68,8 +68,6 @@ def test_train_one_seed_changes_outcome():
     assert any(diffs)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_train_one_stops_at_the_first_non_finite_step():
     # at these rates the default run blows up within ten steps; it used to
     # train on and report l_total = nan with chance accuracy
