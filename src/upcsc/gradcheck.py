@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .autograd import linear, relu
 from .errors import DegenerateInputError
 from .losses import MethodFlags, build_loss_graph
 from .model import ModelDims, class_confidence, featurize, init_model
@@ -101,9 +102,9 @@ def _relu_margin(state, batch, rng_keys) -> float:
     for x in (batch.labeled_x, xw, xs):
         h = x
         for w, b in state.featurizer[:-1]:
-            h = h @ w + b
+            h = linear(h, w, b)
             margins.append(np.abs(h).min())
-            h = np.maximum(h, 0.0)
+            h = relu(h)
     return float(min(margins))
 
 

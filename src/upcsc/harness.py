@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 from dataclasses import dataclass, field
+from typing import get_origin, get_type_hints
 
 import numpy as np
 
@@ -213,8 +214,7 @@ def train_one(config: TrainConfig, target: int, seed: int,
                      analysis.ConfidenceLog.concatenate(logs), bench)
 
 
-def run_protocol(config: TrainConfig, jobs: int = 1,
-                 collect_logs: bool = False) -> ProtocolResult:
+def run_protocol(config: TrainConfig, jobs: int = 1) -> ProtocolResult:
     """train_one over every (target, seed) pair, in a fixed order.
 
     With jobs > 1 the runs execute in a process pool; results are merged in
@@ -223,11 +223,11 @@ def run_protocol(config: TrainConfig, jobs: int = 1,
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     num_domains = config.benchmark.num_domains
-    tasks = [(config, target, seed, collect_logs)
-             for target in range(num_domains) for seed in config.seeds]
+    tasks = [(config, target, seed) for target in range(num_domains) for seed in config.seeds]
     if jobs > 1:
+        # one task at a time, so no worker idles while another runs a chunk
         with multiprocessing.Pool(processes=jobs) as pool:
-            runs = pool.starmap(train_one, tasks)
+            runs = pool.starmap(train_one, tasks, chunksize=1)
     else:
         runs = [train_one(*task) for task in tasks]
     return ProtocolResult(config, list(runs))
@@ -259,12 +259,13 @@ def write_results_csv(result: ProtocolResult, path) -> None:
 
 # ------------------------------------------------------------ config parsing
 
-_TUPLE_KEYS = {"hidden_dims", "seeds"}
-_DIMS_KEYS = {"hidden_dims", "feature_dim"}
-_BENCH_KEYS = {f.name for f in BenchmarkConfig.__dataclass_fields__.values()}
-_TRAIN_KEYS = {"method", "tau", "epochs", "steps_per_epoch", "labeled_per_domain",
-               "unlabeled_per_domain", "lr_backbone", "lr_classifier",
-               "lr_projectors", "seeds"}
+# config key -> field type; the model's input_dim and num_classes follow the
+# benchmark, and the nested benchmark and dims are built from their own keys
+_BENCH_KEYS = get_type_hints(BenchmarkConfig)
+_DIMS_KEYS = {k: get_type_hints(ModelDims)[k] for k in ("hidden_dims", "feature_dim")}
+_TRAIN_KEYS = {k: t for k, t in get_type_hints(TrainConfig).items()
+               if k not in ("benchmark", "dims")}
+_KEY_TYPES = {**_BENCH_KEYS, **_DIMS_KEYS, **_TRAIN_KEYS}
 
 
 def parse_config_file(path) -> dict:
@@ -288,18 +289,22 @@ def parse_config_file(path) -> dict:
 
 
 def _convert(key: str, raw):
+    """A config-file string as its field's type: an int field takes only an
+    integer literal, a float field any finite number, a tuple field
+    comma-separated integers. Values that are not strings pass through."""
     if not isinstance(raw, str):
         return raw
+    kind = _KEY_TYPES[key]
+    is_tuple = get_origin(kind) is tuple
     try:
-        if key in _TUPLE_KEYS:
-            return tuple(int(p.strip()) for p in raw.split(",") if p.strip())
-        if key == "method":
-            return raw
-        if "." in raw or "e" in raw.lower():
-            return float(raw)
-        return int(raw)
+        value = tuple(int(p) for p in raw.split(",") if p.strip()) if is_tuple else kind(raw)
+        if kind is float and not math.isfinite(value):
+            raise ValueError
     except ValueError as exc:
-        raise ConfigError(f"cannot parse value for {key!r}: {raw!r}") from exc
+        expected = "comma-separated ints" if is_tuple else kind.__name__
+        raise ConfigError(f"cannot parse value for {key!r}: {raw!r} (expected {expected})"
+                          ) from exc
+    return value
 
 
 def build_train_config(overrides: dict) -> TrainConfig:
@@ -308,8 +313,7 @@ def build_train_config(overrides: dict) -> TrainConfig:
     num_classes feeds both the benchmark and the model head, and the model
     input width always follows the benchmark latent_dim.
     """
-    known = _BENCH_KEYS | _DIMS_KEYS | _TRAIN_KEYS
-    unknown = set(overrides) - known
+    unknown = set(overrides) - set(_KEY_TYPES)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     parsed = {k: _convert(k, v) for k, v in overrides.items()}

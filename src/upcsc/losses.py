@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, as_tensor, concat_rows, gather_rows, row_logsumexp
+from .autograd import Tensor, concat_rows, exp, gather_rows, log, mean, row_logsumexp
 from .errors import ConfigError, ShapeError
 from .model import featurize, project_features, project_proxies
 from .numerics import as_matrix, softmax_rows
@@ -127,7 +127,7 @@ def _cross_entropy(logits: Tensor, labels) -> Tensor:
     onehot = np.zeros((n, c))
     onehot[np.arange(n), labels] = 1.0
     picked = (logits * onehot).sum(axis=1, keepdims=True)
-    return (row_logsumexp(logits) - picked).mean()
+    return mean(row_logsumexp(logits) - picked)
 
 
 def _candidate_matrix(candidates, n: int, c: int = 0) -> np.ndarray:
@@ -151,10 +151,10 @@ def _proxy_contrast(z_a: Tensor, pos: Tensor, negatives) -> Tensor:
     log(exp(pos) + rest) - pos, arranged so an anchor with no negatives
     contributes log(1) = 0 exactly instead of rounding noise.
     """
-    sides = [((z_a @ keys.T).exp() * mask).sum(axis=1, keepdims=True)
+    sides = [(exp(z_a @ keys.T) * mask).sum(axis=1, keepdims=True)
              for keys, mask in negatives if keys.shape[0]]
     rest = sum(sides[1:], sides[0])
-    return (1.0 + rest * (-pos).exp()).log().mean()
+    return mean(log(1.0 + rest * exp(-pos)))
 
 
 def upc_negative_masks(pseudo, candidates) -> tuple[np.ndarray, np.ndarray]:
@@ -179,10 +179,10 @@ def upc_loss(z_uc, w, pseudo, z_uu, candidates) -> Tensor:
     Anchor i (confident) pairs with w_{pseudo_i}. Negatives: confident j with
     a different pseudo label, plus unconfident j whose candidate row
     (`candidates`, the (n_uu, C) matrix K) excludes pseudo_i. Returns a
-    scalar Tensor (call .item() for the value, .backward() for gradients);
-    with no confident samples the result is a constant zero.
+    scalar Tensor (call .item() for the value, .backward() for gradients),
+    or a plain float64 when no input is a Tensor; with no confident samples
+    the result is a zero leaf.
     """
-    z_uc, w, z_uu = as_tensor(z_uc), as_tensor(w), as_tensor(z_uu)
     pseudo = np.asarray(pseudo, dtype=np.int64)
     n_uc, n_uu = z_uc.shape[0], z_uu.shape[0]
     if len(pseudo) != n_uc:
@@ -190,7 +190,7 @@ def upc_loss(z_uc, w, pseudo, z_uu, candidates) -> Tensor:
     c = w.shape[0]
     candidates = _candidate_matrix(candidates, n_uu, c)
     if n_uc == 0:
-        return as_tensor(0.0)
+        return Tensor(0.0)
     if pseudo.min() < 0 or pseudo.max() >= c:
         raise ValueError("pseudo label out of range")
     onehot = np.zeros((n_uc, c))
@@ -237,7 +237,6 @@ def sc_loss(z_uu, surrogates, candidates, z_uc, pseudo) -> Tensor:
     pseudo label the anchor excludes, plus unconfident j whose candidate row
     shares no class with the anchor's.
     """
-    z_uu, surrogates, z_uc = as_tensor(z_uu), as_tensor(surrogates), as_tensor(z_uc)
     pseudo = np.asarray(pseudo, dtype=np.int64)
     candidates = _candidate_matrix(candidates, z_uu.shape[0])
     if surrogates.shape != z_uu.shape:
@@ -246,7 +245,7 @@ def sc_loss(z_uu, surrogates, candidates, z_uc, pseudo) -> Tensor:
         raise ShapeError("pseudo labels and confident embeddings disagree in length")
     anchors = sc_anchor_indices(candidates)
     if anchors.size == 0:
-        return as_tensor(0.0)
+        return Tensor(0.0)
     vs_confident, vs_unconfident = sc_negative_masks(candidates, pseudo)
     z_a = gather_rows(z_uu, anchors)
     pos = (z_a * gather_rows(surrogates, anchors)).sum(axis=1, keepdims=True)
@@ -276,7 +275,7 @@ def build_loss_graph(state, batch, flags: MethodFlags, tau: float, rng,
     y_l = np.asarray(batch.labeled_y, dtype=np.int64)
     x_u = np.asarray(batch.unlabeled_x, dtype=np.float64)
 
-    sup = _cross_entropy(featurize(tp, x_l) @ tp.classifier.T, y_l) if len(y_l) else as_tensor(0.0)
+    sup = _cross_entropy(featurize(tp, x_l) @ tp.classifier.T, y_l) if len(y_l) else Tensor(0.0)
 
     xw = weak_augment(x_u, rng, sigma_weak)
     xs = strong_augment(x_u, rng, sigma_strong, strong_dropout)
@@ -294,7 +293,7 @@ def build_loss_graph(state, batch, flags: MethodFlags, tau: float, rng,
     else:
         part = partition_unlabeled(np.zeros((0, c)), tau)
 
-    unsup = upc = sc = as_tensor(0.0)
+    unsup = upc = sc = Tensor(0.0)
     ci = part.confident_indices
     ui = part.unconfident_indices
     if flags.unsup and ci.size:

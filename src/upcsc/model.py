@@ -1,8 +1,9 @@
 """MLP featurizer, bias-free proxy classifier, and the two projection heads.
 
 Parameters live in a ModelState of plain numpy arrays. The forward ops below
-duck-type over the parameter arrays, so the loss code can substitute autograd
-Tensors for the same fields and reuse these functions unchanged.
+are autograd ops, which return plain arrays on plain inputs, so the loss code
+can substitute autograd Tensors for the same fields and reuse these functions
+unchanged.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor
+from .autograd import linear, relu
 from .errors import ConfigError, ShapeError
 from .numerics import l2_normalize_rows, softmax_rows, substream
 
@@ -138,10 +139,6 @@ def init_model(dims: ModelDims, seed: int) -> ModelState:
                       layer(dims.feature_dim, dims.feature_dim))
 
 
-def _relu(v):
-    return v.relu() if isinstance(v, Tensor) else np.maximum(v, 0.0)
-
-
 def featurize(state, x):
     """Featurizer forward pass: linear layers with ReLU between, none after the last."""
     x = np.asarray(x, dtype=np.float64)
@@ -150,9 +147,9 @@ def featurize(state, x):
     h = x
     last = len(state.featurizer) - 1
     for i, (w, b) in enumerate(state.featurizer):
-        h = h @ w + b
+        h = linear(h, w, b)
         if i < last:
-            h = _relu(h)
+            h = relu(h)
     return h
 
 
@@ -167,13 +164,13 @@ def class_confidence(state, features) -> np.ndarray:
 def project_features(state, features):
     """z = l2-normalized feature projection; differentiable when given Tensors."""
     w, b = state.feature_projector
-    return l2_normalize_rows(features @ w + b)
+    return l2_normalize_rows(linear(features, w, b))
 
 
 def project_proxies(state):
     """w_y = l2-normalized projection of each classifier proxy row."""
     w, b = state.classifier_projector
-    return l2_normalize_rows(state.classifier @ w + b)
+    return l2_normalize_rows(linear(state.classifier, w, b))
 
 
 def _param_count(dims: ModelDims) -> int:

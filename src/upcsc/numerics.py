@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .autograd import Tensor
+from .autograd import value_of
 from .errors import ShapeError, DegenerateInputError
 
 NORM_EPS = 1e-12
@@ -140,7 +140,7 @@ def l2_normalize_rows(m):
     error: collapsing embeddings should fail loudly, not be clamped.
     """
     sq = (m * m).sum(axis=1, keepdims=True)
-    raw = sq.data if isinstance(sq, Tensor) else sq
+    raw = value_of(sq)
     if raw.size and raw.min() <= NORM_EPS**2:
         raise DegenerateInputError("zero-norm row cannot be normalized")
     return m / sq**0.5

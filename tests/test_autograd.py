@@ -1,10 +1,13 @@
 """Tape correctness: every op's backward against central differences, plus
-graph-shape cases (reuse, broadcasting, mixed ndarray operands)."""
+graph-shape cases (reuse, broadcasting, mixed ndarray operands) and the
+constant rule: plain-array operands get no node, and all-constant ops
+return plain arrays."""
 
 import numpy as np
 import pytest
 
-from upcsc.autograd import Tensor, as_tensor, concat_rows, gather_rows, row_logsumexp
+from upcsc.autograd import (Tensor, concat_rows, exp, gather_rows, linear, log, mean, relu,
+                             row_logsumexp)
 
 RNG = np.random.default_rng(20240817)
 
@@ -66,12 +69,12 @@ def test_matmul_grads():
 
 def test_pow_exp_log_relu():
     check_op(lambda a: (a ** 2).sum(), (4, 3))
-    check_op(lambda a: a.exp().sum(), (4, 3))
-    check_op(lambda a: (a * a + 0.5).log().sum(), (4, 3))
+    check_op(lambda a: exp(a).sum(), (4, 3))
+    check_op(lambda a: log(a * a + 0.5).sum(), (4, 3))
     # keep entries away from the kink
     a = np.where(np.abs(RNG.standard_normal((5, 5))) < 0.1, 0.5, RNG.standard_normal((5, 5)))
     t = Tensor(a.copy())
-    t.relu().sum().backward()
+    relu(t).sum().backward()
     assert np.array_equal(t.grad, (a > 0).astype(float))
 
 
@@ -79,7 +82,7 @@ def test_sum_axis_and_mean():
     check_op(lambda a: (a.sum(axis=0) ** 2).sum(), (3, 4))
     check_op(lambda a: (a.sum(axis=1, keepdims=True) * a).sum(), (3, 4))
     t = Tensor(np.arange(6.0).reshape(2, 3))
-    t.mean().backward()
+    mean(t).backward()
     assert np.allclose(t.grad, np.full((2, 3), 1.0 / 6.0))
 
 
@@ -146,7 +149,7 @@ def test_ndarray_operands_defer_to_tensor():
     assert isinstance(a @ t, Tensor)
     assert isinstance(a + t.T, Tensor)
     assert isinstance(2.0 * t, Tensor)
-    assert isinstance(1.0 / (t * t + 1.0), Tensor)
+    assert isinstance(1.0 + t * t, Tensor)
 
 
 def test_backward_only_reaches_connected_leaves():
@@ -158,8 +161,67 @@ def test_backward_only_reaches_connected_leaves():
 
 
 def test_scalar_item_and_constant_graph():
-    c = as_tensor(0.0)
+    c = Tensor(0.0)
     assert c.item() == 0.0
-    total = c + as_tensor(1.5)
-    total.backward()  # constants have no parents; this must not raise
+    total = c + Tensor(1.5)
+    total.backward()  # leaves have no inputs; this must not raise
     assert total.item() == 1.5
+
+
+def test_linear_is_bitwise_the_composed_ops():
+    x, w, b = (RNG.standard_normal(s) for s in ((5, 4), (4, 3), (3,)))
+    seed = RNG.standard_normal((5, 3))
+    fused = [Tensor(a.copy()) for a in (x, w, b)]
+    out = linear(*fused)
+    (out * seed).sum().backward()
+    composed = [Tensor(a.copy()) for a in (x, w, b)]
+    ref = composed[0] @ composed[1] + composed[2]
+    (ref * seed).sum().backward()
+    assert np.array_equal(out.data, ref.data)
+    for f, c in zip(fused, composed):
+        assert np.array_equal(f.grad, c.grad)
+
+
+def count_nodes(monkeypatch):
+    """Count every Tensor constructed from now on."""
+    counter = {"nodes": 0}
+    init = Tensor.__init__
+
+    def counting_init(node, *args, **kwargs):
+        counter["nodes"] += 1
+        init(node, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    return counter
+
+
+@pytest.mark.parametrize("op", [
+    lambda t, c: t * c,
+    lambda t, c: c + t,
+    lambda t, c: t - c,
+    lambda t, c: t / (c * c + 1.0),
+    lambda t, c: c @ t,
+    lambda t, c: t @ c,
+    lambda t, c: linear(c, t, np.zeros(3)),
+])
+def test_plain_operand_adds_exactly_one_node(monkeypatch, op):
+    t = Tensor(RNG.standard_normal((3, 3)))
+    c = RNG.standard_normal((3, 3))
+    counter = count_nodes(monkeypatch)
+    out = op(t, c)
+    assert counter["nodes"] == 1
+    assert [p for p, _ in out._inputs] == [t]
+    out.sum().backward()
+    assert t.grad.shape == t.shape
+
+
+def test_constant_only_ops_return_plain_arrays():
+    x, w, b = RNG.standard_normal((4, 3)), RNG.standard_normal((3, 2)), RNG.standard_normal(2)
+    h = linear(x, w, b)
+    assert type(h) is np.ndarray and np.array_equal(h, x @ w + b)
+    r = relu(h)
+    assert type(r) is np.ndarray and np.array_equal(r, np.maximum(h, 0.0))
+    g = gather_rows(r, [2, 0, 2])
+    assert type(g) is np.ndarray and np.array_equal(g, r[[2, 0, 2]])
+    c = concat_rows([r, g])
+    assert type(c) is np.ndarray and np.array_equal(c, np.concatenate([r, g]))

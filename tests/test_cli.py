@@ -153,6 +153,20 @@ def test_config_error_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["epochs = 1e0", "samples_per_class_per_domain = 1e2",
+                                  "master_seed = 2.5"])
+def test_non_integer_for_an_int_key_exits_2(tmp_path, capsys, line):
+    key = line.split(" = ")[0]
+    body = [line if row.startswith(key + " ") else row for row in SMALL_CFG.splitlines()]
+    assert line in body
+    path = tmp_path / "bad.cfg"
+    path.write_text("\n".join(body) + "\n")
+    code = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"{key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_tau_exits_2(cfg_path, capsys):
     code = main(["train", "--config", cfg_path, "--tau", "1.5"])
     assert code == 2

@@ -242,6 +242,20 @@ def test_build_train_config_rejects_unknown_and_bad_values():
         build_train_config({"tau": "1.5"})
 
 
+def test_build_train_config_converts_by_field_type():
+    # a value's type comes from its field, not from how the string looks
+    for key, raw in (("epochs", "1e0"), ("samples_per_class_per_domain", "1e2"),
+                     ("master_seed", "2.5"), ("feature_dim", "6.0"), ("seeds", "0, 1.5")):
+        with pytest.raises(ConfigError, match=key):
+            build_train_config({key: raw})
+    for raw in ("nan", "inf"):
+        with pytest.raises(ConfigError, match="lr_backbone"):
+            build_train_config({"lr_backbone": raw})
+    cfg = build_train_config({"lr_backbone": "1", "sigma_weak": "0", "tau": "0.9"})
+    assert cfg.lr_backbone == 1.0 and type(cfg.lr_backbone) is float
+    assert cfg.benchmark.sigma_weak == 0.0 and type(cfg.benchmark.sigma_weak) is float
+
+
 def test_with_overrides():
     # dataclasses.replace re-runs validation, so overrides cannot skip it
     cfg = small_config()
