@@ -18,7 +18,7 @@ import numpy as np
 
 from .autograd import linear, relu
 from .errors import DegenerateInputError
-from .losses import MethodFlags, build_loss_graph
+from .losses import MethodFlags, build_loss_graph, param_gradients
 from .model import ModelDims, class_confidence, featurize, init_model
 from .numerics import max_relative_error, substream
 from .synthdata import TrainBatch, strong_augment, weak_augment
@@ -62,7 +62,7 @@ def _analytic_gradients(state, batch, rng_keys, conf) -> dict[str, dict[str, np.
         node = terms[name] if name != "total" else (
             terms["sup"] + terms["unsup"] + terms["upc"] + terms["sc"])
         node.backward()
-        grads[name] = tp.gradient_set()
+        grads[name] = param_gradients(tp)
     return grads
 
 

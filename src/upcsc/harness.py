@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis
 from .csvio import FLOAT_FORMAT, format_rows, write_csv
-from .errors import ConfigError, DivergenceError, UndefinedStatisticError
+from .errors import ConfigError, DivergenceError, UndefinedStatisticError, check_int_fields
 from .losses import MethodFlags, check_threshold, total_loss
 from .model import ModelDims, ModelState, class_confidence, featurize, init_model
 from .numerics import LrSchedule, cosine_lr, sgd_step, substream
@@ -56,7 +56,7 @@ class TrainConfig:
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
 
     def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        check_int_fields(self)
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; "
                               f"choose one of {sorted(METHODS)}")

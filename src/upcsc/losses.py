@@ -22,7 +22,7 @@ import numpy as np
 
 from .autograd import Tensor, concat_rows, exp, gather_rows, log, mean, row_logsumexp
 from .errors import ConfigError, ShapeError
-from .model import featurize, project_features, project_proxies
+from .model import ModelState, featurize, project_features, project_proxies
 from .numerics import as_matrix, softmax_rows
 from .synthdata import strong_augment, weak_augment
 
@@ -99,24 +99,11 @@ class LossBreakdown:
     degenerate_uniform: int
 
 
-class _TensorParams:
-    """ModelState mirrored as autograd leaves, shaped like the state itself so
-    the model forward functions work on it unchanged."""
-
-    def __init__(self, state):
-        self.dims = state.dims
-        self.leaves = {name: Tensor(arr) for name, arr in state.param_items()}
-        lv = self.leaves
-        self.featurizer = [(lv[f"featurizer.{i}.weight"], lv[f"featurizer.{i}.bias"])
-                           for i in range(len(state.featurizer))]
-        self.classifier = lv["classifier.weight"]
-        self.feature_projector = (lv["feature_projector.weight"], lv["feature_projector.bias"])
-        self.classifier_projector = (lv["classifier_projector.weight"], lv["classifier_projector.bias"])
-
-    def gradient_set(self) -> dict[str, np.ndarray]:
-        """One gradient array per parameter name; zeros where none flowed."""
-        return {name: t.grad if t.grad is not None else np.zeros_like(t.data)
-                for name, t in self.leaves.items()}
+def param_gradients(tape_state) -> dict[str, np.ndarray]:
+    """One gradient array per parameter of a ModelState of Tensors, by name;
+    zeros where no gradient flowed."""
+    return {name: t.grad if t.grad is not None else np.zeros_like(t.data)
+            for name, t in tape_state.param_items()}
 
 
 def _cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -257,10 +244,11 @@ def build_loss_graph(state, batch, flags: MethodFlags, tau: float, rng,
                      strong_dropout: float = 0.2, confidences=None):
     """Assemble every loss term on one tape.
 
-    Returns (terms, partition, tensor_params) with terms a dict of scalar
-    Tensors for sup/unsup/upc/sc. Augmentations are drawn before any flag is
-    consulted and shared quantities are computed one way only, so switching
-    terms on or off never perturbs the others.
+    Returns (terms, partition, tape_state): terms is a dict of scalar Tensors
+    for sup/unsup/upc/sc, tape_state the ModelState of Tensor leaves they were
+    built from (see param_gradients). Augmentations are drawn before any flag
+    is consulted and shared quantities are computed one way only, so
+    switching terms on or off never perturbs the others.
 
     Both the weak and the strong view of each unlabeled sample enter the
     contrastive terms, inheriting the sample's weak-view role.
@@ -270,7 +258,7 @@ def build_loss_graph(state, batch, flags: MethodFlags, tau: float, rng,
     finite-difference probes pass the base point's matrix here to hold the
     constant actually constant while parameters are perturbed.
     """
-    tp = _TensorParams(state)
+    tp = ModelState(state.dims, {name: Tensor(a) for name, a in state.param_items()})
     x_l = np.asarray(batch.labeled_x, dtype=np.float64)
     y_l = np.asarray(batch.labeled_y, dtype=np.int64)
     x_u = np.asarray(batch.unlabeled_x, dtype=np.float64)
@@ -335,4 +323,4 @@ def total_loss(state, batch, flags: MethodFlags, tau: float, rng,
         n_unconfident=len(part.unconfident_indices),
         degenerate_uniform=part.degenerate_uniform,
     )
-    return breakdown, tp.gradient_set()
+    return breakdown, param_gradients(tp)

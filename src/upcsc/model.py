@@ -1,32 +1,25 @@
 """MLP featurizer, bias-free proxy classifier, and the two projection heads.
 
-Parameters live in a ModelState of plain numpy arrays. The forward ops below
-are autograd ops, which return plain arrays on plain inputs, so the loss code
-can substitute autograd Tensors for the same fields and reuse these functions
-unchanged.
+Parameters live in a ModelState: numpy arrays by name, laid out by one table,
+param_layout(dims). The forward ops below are autograd ops, which return
+plain arrays on plain inputs, so the loss code can build a ModelState of
+autograd Tensors over the same arrays and reuse these functions unchanged.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autograd import linear, relu
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_int_fields
 from .numerics import l2_normalize_rows, softmax_rows, substream
 
 MAGIC = b"UPCS"
 FORMAT_VERSION = 1
-
-# parameter-name prefix -> learning-rate group
-_GROUPS = (
-    ("featurizer.", "backbone"),
-    ("classifier.", "classifier"),
-    ("feature_projector.", "projectors"),
-    ("classifier_projector.", "projectors"),
-)
 
 
 @dataclass(frozen=True)
@@ -37,7 +30,7 @@ class ModelDims:
     num_classes: int = 7
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
+        check_int_fields(self)
         if self.input_dim < 1 or self.feature_dim < 1:
             raise ConfigError("input_dim and feature_dim must be positive")
         if any(h < 1 for h in self.hidden_dims):
@@ -51,92 +44,79 @@ class ModelDims:
         return list(zip(widths[:-1], widths[1:]))
 
 
-class ModelState:
-    """All trainable arrays, in a fixed declaration order.
+def param_layout(dims: ModelDims) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Parameter name -> (shape, learning-rate group), in declaration order:
+    the order of init_model's draws, save_model's payload and param_items()."""
+    layout = {}
+    for i, (d_in, d_out) in enumerate(dims.layer_widths()):
+        layout[f"featurizer.{i}.weight"] = ((d_in, d_out), "backbone")
+        layout[f"featurizer.{i}.bias"] = ((d_out,), "backbone")
+    d_f = dims.feature_dim
+    layout["classifier.weight"] = ((dims.num_classes, d_f), "classifier")
+    for head in ("feature_projector", "classifier_projector"):
+        layout[f"{head}.weight"] = ((d_f, d_f), "projectors")
+        layout[f"{head}.bias"] = ((d_f,), "projectors")
+    return layout
 
-    featurizer: list of (weight (d_in, d_out), bias (d_out,)) pairs
-    classifier: (num_classes, feature_dim) proxy matrix, no bias
-    feature_projector / classifier_projector: single linear (W, b) heads
+
+class ModelState:
+    """All trainable parameters by name, laid out as param_layout(dims): float64
+    arrays, or Tensors over them on the loss code's tape. The properties give
+    featurizer, a tuple of (weight (d_in, d_out), bias (d_out,)) pairs;
+    classifier, the (num_classes, feature_dim) proxy matrix with no bias; and
+    feature_projector / classifier_projector, single linear (W, b) heads.
     """
 
-    def __init__(self, dims: ModelDims, featurizer, classifier, feature_projector,
-                 classifier_projector):
+    def __init__(self, dims: ModelDims, params: dict):
+        layout = param_layout(dims)
+        got = [(name, a.shape) for name, a in params.items()]
+        want = [(name, shape) for name, (shape, _) in layout.items()]
+        if got != want:
+            raise ShapeError(f"parameters {got} do not match the layout {want}")
         self.dims = dims
-        self.featurizer = [(np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))
-                           for w, b in featurizer]
-        self.classifier = np.asarray(classifier, dtype=np.float64)
-        self.feature_projector = tuple(np.asarray(a, dtype=np.float64) for a in feature_projector)
-        self.classifier_projector = tuple(np.asarray(a, dtype=np.float64) for a in classifier_projector)
-        self._check_shapes()
+        self.params = params
+        self._layout = layout
 
-    def _check_shapes(self):
-        chain = self.dims.layer_widths()
-        if len(self.featurizer) != len(chain):
-            raise ShapeError("featurizer layer count does not match dims")
-        for (w, b), (d_in, d_out) in zip(self.featurizer, chain):
-            if w.shape != (d_in, d_out) or b.shape != (d_out,):
-                raise ShapeError(f"featurizer layer shape {w.shape}/{b.shape} != {(d_in, d_out)}")
-        d_f, c = self.dims.feature_dim, self.dims.num_classes
-        if self.classifier.shape != (c, d_f):
-            raise ShapeError(f"classifier shape {self.classifier.shape} != {(c, d_f)}")
-        for w, b in (self.feature_projector, self.classifier_projector):
-            if w.shape != (d_f, d_f) or b.shape != (d_f,):
-                raise ShapeError("projector shapes must be (d_f, d_f) and (d_f,)")
+    @property
+    def featurizer(self) -> tuple:
+        p = self.params
+        return tuple((p[f"featurizer.{i}.weight"], p[f"featurizer.{i}.bias"])
+                     for i in range(len(self.dims.hidden_dims) + 1))
 
-    def param_items(self) -> list[tuple[str, np.ndarray]]:
+    @property
+    def classifier(self):
+        return self.params["classifier.weight"]
+
+    @property
+    def feature_projector(self) -> tuple:
+        return self.params["feature_projector.weight"], self.params["feature_projector.bias"]
+
+    @property
+    def classifier_projector(self) -> tuple:
+        return self.params["classifier_projector.weight"], self.params["classifier_projector.bias"]
+
+    def param_items(self):
         """(name, array) pairs in declaration order; arrays are the live ones."""
-        items = []
-        for i, (w, b) in enumerate(self.featurizer):
-            items.append((f"featurizer.{i}.weight", w))
-            items.append((f"featurizer.{i}.bias", b))
-        items.append(("classifier.weight", self.classifier))
-        items.append(("feature_projector.weight", self.feature_projector[0]))
-        items.append(("feature_projector.bias", self.feature_projector[1]))
-        items.append(("classifier_projector.weight", self.classifier_projector[0]))
-        items.append(("classifier_projector.bias", self.classifier_projector[1]))
-        return items
+        return self.params.items()
 
-    @staticmethod
-    def group_of(name: str) -> str:
-        for prefix, group in _GROUPS:
-            if name.startswith(prefix):
-                return group
-        raise KeyError(f"unknown parameter {name!r}")
+    def group_of(self, name: str) -> str:
+        return self._layout[name][1]
 
     def with_params(self, arrays: dict[str, np.ndarray]) -> "ModelState":
         """New state taking any array present in `arrays`, copying the rest."""
-        def pick(name, current):
-            return arrays.get(name, current).copy()
-        feats = [(pick(f"featurizer.{i}.weight", w), pick(f"featurizer.{i}.bias", b))
-                 for i, (w, b) in enumerate(self.featurizer)]
-        return ModelState(
-            self.dims,
-            feats,
-            pick("classifier.weight", self.classifier),
-            (pick("feature_projector.weight", self.feature_projector[0]),
-             pick("feature_projector.bias", self.feature_projector[1])),
-            (pick("classifier_projector.weight", self.classifier_projector[0]),
-             pick("classifier_projector.bias", self.classifier_projector[1])),
-        )
-
-    def copy(self) -> "ModelState":
-        return self.with_params({})
+        return ModelState(self.dims, {name: arrays.get(name, a).copy()
+                                      for name, a in self.params.items()})
 
 
 def init_model(dims: ModelDims, seed: int) -> ModelState:
-    """Uniform(-a, a) weights with a = sqrt(6 / (fan_in + fan_out)), zero biases."""
+    """Uniform(-a, a) weights with a = sqrt(6 / (fan_in + fan_out)), zero biases,
+    drawn in declaration order."""
     rng = substream(seed)
-
-    def layer(d_in, d_out):
-        bound = np.sqrt(6.0 / (d_in + d_out))
-        return rng.uniform(-bound, bound, size=(d_in, d_out)), np.zeros(d_out)
-
-    featurizer = [layer(d_in, d_out) for d_in, d_out in dims.layer_widths()]
-    c_bound = np.sqrt(6.0 / (dims.feature_dim + dims.num_classes))
-    classifier = rng.uniform(-c_bound, c_bound, size=(dims.num_classes, dims.feature_dim))
-    return ModelState(dims, featurizer, classifier,
-                      layer(dims.feature_dim, dims.feature_dim),
-                      layer(dims.feature_dim, dims.feature_dim))
+    params = {}
+    for name, (shape, _) in param_layout(dims).items():
+        bound = np.sqrt(6.0 / sum(shape))
+        params[name] = rng.uniform(-bound, bound, shape) if len(shape) == 2 else np.zeros(shape)
+    return ModelState(dims, params)
 
 
 def featurize(state, x):
@@ -173,25 +153,14 @@ def project_proxies(state):
     return l2_normalize_rows(linear(state.classifier, w, b))
 
 
-def _param_count(dims: ModelDims) -> int:
-    """Number of float64 values save_model writes for a model of these dims."""
-    d_f = dims.feature_dim
-    featurizer = sum((d_in + 1) * d_out for d_in, d_out in dims.layer_widths())
-    return featurizer + dims.num_classes * d_f + 2 * (d_f + 1) * d_f
-
-
 def save_model(state: ModelState, path) -> None:
     """Flat little-endian binary dump; loads back bit-exactly."""
     dims = state.dims
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<I", dims.input_dim))
-        fh.write(struct.pack("<I", len(dims.hidden_dims)))
-        for h in dims.hidden_dims:
-            fh.write(struct.pack("<I", h))
-        fh.write(struct.pack("<I", dims.feature_dim))
-        fh.write(struct.pack("<I", dims.num_classes))
+        header = (FORMAT_VERSION, dims.input_dim, len(dims.hidden_dims), *dims.hidden_dims,
+                  dims.feature_dim, dims.num_classes)
+        fh.write(struct.pack(f"<{len(header)}I", *header))
         for _, arr in state.param_items():
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
@@ -218,15 +187,15 @@ def load_model(path) -> ModelState:
     n_hidden = read_u32()
     hidden = tuple(read_u32() for _ in range(n_hidden))
     dims = ModelDims(input_dim, hidden, read_u32(), read_u32())
-    expected = off + 8 * _param_count(dims)
+    layout = param_layout(dims)
+    expected = off + 8 * sum(math.prod(shape) for shape, _ in layout.values())
     if len(raw) < expected:
         raise ValueError("truncated model file payload")
     if len(raw) > expected:
         raise ValueError("trailing bytes after model payload")
 
-    arrays = {}
-    template = init_model(dims, seed=0)
-    for name, arr in template.param_items():
-        arrays[name] = np.frombuffer(raw, dtype="<f8", count=arr.size, offset=off).reshape(arr.shape).copy()
-        off += arr.size * 8
-    return template.with_params(arrays)
+    params = {}
+    for name, (shape, _) in layout.items():
+        params[name] = np.frombuffer(raw, "<f8", math.prod(shape), off).reshape(shape).copy()
+        off += params[name].nbytes
+    return ModelState(dims, params)

@@ -168,9 +168,10 @@ def cosine_lr(schedule: LrSchedule, step: int) -> float:
 def sgd_step(params, grads: Mapping[str, np.ndarray], rates: Mapping[str, float]):
     """theta <- theta - rate(group) * grad, returning a new parameter set.
 
-    `params` is any object with param_items() / group_of() / with_params()
-    (see ModelState) and `grads` maps each parameter name to its gradient.
-    Rates are looked up per parameter group; a missing group is an error.
+    `params` is a ModelState and `grads` maps each of its parameter names to
+    a gradient of the same shape. Each name's rate is rates[group], with the
+    group read from model.param_layout through params.group_of(name); a
+    missing group is an error.
     """
     updated = {}
     for name, arr in params.param_items():

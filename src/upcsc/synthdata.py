@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csvio import FLOAT_FORMAT, format_rows, write_csv
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_int_fields
 from .numerics import substream
 
 TEST_FRACTION = 0.2
@@ -48,6 +48,7 @@ class BenchmarkConfig:
     strong_dropout: float = 0.2
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.num_domains < 2:
             raise ConfigError("need at least two domains")
         if self.num_classes < 2:

@@ -208,8 +208,7 @@ def test_criterion_8_loss_identities():
     flags = MethodFlags(unsup=True, upc=True, sc=True)
     state = init_model(dims, seed=12)
     state.classifier[:] = state.classifier * 6.0
-    w0, b0 = state.featurizer[0]
-    state.featurizer[0] = (w0, b0 + 1.5)
+    state = state.with_params({"featurizer.0.bias": state.featurizer[0][1] + 1.5})
 
     checked = 0
     for k in range(1000):

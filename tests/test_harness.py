@@ -48,6 +48,26 @@ def test_config_validation():
                                     num_classes=5))
 
 
+@pytest.mark.parametrize("cls, field, value", [
+    (ModelDims, "hidden_dims", (64.5,)),
+    (TrainConfig, "seeds", (2.5,)),
+    (TrainConfig, "epochs", 2.5),
+    (BenchmarkConfig, "master_seed", 2.5),
+])
+def test_int_fields_reject_non_integers(cls, field, value):
+    with pytest.raises(ConfigError, match=field):
+        cls(**{field: value})
+
+
+def test_int_fields_take_numpy_integers_as_ints():
+    cfg = TrainConfig(epochs=np.int64(3), seeds=[np.int32(4)],
+                      dims=ModelDims(hidden_dims=(np.uint8(5),)),
+                      benchmark=BenchmarkConfig(master_seed=np.int16(6)))
+    values = (cfg.epochs, *cfg.seeds, *cfg.dims.hidden_dims, cfg.benchmark.master_seed)
+    assert values == (3, 4, 5, 6)
+    assert all(type(v) is int for v in values)
+
+
 def test_train_one_is_deterministic():
     cfg = small_config()
     a = train_one(cfg, target=1, seed=0)

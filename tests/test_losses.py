@@ -12,8 +12,9 @@ from oracles import pcl_reference_loss
 from upcsc.autograd import Tensor
 from upcsc.errors import ConfigError, ShapeError
 from upcsc.losses import (MethodFlags, _surrogate_weights, build_loss_graph,
-                          partition_unlabeled, sc_anchor_indices, sc_loss,
-                          sc_negative_masks, total_loss, upc_loss, upc_negative_masks)
+                          param_gradients, partition_unlabeled, sc_anchor_indices,
+                          sc_loss, sc_negative_masks, total_loss, upc_loss,
+                          upc_negative_masks)
 from upcsc.model import ModelDims, class_confidence, featurize, init_model
 from upcsc.numerics import l2_normalize_rows, softmax_rows, substream
 from upcsc.synthdata import TrainBatch, strong_augment, weak_augment
@@ -29,9 +30,7 @@ def sharp_state(boost=6.0):
     # occasionally silences a whole row, and the projector refuses zero rows
     state = init_model(DIMS, seed=2)
     state.classifier[:] = state.classifier * boost
-    w0, b0 = state.featurizer[0]
-    state.featurizer[0] = (w0, b0 + 1.5)
-    return state
+    return state.with_params({"featurizer.0.bias": state.featurizer[0][1] + 1.5})
 
 
 def random_batch(seed, n_l=4, n_u=8):
@@ -49,7 +48,7 @@ def term_and_grads(state, batch, name, flags, tau, rng, **knobs):
     """One build_loss_graph term's value, its gradients and the partition."""
     terms, part, tp = build_loss_graph(state, batch, flags, tau, rng, **knobs)
     terms[name].backward()
-    return terms[name].item(), tp.gradient_set(), part
+    return terms[name].item(), param_gradients(tp), part
 
 
 def sup_term(state, x, y):
@@ -226,9 +225,9 @@ def test_consistency_loss_compositional_oracle():
 def test_consistency_loss_near_zero_when_predictions_match():
     # identity featurizer, huge aligned proxies: strong views keep the argmax
     dims = ModelDims(input_dim=2, hidden_dims=(), feature_dim=2, num_classes=2)
-    state = init_model(dims, seed=0)
-    state.featurizer[0] = (np.eye(2) * 5.0, np.zeros(2))
-    state.classifier[:] = np.array([[10.0, 0.0], [0.0, 10.0]])
+    state = init_model(dims, seed=0).with_params({
+        "featurizer.0.weight": np.eye(2) * 5.0, "featurizer.0.bias": np.zeros(2),
+        "classifier.weight": np.array([[10.0, 0.0], [0.0, 10.0]])})
     x_u = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.1], [0.1, 1.0]])
     value, _, part = unsup_term(state, x_u, tau=0.9, rng=substream(14),
                                 sigma_weak=0.01, sigma_strong=0.01, strong_dropout=0.0)

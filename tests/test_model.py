@@ -8,10 +8,10 @@ import pytest
 from upcsc import model
 from upcsc.autograd import Tensor
 from upcsc.errors import ConfigError, ShapeError
-from upcsc.losses import _TensorParams
-from upcsc.model import (FORMAT_VERSION, MAGIC, ModelDims, class_confidence, featurize,
-                         init_model, load_model, project_features, project_proxies,
-                         save_model)
+from upcsc.model import (FORMAT_VERSION, MAGIC, ModelDims, ModelState, class_confidence,
+                         featurize, init_model, load_model, param_layout, project_features,
+                         project_proxies, save_model)
+from upcsc.numerics import substream
 
 DIMS = ModelDims(input_dim=3, hidden_dims=(4,), feature_dim=2, num_classes=3)
 
@@ -59,6 +59,52 @@ def test_param_items_order_and_groups():
     assert state.group_of("classifier_projector.weight") == "projectors"
     with pytest.raises(KeyError):
         state.group_of("nonsense")
+
+
+@pytest.mark.parametrize("dims", [ModelDims(4, (), 3, 2), ModelDims(4, (5, 6), 3, 2)])
+def test_init_draws_weights_in_declaration_order(dims):
+    # the order every output byte depends on, written out by hand
+    rng = substream(7)
+
+    def weight(d_in, d_out):
+        bound = np.sqrt(6.0 / (d_in + d_out))
+        return rng.uniform(-bound, bound, size=(d_in, d_out))
+
+    widths = [dims.input_dim, *dims.hidden_dims, dims.feature_dim]
+    expect = {}
+    for i, (d_in, d_out) in enumerate(zip(widths[:-1], widths[1:])):
+        expect[f"featurizer.{i}.weight"] = weight(d_in, d_out)
+        expect[f"featurizer.{i}.bias"] = np.zeros(d_out)
+    expect["classifier.weight"] = weight(dims.num_classes, dims.feature_dim)
+    for head in ("feature_projector", "classifier_projector"):
+        expect[f"{head}.weight"] = weight(dims.feature_dim, dims.feature_dim)
+        expect[f"{head}.bias"] = np.zeros(dims.feature_dim)
+    state = init_model(dims, seed=7)
+    assert list(state.params) == list(expect)
+    for name, arr in state.param_items():
+        assert arr.tobytes() == expect[name].tobytes(), name
+
+
+def test_state_rejects_params_that_do_not_match_the_layout():
+    good = dict(init_model(DIMS, seed=0).param_items())
+    missing = {k: v for k, v in good.items() if k != "classifier.weight"}
+    extra = {**good, "classifier.bias": np.zeros(DIMS.num_classes)}
+    names = list(good)
+    misordered = {k: good[k] for k in [names[1], names[0], *names[2:]]}
+    wrong_shape = {**good, "feature_projector.bias": np.zeros(DIMS.feature_dim + 1)}
+    for params in (missing, extra, misordered, wrong_shape):
+        with pytest.raises(ShapeError):
+            ModelState(DIMS, params)
+    assert list(ModelState(DIMS, good).param_items()) == list(good.items())
+    assert list(param_layout(DIMS)) == names
+
+
+def test_featurizer_view_is_read_only():
+    state = init_model(DIMS, seed=0)
+    with pytest.raises(TypeError):
+        state.featurizer[0] = (np.zeros((3, 4)), np.zeros(4))
+    with pytest.raises(AttributeError):
+        state.classifier = np.zeros((3, 2))
 
 
 def test_with_params_replaces_without_aliasing():
@@ -113,7 +159,7 @@ def test_projections_unit_norm_and_tensor_passthrough():
     w = project_proxies(state)
     assert w.shape == (DIMS.num_classes, DIMS.feature_dim)
     assert np.allclose(np.linalg.norm(w, axis=1), 1.0, atol=1e-12)
-    tp = _TensorParams(state)
+    tp = ModelState(DIMS, {name: Tensor(a) for name, a in state.param_items()})
     zt = project_features(tp, featurize(tp, x))
     assert isinstance(zt, Tensor)
     assert np.allclose(zt.data, z, atol=1e-14)
@@ -158,13 +204,14 @@ def test_load_rejects_corrupt_files(tmp_path):
 
 
 def test_load_checks_payload_size_before_building_a_model(tmp_path, monkeypatch):
-    def no_init(*args, **kwargs):
-        pytest.fail("init_model called before the payload size was checked")
+    def no_state(*args, **kwargs):
+        pytest.fail("ModelState built before the payload size was checked")
 
-    monkeypatch.setattr(model, "init_model", no_init)
-    huge = 2 ** 31
-    header = MAGIC + struct.pack("<6I", FORMAT_VERSION, huge, 1, huge, huge, huge)
-    path = tmp_path / "huge.bin"
-    path.write_bytes(header + b"\x00" * 16)
-    with pytest.raises(ValueError, match="truncated"):
-        load_model(path)
+    monkeypatch.setattr(model, "ModelState", no_state)
+    # at u32 dims the payload size overflows int64
+    for huge in (2 ** 31, 0xFFFFFFFF):
+        header = MAGIC + struct.pack("<6I", FORMAT_VERSION, huge, 1, huge, huge, huge)
+        path = tmp_path / "huge.bin"
+        path.write_bytes(header + b"\x00" * 16)
+        with pytest.raises(ValueError, match="truncated"):
+            load_model(path)
