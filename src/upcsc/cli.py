@@ -10,8 +10,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import analysis
 from .errors import ConfigError
 from .gradcheck import check_losses
@@ -23,21 +21,18 @@ from .synthdata import export_benchmark, generate_benchmark
 GRAD_TOLERANCE = 1e-4
 
 
-def _config_from_args(args) -> "TrainConfig":
-    overrides = parse_config_file(args.config) if args.config else {}
-    if getattr(args, "method", None):
-        overrides["method"] = args.method
-    if getattr(args, "tau", None) is not None:
-        overrides["tau"] = args.tau
-    if getattr(args, "labels_per_class", None) is not None:
-        overrides["labels_per_class"] = args.labels_per_class
-    return build_train_config(overrides)
+def _config_from_args(args, **overrides) -> "TrainConfig":
+    """--config's values, overridden by the command's config flags, then by `overrides`."""
+    values = parse_config_file(args.config) if args.config else {}
+    for key in ("method", "tau", "labels_per_class"):
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
+    return build_train_config({**values, **overrides})
 
 
 def cmd_train(args) -> int:
     config = _config_from_args(args)
-    seed = args.seed if args.seed is not None else 0
-    run = train_one(config, target=args.target, seed=seed, collect_log=True)
+    run = train_one(config, target=args.target, seed=args.seed, collect_log=True)
     os.makedirs(args.out, exist_ok=True)
     save_model(run.final_state, os.path.join(args.out, "model.bin"))
     write_metrics_csv(ProtocolResult(config, [run]), os.path.join(args.out, "metrics.csv"))
@@ -48,10 +43,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_protocol(args) -> int:
-    config = _config_from_args(args)
-    if args.seed is not None:
-        from dataclasses import replace
-        config = replace(config, seeds=(args.seed,))
+    overrides = {} if args.seed is None else {"seeds": (args.seed,)}
+    config = _config_from_args(args, **overrides)
     result = run_protocol(config, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
     write_metrics_csv(result, os.path.join(args.out, "metrics.csv"))
@@ -62,19 +55,18 @@ def cmd_protocol(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    tau = _config_from_args(args).tau
     log = analysis.load_confidence_log(args.confidences, args.truth_dir)
-    tau = args.tau if args.tau is not None else 0.95
     os.makedirs(args.out, exist_ok=True)
     analysis.write_stats_csv(log, tau, os.path.join(args.out, "stats.csv"))
     epoch = args.epoch if args.epoch is not None else int(log.epochs.max())
-    analysis.write_histogram_csv(log, tau, epoch,
-                                 os.path.join(args.out, "histogram.csv"))
+    analysis.write_histogram_csv(log, tau, epoch, os.path.join(args.out, "histogram.csv"))
     print(f"wrote stats.csv and histogram.csv (epoch {epoch}) to {args.out}")
     return 0
 
 
 def cmd_gradcheck(args) -> int:
-    report = check_losses(num_draws=args.draws, seed=args.seed if args.seed is not None else 0)
+    report = check_losses(num_draws=args.draws, seed=args.seed)
     failed = False
     for name, err in report.items():
         ok = err < GRAD_TOLERANCE
@@ -91,43 +83,53 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="key = value config file")
-    shared.add_argument("--method", choices=sorted(METHODS), help="training method")
-    shared.add_argument("--seed", type=int, help="run seed")
-    shared.add_argument("--tau", type=float, help="confidence threshold")
-    shared.add_argument("--labels-per-class", type=int, dest="labels_per_class",
-                        help="labeled samples per class per domain")
-    shared.add_argument("--out", default="out", help="output directory")
+# flags that mean the same in every command that reads them; --seed differs
+# between commands, so each command declares its own
+_FLAGS = {
+    "--config": dict(help="key = value config file"),
+    "--method": dict(choices=sorted(METHODS), help="training method"),
+    "--tau": dict(type=float, help="confidence threshold"),
+    "--labels-per-class": dict(type=int, dest="labels_per_class",
+                               help="labeled samples per class per domain"),
+    "--out": dict(default="out", help="output directory"),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="upcsc",
                                      description="Semi-supervised domain generalization lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", parents=[shared], help="single leave-one-domain-out run")
+    def command(name, func, flags, summary):
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("train", cmd_train, ["--config", "--method", "--tau", "--labels-per-class",
+                                     "--out"], "single leave-one-domain-out run")
+    p.add_argument("--seed", type=int, default=0, help="run seed")
     p.add_argument("--target", type=int, default=0, help="held-out domain")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("protocol", parents=[shared],
-                       help="full protocol over all targets and seeds")
+    p = command("protocol", cmd_protocol, ["--config", "--method", "--tau", "--labels-per-class",
+                                           "--out"], "full protocol over all targets and seeds")
+    p.add_argument("--seed", type=int, help="run only this seed (default: the config's seeds)")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-    p.set_defaults(func=cmd_protocol)
 
-    p = sub.add_parser("stats", parents=[shared], help="confidence statistics from CSV logs")
+    p = command("stats", cmd_stats, ["--config", "--tau", "--out"],
+                "confidence statistics from CSV logs")
     p.add_argument("--confidences", required=True, help="confidences.csv from a train run")
     p.add_argument("--truth-dir", required=True, dest="truth_dir",
                    help="directory with domain*_unlabeled_truth.csv sidecars")
     p.add_argument("--epoch", type=int, help="epoch for the histogram (default: last)")
-    p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("gradcheck", parents=[shared],
-                       help="finite-difference audit of loss gradients")
+    p = command("gradcheck", cmd_gradcheck, [], "finite-difference audit of loss gradients")
+    p.add_argument("--seed", type=int, default=0, help="random seed of the draws")
     p.add_argument("--draws", type=int, default=20, help="random cases per loss")
-    p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("gen-data", parents=[shared], help="generate and export a benchmark")
-    p.set_defaults(func=cmd_gen_data)
+    command("gen-data", cmd_gen_data, ["--config", "--labels-per-class", "--out"],
+            "generate and export a benchmark")
     return parser
 
 

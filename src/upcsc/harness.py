@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import dataclass, field
-from typing import get_origin, get_type_hints
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import analysis
 from .csvio import FLOAT_FORMAT, format_rows, write_csv
-from .errors import ConfigError, DivergenceError, UndefinedStatisticError, check_int_fields
+from .errors import ConfigError, DivergenceError, UndefinedStatisticError, check_fields
 from .losses import MethodFlags, check_threshold, total_loss
 from .model import ModelDims, ModelState, class_confidence, featurize, init_model
-from .numerics import LrSchedule, cosine_lr, sgd_step, substream
+from .numerics import cosine_lr, sgd_step, substream
 from .synthdata import BenchmarkConfig, DomainBenchmark, generate_benchmark, sample_batch
 
 METHODS = {
@@ -56,7 +55,7 @@ class TrainConfig:
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_fields(self)
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; "
                               f"choose one of {sorted(METHODS)}")
@@ -154,11 +153,8 @@ def train_one(config: TrainConfig, target: int, seed: int,
     state = init_model(config.dims, init_seed)
 
     total_steps = config.epochs * config.steps_per_epoch
-    schedules = {
-        "backbone": LrSchedule(config.lr_backbone, total_steps),
-        "classifier": LrSchedule(config.lr_classifier, total_steps),
-        "projectors": LrSchedule(config.lr_projectors, total_steps),
-    }
+    base_rates = {"backbone": config.lr_backbone, "classifier": config.lr_classifier,
+                  "projectors": config.lr_projectors}
 
     records: list[EpochRecord] = []
     logs: list[analysis.ConfidenceLog] = []
@@ -181,7 +177,7 @@ def train_one(config: TrainConfig, target: int, seed: int,
                 if bad:
                     raise DivergenceError(f"{_run_id(config.method, target, seed)}: "
                                           f"non-finite {bad} at step {step}")
-                rates = {g: cosine_lr(sch, step) for g, sch in schedules.items()}
+                rates = {g: cosine_lr(base, step, total_steps) for g, base in base_rates.items()}
                 state = sgd_step(state, grads, rates)
             for name in sums:
                 sums[name] += getattr(breakdown, name)
@@ -208,10 +204,8 @@ def train_one(config: TrainConfig, target: int, seed: int,
             degenerate_uniform=degenerate,
         ))
 
-    if not collect_log:
-        return RunRecord(config.method, target, seed, records, state)
-    return RunRecord(config.method, target, seed, records, state,
-                     analysis.ConfidenceLog.concatenate(logs), bench)
+    with_log = (analysis.ConfidenceLog.concatenate(logs), bench) if collect_log else ()
+    return RunRecord(config.method, target, seed, records, state, *with_log)
 
 
 def run_protocol(config: TrainConfig, jobs: int = 1) -> ProtocolResult:
@@ -259,13 +253,12 @@ def write_results_csv(result: ProtocolResult, path) -> None:
 
 # ------------------------------------------------------------ config parsing
 
-# config key -> field type; the model's input_dim and num_classes follow the
-# benchmark, and the nested benchmark and dims are built from their own keys
-_BENCH_KEYS = get_type_hints(BenchmarkConfig)
-_DIMS_KEYS = {k: get_type_hints(ModelDims)[k] for k in ("hidden_dims", "feature_dim")}
-_TRAIN_KEYS = {k: t for k, t in get_type_hints(TrainConfig).items()
-               if k not in ("benchmark", "dims")}
-_KEY_TYPES = {**_BENCH_KEYS, **_DIMS_KEYS, **_TRAIN_KEYS}
+# config key -> the config class that takes it; the model's input_dim and
+# num_classes follow the benchmark
+_KEY_OWNERS = {**{f.name: TrainConfig for f in fields(TrainConfig)
+                  if f.name not in ("benchmark", "dims")},
+               "hidden_dims": ModelDims, "feature_dim": ModelDims,
+               **{f.name: BenchmarkConfig for f in fields(BenchmarkConfig)}}
 
 
 def parse_config_file(path) -> dict:
@@ -288,42 +281,20 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def _convert(key: str, raw):
-    """A config-file string as its field's type: an int field takes only an
-    integer literal, a float field any finite number, a tuple field
-    comma-separated integers. Values that are not strings pass through."""
-    if not isinstance(raw, str):
-        return raw
-    kind = _KEY_TYPES[key]
-    is_tuple = get_origin(kind) is tuple
-    try:
-        value = tuple(int(p) for p in raw.split(",") if p.strip()) if is_tuple else kind(raw)
-        if kind is float and not math.isfinite(value):
-            raise ValueError
-    except ValueError as exc:
-        expected = "comma-separated ints" if is_tuple else kind.__name__
-        raise ConfigError(f"cannot parse value for {key!r}: {raw!r} (expected {expected})"
-                          ) from exc
-    return value
-
-
 def build_train_config(overrides: dict) -> TrainConfig:
-    """TrainConfig from a flat key/value mapping.
+    """TrainConfig from a flat key/value mapping; each config class reads its
+    own values, config-file strings included.
 
     num_classes feeds both the benchmark and the model head, and the model
     input width always follows the benchmark latent_dim.
     """
-    unknown = set(overrides) - set(_KEY_TYPES)
+    unknown = set(overrides) - set(_KEY_OWNERS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    parsed = {k: _convert(k, v) for k, v in overrides.items()}
-    bench = BenchmarkConfig(**{k: v for k, v in parsed.items() if k in _BENCH_KEYS})
-    dims_defaults = ModelDims()
-    dims = ModelDims(
-        input_dim=bench.latent_dim,
-        hidden_dims=parsed.get("hidden_dims", dims_defaults.hidden_dims),
-        feature_dim=parsed.get("feature_dim", dims_defaults.feature_dim),
-        num_classes=bench.num_classes,
-    )
-    train_kwargs = {k: v for k, v in parsed.items() if k in _TRAIN_KEYS}
-    return TrainConfig(benchmark=bench, dims=dims, **train_kwargs)
+    kwargs = {cls: {} for cls in (BenchmarkConfig, ModelDims, TrainConfig)}
+    for key, value in overrides.items():
+        kwargs[_KEY_OWNERS[key]][key] = value
+    bench = BenchmarkConfig(**kwargs[BenchmarkConfig])
+    dims = ModelDims(input_dim=bench.latent_dim, num_classes=bench.num_classes,
+                     **kwargs[ModelDims])
+    return TrainConfig(benchmark=bench, dims=dims, **kwargs[TrainConfig])

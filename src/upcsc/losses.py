@@ -48,7 +48,6 @@ class BatchPartition:
     pseudo_labels: np.ndarray
     unconfident_indices: np.ndarray
     candidates: np.ndarray
-    threshold: float
 
     # batch rows of each role, so len() counts the role (bench/tracer.py does)
     @property
@@ -84,7 +83,7 @@ def partition_unlabeled(conf, tau: float) -> BatchPartition:
     is_confident = conf.max(axis=1) >= tau
     ci = np.flatnonzero(is_confident)
     ui = np.flatnonzero(~is_confident)
-    return BatchPartition(ci, conf[ci].argmax(axis=1), ui, conf[ui] > 1.0 / c, tau)
+    return BatchPartition(ci, conf[ci].argmax(axis=1), ui, conf[ui] > 1.0 / c)
 
 
 @dataclass(frozen=True)

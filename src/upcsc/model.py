@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import linear, relu
-from .errors import ConfigError, ShapeError, check_int_fields
+from .errors import ConfigError, ShapeError, check_fields
 from .numerics import l2_normalize_rows, softmax_rows, substream
 
 MAGIC = b"UPCS"
@@ -30,7 +30,7 @@ class ModelDims:
     num_classes: int = 7
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_fields(self)
         if self.input_dim < 1 or self.feature_dim < 1:
             raise ConfigError("input_dim and feature_dim must be positive")
         if any(h < 1 for h in self.hidden_dims):

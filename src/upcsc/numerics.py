@@ -1,4 +1,4 @@
-"""Dense float64 helpers, seeded substreams, the LR schedule, and SGD.
+"""Dense float64 helpers, seeded substreams, the cosine learning rate, and SGD.
 
 A "matrix" throughout the package is a 2-D C-contiguous float64 numpy array.
 Heavy lifting (products, reductions) is delegated to numpy; the functions
@@ -11,7 +11,6 @@ import ctypes
 import math
 import os
 import platform
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -146,23 +145,11 @@ def l2_normalize_rows(m):
     return m / sq**0.5
 
 
-@dataclass(frozen=True)
-class LrSchedule:
-    base_rate: float
-    total_steps: int
-
-    def __post_init__(self):
-        if self.base_rate <= 0:
-            raise ValueError("base_rate must be positive")
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
-
-
-def cosine_lr(schedule: LrSchedule, step: int) -> float:
+def cosine_lr(base_rate: float, step: int, total_steps: int) -> float:
     """Half-cosine decay from base_rate at step 0 to 0 at total_steps."""
-    if not 0 <= step <= schedule.total_steps:
-        raise ValueError(f"step {step} outside [0, {schedule.total_steps}]")
-    return schedule.base_rate * 0.5 * (1.0 + math.cos(math.pi * step / schedule.total_steps))
+    if not 0 <= step <= total_steps:
+        raise ValueError(f"step {step} outside [0, {total_steps}]")
+    return base_rate * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
 
 
 def sgd_step(params, grads: Mapping[str, np.ndarray], rates: Mapping[str, float]):
@@ -179,7 +166,7 @@ def sgd_step(params, grads: Mapping[str, np.ndarray], rates: Mapping[str, float]
         if g.shape != arr.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {arr.shape} for {name}")
         updated[name] = arr - rates[params.group_of(name)] * g
-    return params.with_params(updated)
+    return type(params)(params.dims, updated)   # fresh arrays: no with_params copy
 
 
 def max_relative_error(a: Mapping[str, np.ndarray], b: Mapping[str, np.ndarray],

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .csvio import FLOAT_FORMAT, format_rows, write_csv
-from .errors import ConfigError, DataError, check_int_fields
+from .errors import ConfigError, DataError, check_fields
 from .numerics import substream
 
 TEST_FRACTION = 0.2
@@ -48,7 +48,7 @@ class BenchmarkConfig:
     strong_dropout: float = 0.2
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_fields(self)
         if self.num_domains < 2:
             raise ConfigError("need at least two domains")
         if self.num_classes < 2:
@@ -63,7 +63,8 @@ class BenchmarkConfig:
         if spc - self.test_per_class() <= 2 * self.labels_per_class:
             raise ConfigError("splits leave no unlabeled majority; "
                               "raise samples_per_class_per_domain or lower labels_per_class")
-        for name in ("class_separation", "noise_sigma", "sigma_weak", "sigma_strong"):
+        for name in ("class_separation", "rotation_max_angle", "scale_log_range", "shift_sigma",
+                     "noise_sigma", "sigma_weak", "sigma_strong"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
         # at 1.0 every strong view is all zeros and has no projection direction
@@ -175,7 +176,6 @@ class TrainingView:
         self._benchmark = benchmark
         self.excluded = excluded
         self.source_ids = [d for d in benchmark.domain_ids if d != excluded]
-        self.config = benchmark.config
 
     def _check(self, domain: int):
         if domain == self.excluded:

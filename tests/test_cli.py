@@ -80,6 +80,13 @@ def test_protocol_writes_results(cfg_path, tmp_path, capsys):
     assert (out / "metrics.csv").exists()
 
 
+def test_protocol_seed_flag_runs_only_that_seed(cfg_path, tmp_path):
+    out = tmp_path / "proto"
+    assert main(["protocol", "--config", cfg_path, "--seed", "2", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[1:]]
+    assert [(target, seed) for _, target, seed, _ in rows] == [("0", "2"), ("1", "2"), ("2", "2")]
+
+
 def test_protocol_repeat_is_byte_identical(cfg_path, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["protocol", "--config", cfg_path, "--out", str(out_a)]) == 0
@@ -113,6 +120,36 @@ def test_stats_epoch_flag(cfg_path, tmp_path):
                  "--truth-dir", str(run_out / "benchmark"),
                  "--tau", "0.6", "--epoch", "1", "--out", str(stats_out)])
     assert code == 0
+
+
+def test_stats_reads_tau_from_the_config(cfg_path, tmp_path):
+    run_out = tmp_path / "run"
+    assert main(["train", "--config", cfg_path, "--out", str(run_out)]) == 0
+    cfg_05 = tmp_path / "tau05.cfg"
+    cfg_05.write_text(SMALL_CFG.replace("tau = 0.6", "tau = 0.5"))
+    inputs = ["--confidences", str(run_out / "confidences.csv"),
+              "--truth-dir", str(run_out / "benchmark")]
+    outs = {}
+    for name, flags in (("config", ["--config", str(cfg_05)]), ("flag", ["--tau", "0.5"]),
+                        ("default", [])):
+        outs[name] = tmp_path / name
+        assert main(["stats", *inputs, *flags, "--out", str(outs[name])]) == 0
+    for csv in ("stats.csv", "histogram.csv"):
+        assert (outs["config"] / csv).read_bytes() == (outs["flag"] / csv).read_bytes(), csv
+    # the default config's tau, 0.95, gives other statistics
+    assert (outs["default"] / "stats.csv").read_bytes() != (outs["flag"] / "stats.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["gradcheck", "--tau", "0.3"],
+                                  ["stats", "--confidences", "c.csv", "--truth-dir", ".",
+                                   "--method", "fixmatch"],
+                                  ["gen-data", "--seed", "7"]])
+def test_flag_the_command_does_not_read_exits_2(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_gradcheck_passes(capsys):

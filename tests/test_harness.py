@@ -68,6 +68,37 @@ def test_int_fields_take_numpy_integers_as_ints():
     assert all(type(v) is int for v in values)
 
 
+@pytest.mark.parametrize("cls, field, value", [
+    (BenchmarkConfig, "shift_sigma", -1.0),
+    (BenchmarkConfig, "rotation_max_angle", -0.5),
+    (BenchmarkConfig, "scale_log_range", -0.1),
+    (BenchmarkConfig, "class_separation", float("inf")),
+    (BenchmarkConfig, "noise_sigma", float("nan")),
+    (TrainConfig, "lr_backbone", float("nan")),
+    (TrainConfig, "lr_projectors", float("inf")),
+])
+def test_float_fields_reject_negative_and_non_finite_values(cls, field, value):
+    # each of these used to build a config: a negative shift_sigma gave the
+    # benchmark of shift_sigma = 0, and a nan learning rate failed at step 0
+    with pytest.raises(ConfigError, match=field):
+        cls(**{field: value})
+
+
+def test_fields_read_strings_and_python_values_alike():
+    from_strings = TrainConfig(epochs="3", lr_backbone="1", seeds="4, 5",
+                               dims=ModelDims(hidden_dims="7"),
+                               benchmark=BenchmarkConfig(noise_sigma="2"))
+    from_values = TrainConfig(epochs=3, lr_backbone=1, seeds=[4, 5],
+                              dims=ModelDims(hidden_dims=(7,)),
+                              benchmark=BenchmarkConfig(noise_sigma=np.float32(2.0)))
+    assert from_strings == from_values
+    assert type(from_values.lr_backbone) is float
+    assert type(from_values.benchmark.noise_sigma) is float
+    # a bare integer is not a tuple of seeds
+    with pytest.raises(ConfigError, match="seeds"):
+        TrainConfig(seeds=3)
+
+
 def test_train_one_is_deterministic():
     cfg = small_config()
     a = train_one(cfg, target=1, seed=0)

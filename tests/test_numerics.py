@@ -10,7 +10,7 @@ from upcsc.autograd import Tensor
 from upcsc.errors import DegenerateInputError, ShapeError
 from upcsc.gradcheck import _fd_gradients
 from upcsc.model import ModelDims, ModelState, init_model
-from upcsc.numerics import (LrSchedule, cosine_lr, l2_normalize_rows, max_relative_error,
+from upcsc.numerics import (cosine_lr, l2_normalize_rows, max_relative_error,
                             sgd_step, softmax_rows, substream)
 
 RNG = np.random.default_rng(77)
@@ -89,24 +89,20 @@ def test_l2_normalize_differentiable_through_tensor():
 
 
 def test_cosine_schedule_endpoints_and_monotonicity():
-    sch = LrSchedule(base_rate=0.1, total_steps=100)
-    assert cosine_lr(sch, 0) == pytest.approx(0.1, abs=0)
-    assert cosine_lr(sch, 100) == pytest.approx(0.0, abs=1e-18)
-    assert cosine_lr(sch, 50) == pytest.approx(0.05, abs=1e-15)
-    values = [cosine_lr(sch, s) for s in range(101)]
+    assert cosine_lr(0.1, 0, 100) == pytest.approx(0.1, abs=0)
+    assert cosine_lr(0.1, 100, 100) == pytest.approx(0.0, abs=1e-18)
+    assert cosine_lr(0.1, 50, 100) == pytest.approx(0.05, abs=1e-15)
+    values = [cosine_lr(0.1, s, 100) for s in range(101)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
 def test_cosine_schedule_rejects_bad_inputs():
+    # the base rate and the step count are TrainConfig's to check
+    # (test_harness.py::test_config_validation); the step range is checked here
     with pytest.raises(ValueError):
-        LrSchedule(base_rate=0.0, total_steps=10)
+        cosine_lr(0.1, -1, 10)
     with pytest.raises(ValueError):
-        LrSchedule(base_rate=0.1, total_steps=0)
-    sch = LrSchedule(0.1, 10)
-    with pytest.raises(ValueError):
-        cosine_lr(sch, -1)
-    with pytest.raises(ValueError):
-        cosine_lr(sch, 11)
+        cosine_lr(0.1, 11, 10)
 
 
 def test_sgd_step_zero_rate_is_identity():
@@ -127,6 +123,18 @@ def test_sgd_step_moves_against_gradient():
         rate = state.group_of(name)
         expect = before - rates[rate]
         assert np.allclose(dict(after.param_items())[name], expect)
+
+
+def test_sgd_step_shares_no_memory_with_its_inputs():
+    # the new state holds the update's own arrays, uncopied, so none of them
+    # may be a view of a parameter or a gradient
+    state = tiny_state()
+    grads = {name: np.zeros_like(arr) for name, arr in state.param_items()}
+    after = sgd_step(state, grads, {"backbone": 0.0, "classifier": 0.0, "projectors": 0.0})
+    assert after.dims == state.dims
+    for name, arr in after.param_items():
+        assert not np.shares_memory(arr, state.params[name]), name
+        assert not np.shares_memory(arr, grads[name]), name
 
 
 def test_sgd_step_shape_mismatch_rejected():
