@@ -32,6 +32,9 @@ class ConfidenceLog:
         self.truth = np.asarray(self.truth, dtype=np.int64)
         if self.conf.ndim != 2:
             raise ShapeError("confidence block must be 2-D")
+        # a nan row fails both max < tau (here) and max >= tau (training)
+        if self.conf.size and not np.isfinite([self.conf.min(), self.conf.max()]).all():
+            raise DataError("confidence rows must be finite")
         n = len(self.conf)
         if not (len(self.epochs) == len(self.domains) == len(self.truth) == n):
             raise ShapeError("log columns disagree in length")

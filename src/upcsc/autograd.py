@@ -7,8 +7,9 @@ gradient, and an op whose inputs are all constants returns the plain array,
 so the same forward code serves training (Tensor parameters) and evaluation
 (plain arrays). Tensor.backward() runs one reverse topological sweep and
 accumulates gradients into .grad on every node it reaches. Leaves are
-Tensors created by the caller. Only the handful of ops the losses need are
-implemented.
+Tensors created by the caller. Only the generic ops the model needs are
+here; each loss primitive is one `_node` with a hand-derived vjp, beside
+the code that uses it.
 """
 
 from __future__ import annotations
@@ -101,29 +102,12 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return _node(-self.data, (self, lambda g: -g))
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         a, b = self.data, value_of(other)
         return _node(a * b, (self, lambda g: _unbroadcast(g * b, a.shape)),
                      (other, lambda g: _unbroadcast(g * a, b.shape)))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        a, b = self.data, value_of(other)
-        return _node(a / b, (self, lambda g: _unbroadcast(g / b, a.shape)),
-                     (other, lambda g: _unbroadcast(-g * a / (b * b), b.shape)))
-
-    def __pow__(self, p):
-        if not isinstance(p, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        a = self.data
-        return _node(a**p, (self, lambda g: g * p * a ** (p - 1)))
 
     def __matmul__(self, other):
         return _matmul(self, other)
@@ -160,22 +144,6 @@ def linear(x, w, b):
                  (b, lambda g: g.sum(axis=0)))
 
 
-def mean(x):
-    """Mean of every entry, as sum times 1/size on both paths (np.mean divides,
-    which rounds differently)."""
-    return x.sum() * (1.0 / value_of(x).size)
-
-
-def exp(x):
-    e = np.exp(value_of(x))
-    return _node(e, (x, lambda g: g * e))
-
-
-def log(x):
-    a = value_of(x)
-    return _node(np.log(a), (x, lambda g: g / a))
-
-
 def relu(x):
     a = value_of(x)
     return _node(np.maximum(a, 0.0), (x, lambda g: g * (a > 0.0)))
@@ -202,13 +170,3 @@ def concat_rows(parts):
                  *((p, lambda g, lo=lo, hi=hi: g[lo:hi])
                    for p, lo, hi in zip(parts, offsets[:-1], offsets[1:])))
 
-
-def row_logsumexp(t):
-    """log(sum(exp(row))) per row, shape (n, 1).
-
-    The max shift is a constant; the identity
-    logsumexp(x) = m + log(sum(exp(x - m))) holds for any constant m, so both
-    value and gradient are exact.
-    """
-    m = value_of(t).max(axis=1, keepdims=True)
-    return log(exp(t - m).sum(axis=1, keepdims=True)) + m

@@ -27,7 +27,9 @@ LOSS_NAMES = ("sup", "unsup", "upc", "sc", "total")
 
 SMALL_DIMS = ModelDims(input_dim=5, hidden_dims=(6,), feature_dim=4, num_classes=3)
 TAU = 0.65
-RELU_MARGIN = 1e-3      # min |preactivation| so a 1e-5 perturbation cannot cross a kink
+FD_STEP = 1e-5          # central-difference step on every parameter coordinate
+RELU_MARGIN = 1e-3      # min |preactivation| so an FD_STEP perturbation cannot cross a kink
+MAX_ATTEMPTS = 500      # draws per case before find_checkable_case gives up
 MIN_TERM_VALUE = 0.05   # each gated term must be visibly nonzero
 CLASSIFIER_BOOST = 6.0  # sharpens confidences so both batch roles occur
 KNOBS = {"sigma_weak": 0.05, "sigma_strong": 0.5, "strong_dropout": 0.2}
@@ -66,7 +68,7 @@ def _analytic_gradients(state, batch, rng_keys, conf) -> dict[str, dict[str, np.
     return grads
 
 
-def _fd_gradients(values_fn, params, h: float = 1e-5) -> dict[str, dict[str, np.ndarray]]:
+def _fd_gradients(values_fn, params) -> dict[str, dict[str, np.ndarray]]:
     """Central differences of every value values_fn(params) returns, by name,
     in one sweep over the parameter coordinates.
 
@@ -78,14 +80,14 @@ def _fd_gradients(values_fn, params, h: float = 1e-5) -> dict[str, dict[str, np.
         flat = arr.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + FD_STEP
             plus = values_fn(params)
-            flat[i] = orig - h
+            flat[i] = orig - FD_STEP
             minus = values_fn(params)
             flat[i] = orig
             for name in plus:
                 grad = out.setdefault(name, {}).setdefault(pname, np.zeros_like(arr))
-                grad.reshape(-1)[i] = (plus[name] - minus[name]) / (2.0 * h)
+                grad.reshape(-1)[i] = (plus[name] - minus[name]) / (2.0 * FD_STEP)
     return out
 
 
@@ -108,14 +110,14 @@ def _relu_margin(state, batch, rng_keys) -> float:
     return float(min(margins))
 
 
-def find_checkable_case(case_seed: int, max_attempts: int = 500):
+def find_checkable_case(case_seed: int):
     """Draw (state, batch, rng_keys) safe for finite differencing.
 
     Attempts cycle until the ReLU margin clears RELU_MARGIN and every loss
     term is active (confident and unconfident samples both present, with
     usable negatives).
     """
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         srng = substream(_TAG_STATE, case_seed, attempt)
         state = init_model(SMALL_DIMS, seed=int(srng.integers(2**31)))
         state.classifier[:] = state.classifier * CLASSIFIER_BOOST
@@ -140,14 +142,14 @@ def find_checkable_case(case_seed: int, max_attempts: int = 500):
     raise RuntimeError(f"no finite-difference-safe draw found for case {case_seed}")
 
 
-def check_losses(num_draws: int = 20, seed: int = 0, h: float = 1e-5) -> dict[str, float]:
+def check_losses(num_draws: int = 20, seed: int = 0) -> dict[str, float]:
     """Worst relative error per loss term across num_draws random cases."""
     worst = {name: 0.0 for name in LOSS_NAMES}
     for k in range(num_draws):
         state, batch, rng_keys = find_checkable_case(seed * 10_000 + k)
         conf = pinned_confidences(state, batch, rng_keys)
         analytic = _analytic_gradients(state, batch, rng_keys, conf)
-        fd = _fd_gradients(lambda st: _term_values(st, batch, rng_keys, conf), state, h)
+        fd = _fd_gradients(lambda st: _term_values(st, batch, rng_keys, conf), state)
         for name in LOSS_NAMES:
             worst[name] = max(worst[name], max_relative_error(analytic[name], fd[name]))
     return worst

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, concat_rows, exp, gather_rows, log, mean, row_logsumexp
+from .autograd import Tensor, _node, concat_rows, gather_rows, value_of
 from .errors import ConfigError, ShapeError
 from .model import ModelState, featurize, project_features, project_proxies
 from .numerics import as_matrix, softmax_rows
@@ -112,8 +112,12 @@ def _cross_entropy(logits: Tensor, labels) -> Tensor:
         raise ValueError("label out of range")
     onehot = np.zeros((n, c))
     onehot[np.arange(n), labels] = 1.0
-    picked = (logits * onehot).sum(axis=1, keepdims=True)
-    return mean(row_logsumexp(logits) - picked)
+    a = value_of(logits)
+    m = a.max(axis=1, keepdims=True)   # shifts logsumexp exactly, so no overflow
+    e = np.exp(a - m)
+    s = e.sum(axis=1, keepdims=True)
+    value = (np.log(s) + m - (a * onehot).sum(axis=1, keepdims=True)).sum() * (1.0 / n)
+    return _node(value, (logits, lambda g: g / n * (e / s - onehot)))
 
 
 def _candidate_matrix(candidates, n: int, c: int = 0) -> np.ndarray:
@@ -133,14 +137,27 @@ def _proxy_contrast(z_a: Tensor, pos: Tensor, negatives) -> Tensor:
     Returns mean_i log(1 + sum_j m_ij exp(a_i . k_j) exp(-pos_i)) for anchor
     rows a_i of z_a, positive logits pos (n_a, 1), and the j running over
     every (keys, mask) side in `negatives`, mask 0/1 of shape (n_a, n_keys).
-    A side without keys is skipped; at least one side must have keys. This is
-    log(exp(pos) + rest) - pos, arranged so an anchor with no negatives
-    contributes log(1) = 0 exactly instead of rounding noise.
+    A side without keys adds nothing. This is log(exp(pos) + rest) - pos,
+    arranged so an anchor with no negatives contributes log(1) = 0 exactly
+    instead of rounding noise.
+
+    One tape node. With q_i = g exp(-pos_i) / (n_a (1 + rest_i)) and W the
+    masked exp(a_i . k_j) of a side, the gradient is -q rest for pos,
+    sum over sides of (q W) @ keys for z_a, and (q W).T @ z_a for the keys.
     """
-    sides = [(exp(z_a @ keys.T) * mask).sum(axis=1, keepdims=True)
-             for keys, mask in negatives if keys.shape[0]]
-    rest = sum(sides[1:], sides[0])
-    return mean(log(1.0 + rest * exp(-pos)))
+    za = value_of(z_a)
+    live = [(keys, mask) for keys, mask in negatives if keys.shape[0]]
+    ks = [value_of(keys) for keys, _ in live]
+    ws = [np.exp(za @ k.T) * mask for k, (_, mask) in zip(ks, live)]
+    rest = sum(w.sum(axis=1, keepdims=True) for w in ws)
+    e_neg = np.exp(-value_of(pos))
+    inner = 1.0 + rest * e_neg
+    n = len(inner)
+    r = e_neg / (n * inner)   # d value / d rest, per anchor
+    return _node(np.log(inner).sum() * (1.0 / n),
+                 (pos, lambda g: -g * r * rest),
+                 (z_a, lambda g: sum((g * r * w) @ k for k, w in zip(ks, ws))),
+                 *((keys, lambda g, w=w: (g * r * w).T @ za) for (keys, _), w in zip(live, ws)))
 
 
 def upc_negative_masks(pseudo, candidates) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .autograd import value_of
+from .autograd import _node, value_of
 from .errors import ShapeError, DegenerateInputError
 
 NORM_EPS = 1e-12
@@ -135,14 +135,18 @@ def l2_normalize_rows(m):
     """Scale every row to unit Euclidean norm.
 
     Accepts a plain matrix or an autograd Tensor (the projector path in the
-    losses differentiates through this). A row with norm <= 1e-12 is a hard
-    error: collapsing embeddings should fail loudly, not be clamped.
+    losses differentiates through this, as one tape node). A row with norm
+    <= 1e-12 is a hard error: collapsing embeddings should fail loudly, not
+    be clamped.
     """
-    sq = (m * m).sum(axis=1, keepdims=True)
-    raw = value_of(sq)
-    if raw.size and raw.min() <= NORM_EPS**2:
+    a = value_of(m)
+    sq = (a * a).sum(axis=1, keepdims=True)
+    if sq.size and sq.min() <= NORM_EPS**2:
         raise DegenerateInputError("zero-norm row cannot be normalized")
-    return m / sq**0.5
+    norm = sq**0.5
+    y = a / norm
+    # y is a / |a| per row, so the vjp is g minus its component along y, over |a|
+    return _node(y, (m, lambda g: (g - y * (g * y).sum(axis=1, keepdims=True)) / norm))
 
 
 def cosine_lr(base_rate: float, step: int, total_steps: int) -> float:

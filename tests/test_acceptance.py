@@ -148,9 +148,10 @@ def test_criterion_4_statistics_oracles():
 def test_criterion_5_directional_improvement():
     start = time.time()
     results = {}
+    # outputs do not depend on jobs (test_run_protocol_parallel_matches_serial)
     for method in ("fixmatch", "fixmatch+upc", "fixmatch+upcsc"):
         cfg = TrainConfig(method=method)
-        results[method] = run_protocol(cfg)
+        results[method] = run_protocol(cfg, jobs=2)
     elapsed = time.time() - start
     fm = results["fixmatch"].mean_accuracy()
     upc = results["fixmatch+upc"].mean_accuracy()

@@ -32,6 +32,14 @@ def test_log_validation():
         ConfidenceLog([1], [0], np.ones((1, 3)) / 3, [3])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_log_rejects_non_finite_confidences(bad):
+    conf = np.full((2, 3), 1.0 / 3)
+    conf[1, 2] = bad
+    with pytest.raises(DataError, match="finite"):
+        ConfidenceLog([1, 1], [0, 0], conf, [0, 1])
+
+
 def test_log_filter_and_concat():
     log = random_log(1)
     sub = log.filter(epoch=1, domain=2)

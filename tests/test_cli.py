@@ -226,6 +226,21 @@ def test_missing_input_file_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_stats_on_a_nan_confidence_exits_1(tmp_path, capsys):
+    # training counts a nan row as unconfident (max >= tau is False) and the
+    # statistics would count it as confident (max < tau is False)
+    (tmp_path / "domain0_unlabeled_truth.csv").write_text("label\n0\n1\n0\n")
+    (tmp_path / "confidences.csv").write_text(
+        "epoch,domain,sample_index,c_0,c_1\n"
+        "1,0,0,0.99,0.01\n1,0,1,0.6,0.4\n1,0,2,nan,nan\n")
+    code = main(["stats", "--confidences", str(tmp_path / "confidences.csv"),
+                 "--truth-dir", str(tmp_path), "--out", str(tmp_path / "stats")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
+    assert not (tmp_path / "stats").exists()
+
+
 DIVERGING_CFG = "lr_backbone = 50.0\nlr_classifier = 50.0\nepochs = 1\nsteps_per_epoch = 10\n"
 
 

@@ -592,7 +592,7 @@ def test_loss_graph_is_freed_without_the_cycle_collector():
         total = terms["sup"] + terms["unsup"] + terms["upc"] + terms["sc"]
         total.backward()
         refs = _reachable_nodes(total)
-        assert len(refs) > 50
+        assert len(refs) > 30   # the fused graph has 43 nodes
         del terms, tp, total
         assert [ref for ref in refs if ref() is not None] == []
     finally:
