@@ -7,28 +7,14 @@ gradient, and an op whose inputs are all constants returns the plain array,
 so the same forward code serves training (Tensor parameters) and evaluation
 (plain arrays). Tensor.backward() runs one reverse topological sweep and
 accumulates gradients into .grad on every node it reaches. Leaves are
-Tensors created by the caller. Only the generic ops the model needs are
-here; each loss primitive is one `_node` with a hand-derived vjp, beside
-the code that uses it.
+Tensors created by the caller. A Tensor is bookkeeping only and has no
+arithmetic: the ops are the model's layers here, and each loss primitive is
+one `_node` with a hand-derived vjp, beside the code that uses it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum grad back down to `shape` after numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    # sum away leading axes that broadcasting added
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    # sum over axes that were 1 in the original shape
-    for ax, n in enumerate(shape):
-        if n == 1 and grad.shape[ax] != 1:
-            grad = grad.sum(axis=ax, keepdims=True)
-    return grad
 
 
 def value_of(x):
@@ -46,15 +32,14 @@ def _node(value, *pairs):
 
 
 class Tensor:
-    # make numpy defer to our reflected operators (ndarray @ Tensor etc.)
+    # numpy defers to Tensor, which has no operators, so ndarray ⊕ Tensor
+    # raises TypeError instead of building an object array
     __array_ufunc__ = None
 
     def __init__(self, data, inputs=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self._inputs = inputs
-
-    # -- bookkeeping ---------------------------------------------------
 
     @property
     def shape(self):
@@ -93,54 +78,13 @@ class Tensor:
                 for p, vjp in node._inputs:
                     p._accum(vjp(node.grad))
 
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other):
-        a, b = self.data, value_of(other)
-        return _node(a + b, (self, lambda g: _unbroadcast(g, a.shape)),
-                     (other, lambda g: _unbroadcast(g, b.shape)))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        a, b = self.data, value_of(other)
-        return _node(a * b, (self, lambda g: _unbroadcast(g * b, a.shape)),
-                     (other, lambda g: _unbroadcast(g * a, b.shape)))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return _matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return _matmul(other, self)
-
-    # -- reductions and reshaping ----------------------------------------
-
-    def sum(self, axis=None, keepdims=False):
-        a = self.data
-
-        def vjp(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return np.broadcast_to(g, a.shape)
-
-        return _node(a.sum(axis=axis, keepdims=keepdims), (self, vjp))
-
-    @property
-    def T(self):
-        return _node(self.data.T, (self, lambda g: g.T))
-
-
-def _matmul(x, y):
-    a, b = value_of(x), value_of(y)
-    return _node(a @ b, (x, lambda g: g @ b.T), (y, lambda g: a.T @ g))
-
 
 def linear(x, w, b):
     """The affine layer x @ w + b as one node; b is a row vector (d_out,)."""
     xd, wd = value_of(x), value_of(w)
-    return _node(xd @ wd + value_of(b), (x, lambda g: g @ wd.T), (w, lambda g: xd.T @ g),
+    y = xd @ wd
+    y += value_of(b)
+    return _node(y, (x, lambda g: g @ wd.T), (w, lambda g: xd.T @ g),
                  (b, lambda g: g.sum(axis=0)))
 
 
@@ -150,23 +94,16 @@ def relu(x):
 
 
 def gather_rows(t, idx):
-    """Select rows t[idx]; repeated indices accumulate gradient."""
+    """Select rows t[idx]; idx must be strictly increasing, so the gradient
+    scatters back by plain assignment."""
     idx = np.asarray(idx, dtype=np.intp)
+    if idx.size > 1 and not (idx[1:] > idx[:-1]).all():
+        raise ValueError("gather_rows needs strictly increasing row indices")
     a = value_of(t)
 
     def vjp(g):
         full = np.zeros_like(a)
-        np.add.at(full, idx, g)
+        full[idx] = g
         return full
 
     return _node(a[idx], (t, vjp))
-
-
-def concat_rows(parts):
-    """Stack 2-D tensors along axis 0."""
-    arrays = [value_of(p) for p in parts]
-    offsets = np.cumsum([0] + [a.shape[0] for a in arrays])
-    return _node(np.concatenate(arrays, axis=0),
-                 *((p, lambda g, lo=lo, hi=hi: g[lo:hi])
-                   for p, lo, hi in zip(parts, offsets[:-1], offsets[1:])))
-

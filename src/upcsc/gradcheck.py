@@ -18,7 +18,7 @@ import numpy as np
 
 from .autograd import linear, relu
 from .errors import DegenerateInputError
-from .losses import MethodFlags, build_loss_graph, param_gradients
+from .losses import MethodFlags, build_loss_graph, param_gradients, sum_terms
 from .model import ModelDims, class_confidence, featurize, init_model
 from .numerics import max_relative_error, substream
 from .synthdata import TrainBatch, strong_augment, weak_augment
@@ -61,8 +61,7 @@ def _analytic_gradients(state, batch, rng_keys, conf) -> dict[str, dict[str, np.
         # fresh graph per backward pass: gradients accumulate on a tape
         terms, _, tp = build_loss_graph(state, batch, _ALL_FLAGS, TAU,
                                         substream(*rng_keys), confidences=conf, **KNOBS)
-        node = terms[name] if name != "total" else (
-            terms["sup"] + terms["unsup"] + terms["upc"] + terms["sc"])
+        node = terms[name] if name != "total" else sum_terms(terms.values())
         node.backward()
         grads[name] = param_gradients(tp)
     return grads
@@ -92,7 +91,8 @@ def _fd_gradients(values_fn, params) -> dict[str, dict[str, np.ndarray]]:
 
 
 def _relu_margin(state, batch, rng_keys) -> float:
-    """Smallest |preactivation| over the three forwards the losses run.
+    """Smallest |preactivation| over the two forwards the losses run: the
+    labeled batch, and the weak views stacked over the strong ones.
 
     Views are drawn in the same stream order the loss uses (weak over the
     full batch, then strong), so the checked forwards are the checked loss's.
@@ -101,7 +101,7 @@ def _relu_margin(state, batch, rng_keys) -> float:
     xw = weak_augment(batch.unlabeled_x, rng, KNOBS["sigma_weak"])
     xs = strong_augment(batch.unlabeled_x, rng, KNOBS["sigma_strong"], KNOBS["strong_dropout"])
     margins = []
-    for x in (batch.labeled_x, xw, xs):
+    for x in (batch.labeled_x, np.concatenate([xw, xs])):
         h = x
         for w, b in state.featurizer[:-1]:
             h = linear(h, w, b)

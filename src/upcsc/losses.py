@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, _node, concat_rows, gather_rows, value_of
+from .autograd import Tensor, _node, gather_rows, value_of
 from .errors import ConfigError, ShapeError
 from .model import ModelState, featurize, project_features, project_proxies
 from .numerics import as_matrix, softmax_rows
@@ -105,19 +105,31 @@ def param_gradients(tape_state) -> dict[str, np.ndarray]:
             for name, t in tape_state.param_items()}
 
 
-def _cross_entropy(logits: Tensor, labels) -> Tensor:
+def _onehot(labels, c: int) -> np.ndarray:
+    """(n, C) float rows with a 1 at each label; labels must lie in [0, C)."""
     labels = np.asarray(labels, dtype=np.int64)
-    n, c = logits.shape
-    if labels.min() < 0 or labels.max() >= c:
+    if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise ValueError("label out of range")
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), labels] = 1.0
-    a = value_of(logits)
+    onehot = np.zeros((len(labels), c))
+    onehot[np.arange(len(labels)), labels] = 1.0
+    return onehot
+
+
+def _cross_entropy(features, classifier, labels) -> Tensor:
+    """Mean cross-entropy of the proxy logits features @ classifier.T, one
+    node. With d = g/n (softmax - onehot), the gradient is d @ classifier
+    for the features and (features.T @ d).T for the classifier."""
+    f, w = value_of(features), value_of(classifier)
+    a = f @ w.T
+    n = len(a)
+    onehot = _onehot(labels, a.shape[1])
     m = a.max(axis=1, keepdims=True)   # shifts logsumexp exactly, so no overflow
     e = np.exp(a - m)
     s = e.sum(axis=1, keepdims=True)
     value = (np.log(s) + m - (a * onehot).sum(axis=1, keepdims=True)).sum() * (1.0 / n)
-    return _node(value, (logits, lambda g: g / n * (e / s - onehot)))
+    p = e / s - onehot
+    return _node(value, (features, lambda g: g / n * p @ w),
+                 (classifier, lambda g: (f.T @ (g / n * p)).T))
 
 
 def _candidate_matrix(candidates, n: int, c: int = 0) -> np.ndarray:
@@ -130,34 +142,44 @@ def _candidate_matrix(candidates, n: int, c: int = 0) -> np.ndarray:
     return cand
 
 
-def _proxy_contrast(z_a: Tensor, pos: Tensor, negatives) -> Tensor:
+def _proxy_contrast(z_a, proxies, weights, negatives) -> Tensor:
     """The proxy-contrastive loss of PCL (Yao et al., CVPR 2022) that UPC and
     SC share; they differ only in anchors, positives and negative masks.
 
     Returns mean_i log(1 + sum_j m_ij exp(a_i . k_j) exp(-pos_i)) for anchor
-    rows a_i of z_a, positive logits pos (n_a, 1), and the j running over
-    every (keys, mask) side in `negatives`, mask 0/1 of shape (n_a, n_keys).
-    A side without keys adds nothing. This is log(exp(pos) + rest) - pos,
-    arranged so an anchor with no negatives contributes log(1) = 0 exactly
-    instead of rounding noise.
+    rows a_i of z_a, positive logits pos_i = sum_y weights_iy (a_i . w_y)
+    over the proxy rows w_y, and the j running over every (keys, mask) side
+    in `negatives`, mask 0/1 of shape (n_a, n_keys). UPC's weights are
+    one-hot pseudo labels, SC's the surrogate weights. A side without keys
+    adds nothing. This is log(exp(pos) + rest) - pos, arranged so an anchor
+    with no negatives contributes log(1) = 0 exactly instead of rounding
+    noise.
 
-    One tape node. With q_i = g exp(-pos_i) / (n_a (1 + rest_i)) and W the
-    masked exp(a_i . k_j) of a side, the gradient is -q rest for pos,
-    sum over sides of (q W) @ keys for z_a, and (q W).T @ z_a for the keys.
+    One tape node. With r_i = g exp(-pos_i) / (n_a (1 + rest_i)), P = -r rest
+    weights and W the masked exp(a_i . k_j) of a side, the gradient is
+    P @ proxies plus, over sides, (r W) @ keys for z_a; (z_a.T @ P).T for
+    the proxies; and (r W).T @ z_a for each side's keys.
     """
-    za = value_of(z_a)
+    za, w = value_of(z_a), value_of(proxies)
+    pos = (za @ w.T * weights).sum(axis=1, keepdims=True)
     live = [(keys, mask) for keys, mask in negatives if keys.shape[0]]
     ks = [value_of(keys) for keys, _ in live]
     ws = [np.exp(za @ k.T) * mask for k, (_, mask) in zip(ks, live)]
-    rest = sum(w.sum(axis=1, keepdims=True) for w in ws)
-    e_neg = np.exp(-value_of(pos))
+    rest = sum(w_side.sum(axis=1, keepdims=True) for w_side in ws)
+    e_neg = np.exp(-pos)
     inner = 1.0 + rest * e_neg
     n = len(inner)
     r = e_neg / (n * inner)   # d value / d rest, per anchor
+
+    def positive_share(g):   # d value / d (a_i . w_y)
+        return -g * r * rest * weights
+
     return _node(np.log(inner).sum() * (1.0 / n),
-                 (pos, lambda g: -g * r * rest),
-                 (z_a, lambda g: sum((g * r * w) @ k for k, w in zip(ks, ws))),
-                 *((keys, lambda g, w=w: (g * r * w).T @ za) for (keys, _), w in zip(live, ws)))
+                 (z_a, lambda g: sum(((g * r * w_side) @ k for k, w_side in zip(ks, ws)),
+                                     positive_share(g) @ w)),
+                 (proxies, lambda g: (za.T @ positive_share(g)).T),
+                 *((keys, lambda g, w_side=w_side: (g * r * w_side).T @ za)
+                   for (keys, _), w_side in zip(live, ws)))
 
 
 def upc_negative_masks(pseudo, candidates) -> tuple[np.ndarray, np.ndarray]:
@@ -194,13 +216,9 @@ def upc_loss(z_uc, w, pseudo, z_uu, candidates) -> Tensor:
     candidates = _candidate_matrix(candidates, n_uu, c)
     if n_uc == 0:
         return Tensor(0.0)
-    if pseudo.min() < 0 or pseudo.max() >= c:
-        raise ValueError("pseudo label out of range")
-    onehot = np.zeros((n_uc, c))
-    onehot[np.arange(n_uc), pseudo] = 1.0
-    pos = (z_uc @ w.T * onehot).sum(axis=1, keepdims=True)
     vs_confident, vs_unconfident = upc_negative_masks(pseudo, candidates)
-    return _proxy_contrast(z_uc, pos, [(z_uc, vs_confident), (z_uu, vs_unconfident)])
+    return _proxy_contrast(z_uc, w, _onehot(pseudo, c),
+                           [(z_uc, vs_confident), (z_uu, vs_unconfident)])
 
 
 def _surrogate_weights(conf_u: np.ndarray, candidates) -> np.ndarray:
@@ -231,28 +249,31 @@ def sc_negative_masks(candidates, pseudo) -> tuple[np.ndarray, np.ndarray]:
     return vs_confident, vs_unconfident
 
 
-def sc_loss(z_uu, surrogates, candidates, z_uc, pseudo) -> Tensor:
+def sc_loss(z_uu, w, weights, candidates, z_uc, pseudo) -> Tensor:
     """Contrastive pull of unconfident embeddings toward their surrogate class.
 
     Anchors are unconfident samples with at least one candidate in
     `candidates`, the (n_uu, C) matrix K; rows with none are skipped as
-    anchors but still obey the negative rules. Negatives: confident j whose
+    anchors but still obey the negative rules. An anchor's positive is its
+    surrogate class, the mix of proxy rows w (C, d) by its row of
+    `weights` (n_uu, C), the surrogate weights. Negatives: confident j whose
     pseudo label the anchor excludes, plus unconfident j whose candidate row
     shares no class with the anchor's.
     """
     pseudo = np.asarray(pseudo, dtype=np.int64)
-    candidates = _candidate_matrix(candidates, z_uu.shape[0])
-    if surrogates.shape != z_uu.shape:
-        raise ShapeError("surrogates must align with unconfident embeddings")
+    n_uu, c = z_uu.shape[0], w.shape[0]
+    candidates = _candidate_matrix(candidates, n_uu, c)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (n_uu, c):
+        raise ShapeError(f"surrogate weights must be {(n_uu, c)}, got {weights.shape}")
     if len(pseudo) != z_uc.shape[0]:
         raise ShapeError("pseudo labels and confident embeddings disagree in length")
     anchors = sc_anchor_indices(candidates)
     if anchors.size == 0:
         return Tensor(0.0)
     vs_confident, vs_unconfident = sc_negative_masks(candidates, pseudo)
-    z_a = gather_rows(z_uu, anchors)
-    pos = (z_a * gather_rows(surrogates, anchors)).sum(axis=1, keepdims=True)
-    return _proxy_contrast(z_a, pos, [(z_uc, vs_confident), (z_uu, vs_unconfident)])
+    return _proxy_contrast(gather_rows(z_uu, anchors), w, weights[anchors],
+                           [(z_uc, vs_confident), (z_uu, vs_unconfident)])
 
 
 def build_loss_graph(state, batch, flags: MethodFlags, tau: float, rng,
@@ -279,20 +300,20 @@ def build_loss_graph(state, batch, flags: MethodFlags, tau: float, rng,
     y_l = np.asarray(batch.labeled_y, dtype=np.int64)
     x_u = np.asarray(batch.unlabeled_x, dtype=np.float64)
 
-    sup = _cross_entropy(featurize(tp, x_l) @ tp.classifier.T, y_l) if len(y_l) else Tensor(0.0)
+    sup = _cross_entropy(featurize(tp, x_l), tp.classifier, y_l) if len(y_l) else Tensor(0.0)
 
     xw = weak_augment(x_u, rng, sigma_weak)
     xs = strong_augment(x_u, rng, sigma_strong, strong_dropout)
-    c = state.dims.num_classes
-    if len(x_u):
-        f_w = featurize(tp, xw)
-        f_s = featurize(tp, xs)
+    n, c = len(x_u), state.dims.num_classes
+    if n:
+        # one forward over both views: rows [0, n) are weak, [n, 2n) strong
+        f = featurize(tp, np.concatenate([xw, xs]))
         if confidences is None:
-            conf = softmax_rows(f_w.data @ state.classifier.T)
+            conf = softmax_rows(f.data[:n] @ state.classifier.T)
         else:
             conf = as_matrix(confidences)
-            if conf.shape != (len(x_u), c):
-                raise ShapeError(f"pinned confidences must be {(len(x_u), c)}, got {conf.shape}")
+            if conf.shape != (n, c):
+                raise ShapeError(f"pinned confidences must be {(n, c)}, got {conf.shape}")
         part = partition_unlabeled(conf, tau)
     else:
         part = partition_unlabeled(np.zeros((0, c)), tau)
@@ -301,24 +322,30 @@ def build_loss_graph(state, batch, flags: MethodFlags, tau: float, rng,
     ci = part.confident_indices
     ui = part.unconfident_indices
     if flags.unsup and ci.size:
-        unsup = _cross_entropy(gather_rows(f_s, ci) @ tp.classifier.T, part.pseudo_labels)
-    if (flags.upc or flags.sc) and len(x_u):
+        unsup = _cross_entropy(gather_rows(f, n + ci), tp.classifier, part.pseudo_labels)
+    if (flags.upc or flags.sc) and n:
         w = project_proxies(tp)
-        z_w = project_features(tp, f_w)
-        z_s = project_features(tp, f_s)
-        z_uc = concat_rows([gather_rows(z_w, ci), gather_rows(z_s, ci)])
-        z_uu = concat_rows([gather_rows(z_w, ui), gather_rows(z_s, ui)])
+        z = project_features(tp, f)
+        z_uc = gather_rows(z, np.concatenate([ci, n + ci]))
+        z_uu = gather_rows(z, np.concatenate([ui, n + ui]))
         pseudo2 = np.concatenate([part.pseudo_labels, part.pseudo_labels])
         cands2 = np.concatenate([part.candidates, part.candidates])
         if flags.upc:
             upc = upc_loss(z_uc, w, pseudo2, z_uu, cands2)
         if flags.sc:
             weights = _surrogate_weights(conf[ui], part.candidates)
-            surrogates = np.concatenate([weights, weights]) @ w
-            sc = sc_loss(z_uu, surrogates, cands2, z_uc, pseudo2)
+            sc = sc_loss(z_uu, w, np.concatenate([weights, weights]), cands2, z_uc, pseudo2)
 
     terms = {"sup": sup, "unsup": unsup, "upc": upc, "sc": sc}
     return terms, part, tp
+
+
+def sum_terms(terms) -> Tensor:
+    """The sum of scalar terms as one node, added left to right; each term's
+    share of the gradient is the total's."""
+    terms = list(terms)
+    values = [value_of(t) for t in terms]
+    return _node(sum(values[1:], values[0]), *((t, lambda g: g) for t in terms))
 
 
 def total_loss(state, batch, flags: MethodFlags, tau: float, rng,
@@ -327,7 +354,7 @@ def total_loss(state, batch, flags: MethodFlags, tau: float, rng,
     """Equal-weight sum of the enabled terms, with gradients."""
     terms, part, tp = build_loss_graph(state, batch, flags, tau, rng,
                                        sigma_weak, sigma_strong, strong_dropout)
-    total = terms["sup"] + terms["unsup"] + terms["upc"] + terms["sc"]
+    total = sum_terms(terms.values())
     total.backward()
     breakdown = LossBreakdown(
         l_sup=terms["sup"].item(),

@@ -50,14 +50,15 @@ def _loaded_library_paths() -> list[str]:
 
 def _openblas_functions(verb: str, argtypes, restype) -> list[tuple[str, object]]:
     """(path, `verb`_num_threads function) of every loaded OpenBLAS; the
-    symbol carries a prefix and suffix in the scipy-openblas builds that
-    numpy wheels ship."""
+    symbol carries a prefix in the scipy-openblas builds that numpy 2 wheels
+    ship, and the 64 suffix in ILP64 builds (numpy 1.x wheels, for one)."""
     found = []
     for path in _loaded_library_paths():
         if "openblas" not in os.path.basename(path).lower():
             continue
         lib = ctypes.CDLL(path)
-        for name in (f"openblas_{verb}_num_threads", f"scipy_openblas_{verb}_num_threads64_",
+        for name in (f"openblas_{verb}_num_threads", f"openblas_{verb}_num_threads64_",
+                     f"scipy_openblas_{verb}_num_threads64_",
                      f"scipy_openblas_{verb}_num_threads"):
             if hasattr(lib, name):
                 fn = getattr(lib, name)

@@ -1,12 +1,19 @@
-"""Plain-loop reference implementations the tests check the package against."""
+"""Plain-loop reference implementations the tests check the package against,
+and the test-side scalar node that seeds a backward pass."""
 
 import math
 
 import numpy as np
 
 from upcsc.analysis import inclusion_rate, uus_rate
+from upcsc.autograd import _node
 from upcsc.errors import DataError, ShapeError, UndefinedStatisticError
 from upcsc.numerics import as_matrix
+
+
+def seeded(out, s):
+    """The scalar sum(out * s) as one node, so out.grad becomes s on backward."""
+    return _node((out.data * s).sum(), (out, lambda g: g * s))
 
 
 def pcl_reference_loss(z, w, labels) -> float:

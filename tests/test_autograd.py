@@ -1,16 +1,16 @@
-"""Tape correctness: every op's backward against central differences, plus
-graph-shape cases (reuse, broadcasting, mixed ndarray operands) and the
-constant rule: plain-array operands get no node, and all-constant ops
-return plain arrays. The three fused loss kernels (cross-entropy, row
-normalisation, the proxy-contrastive term) get the same finite-difference
-checks, and their values must equal the composed numpy arithmetic bit for
-bit."""
+"""Tape correctness: every op's and every fused loss kernel's backward
+against central differences, graph-shape cases (reuse, the strictly
+increasing gather) and the constant rule: plain-array operands get no node,
+and all-constant ops return plain arrays. A Tensor has no arithmetic, so each
+check seeds its backward through the test-side scalar node `seeded`. The
+kernels' values must equal the composed numpy arithmetic bit for bit."""
 
 import numpy as np
 import pytest
 
-from upcsc.autograd import Tensor, concat_rows, gather_rows, linear, relu
-from upcsc.losses import _cross_entropy, _proxy_contrast
+from oracles import seeded
+from upcsc.autograd import Tensor, gather_rows, linear, relu
+from upcsc.losses import _cross_entropy, _proxy_contrast, sum_terms
 from upcsc.numerics import l2_normalize_rows
 
 RNG = np.random.default_rng(20240817)
@@ -47,67 +47,40 @@ def check_op(build, *shapes, tol=1e-7):
         assert np.allclose(tensors[k].grad, fd, atol=tol, rtol=tol), f"operand {k}"
 
 
-def test_add_mul_grads():
-    check_op(lambda a, b: ((a + b) * (a * b + 3.0)).sum(), (3, 4), (3, 4))
-
-
-def test_broadcast_add_mul():
-    # bias-like (4,) against (3, 4), and scalar against matrix
-    check_op(lambda a, b: ((a + b) * 2.0).sum(), (3, 4), (4,))
-    check_op(lambda a: (a * 3.5 + 1.25).sum(), (2, 5))
-
-
-def test_broadcast_keepdims_column():
-    check_op(lambda a, b: (a * (b * b + 1.0)).sum(), (3, 4), (3, 1))
-
-
-def test_matmul_grads():
-    check_op(lambda a, b: (a @ b).sum(), (3, 5), (5, 2))
-    # closed form: d/dA sum(A@B) = ones @ B.T
-    a = Tensor(RNG.standard_normal((3, 5)))
-    b = Tensor(RNG.standard_normal((5, 2)))
-    (a @ b).sum().backward()
-    assert np.allclose(a.grad, np.ones((3, 2)) @ b.data.T)
-    assert np.allclose(b.grad, a.data.T @ np.ones((3, 2)))
+def softmax(a):
+    e = np.exp(a - a.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def test_relu_grad():
     # keep entries away from the kink
     a = np.where(np.abs(RNG.standard_normal((5, 5))) < 0.1, 0.5, RNG.standard_normal((5, 5)))
     t = Tensor(a.copy())
-    relu(t).sum().backward()
+    seeded(relu(t), np.ones((5, 5))).backward()
     assert np.array_equal(t.grad, (a > 0).astype(float))
-
-
-def test_sum_axis_and_mean():
-    check_op(lambda a: (a.sum(axis=0) * a.sum(axis=0)).sum(), (3, 4))
-    check_op(lambda a: (a.sum(axis=1, keepdims=True) * a).sum(), (3, 4))
-    # the mean as the loss kernels take it: sum times 1/size
-    t = Tensor(np.arange(6.0).reshape(2, 3))
-    (t.sum() * (1.0 / 6)).backward()
-    assert np.allclose(t.grad, np.full((2, 3), 1.0 / 6.0))
-
-
-def test_transpose():
-    check_op(lambda a, b: (a.T @ b).sum(), (5, 3), (5, 2))
+    seed = RNG.standard_normal((5, 5))
+    check_op(lambda x: seeded(relu(x), seed), (5, 5))
 
 
 def test_value_reuse_accumulates():
     # same node used twice: diamond graph
-    t = Tensor(np.array([[2.0, -1.0]]))
-    out = (t * t + t * 3.0).sum()
-    out.backward()
-    assert np.allclose(t.grad, 2 * t.data + 3.0)
+    a = RNG.standard_normal((3, 4))
+    s1, s2 = RNG.standard_normal((3, 4)), RNG.standard_normal((3, 4))
+    t = Tensor(a.copy())
+    sum_terms([seeded(t, s1), seeded(relu(t), s2)]).backward()
+    assert np.array_equal(t.grad, s1 + s2 * (a > 0))
 
 
-def test_gather_rows_repeats_accumulate():
+def test_gather_rows_scatters_back_and_rejects_unsorted_indices():
     t = Tensor(RNG.standard_normal((4, 3)))
-    idx = np.array([1, 1, 3])
-    gather_rows(t, idx).sum().backward()
+    seed = RNG.standard_normal((2, 3))
+    seeded(gather_rows(t, np.array([1, 3])), seed).backward()
     expect = np.zeros((4, 3))
-    expect[1] = 2.0
-    expect[3] = 1.0
+    expect[[1, 3]] = seed
     assert np.array_equal(t.grad, expect)
+    for idx in ([1, 1, 3], [3, 1], [0, 2, 2]):
+        with pytest.raises(ValueError):
+            gather_rows(t, np.array(idx))
 
 
 def test_gather_rows_empty_index():
@@ -116,13 +89,13 @@ def test_gather_rows_empty_index():
     assert out.shape == (0, 3)
 
 
-def test_concat_rows_slices_gradient():
-    a = Tensor(RNG.standard_normal((2, 3)))
-    b = Tensor(RNG.standard_normal((4, 3)))
-    seed = RNG.standard_normal((6, 3))
-    (concat_rows([a, b]) * seed).sum().backward()
-    assert np.array_equal(a.grad, seed[:2])
-    assert np.array_equal(b.grad, seed[2:])
+def test_sum_terms_adds_left_to_right_with_identity_grads():
+    values = [0.1, 1e16, -1e16, 0.3]   # another order gives another float
+    terms = [Tensor(v) for v in values]
+    total = sum_terms(terms)
+    assert total.item() == ((values[0] + values[1]) + values[2]) + values[3]
+    total.backward()
+    assert [t.grad for t in terms] == [1.0] * 4
 
 
 LABELS = np.array([2, 0, 3, 3, 1, 0])
@@ -146,33 +119,47 @@ def composed_proxy_contrast(z_a, pos, negatives):
     return np.log(rest * np.exp(-pos) + 1.0).sum() * (1.0 / len(pos))
 
 
-def proxy_case(z, pos, other):
-    """Anchors z (4, 3) that are also the first side's keys, a second side of
-    keys `other` (5, 3), a third side with no keys, and anchor 2 with no
-    negative at all (its mask row is zero on every side)."""
+PROXY_WEIGHTS = RNG.random((4, 2))
+
+
+def proxy_case(z, w, other, weights=PROXY_WEIGHTS):
+    """Anchors z (4, 3) that are also the first side's keys, proxies w (2, 3)
+    mixed by `weights` (4, 2) into the positives, a second side of keys
+    `other` (5, 3), a third side with no keys, and anchor 2 with no negative
+    at all (its mask row is zero on every side)."""
     mask_self = 1.0 - np.eye(4)
     mask_other = np.ones((4, 5))
     mask_self[2] = mask_other[2] = 0.0
     mask_other[0, 1:3] = 0.0
-    return z, pos, [(z, mask_self), (other, mask_other), (np.zeros((0, 3)), np.zeros((4, 0)))]
+    return z, w, weights, [(z, mask_self), (other, mask_other),
+                           (np.zeros((0, 3)), np.zeros((4, 0)))]
+
+
+def test_matmul_grads():
+    # the product inside the cross-entropy kernel, logits f @ W.T, in closed
+    # form: d = (softmax - onehot) / n gives d @ W for f and d.T @ f for W
+    f = Tensor(RNG.standard_normal((6, 5)))
+    w = Tensor(RNG.standard_normal((4, 5)))
+    _cross_entropy(f, w, LABELS).backward()
+    d = (softmax(f.data @ w.data.T) - np.eye(4)[LABELS]) / 6
+    assert np.allclose(f.grad, d @ w.data, atol=1e-12)
+    assert np.allclose(w.grad, d.T @ f.data, atol=1e-12)
+    check_op(lambda f, w: _cross_entropy(f, w, LABELS), (6, 5), (4, 5))
 
 
 def test_cross_entropy_matches_reference_and_softmax_grad():
+    # identity proxies make the logits the features themselves, exactly
     x = RNG.standard_normal((6, 4)) * 30  # large enough to break naive exp
     t = Tensor(x.copy())
-    out = _cross_entropy(t, LABELS)
+    out = _cross_entropy(t, np.eye(4), LABELS)
     assert out.item() == composed_cross_entropy(x, LABELS)
     out.backward()
-    m = x.max(axis=1, keepdims=True)
-    softmax = np.exp(x - m) / np.exp(x - m).sum(axis=1, keepdims=True)
-    onehot = np.eye(4)[LABELS]
-    assert np.allclose(t.grad, (softmax - onehot) / 6, atol=1e-12)
-    check_op(lambda a: _cross_entropy(a * 30.0, LABELS), (6, 4))
+    assert np.allclose(t.grad, (softmax(x) - np.eye(4)[LABELS]) / 6, atol=1e-12)
 
 
 def test_cross_entropy_extreme_values_finite():
     t = Tensor(np.array([[1000.0, 999.0], [-1000.0, -1000.5]]))
-    out = _cross_entropy(t, [1, 0])
+    out = _cross_entropy(t, np.eye(2), [1, 0])
     assert np.isfinite(out.item())
     out.backward()
     assert np.all(np.isfinite(t.grad))
@@ -184,44 +171,58 @@ def test_l2_normalize_rows_matches_composed_ops_and_grad():
     assert np.array_equal(l2_normalize_rows(Tensor(x)).data, ref)
     assert np.array_equal(l2_normalize_rows(x), ref)
     seed = RNG.standard_normal((5, 3))
-    check_op(lambda a: (l2_normalize_rows(a) * seed).sum(), (5, 3))
+    check_op(lambda a: seeded(l2_normalize_rows(a), seed), (5, 3))
 
 
 def test_proxy_contrast_matches_composed_ops():
-    z, pos, other = (RNG.standard_normal(s) for s in ((4, 3), (4, 1), (5, 3)))
-    expect = composed_proxy_contrast(*proxy_case(z, pos, other))
-    out = _proxy_contrast(*proxy_case(Tensor(z), Tensor(pos), Tensor(other)))
+    z, w, other = (RNG.standard_normal(s) for s in ((4, 3), (2, 3), (5, 3)))
+    pos = (z @ w.T * PROXY_WEIGHTS).sum(axis=1, keepdims=True)
+    expect = composed_proxy_contrast(z, pos, proxy_case(z, w, other)[3])
+    out = _proxy_contrast(*proxy_case(Tensor(z), Tensor(w), Tensor(other)))
     assert out.item() == expect
-    assert _proxy_contrast(*proxy_case(z, pos, other)) == expect
+    assert _proxy_contrast(*proxy_case(z, w, other)) == expect
+
+
+def test_proxy_contrast_positive_is_the_dot_with_the_weighted_proxy_mix():
+    # SC's positive z_a . (weights @ w), its surrogate class, taken as the
+    # weighted sum of the proxy logits z_a . w_y inside the kernel
+    for _ in range(20):
+        z, w, other = (RNG.standard_normal(s) for s in ((4, 3), (2, 3), (5, 3)))
+        weights = RNG.random((4, 2))
+        pos = (z * (weights @ w)).sum(axis=1, keepdims=True)
+        case = proxy_case(z, w, other, weights)
+        assert abs(_proxy_contrast(*case) - composed_proxy_contrast(z, pos, case[3])) <= 1e-12
 
 
 def test_proxy_contrast_grads():
     # z reaches the node both as anchors and as keys; both shares accumulate
-    check_op(lambda z, pos, other: _proxy_contrast(*proxy_case(z, pos, other)),
-             (4, 3), (4, 1), (5, 3))
+    check_op(lambda z, w, other: _proxy_contrast(*proxy_case(z, w, other)),
+             (4, 3), (2, 3), (5, 3))
 
 
 def test_ndarray_operands_defer_to_tensor():
-    a = RNG.standard_normal((2, 3))
-    t = Tensor(RNG.standard_normal((3, 2)))
-    assert isinstance(a @ t, Tensor)
-    assert isinstance(a + t.T, Tensor)
-    assert isinstance(2.0 * t, Tensor)
-    assert isinstance(1.0 + t * t, Tensor)
+    # numpy defers to the Tensor, which has no arithmetic: a TypeError, not
+    # an object array
+    a = RNG.standard_normal((3, 3))
+    t = Tensor(RNG.standard_normal((3, 3)))
+    for op in (lambda: a @ t, lambda: a + t, lambda: a * t, lambda: 2.0 * t,
+               lambda: t + 1.0, lambda: t @ a):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_backward_only_reaches_connected_leaves():
     a = Tensor(np.ones((2, 2)))
     b = Tensor(np.ones((2, 2)))
-    (a * 2.0).sum().backward()
+    seeded(relu(a), np.full((2, 2), 2.0)).backward()
     assert b.grad is None
-    assert np.allclose(a.grad, 2.0)
+    assert np.array_equal(a.grad, np.full((2, 2), 2.0))
 
 
 def test_scalar_item_and_constant_graph():
     c = Tensor(0.0)
     assert c.item() == 0.0
-    total = c + Tensor(1.5)
+    total = sum_terms([c, Tensor(1.5)])
     total.backward()  # leaves have no inputs; this must not raise
     assert total.item() == 1.5
 
@@ -231,13 +232,10 @@ def test_linear_is_bitwise_the_composed_ops():
     seed = RNG.standard_normal((5, 3))
     fused = [Tensor(a.copy()) for a in (x, w, b)]
     out = linear(*fused)
-    (out * seed).sum().backward()
-    composed = [Tensor(a.copy()) for a in (x, w, b)]
-    ref = composed[0] @ composed[1] + composed[2]
-    (ref * seed).sum().backward()
-    assert np.array_equal(out.data, ref.data)
-    for f, c in zip(fused, composed):
-        assert np.array_equal(f.grad, c.grad)
+    seeded(out, seed).backward()
+    assert np.array_equal(out.data, x @ w + b)
+    for t, expect in zip(fused, (seed @ w.T, x.T @ seed, seed.sum(axis=0))):
+        assert np.array_equal(t.grad, expect)
 
 
 def count_nodes(monkeypatch):
@@ -254,13 +252,15 @@ def count_nodes(monkeypatch):
 
 
 @pytest.mark.parametrize("op", [
-    lambda t, c: t * c,
-    lambda t, c: c + t,
-    lambda t, c: c @ t,
-    lambda t, c: t @ c,
+    lambda t, c: relu(t),
+    lambda t, c: gather_rows(t, [0, 2]),
+    lambda t, c: _cross_entropy(t, c, [0, 2, 1]),
+    lambda t, c: _cross_entropy(c, t, [0, 2, 1]),
     lambda t, c: linear(c, t, np.zeros(3)),
-    lambda t, c: _proxy_contrast(t, c[:, :1], [(c, np.ones((3, 3)))]),
-    lambda t, c: _proxy_contrast(c, c[:, :1], [(t, np.ones((3, 3)))]),
+    lambda t, c: _proxy_contrast(t, c, np.eye(3), [(c, np.ones((3, 3)))]),
+    lambda t, c: _proxy_contrast(c, c, np.eye(3), [(t, np.ones((3, 3)))]),
+    lambda t, c: _proxy_contrast(c, t, np.eye(3), [(c, np.ones((3, 3)))]),
+    lambda t, c: l2_normalize_rows(t),
 ])
 def test_plain_operand_adds_exactly_one_node(monkeypatch, op):
     t = Tensor(RNG.standard_normal((3, 3)))
@@ -269,7 +269,7 @@ def test_plain_operand_adds_exactly_one_node(monkeypatch, op):
     out = op(t, c)
     assert counter["nodes"] == 1
     assert [p for p, _ in out._inputs] == [t]
-    out.sum().backward()
+    seeded(out, np.ones(out.shape)).backward()
     assert t.grad.shape == t.shape
 
 
@@ -279,7 +279,5 @@ def test_constant_only_ops_return_plain_arrays():
     assert type(h) is np.ndarray and np.array_equal(h, x @ w + b)
     r = relu(h)
     assert type(r) is np.ndarray and np.array_equal(r, np.maximum(h, 0.0))
-    g = gather_rows(r, [2, 0, 2])
-    assert type(g) is np.ndarray and np.array_equal(g, r[[2, 0, 2]])
-    c = concat_rows([r, g])
-    assert type(c) is np.ndarray and np.array_equal(c, np.concatenate([r, g]))
+    g = gather_rows(r, [0, 2])
+    assert type(g) is np.ndarray and np.array_equal(g, r[[0, 2]])

@@ -13,7 +13,7 @@ from upcsc.autograd import Tensor
 from upcsc.errors import ConfigError, ShapeError
 from upcsc.losses import (MethodFlags, _surrogate_weights, build_loss_graph,
                           param_gradients, partition_unlabeled, sc_anchor_indices,
-                          sc_loss, sc_negative_masks, total_loss, upc_loss,
+                          sc_loss, sc_negative_masks, sum_terms, total_loss, upc_loss,
                           upc_negative_masks)
 from upcsc.model import ModelDims, class_confidence, featurize, init_model
 from upcsc.numerics import l2_normalize_rows, softmax_rows, substream
@@ -319,11 +319,11 @@ def test_plain_inputs_give_the_tensor_path_bytes():
         z_uc, z_uu, w = unit_rows(41 + seed, n_c, 4), unit_rows(61 + seed, n_u, 4), unit_rows(81, 3, 4)
         pseudo = rng.integers(0, 3, n_c)
         cands = rng.random((n_u, 3)) < 0.5
-        surrogates = rng.random((n_u, 3)) @ w
+        weights = rng.random((n_u, 3))
         plain = (upc_loss(z_uc, w, pseudo, z_uu, cands),
-                 sc_loss(z_uu, surrogates, cands, z_uc, pseudo))
+                 sc_loss(z_uu, w, weights, cands, z_uc, pseudo))
         taped = (upc_loss(Tensor(z_uc), Tensor(w), pseudo, Tensor(z_uu), cands),
-                 sc_loss(Tensor(z_uu), surrogates, cands, Tensor(z_uc), pseudo))
+                 sc_loss(Tensor(z_uu), Tensor(w), weights, cands, Tensor(z_uc), pseudo))
         for p, t in zip(plain, taped):
             assert p.item() == t.item(), seed
 
@@ -377,8 +377,9 @@ def test_sc_loss_hand_value_with_both_negative_kinds():
     sets = ({0}, {1, 2})  # disjoint from each other
     pseudo = [0, 1]  # pseudo 1 is excluded by anchor 0; pseudo 0 is not
     conf = np.array([[0.5, 0.2, 0.3], [0.2, 0.45, 0.35]])
-    surrogates = _surrogate_weights(conf, cand_matrix(sets)) @ w
-    value = sc_loss(z_uu, surrogates, cand_matrix(sets), z_uc, pseudo).item()
+    weights = _surrogate_weights(conf, cand_matrix(sets))
+    surrogates = weights @ w
+    value = sc_loss(z_uu, w, weights, cand_matrix(sets), z_uc, pseudo).item()
 
     expect_terms = []
     for i in range(2):
@@ -402,8 +403,9 @@ def test_sc_loss_degenerate_rows_skip_anchor_but_stay_negative():
     conf = np.full((3, 3), 1 / 3)
     conf[0] = [0.5, 0.25, 0.25]
     conf[2] = [0.4, 0.4, 0.2]
-    surrogates = _surrogate_weights(conf, cands) @ w
-    value = sc_loss(z_uu, surrogates, cands, np.zeros((0, 4)), []).item()
+    weights = _surrogate_weights(conf, cands)
+    surrogates = weights @ w
+    value = sc_loss(z_uu, w, weights, cands, np.zeros((0, 4)), []).item()
     # anchors are rows 0 and 2; the empty-set row 1 is disjoint from both, so
     # each anchor has exactly one negative: row 1
     expect = []
@@ -415,9 +417,22 @@ def test_sc_loss_degenerate_rows_skip_anchor_but_stay_negative():
 
 
 def test_sc_loss_no_anchors_zero():
-    value = sc_loss(unit_rows(48, 2, 4), np.zeros((2, 4)), cand_matrix([set(), set()]),
-                    np.zeros((0, 4)), []).item()
+    value = sc_loss(unit_rows(48, 2, 4), unit_rows(51, 3, 4), np.zeros((2, 3)),
+                    cand_matrix([set(), set()]), np.zeros((0, 4)), []).item()
     assert value == 0.0
+
+
+def test_sc_shape_validation():
+    z_uu, w = unit_rows(52, 2, 4), unit_rows(53, 3, 4)
+    cands, weights = cand_matrix([{0}, {1}]), np.full((2, 3), 0.5)
+    with pytest.raises(ShapeError):  # candidate rows need one column per proxy
+        sc_loss(z_uu, w, weights, cand_matrix([{0}, {1}], c=4), np.zeros((0, 4)), [])
+    with pytest.raises(ShapeError):  # one weight row per unconfident sample
+        sc_loss(z_uu, w, weights[:1], cands, np.zeros((0, 4)), [])
+    with pytest.raises(ShapeError):  # one weight column per proxy
+        sc_loss(z_uu, w, np.full((2, 4), 0.5), cands, np.zeros((0, 4)), [])
+    with pytest.raises(ShapeError):
+        sc_loss(z_uu, w, weights, cands, unit_rows(54, 2, 4), [0])
 
 
 def test_sc_with_one_hot_candidates_is_upc_with_roles_swapped():
@@ -434,7 +449,7 @@ def test_sc_with_one_hot_candidates_is_upc_with_roles_swapped():
         z_u = l2_normalize_rows(rng.standard_normal((n_u, d)))
         z_c = l2_normalize_rows(rng.standard_normal((n_c, d)))
         sc_in, upc_in = (Tensor(z_u), Tensor(z_c)), (Tensor(z_u), Tensor(z_c))
-        sc = sc_loss(sc_in[0], w[p_u], onehot(p_u, c), sc_in[1], p_c)
+        sc = sc_loss(sc_in[0], w, onehot(p_u, c).astype(float), onehot(p_u, c), sc_in[1], p_c)
         upc = upc_loss(upc_in[0], w, p_u, upc_in[1], onehot(p_c, c))
         assert abs(sc.item() - upc.item()) <= 1e-12
         sc.backward()
@@ -450,8 +465,8 @@ def test_sc_loss_no_negatives_zero():
     w = unit_rows(50, 3, 4)
     cands = cand_matrix([{0, 1}, {1, 2}])
     conf = np.array([[0.4, 0.4, 0.2], [0.2, 0.4, 0.4]])
-    surrogates = _surrogate_weights(conf, cands) @ w
-    value = sc_loss(z_uu, surrogates, cands, np.zeros((0, 4)), []).item()
+    value = sc_loss(z_uu, w, _surrogate_weights(conf, cands), cands, np.zeros((0, 4)),
+                    []).item()
     assert abs(value) <= 1e-12
 
 
@@ -589,10 +604,10 @@ def test_loss_graph_is_freed_without_the_cycle_collector():
     try:
         terms, _, tp = build_loss_graph(state, random_batch(116), ALL, 0.65, substream(117),
                                         strong_dropout=0.05)
-        total = terms["sup"] + terms["unsup"] + terms["upc"] + terms["sc"]
+        total = sum_terms(terms.values())
         total.backward()
         refs = _reachable_nodes(total)
-        assert len(refs) > 30   # the fused graph has 43 nodes
+        assert len(refs) > 20   # the fused graph has 28 nodes
         del terms, tp, total
         assert [ref for ref in refs if ref() is not None] == []
     finally:
