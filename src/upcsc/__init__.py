@@ -16,7 +16,7 @@ from .losses import (BatchPartition, LossBreakdown, MethodFlags, build_loss_grap
 from .model import (ModelDims, ModelState, class_confidence, featurize, init_model,
                     load_model, param_layout, project_features, project_proxies, save_model)
 from .harness import (METHODS, ProtocolResult, RunRecord, TrainConfig,
-                      build_train_config, paired_deltas, run_protocol, train_one)
+                      build_train_config, run_protocol, train_one)
 from .synthdata import (BenchmarkConfig, DomainBenchmark, DomainSpec,
                         export_benchmark, generate_benchmark, sample_batch,
                         strong_augment, weak_augment)

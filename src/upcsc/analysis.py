@@ -14,7 +14,7 @@ import numpy as np
 
 from .csvio import FLOAT_FORMAT, format_rows, read_csv, read_header, write_csv
 from .errors import DataError, ShapeError, UndefinedStatisticError
-from .losses import check_threshold
+from .losses import confidence_roles
 
 
 @dataclass
@@ -32,7 +32,7 @@ class ConfidenceLog:
         self.truth = np.asarray(self.truth, dtype=np.int64)
         if self.conf.ndim != 2:
             raise ShapeError("confidence block must be 2-D")
-        # a nan row fails both max < tau (here) and max >= tau (training)
+        # a nan row is no score at all, not an unconfident sample
         if self.conf.size and not np.isfinite([self.conf.min(), self.conf.max()]).all():
             raise DataError("confidence rows must be finite")
         n = len(self.conf)
@@ -68,68 +68,37 @@ class ConfidenceLog:
                    np.concatenate([l.truth for l in logs]))
 
 
-def _require_rows(log: ConfidenceLog):
+def _candidate_roles(log: ConfidenceLog, tau: float):
+    """(unconfident (n,), hit (n,), K (n, C)) by losses.confidence_roles; hit
+    marks the unconfident samples whose true class is a candidate."""
     if len(log) == 0:
         raise DataError("statistic over an empty log")
-
-
-def _unconfident_mask(log: ConfidenceLog, tau: float) -> np.ndarray:
-    check_threshold(tau, log.num_classes)
-    return log.conf.max(axis=1) < tau
+    is_confident, k = confidence_roles(log.conf, tau)
+    unconfident = ~is_confident
+    return unconfident, unconfident & k[np.arange(len(log)), log.truth], k
 
 
 def uus_rate(log: ConfidenceLog, tau: float) -> float:
     """Fraction of samples below the confidence threshold."""
-    _require_rows(log)
-    return float(_unconfident_mask(log, tau).mean())
+    unconfident, _, _ = _candidate_roles(log, tau)
+    return float(unconfident.mean())
 
 
 def inclusion_rate(log: ConfidenceLog, tau: float) -> float:
     """Among unconfident samples, how often the true class sits in the
-    candidate set (confidence strictly above uniform)."""
-    _require_rows(log)
-    mask = _unconfident_mask(log, tau)
-    if not mask.any():
+    candidate set."""
+    unconfident, hit, _ = _candidate_roles(log, tau)
+    if not unconfident.any():
         raise UndefinedStatisticError("no unconfident samples; inclusion rate undefined")
-    conf = log.conf[mask]
-    truth = log.truth[mask]
-    hit = conf[np.arange(len(truth)), truth] > 1.0 / log.num_classes
-    return float(hit.mean())
-
-
-def candidate_set_sizes(log: ConfidenceLog, tau: float) -> np.ndarray:
-    """|candidate set| for each unconfident sample, in log order."""
-    _require_rows(log)
-    mask = _unconfident_mask(log, tau)
-    return (log.conf[mask] > 1.0 / log.num_classes).sum(axis=1).astype(np.int64)
+    return float(hit[unconfident].mean())
 
 
 def confusing_class_histogram(log: ConfidenceLog, tau: float) -> dict[int, int]:
-    """Counts of candidate-set sizes >= 1 over unconfident samples.
-
-    Size-0 rows (exactly uniform confidence) are reported separately by
-    degenerate_uniform_count, so values here always sum to the number of
-    unconfident samples minus the degenerate ones.
-    """
-    sizes = candidate_set_sizes(log, tau)
-    hist: dict[int, int] = {}
-    for s in sizes:
-        if s >= 1:
-            hist[int(s)] = hist.get(int(s), 0) + 1
-    return hist
-
-
-def degenerate_uniform_count(log: ConfidenceLog, tau: float) -> int:
-    return int((candidate_set_sizes(log, tau) == 0).sum())
-
-
-def mean_candidate_fraction(log: ConfidenceLog, tau: float) -> float:
-    """E[|candidate set|] / C over unconfident samples: the chance level that
-    inclusion_rate should be compared against."""
-    sizes = candidate_set_sizes(log, tau)
-    if sizes.size == 0:
-        raise UndefinedStatisticError("no unconfident samples")
-    return float(sizes.mean()) / log.num_classes
+    """Counts of candidate-set sizes >= 1 over unconfident samples; size-0
+    rows (exactly uniform confidence) are left out."""
+    unconfident, _, k = _candidate_roles(log, tau)
+    counts = np.bincount(k[unconfident].sum(axis=1))
+    return {size: n for size, n in enumerate(counts.tolist()) if size and n}
 
 
 def top1_accuracy(conf, truth) -> float:
@@ -221,8 +190,7 @@ def write_stats_csv(log: ConfidenceLog, tau: float, path) -> None:
     of the epoch, macro averages the per-domain values. Inclusion rows are
     omitted where the statistic is undefined (no unconfident samples).
     """
-    unconfident = _unconfident_mask(log, tau)
-    hit = unconfident & (log.conf[np.arange(len(log)), log.truth] > 1.0 / log.num_classes)
+    unconfident, hit, _ = _candidate_roles(log, tau)
     order, starts = _epoch_domain_groups(log)
     # samples, unconfident samples and inclusion hits of each (epoch, domain)
     flags = np.stack([np.ones(len(log), dtype=bool), unconfident, hit], axis=1)

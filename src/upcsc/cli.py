@@ -57,9 +57,11 @@ def cmd_protocol(args) -> int:
 def cmd_stats(args) -> int:
     tau = _config_from_args(args).tau
     log = analysis.load_confidence_log(args.confidences, args.truth_dir)
+    epoch = args.epoch if args.epoch is not None else int(log.epochs.max())
+    if not (log.epochs == epoch).any():
+        raise ConfigError(f"epoch {epoch} is not in {args.confidences}")
     os.makedirs(args.out, exist_ok=True)
     analysis.write_stats_csv(log, tau, os.path.join(args.out, "stats.csv"))
-    epoch = args.epoch if args.epoch is not None else int(log.epochs.max())
     analysis.write_histogram_csv(log, tau, epoch, os.path.join(args.out, "histogram.csv"))
     print(f"wrote stats.csv and histogram.csv (epoch {epoch}) to {args.out}")
     return 0

@@ -41,7 +41,12 @@ _TAG_AUG = 9103
 
 
 def pinned_confidences(state, batch, rng_keys) -> np.ndarray:
-    """The weak-view confidence matrix the loss would compute at this point."""
+    """The weak-view confidence matrix the loss would compute at this point,
+    bit for bit from two unlabeled rows up. The loss forwards both views
+    stacked, and a one-row stack rounds differently from a lone weak
+    forward, so a one-row batch raises ValueError."""
+    if len(batch.unlabeled_x) < 2:
+        raise ValueError("pinned confidences need at least two unlabeled rows")
     rng = substream(*rng_keys)
     xw = weak_augment(batch.unlabeled_x, rng, KNOBS["sigma_weak"])
     return class_confidence(state, featurize(state, xw))

@@ -87,7 +87,6 @@ class EpochRecord:
     uus_rate: float
     inclusion_rate: float   # nan when no sample is unconfident
     target_accuracy: float
-    degenerate_uniform: int
 
 
 @dataclass
@@ -114,9 +113,6 @@ class RunRecord:
 class ProtocolResult:
     config: TrainConfig
     runs: list[RunRecord]
-
-    def final_accuracies(self) -> dict[tuple[int, int], float]:
-        return {(r.target, r.seed): r.final_accuracy for r in self.runs}
 
     def mean_accuracy(self) -> float:
         return float(np.mean([r.final_accuracy for r in self.runs]))
@@ -160,7 +156,6 @@ def train_one(config: TrainConfig, target: int, seed: int,
     logs: list[analysis.ConfidenceLog] = []
     for epoch in range(1, config.epochs + 1):
         sums = dict.fromkeys(_LOSS_TERMS, 0.0)
-        degenerate = 0
         for s in range(config.steps_per_epoch):
             step = (epoch - 1) * config.steps_per_epoch + s
             rng = substream(master, _TAG_STEP, target, seed, step)
@@ -181,7 +176,6 @@ def train_one(config: TrainConfig, target: int, seed: int,
                 state = sgd_step(state, grads, rates)
             for name in sums:
                 sums[name] += getattr(breakdown, name)
-            degenerate += breakdown.degenerate_uniform
 
         def confidence_fn(x, st=state):
             return class_confidence(st, featurize(st, x))
@@ -201,7 +195,6 @@ def train_one(config: TrainConfig, target: int, seed: int,
             uus_rate=analysis.uus_rate(log, config.tau),
             inclusion_rate=incl,
             target_accuracy=analysis.top1_accuracy(confidence_fn(test_x), test_y),
-            degenerate_uniform=degenerate,
         ))
 
     with_log = (analysis.ConfidenceLog.concatenate(logs), bench) if collect_log else ()
@@ -225,15 +218,6 @@ def run_protocol(config: TrainConfig, jobs: int = 1) -> ProtocolResult:
     else:
         runs = [train_one(*task) for task in tasks]
     return ProtocolResult(config, list(runs))
-
-
-def paired_deltas(a: ProtocolResult, b: ProtocolResult) -> np.ndarray:
-    """Final-accuracy differences a - b over matching (target, seed) pairs."""
-    fa, fb = a.final_accuracies(), b.final_accuracies()
-    if fa.keys() != fb.keys():
-        raise ConfigError("protocols cover different (target, seed) pairs")
-    keys = sorted(fa)
-    return np.asarray([fa[k] - fb[k] for k in keys])
 
 
 def write_metrics_csv(result: ProtocolResult, path) -> None:

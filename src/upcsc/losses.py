@@ -11,7 +11,8 @@ then carries a pseudo label. Every other sample is "unconfident" and carries
 a row of the boolean candidate matrix K (n_unconfident, C): K[a, y] is True
 when class y scores strictly above uniform (1/C). A row's excluded classes
 are ~K[a], always derived, never stored. Every pair selection is an array
-expression over K and the pseudo labels.
+expression over K and the pseudo labels. Both rules are written once, in
+confidence_roles, which the statistics in analysis read as well.
 """
 
 from __future__ import annotations
@@ -58,32 +59,36 @@ class BatchPartition:
     def unconfident(self) -> np.ndarray:
         return self.unconfident_indices
 
-    @property
-    def degenerate_uniform(self) -> int:
-        """Unconfident samples with no candidate class (row exactly uniform)."""
-        return int(np.count_nonzero(~self.candidates.any(axis=1)))
-
 
 def check_threshold(tau: float, num_classes: int) -> None:
     if not (1.0 / num_classes < tau < 1.0):
         raise ConfigError(f"threshold {tau} must lie strictly between 1/{num_classes} and 1")
 
 
-def partition_unlabeled(conf, tau: float) -> BatchPartition:
-    """Split confidence rows into confident (max >= tau) and unconfident rest.
+def confidence_roles(conf, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """The confidence rule: (is_confident (n,), K (n, C)) for confidence rows.
 
-    Pseudo labels break argmax ties toward the lowest class index. Candidate
-    membership is strict (> 1/C), so an exactly uniform row gets an empty set.
+    A row is confident when its top score reaches tau (max >= tau). K[i, y]
+    is True when class y scores strictly above uniform (> 1/C), so an exactly
+    uniform row has no candidate; K is only read for unconfident rows.
     """
     conf = as_matrix(conf)
     c = conf.shape[1]
     if c < 2:
         raise ShapeError("confidence matrix needs at least two columns")
     check_threshold(tau, c)
-    is_confident = conf.max(axis=1) >= tau
+    return conf.max(axis=1) >= tau, conf > 1.0 / c
+
+
+def partition_unlabeled(conf, tau: float) -> BatchPartition:
+    """Split confidence rows into confident and unconfident rows by
+    confidence_roles. Pseudo labels break argmax ties toward the lowest
+    class index."""
+    conf = as_matrix(conf)
+    is_confident, k = confidence_roles(conf, tau)
     ci = np.flatnonzero(is_confident)
     ui = np.flatnonzero(~is_confident)
-    return BatchPartition(ci, conf[ci].argmax(axis=1), ui, conf[ui] > 1.0 / c)
+    return BatchPartition(ci, conf[ci].argmax(axis=1), ui, k[ui])
 
 
 @dataclass(frozen=True)
@@ -93,9 +98,6 @@ class LossBreakdown:
     l_upc: float
     l_sc: float
     l_total: float
-    n_confident: int
-    n_unconfident: int
-    degenerate_uniform: int
 
 
 def param_gradients(tape_state) -> dict[str, np.ndarray]:
@@ -352,18 +354,10 @@ def total_loss(state, batch, flags: MethodFlags, tau: float, rng,
                sigma_weak: float = 0.05, sigma_strong: float = 0.5,
                strong_dropout: float = 0.2) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
     """Equal-weight sum of the enabled terms, with gradients."""
-    terms, part, tp = build_loss_graph(state, batch, flags, tau, rng,
-                                       sigma_weak, sigma_strong, strong_dropout)
+    terms, _, tp = build_loss_graph(state, batch, flags, tau, rng,
+                                    sigma_weak, sigma_strong, strong_dropout)
     total = sum_terms(terms.values())
     total.backward()
-    breakdown = LossBreakdown(
-        l_sup=terms["sup"].item(),
-        l_unsup=terms["unsup"].item(),
-        l_upc=terms["upc"].item(),
-        l_sc=terms["sc"].item(),
-        l_total=total.item(),
-        n_confident=len(part.confident_indices),
-        n_unconfident=len(part.unconfident_indices),
-        degenerate_uniform=part.degenerate_uniform,
-    )
+    breakdown = LossBreakdown(*(terms[name].item() for name in ("sup", "unsup", "upc", "sc")),
+                              l_total=total.item())
     return breakdown, param_gradients(tp)

@@ -102,11 +102,6 @@ class ModelState:
     def group_of(self, name: str) -> str:
         return self._layout[name][1]
 
-    def with_params(self, arrays: dict[str, np.ndarray]) -> "ModelState":
-        """New state taking any array present in `arrays`, copying the rest."""
-        return ModelState(self.dims, {name: arrays.get(name, a).copy()
-                                      for name, a in self.params.items()})
-
 
 def init_model(dims: ModelDims, seed: int) -> ModelState:
     """Uniform(-a, a) weights with a = sqrt(6 / (fan_in + fan_out)), zero biases,
@@ -124,13 +119,9 @@ def featurize(state, x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != state.dims.input_dim:
         raise ShapeError(f"featurize expects (n, {state.dims.input_dim}), got {x.shape}")
-    h = x
-    last = len(state.featurizer) - 1
-    for i, (w, b) in enumerate(state.featurizer):
-        h = linear(h, w, b)
-        if i < last:
-            h = relu(h)
-    return h
+    for w, b in state.featurizer[:-1]:
+        x = relu(linear(x, w, b))
+    return linear(x, *state.featurizer[-1])
 
 
 def class_confidence(state, features) -> np.ndarray:

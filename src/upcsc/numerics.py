@@ -99,11 +99,6 @@ def pin_malloc_thresholds() -> None:
     mallopt(_M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD)
 
 
-def blas_threads() -> dict[str, int]:
-    """Thread count of each loaded OpenBLAS, keyed by its path."""
-    return {path: get() for path, get in _openblas_functions("get", [], ctypes.c_int)}
-
-
 def substream(*keys: int) -> np.random.Generator:
     """Independent PCG64 stream keyed by a tuple of integers.
 
@@ -171,7 +166,7 @@ def sgd_step(params, grads: Mapping[str, np.ndarray], rates: Mapping[str, float]
         if g.shape != arr.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {arr.shape} for {name}")
         updated[name] = arr - rates[params.group_of(name)] * g
-    return type(params)(params.dims, updated)   # fresh arrays: no with_params copy
+    return type(params)(params.dims, updated)
 
 
 def max_relative_error(a: Mapping[str, np.ndarray], b: Mapping[str, np.ndarray],

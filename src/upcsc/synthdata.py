@@ -86,9 +86,6 @@ class DomainSpec:
     def apply(self, latent: np.ndarray) -> np.ndarray:
         return (latent * self.scale) @ self.rotation.T + self.shift
 
-    def invert(self, x: np.ndarray) -> np.ndarray:
-        return ((x - self.shift) @ self.rotation) / self.scale
-
 
 def random_rotation(latent_dim: int, rng: np.random.Generator, max_angle: float) -> np.ndarray:
     """Orthogonal matrix rotating k//2 random planes by angles in [0, max_angle].

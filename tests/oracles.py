@@ -1,14 +1,18 @@
 """Plain-loop reference implementations the tests check the package against,
-and the test-side scalar node that seeds a backward pass."""
+the test-side scalar node that seeds a backward pass, and helpers that only
+tests call."""
 
+import ctypes
 import math
 
 import numpy as np
 
 from upcsc.analysis import inclusion_rate, uus_rate
 from upcsc.autograd import _node
-from upcsc.errors import DataError, ShapeError, UndefinedStatisticError
-from upcsc.numerics import as_matrix
+from upcsc.errors import ConfigError, DataError, ShapeError, UndefinedStatisticError
+from upcsc.losses import confidence_roles
+from upcsc.model import ModelState
+from upcsc.numerics import _openblas_functions, as_matrix
 
 
 def seeded(out, s):
@@ -64,3 +68,55 @@ def stats_rows_reference(log, tau) -> list[tuple]:
             rows.append(("inclusion_rate_micro", epoch, -1, inclusion_rate(elog, tau)))
             rows.append(("inclusion_rate_macro", epoch, -1, float(np.mean(inclusion))))
     return rows
+
+
+def candidate_set_sizes(log, tau) -> np.ndarray:
+    """|candidate set| of each unconfident sample of a ConfidenceLog, in log
+    order, by losses.confidence_roles."""
+    if len(log) == 0:
+        raise DataError("statistic over an empty log")
+    is_confident, k = confidence_roles(log.conf, tau)
+    return k[~is_confident].sum(axis=1)
+
+
+def degenerate_uniform_count(log, tau) -> int:
+    """Unconfident samples with an empty candidate set (exactly uniform rows)."""
+    return int((candidate_set_sizes(log, tau) == 0).sum())
+
+
+def mean_candidate_fraction(log, tau) -> float:
+    """E[|candidate set|] / C over unconfident samples: the chance level that
+    inclusion_rate should be compared against."""
+    sizes = candidate_set_sizes(log, tau)
+    if sizes.size == 0:
+        raise UndefinedStatisticError("no unconfident samples")
+    return float(sizes.mean()) / log.num_classes
+
+
+def with_params(state, arrays) -> ModelState:
+    """New ModelState taking any array present in `arrays`, copying the rest."""
+    return ModelState(state.dims, {name: arrays.get(name, a).copy()
+                                   for name, a in state.param_items()})
+
+
+def invert(spec, x) -> np.ndarray:
+    """Latent rows behind a DomainSpec's observations: spec.apply undone."""
+    return ((x - spec.shift) @ spec.rotation) / spec.scale
+
+
+def final_accuracies(result) -> dict[tuple[int, int], float]:
+    """Final target accuracy of each run of a ProtocolResult, by (target, seed)."""
+    return {(r.target, r.seed): r.final_accuracy for r in result.runs}
+
+
+def paired_deltas(a, b) -> np.ndarray:
+    """Final-accuracy differences a - b over matching (target, seed) pairs."""
+    fa, fb = final_accuracies(a), final_accuracies(b)
+    if fa.keys() != fb.keys():
+        raise ConfigError("protocols cover different (target, seed) pairs")
+    return np.asarray([fa[k] - fb[k] for k in sorted(fa)])
+
+
+def blas_threads() -> dict[str, int]:
+    """Thread count of each loaded OpenBLAS, keyed by its path."""
+    return {path: get() for path, get in _openblas_functions("get", [], ctypes.c_int)}

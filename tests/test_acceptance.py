@@ -9,12 +9,13 @@ import time
 
 import numpy as np
 import pytest
-from oracles import pcl_reference_loss
+from oracles import (candidate_set_sizes, degenerate_uniform_count, mean_candidate_fraction,
+                     paired_deltas, pcl_reference_loss, with_params)
 
 from upcsc import analysis
 from upcsc.cli import main
 from upcsc.gradcheck import check_losses
-from upcsc.harness import TrainConfig, paired_deltas, run_protocol, train_one
+from upcsc.harness import TrainConfig, run_protocol, train_one
 from upcsc.losses import (MethodFlags, partition_unlabeled, sc_anchor_indices,
                           sc_negative_masks, total_loss, upc_loss, upc_negative_masks)
 from upcsc.model import ModelDims, init_model
@@ -137,8 +138,7 @@ def test_criterion_4_statistics_oracles():
             if size >= 1:
                 expect_hist[size] = expect_hist.get(size, 0) + 1
         assert hist == expect_hist
-        assert sum(hist.values()) + analysis.degenerate_uniform_count(log, tau) \
-            == len(unconf)
+        assert sum(hist.values()) + degenerate_uniform_count(log, tau) == len(unconf)
         checked += 1
     report("statistics oracles", checked == 1000,
            f"{checked}/1000 logs match counting oracles exactly, "
@@ -174,8 +174,8 @@ def test_criterion_6_observation_reproduction():
     pooled = analysis.ConfidenceLog.concatenate(logs)
     uus = analysis.uus_rate(pooled, cfg.tau)
     incl = analysis.inclusion_rate(pooled, cfg.tau)
-    chance = analysis.mean_candidate_fraction(pooled, cfg.tau)
-    sizes = analysis.candidate_set_sizes(pooled, cfg.tau)
+    chance = mean_candidate_fraction(pooled, cfg.tau)
+    sizes = candidate_set_sizes(pooled, cfg.tau)
     median_size = float(np.median(sizes))
     half_c = math.ceil(0.5 * cfg.benchmark.num_classes)
     ok = (0.0 < uus < 1.0) and (incl >= chance + 0.1) and (median_size <= half_c)
@@ -209,7 +209,7 @@ def test_criterion_8_loss_identities():
     flags = MethodFlags(unsup=True, upc=True, sc=True)
     state = init_model(dims, seed=12)
     state.classifier[:] = state.classifier * 6.0
-    state = state.with_params({"featurizer.0.bias": state.featurizer[0][1] + 1.5})
+    state = with_params(state, {"featurizer.0.bias": state.featurizer[0][1] + 1.5})
 
     checked = 0
     for k in range(1000):
@@ -234,7 +234,7 @@ def test_criterion_8_loss_identities():
                            rng.integers(0, dims.num_classes, 4),
                            rng.standard_normal((8, dims.input_dim)))
         base, _ = total_loss(state, batch, flags, 0.65, substream(9400, k))
-        pstate = state.with_params({"classifier.weight": state.classifier[perm]})
+        pstate = with_params(state, {"classifier.weight": state.classifier[perm]})
         pbatch = TrainBatch(batch.labeled_x, inv[batch.labeled_y], batch.unlabeled_x)
         other, _ = total_loss(pstate, pbatch, flags, 0.65, substream(9400, k))
         for a, b in ((base.l_sup, other.l_sup), (base.l_unsup, other.l_unsup),

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import upcsc
+from oracles import blas_threads
 from upcsc import numerics
 
 SRC = str(Path(upcsc.__file__).resolve().parent.parent)
@@ -31,11 +32,11 @@ print(json.dumps({"model": hashlib.sha256(open(sys.argv[1], "rb").read()).hexdig
 """
 
 
-def _five_steps(tmp_path, blas_threads: str) -> dict:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+def _five_steps(tmp_path, threads: str) -> dict:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", FIVE_STEPS,
-                          str(tmp_path / f"model{blas_threads}.bin")],
+                          str(tmp_path / f"model{threads}.bin")],
                          env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
@@ -58,7 +59,7 @@ def _require_openblas():
 
 def test_blas_runs_on_one_thread_after_import():
     _require_openblas()
-    assert set(numerics.blas_threads().values()) == {1}
+    assert set(blas_threads().values()) == {1}
 
 
 @pytest.mark.parametrize("method", [m for m in ("fork", "spawn")
@@ -66,7 +67,7 @@ def test_blas_runs_on_one_thread_after_import():
 def test_pool_workers_run_blas_on_one_thread(method):
     _require_openblas()
     with multiprocessing.get_context(method).Pool(2) as pool:
-        reports = [pool.apply(numerics.blas_threads) for _ in range(2)]
+        reports = [pool.apply(blas_threads) for _ in range(2)]
     assert [set(r.values()) for r in reports] == [{1}, {1}]
 
 

@@ -122,6 +122,19 @@ def test_stats_epoch_flag(cfg_path, tmp_path):
     assert code == 0
 
 
+def test_stats_epoch_outside_the_log_exits_2_before_writing(cfg_path, tmp_path, capsys):
+    run_out = tmp_path / "run"
+    assert main(["train", "--config", cfg_path, "--out", str(run_out)]) == 0
+    capsys.readouterr()
+    stats_out = tmp_path / "stats"
+    code = main(["stats", "--confidences", str(run_out / "confidences.csv"),
+                 "--truth-dir", str(run_out / "benchmark"),
+                 "--epoch", "3", "--out", str(stats_out)])
+    assert code == 2
+    assert "epoch 3" in capsys.readouterr().err
+    assert not stats_out.exists()   # no stats.csv, and not even the directory
+
+
 def test_stats_reads_tau_from_the_config(cfg_path, tmp_path):
     run_out = tmp_path / "run"
     assert main(["train", "--config", cfg_path, "--out", str(run_out)]) == 0
@@ -227,8 +240,8 @@ def test_missing_input_file_exits_1(tmp_path, capsys):
 
 
 def test_stats_on_a_nan_confidence_exits_1(tmp_path, capsys):
-    # training counts a nan row as unconfident (max >= tau is False) and the
-    # statistics would count it as confident (max < tau is False)
+    # a nan row has no top score; the confidence rule would count it as
+    # unconfident with no candidate, so the log rejects it instead
     (tmp_path / "domain0_unlabeled_truth.csv").write_text("label\n0\n1\n0\n")
     (tmp_path / "confidences.csv").write_text(
         "epoch,domain,sample_index,c_0,c_1\n"

@@ -93,7 +93,7 @@ def golden_protocol():
     runs = []
     for target, seed in ((0, 0), (1, 3)):
         epochs = [EpochRecord(e, *rng.random(5).tolist(), 0.5, 0.25,
-                              float("nan") if e == 1 else 0.75, rng.random(), 0)
+                              float("nan") if e == 1 else 0.75, rng.random())
                   for e in (1, 2)]
         runs.append(RunRecord("fixmatch+upcsc", target, seed, epochs, None))
     return ProtocolResult(TrainConfig(), runs)

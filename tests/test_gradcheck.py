@@ -3,10 +3,12 @@
 import time
 
 import numpy as np
+import pytest
 
 from upcsc.gradcheck import (LOSS_NAMES, check_losses, find_checkable_case,
                              pinned_confidences, _relu_margin, _term_values,
-                             MIN_TERM_VALUE, RELU_MARGIN)
+                             MIN_TERM_VALUE, RELU_MARGIN, SMALL_DIMS)
+from upcsc.synthdata import TrainBatch
 
 TOLERANCE = 1e-4
 
@@ -26,6 +28,15 @@ def test_checkable_cases_really_are():
         assert min(values["unsup"], values["upc"], values["sc"]) >= MIN_TERM_VALUE
         assert _relu_margin(state, batch, rng_keys) >= RELU_MARGIN
         assert np.allclose(conf.sum(axis=1), 1.0)
+
+
+def test_pinning_rejects_a_one_row_unlabeled_batch():
+    # a one-row stacked forward rounds differently from a lone weak forward
+    state, batch, rng_keys = find_checkable_case(0)
+    rows = [TrainBatch(batch.labeled_x, batch.labeled_y, batch.unlabeled_x[:n]) for n in (1, 2)]
+    with pytest.raises(ValueError, match="two unlabeled rows"):
+        pinned_confidences(state, rows[0], rng_keys)
+    assert pinned_confidences(state, rows[1], rng_keys).shape == (2, SMALL_DIMS.num_classes)
 
 
 def test_draws_are_reproducible():

