@@ -1,10 +1,10 @@
 """Finite-difference audit of every loss term's analytic gradients.
 
-The losses take the weak-view confidence matrix as a constant input: the
-partition, pseudo labels, candidate sets, and surrogate weights all come from
-it and none of them carries gradient. A central-difference probe therefore
-pins that matrix at the base point, so both sides differentiate the same
-function of the parameters.
+The losses read the weak-view confidences only through the batch partition
+(roles, pseudo labels, candidate sets and surrogate weights), a constant
+input that carries no gradient. A central-difference probe therefore pins
+the partition the base point's own graph made, so both sides differentiate
+the same function of the parameters.
 
 ReLU kinks are the one genuine nondifferentiability left, so draws are
 rejected until every preactivation clears a margin much larger than the
@@ -17,9 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import linear, relu
-from .errors import DegenerateInputError
+from .errors import ConfigError, DegenerateInputError
 from .losses import MethodFlags, build_loss_graph, param_gradients, sum_terms
-from .model import ModelDims, class_confidence, featurize, init_model
+from .model import ModelDims, init_model
 from .numerics import max_relative_error, substream
 from .synthdata import TrainBatch, strong_augment, weak_augment
 
@@ -40,34 +40,25 @@ _TAG_BATCH = 9102
 _TAG_AUG = 9103
 
 
-def pinned_confidences(state, batch, rng_keys) -> np.ndarray:
-    """The weak-view confidence matrix the loss would compute at this point,
-    bit for bit from two unlabeled rows up. The loss forwards both views
-    stacked, and a one-row stack rounds differently from a lone weak
-    forward, so a one-row batch raises ValueError."""
-    if len(batch.unlabeled_x) < 2:
-        raise ValueError("pinned confidences need at least two unlabeled rows")
-    rng = substream(*rng_keys)
-    xw = weak_augment(batch.unlabeled_x, rng, KNOBS["sigma_weak"])
-    return class_confidence(state, featurize(state, xw))
+def _graph(state, batch, rng_keys, partition=None):
+    """The checked loss graph, pinned to `partition` when one is given; its
+    terms gain "total", their sum."""
+    terms, partition, tp = build_loss_graph(state, batch, _ALL_FLAGS, TAU, substream(*rng_keys),
+                                            partition=partition, **KNOBS)
+    terms["total"] = sum_terms(terms.values())
+    return terms, partition, tp
 
 
-def _term_values(state, batch, rng_keys, conf) -> dict[str, float]:
-    terms, _, _ = build_loss_graph(state, batch, _ALL_FLAGS, TAU,
-                                   substream(*rng_keys), confidences=conf, **KNOBS)
-    values = {name: t.item() for name, t in terms.items()}
-    values["total"] = values["sup"] + values["unsup"] + values["upc"] + values["sc"]
-    return values
+def _term_values(state, batch, rng_keys, partition) -> dict[str, float]:
+    return {name: t.item() for name, t in _graph(state, batch, rng_keys, partition)[0].items()}
 
 
-def _analytic_gradients(state, batch, rng_keys, conf) -> dict[str, dict[str, np.ndarray]]:
+def _analytic_gradients(state, batch, rng_keys, partition) -> dict[str, dict[str, np.ndarray]]:
     grads = {}
     for name in LOSS_NAMES:
         # fresh graph per backward pass: gradients accumulate on a tape
-        terms, _, tp = build_loss_graph(state, batch, _ALL_FLAGS, TAU,
-                                        substream(*rng_keys), confidences=conf, **KNOBS)
-        node = terms[name] if name != "total" else sum_terms(terms.values())
-        node.backward()
+        terms, _, tp = _graph(state, batch, rng_keys, partition)
+        terms[name].backward()
         grads[name] = param_gradients(tp)
     return grads
 
@@ -116,7 +107,8 @@ def _relu_margin(state, batch, rng_keys) -> float:
 
 
 def find_checkable_case(case_seed: int):
-    """Draw (state, batch, rng_keys) safe for finite differencing.
+    """Draw (state, batch, rng_keys, partition) safe for finite differencing,
+    with the partition the draw's own unpinned graph made.
 
     Attempts cycle until the ReLU margin clears RELU_MARGIN and every loss
     term is active (confident and unconfident samples both present, with
@@ -133,28 +125,28 @@ def find_checkable_case(case_seed: int):
             unlabeled_x=brng.standard_normal((8, SMALL_DIMS.input_dim)),
         )
         rng_keys = (_TAG_AUG, case_seed, attempt)
-        conf = pinned_confidences(state, batch, rng_keys)
         try:
-            values = _term_values(state, batch, rng_keys, conf)
+            terms, partition, _ = _graph(state, batch, rng_keys)
         except DegenerateInputError:
             # dropout can zero an entire row at these tiny dims; redraw
             continue
-        if min(values["unsup"], values["upc"], values["sc"]) < MIN_TERM_VALUE:
+        if min(terms[name].item() for name in ("unsup", "upc", "sc")) < MIN_TERM_VALUE:
             continue
         if _relu_margin(state, batch, rng_keys) < RELU_MARGIN:
             continue
-        return state, batch, rng_keys
+        return state, batch, rng_keys, partition
     raise RuntimeError(f"no finite-difference-safe draw found for case {case_seed}")
 
 
 def check_losses(num_draws: int = 20, seed: int = 0) -> dict[str, float]:
     """Worst relative error per loss term across num_draws random cases."""
+    if num_draws < 1:
+        raise ConfigError(f"draws must be >= 1, got {num_draws}")
     worst = {name: 0.0 for name in LOSS_NAMES}
     for k in range(num_draws):
-        state, batch, rng_keys = find_checkable_case(seed * 10_000 + k)
-        conf = pinned_confidences(state, batch, rng_keys)
-        analytic = _analytic_gradients(state, batch, rng_keys, conf)
-        fd = _fd_gradients(lambda st: _term_values(st, batch, rng_keys, conf), state)
+        state, batch, rng_keys, partition = find_checkable_case(seed * 10_000 + k)
+        analytic = _analytic_gradients(state, batch, rng_keys, partition)
+        fd = _fd_gradients(lambda st: _term_values(st, batch, rng_keys, partition), state)
         for name in LOSS_NAMES:
             worst[name] = max(worst[name], max_relative_error(analytic[name], fd[name]))
     return worst

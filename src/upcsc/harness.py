@@ -38,6 +38,10 @@ EPOCH_METRICS = _LOSS_TERMS + ("source_unlabeled_accuracy", "uus_rate", "inclusi
 _TAG_INIT = 7
 _TAG_STEP = 11
 
+# a step whose l_total exceeds this multiple of the run's first step's has
+# blown up even while finite; default protocol steps stay within 3.3x
+MAX_LOSS_GROWTH = 100.0
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -142,6 +146,7 @@ def train_one(config: TrainConfig, target: int, seed: int,
         raise ConfigError(f"target domain {target} outside 0..{len(bench.domain_ids) - 1}")
     view = bench.without_domain(target)
     flags = METHODS[config.method]
+    run_id = _run_id(config.method, target, seed)
     bc = config.benchmark
     master = bc.master_seed
 
@@ -170,8 +175,13 @@ def train_one(config: TrainConfig, target: int, seed: int,
                     strong_dropout=bc.strong_dropout)
                 bad = _first_non_finite(breakdown, grads)
                 if bad:
-                    raise DivergenceError(f"{_run_id(config.method, target, seed)}: "
-                                          f"non-finite {bad} at step {step}")
+                    raise DivergenceError(f"{run_id}: non-finite {bad} at step {step}")
+                if step == 0:
+                    first_total = breakdown.l_total
+                elif breakdown.l_total > MAX_LOSS_GROWTH * first_total:
+                    raise DivergenceError(f"{run_id}: l_total {breakdown.l_total:.3g} at step "
+                                          f"{step} is {breakdown.l_total / first_total:.3g} "
+                                          f"times step 0's {first_total:.3g}")
                 rates = {g: cosine_lr(base, step, total_steps) for g, base in base_rates.items()}
                 state = sgd_step(state, grads, rates)
             for name in sums:

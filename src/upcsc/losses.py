@@ -23,8 +23,8 @@ import numpy as np
 
 from .autograd import Tensor, _node, gather_rows, value_of
 from .errors import ConfigError, ShapeError
-from .model import ModelState, featurize, project_features, project_proxies
-from .numerics import as_matrix, softmax_rows
+from .model import ModelState, class_confidence, featurize, project_features, project_proxies
+from .numerics import as_matrix
 from .synthdata import strong_augment, weak_augment
 
 
@@ -43,12 +43,14 @@ class BatchPartition:
     confident_indices (n_c,) are batch rows in increasing order and
     pseudo_labels (n_c,) their labels. unconfident_indices (n_u,) are the
     remaining rows in increasing order and candidates is the candidate
-    matrix K, boolean of shape (n_u, C), one row per unconfident sample.
+    matrix K, boolean of shape (n_u, C), one row per unconfident sample;
+    weights (n_u, C) are those samples' surrogate weights.
     """
     confident_indices: np.ndarray
     pseudo_labels: np.ndarray
     unconfident_indices: np.ndarray
     candidates: np.ndarray
+    weights: np.ndarray
 
     # batch rows of each role, so len() counts the role (bench/tracer.py does)
     @property
@@ -88,7 +90,8 @@ def partition_unlabeled(conf, tau: float) -> BatchPartition:
     is_confident, k = confidence_roles(conf, tau)
     ci = np.flatnonzero(is_confident)
     ui = np.flatnonzero(~is_confident)
-    return BatchPartition(ci, conf[ci].argmax(axis=1), ui, k[ui])
+    k = k[ui]
+    return BatchPartition(ci, conf[ci].argmax(axis=1), ui, k, _surrogate_weights(conf[ui], k))
 
 
 @dataclass(frozen=True)
@@ -134,14 +137,18 @@ def _cross_entropy(features, classifier, labels) -> Tensor:
                  (classifier, lambda g: (f.T @ (g / n * p)).T))
 
 
-def _candidate_matrix(candidates, n: int, c: int = 0) -> np.ndarray:
-    """Boolean (n, C) candidate matrix; an empty sequence stands for n = 0."""
+def _checked_roles(pseudo, n_c: int, candidates, n_u: int, c: int):
+    """Pseudo labels (n_c,) and the boolean (n_u, C) candidate matrix, checked;
+    an empty candidate sequence stands for n_u = 0."""
+    pseudo = np.asarray(pseudo, dtype=np.int64)
+    if len(pseudo) != n_c:
+        raise ShapeError("pseudo labels and confident embeddings disagree in length")
     cand = np.asarray(candidates, dtype=bool)
     if cand.size == 0 and cand.ndim < 2:
         cand = cand.reshape(0, c)
-    if cand.ndim != 2 or len(cand) != n or (c and cand.shape[1] != c):
-        raise ShapeError(f"candidate matrix must be ({n}, C), got {cand.shape}")
-    return cand
+    if cand.shape != (n_u, c):
+        raise ShapeError(f"candidate matrix must be ({n_u}, {c}), got {cand.shape}")
+    return pseudo, cand
 
 
 def _proxy_contrast(z_a, proxies, weights, negatives) -> Tensor:
@@ -210,13 +217,9 @@ def upc_loss(z_uc, w, pseudo, z_uu, candidates) -> Tensor:
     or a plain float64 when no input is a Tensor; with no confident samples
     the result is a zero leaf.
     """
-    pseudo = np.asarray(pseudo, dtype=np.int64)
-    n_uc, n_uu = z_uc.shape[0], z_uu.shape[0]
-    if len(pseudo) != n_uc:
-        raise ShapeError("pseudo labels and confident embeddings disagree in length")
     c = w.shape[0]
-    candidates = _candidate_matrix(candidates, n_uu, c)
-    if n_uc == 0:
+    pseudo, candidates = _checked_roles(pseudo, z_uc.shape[0], candidates, z_uu.shape[0], c)
+    if len(pseudo) == 0:
         return Tensor(0.0)
     vs_confident, vs_unconfident = upc_negative_masks(pseudo, candidates)
     return _proxy_contrast(z_uc, w, _onehot(pseudo, c),
@@ -262,14 +265,11 @@ def sc_loss(z_uu, w, weights, candidates, z_uc, pseudo) -> Tensor:
     pseudo label the anchor excludes, plus unconfident j whose candidate row
     shares no class with the anchor's.
     """
-    pseudo = np.asarray(pseudo, dtype=np.int64)
     n_uu, c = z_uu.shape[0], w.shape[0]
-    candidates = _candidate_matrix(candidates, n_uu, c)
+    pseudo, candidates = _checked_roles(pseudo, z_uc.shape[0], candidates, n_uu, c)
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (n_uu, c):
         raise ShapeError(f"surrogate weights must be {(n_uu, c)}, got {weights.shape}")
-    if len(pseudo) != z_uc.shape[0]:
-        raise ShapeError("pseudo labels and confident embeddings disagree in length")
     anchors = sc_anchor_indices(candidates)
     if anchors.size == 0:
         return Tensor(0.0)
@@ -280,7 +280,7 @@ def sc_loss(z_uu, w, weights, candidates, z_uc, pseudo) -> Tensor:
 
 def build_loss_graph(state, batch, flags: MethodFlags, tau: float, rng,
                      sigma_weak: float = 0.05, sigma_strong: float = 0.5,
-                     strong_dropout: float = 0.2, confidences=None):
+                     strong_dropout: float = 0.2, partition=None):
     """Assemble every loss term on one tape.
 
     Returns (terms, partition, tape_state): terms is a dict of scalar Tensors
@@ -292,10 +292,11 @@ def build_loss_graph(state, batch, flags: MethodFlags, tau: float, rng,
     Both the weak and the strong view of each unlabeled sample enter the
     contrastive terms, inheriting the sample's weak-view role.
 
-    `confidences` substitutes for the weak-view confidence matrix. The losses
-    treat that matrix as a constant input (no gradient flows through it), so
-    finite-difference probes pass the base point's matrix here to hold the
-    constant actually constant while parameters are perturbed.
+    `partition` substitutes for the BatchPartition of the weak-view
+    confidences, which is everything the losses read from them and carries
+    no gradient. Finite-difference probes pass the partition the base
+    point's own graph returned, so the batch roles stay put while parameters
+    are perturbed. Its rows must cover the unlabeled rows exactly.
     """
     tp = ModelState(state.dims, {name: Tensor(a) for name, a in state.param_items()})
     x_l = np.asarray(batch.labeled_x, dtype=np.float64)
@@ -310,15 +311,12 @@ def build_loss_graph(state, batch, flags: MethodFlags, tau: float, rng,
     if n:
         # one forward over both views: rows [0, n) are weak, [n, 2n) strong
         f = featurize(tp, np.concatenate([xw, xs]))
-        if confidences is None:
-            conf = softmax_rows(f.data[:n] @ state.classifier.T)
-        else:
-            conf = as_matrix(confidences)
-            if conf.shape != (n, c):
-                raise ShapeError(f"pinned confidences must be {(n, c)}, got {conf.shape}")
-        part = partition_unlabeled(conf, tau)
-    else:
-        part = partition_unlabeled(np.zeros((0, c)), tau)
+    if partition is None:
+        conf = class_confidence(state, f.data[:n]) if n else np.zeros((0, c))
+        partition = partition_unlabeled(conf, tau)
+    elif sorted([*partition.confident_indices, *partition.unconfident_indices]) != list(range(n)):
+        raise ShapeError(f"pinned partition must cover the {n} unlabeled rows once each")
+    part = partition
 
     unsup = upc = sc = Tensor(0.0)
     ci = part.confident_indices
@@ -335,8 +333,7 @@ def build_loss_graph(state, batch, flags: MethodFlags, tau: float, rng,
         if flags.upc:
             upc = upc_loss(z_uc, w, pseudo2, z_uu, cands2)
         if flags.sc:
-            weights = _surrogate_weights(conf[ui], part.candidates)
-            sc = sc_loss(z_uu, w, np.concatenate([weights, weights]), cands2, z_uc, pseudo2)
+            sc = sc_loss(z_uu, w, np.concatenate([part.weights] * 2), cands2, z_uc, pseudo2)
 
     terms = {"sup": sup, "unsup": unsup, "upc": upc, "sc": sc}
     return terms, part, tp

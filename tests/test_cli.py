@@ -173,6 +173,14 @@ def test_gradcheck_passes(capsys):
     assert out.count("ok") == 5
 
 
+@pytest.mark.parametrize("draws", ["0", "-1"])
+def test_gradcheck_without_draws_exits_2(draws, capsys):
+    # no draw checks nothing, so it must not print five ok lines
+    assert main(["gradcheck", "--draws", draws]) == 2
+    captured = capsys.readouterr()
+    assert "ok" not in captured.out and "draws must be >= 1" in captured.err
+
+
 def test_gen_data_exports(cfg_path, tmp_path, capsys):
     out = tmp_path / "data"
     code = main(["gen-data", "--config", cfg_path, "--out", str(out)])
@@ -262,7 +270,7 @@ def test_diverging_train_exits_1_without_outputs(tmp_path, capsys):
     cfg.write_text(DIVERGING_CFG)
     out = tmp_path / "out"
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
-    assert "non-finite l_sup at step 6" in capsys.readouterr().err
+    assert "l_total 1.36e+06 at step 1 is 1.26e+05 times step 0's 10.8" in capsys.readouterr().err
     assert not out.exists()
 
 

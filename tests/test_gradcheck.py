@@ -5,9 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from upcsc.gradcheck import (LOSS_NAMES, check_losses, find_checkable_case,
-                             pinned_confidences, _relu_margin, _term_values,
-                             MIN_TERM_VALUE, RELU_MARGIN, SMALL_DIMS)
+from upcsc.gradcheck import (LOSS_NAMES, check_losses, find_checkable_case, _analytic_gradients,
+                             _graph, _relu_margin, _term_values, MIN_TERM_VALUE, RELU_MARGIN)
 from upcsc.synthdata import TrainBatch
 
 TOLERANCE = 1e-4
@@ -22,21 +21,30 @@ def test_all_losses_pass_at_tolerance():
 
 def test_checkable_cases_really_are():
     for case_seed in range(3):
-        state, batch, rng_keys = find_checkable_case(case_seed)
-        conf = pinned_confidences(state, batch, rng_keys)
-        values = _term_values(state, batch, rng_keys, conf)
+        state, batch, rng_keys, part = find_checkable_case(case_seed)
+        values = _term_values(state, batch, rng_keys, part)
         assert min(values["unsup"], values["upc"], values["sc"]) >= MIN_TERM_VALUE
         assert _relu_margin(state, batch, rng_keys) >= RELU_MARGIN
-        assert np.allclose(conf.sum(axis=1), 1.0)
+        rows = np.concatenate([part.confident_indices, part.unconfident_indices])
+        assert sorted(rows.tolist()) == list(range(len(batch.unlabeled_x)))
+        assert np.all(part.weights.sum(axis=1) <= 1.0 + 1e-12)
 
 
-def test_pinning_rejects_a_one_row_unlabeled_batch():
-    # a one-row stacked forward rounds differently from a lone weak forward
-    state, batch, rng_keys = find_checkable_case(0)
-    rows = [TrainBatch(batch.labeled_x, batch.labeled_y, batch.unlabeled_x[:n]) for n in (1, 2)]
-    with pytest.raises(ValueError, match="two unlabeled rows"):
-        pinned_confidences(state, rows[0], rng_keys)
-    assert pinned_confidences(state, rows[1], rng_keys).shape == (2, SMALL_DIMS.num_classes)
+@pytest.mark.parametrize("n_u", [1, 2])
+def test_pinning_the_graphs_own_partition_changes_nothing(n_u):
+    # the pin is the partition object the free graph returned, so even a
+    # one-row batch, whose stacked forward rounds differently from a lone
+    # weak forward, reproduces every term and gradient bit for bit
+    state, batch, rng_keys, _ = find_checkable_case(0)
+    small = TrainBatch(batch.labeled_x, batch.labeled_y, batch.unlabeled_x[:n_u])
+    terms, part, _ = _graph(state, small, rng_keys)
+    free = {name: t.item() for name, t in terms.items()}
+    assert len(part.confident_indices) + len(part.unconfident_indices) == n_u
+    assert _term_values(state, small, rng_keys, part) == free
+    pinned = _analytic_gradients(state, small, rng_keys, part)
+    for name, grads in _analytic_gradients(state, small, rng_keys, None).items():
+        for pname, g in grads.items():
+            assert np.array_equal(pinned[name][pname], g), (name, pname)
 
 
 def test_draws_are_reproducible():
@@ -44,6 +52,9 @@ def test_draws_are_reproducible():
     b = find_checkable_case(7)
     assert np.array_equal(a[1].unlabeled_x, b[1].unlabeled_x)
     assert a[2] == b[2]
+    for field in ("confident_indices", "pseudo_labels", "unconfident_indices", "candidates",
+                  "weights"):
+        assert np.array_equal(getattr(a[3], field), getattr(b[3], field)), field
     for (name, pa), (_, pb) in zip(a[0].param_items(), b[0].param_items()):
         assert np.array_equal(pa, pb), name
 

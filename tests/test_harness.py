@@ -1,5 +1,6 @@
 """Leave-one-domain-out runs, protocol sweeps, and config parsing."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -120,12 +121,23 @@ def test_train_one_seed_changes_outcome():
     assert any(diffs)
 
 
-def test_train_one_stops_at_the_first_non_finite_step():
+def test_train_one_stops_at_the_first_non_finite_step(monkeypatch):
     # at these rates the default run blows up within ten steps; it used to
-    # train on and report l_total = nan with chance accuracy
+    # train on and report l_total = nan with chance accuracy. The growth
+    # bound would stop it at step 1, so it is lifted to reach the nan.
+    monkeypatch.setattr(harness, "MAX_LOSS_GROWTH", math.inf)
     cfg = TrainConfig(lr_backbone=50.0, lr_classifier=50.0, epochs=1, steps_per_epoch=10)
     with pytest.raises(DivergenceError,
                        match=r"^fixmatch\+upcsc-t0-s0: non-finite l_sup at step 6$"):
+        train_one(cfg, target=0, seed=0)
+
+
+def test_train_one_stops_a_finite_blow_up():
+    # l_total reads 8.12, 5.88e4, 1.39e9, ... 5.31e21 here, all finite; the
+    # run used to end at accuracy 1/16 without an error
+    cfg = small_config(lr_backbone=50.0, lr_classifier=50.0)
+    with pytest.raises(DivergenceError, match=r"^fixmatch\+upcsc-t0-s0: l_total 5\.88e\+04 "
+                                              r"at step 1 is 7\.25e\+03 times step 0's 8\.12$"):
         train_one(cfg, target=0, seed=0)
 
 

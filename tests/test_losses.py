@@ -548,7 +548,7 @@ def test_build_loss_graph_counts_degenerate_uniform():
     conf[0] = [0.97, 0.02, 0.01]
     conf[1] = [0.6, 0.3, 0.1]
     terms, part, _ = build_loss_graph(state, batch, ALL, 0.65, substream(111),
-                                      confidences=conf)
+                                      partition=partition_unlabeled(conf, 0.65))
     assert (~part.candidates.any(axis=1)).sum() == 1
     assert len(part.confident_indices) == 1 and len(part.unconfident_indices) == 2
     assert np.isfinite(terms["sc"].item())
@@ -559,11 +559,11 @@ def test_build_loss_graph_rejects_bad_pinned_shape():
     batch = random_batch(112, n_u=3)
     with pytest.raises(ShapeError):
         build_loss_graph(state, batch, ALL, 0.65, substream(113),
-                         confidences=np.full((2, 3), 1 / 3))
+                         partition=partition_unlabeled(np.full((2, 3), 1 / 3), 0.65))
 
 
 def test_pinning_the_natural_confidences_changes_nothing():
-    # feeding back the matrix the graph would compute must reproduce every
+    # feeding back the partition the graph computed must reproduce every
     # term bit for bit; the pin only matters when parameters move afterward
     state = sharp_state()
     batch = random_batch(114)
@@ -572,12 +572,14 @@ def test_pinning_the_natural_confidences_changes_nothing():
                                                 substream(115), **knobs)
     replay = substream(115)
     xw = weak_augment(batch.unlabeled_x, replay, knobs["sigma_weak"])
-    conf = class_confidence(state, featurize(state, xw))
+    natural = partition_unlabeled(class_confidence(state, featurize(state, xw)), 0.65)
     pinned_terms, pinned_part, _ = build_loss_graph(state, batch, ALL, 0.65,
                                                     substream(115),
-                                                    confidences=conf, **knobs)
-    for field in ("confident_indices", "pseudo_labels", "unconfident_indices", "candidates"):
-        assert np.array_equal(getattr(pinned_part, field), getattr(free_part, field)), field
+                                                    partition=free_part, **knobs)
+    assert pinned_part is free_part
+    for field in ("confident_indices", "pseudo_labels", "unconfident_indices", "candidates",
+                  "weights"):
+        assert np.array_equal(getattr(natural, field), getattr(free_part, field)), field
     for name in ("sup", "unsup", "upc", "sc"):
         assert pinned_terms[name].item() == free_terms[name].item(), name
 

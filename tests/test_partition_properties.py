@@ -140,6 +140,7 @@ def test_surrogate_weights_match_set_oracle(batch):
     expect = [[float(conf[i, y]) if y in cand else 0.0 for y in range(conf.shape[1])]
               for i, cand in unconfident]
     assert weights.tolist() == expect
+    assert part.weights.tolist() == expect
 
 
 @st.composite
