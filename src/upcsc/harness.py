@@ -39,7 +39,7 @@ _TAG_INIT = 7
 _TAG_STEP = 11
 
 # a step whose l_total exceeds this multiple of the run's first step's has
-# blown up even while finite; default protocol steps stay within 3.3x
+# blown up even while finite; no default protocol step of any method passes 3.3x
 MAX_LOSS_GROWTH = 100.0
 
 

@@ -274,10 +274,15 @@ def test_diverging_train_exits_1_without_outputs(tmp_path, capsys):
     assert not out.exists()
 
 
+# at these rates step 1's forward overflows, so numpy warns on the way to
+# the non-finite check; DIVERGING_CFG stops at the finite growth bound first
+OVERFLOWING_CFG = "lr_backbone = 1e150\nlr_classifier = 1e150\nepochs = 1\nsteps_per_epoch = 10\n"
+
+
 def test_diverging_train_prints_one_error_line_and_no_warnings(tmp_path):
     # numpy's overflow and invalid-value warnings must not precede the error
     cfg = tmp_path / "diverge.cfg"
-    cfg.write_text(DIVERGING_CFG)
+    cfg.write_text(OVERFLOWING_CFG)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-m", "upcsc.cli", "train", "--config", str(cfg),
                            "--out", str(tmp_path / "out")],
@@ -286,6 +291,7 @@ def test_diverging_train_prints_one_error_line_and_no_warnings(tmp_path):
     assert "RuntimeWarning" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "non-finite l_sup at step 1" in lines[0]
 
 
 def test_missing_required_flag_exits_2():
