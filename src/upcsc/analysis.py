@@ -7,6 +7,8 @@ diagnostics after the fact, never to influence training.
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 from dataclasses import dataclass
 
@@ -78,19 +80,26 @@ def _candidate_roles(log: ConfidenceLog, tau: float):
     return unconfident, unconfident & k[np.arange(len(log)), log.truth], k
 
 
+def confidence_rates(log: ConfidenceLog, tau: float) -> tuple[float, float]:
+    """(uus_rate, inclusion_rate) from one pass of the confidence rule; the
+    inclusion rate is nan when no sample is unconfident."""
+    unconfident, hit, _ = _candidate_roles(log, tau)
+    inclusion = float(hit[unconfident].mean()) if unconfident.any() else math.nan
+    return float(unconfident.mean()), inclusion
+
+
 def uus_rate(log: ConfidenceLog, tau: float) -> float:
     """Fraction of samples below the confidence threshold."""
-    unconfident, _, _ = _candidate_roles(log, tau)
-    return float(unconfident.mean())
+    return confidence_rates(log, tau)[0]
 
 
 def inclusion_rate(log: ConfidenceLog, tau: float) -> float:
     """Among unconfident samples, how often the true class sits in the
     candidate set."""
-    unconfident, hit, _ = _candidate_roles(log, tau)
-    if not unconfident.any():
+    inclusion = confidence_rates(log, tau)[1]
+    if math.isnan(inclusion):
         raise UndefinedStatisticError("no unconfident samples; inclusion rate undefined")
-    return float(hit[unconfident].mean())
+    return inclusion
 
 
 def confusing_class_histogram(log: ConfidenceLog, tau: float) -> dict[int, int]:
@@ -146,16 +155,39 @@ def _epoch_domain_groups(log: ConfidenceLog) -> tuple[np.ndarray, np.ndarray]:
     return order, np.flatnonzero(group_start)
 
 
-def write_confidences_csv(log: ConfidenceLog, path) -> None:
-    """epoch,domain,sample_index,c_0..c_{C-1}; sample_index counts within each
-    (epoch, domain) group and matches the unlabeled split's row order."""
-    order, starts = _epoch_domain_groups(log)
-    sample_index = np.empty(len(log), dtype=np.int64)
-    group_sizes = np.diff(starts, append=len(log))
-    sample_index[order] = np.arange(len(log)) - np.repeat(starts, group_sizes)
-    row_format = "%d,%d,%d," + ",".join([FLOAT_FORMAT] * log.num_classes)
-    write_csv(path, _confidence_header(log.num_classes),
-              format_rows(row_format, log.epochs, log.domains, sample_index, log.conf))
+def write_confidences_csv(logs, path) -> None:
+    """epoch,domain,sample_index,c_0..c_{C-1} for an iterable of logs, read
+    one at a time; sample_index counts within each (epoch, domain) group and
+    matches the unlabeled split's row order.
+
+    Each log's epochs must all come after the previous log's, as
+    harness.train_one's per-epoch logs do. Then the file equals the one for
+    the logs' concatenation: a stable (epoch, domain) sort of the whole is
+    the logs' own sorts placed one after another.
+    """
+    logs = iter(logs)
+    first = next(logs, None)
+    if first is None:
+        raise DataError("no confidence log to write")
+    c = first.num_classes
+    row_format = "%d,%d,%d," + ",".join([FLOAT_FORMAT] * c)
+
+    def chunks():
+        last_epoch = -math.inf
+        for log in itertools.chain([first], logs):
+            if not len(log):
+                continue
+            if log.epochs.min() <= last_epoch:
+                raise DataError(f"confidence log for epoch {log.epochs.min()} "
+                                f"after epoch {last_epoch}")
+            last_epoch = log.epochs.max()
+            order, starts = _epoch_domain_groups(log)
+            sample_index = np.empty(len(log), dtype=np.int64)
+            group_sizes = np.diff(starts, append=len(log))
+            sample_index[order] = np.arange(len(log)) - np.repeat(starts, group_sizes)
+            yield from format_rows(row_format, log.epochs, log.domains, sample_index, log.conf)
+
+    write_csv(path, _confidence_header(c), chunks())
 
 
 def load_confidence_log(confidences_path, truth_dir) -> ConfidenceLog:

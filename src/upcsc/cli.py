@@ -7,8 +7,15 @@ other runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import multiprocessing
 import os
+import queue
+import shutil
+import signal
 import sys
+import tempfile
+import threading
 
 from . import analysis
 from .errors import ConfigError
@@ -30,14 +37,123 @@ def _config_from_args(args, **overrides) -> "TrainConfig":
     return build_train_config({**values, **overrides})
 
 
+class _TrainOutputs:
+    """`upcsc train`'s outputs, written to a staging directory beside `out`
+    and moved into `out` only once the whole run has succeeded.
+
+    A forked writer process exports the benchmark there first, then writes
+    confidences.csv from the epoch logs that `send` passes it while this
+    process trains. A sender thread does the passing, so training never
+    waits on the pipe. If anything raises, the writer included, the writer
+    is stopped and the staging directory removed: `out` is not created if it
+    did not exist, and keeps its old files if it did.
+    """
+
+    def __init__(self, out, benchmark):
+        self.out = os.path.abspath(out)
+        self._benchmark = benchmark
+
+    def __enter__(self):
+        head, name = os.path.split(self.out)
+        # the outermost directory this run makes, removed again on failure
+        parent, self._made = head, None
+        while not os.path.exists(parent):
+            self._made, parent = parent, os.path.dirname(parent)
+        os.makedirs(head, exist_ok=True)
+        self.staging = tempfile.mkdtemp(prefix=f".{name}.", suffix=".staging", dir=head)
+        self._made = self._made or self.staging
+        ctx = multiprocessing.get_context("fork")
+        self._logs_in, self._logs_out = ctx.Pipe(duplex=False)
+        self._report_in, self._report_out = ctx.Pipe(duplex=False)
+        self._writer = ctx.Process(target=self._write, daemon=True)
+        self._pending = queue.SimpleQueue()
+        self._sender = threading.Thread(target=self._forward, daemon=True)
+        try:
+            # the fork comes first, while this process has one thread
+            self._writer.start()
+            self._sender.start()
+        except BaseException:
+            self.__exit__(*sys.exc_info())
+            raise
+        self._logs_in.close()
+        self._report_out.close()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if self._writer.pid is not None:
+            self._writer.terminate()   # a no-op once commit has joined it
+            self._writer.join()
+        if self._sender.ident is not None:
+            # with the writer gone, a send still in progress fails and ends the thread
+            self._pending.put(None)
+            self._sender.join()
+        for conn in (self._logs_in, self._logs_out, self._report_in, self._report_out):
+            conn.close()
+        shutil.rmtree(self.staging if exc_type is None else self._made, ignore_errors=True)
+
+    def path(self, name: str) -> str:
+        return os.path.join(self.staging, name)
+
+    def send(self, log) -> None:
+        """Queue one epoch's log for the writer; raises the writer's error as
+        soon as it has reported one."""
+        if self._report_in.poll():
+            raise RuntimeError(self._report())
+        self._pending.put(log)
+
+    def commit(self) -> None:
+        """Wait for the writer, then move every staged file into `out`."""
+        self._pending.put(None)
+        message = self._report()
+        if message is not None:
+            raise RuntimeError(message)
+        self._writer.join()
+        for root, _, files in os.walk(self.staging):
+            dest = os.path.normpath(os.path.join(self.out, os.path.relpath(root, self.staging)))
+            os.makedirs(dest, exist_ok=True)
+            for name in files:
+                os.replace(os.path.join(root, name), os.path.join(dest, name))
+
+    def _report(self):
+        """The writer's report: None once everything is written, else why not."""
+        try:
+            return self._report_in.recv()
+        except EOFError:   # it died without a word
+            self._writer.join()
+            return f"writer process exited with code {self._writer.exitcode}"
+
+    def _forward(self) -> None:
+        """The sender thread: each queued log, then the closing None, to the writer."""
+        with contextlib.suppress(OSError):   # the writer is gone and reports why itself
+            for log in iter(self._pending.get, None):
+                self._logs_out.send(log)
+            self._logs_out.send(None)
+
+    def _write(self) -> None:
+        """The writer process: the benchmark export, then confidences.csv."""
+        # Ctrl-C reaches the whole process group; the parent handles it and stops this process
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        self._logs_out.close()
+        self._report_in.close()
+        try:
+            export_benchmark(self._benchmark, self.path("benchmark"))
+            analysis.write_confidences_csv(iter(self._logs_in.recv, None),
+                                           self.path("confidences.csv"))
+            message = None
+        except Exception as exc:  # noqa: BLE001 - the parent raises it
+            message = str(exc) or type(exc).__name__
+        with contextlib.suppress(OSError):   # the parent is gone
+            self._report_out.send(message)
+
+
 def cmd_train(args) -> int:
     config = _config_from_args(args)
-    run = train_one(config, target=args.target, seed=args.seed, collect_log=True)
-    os.makedirs(args.out, exist_ok=True)
-    save_model(run.final_state, os.path.join(args.out, "model.bin"))
-    write_metrics_csv(ProtocolResult(config, [run]), os.path.join(args.out, "metrics.csv"))
-    analysis.write_confidences_csv(run.confidence_log, os.path.join(args.out, "confidences.csv"))
-    export_benchmark(run.benchmark, os.path.join(args.out, "benchmark"))
+    bench = generate_benchmark(config.benchmark)
+    with _TrainOutputs(args.out, bench) as outputs:
+        run = train_one(config, args.target, args.seed, bench, on_epoch=outputs.send)
+        save_model(run.final_state, outputs.path("model.bin"))
+        write_metrics_csv(ProtocolResult(config, [run]), outputs.path("metrics.csv"))
+        outputs.commit()
     print(f"{run.run_id}: final target accuracy {run.final_accuracy:.4f}")
     return 0
 

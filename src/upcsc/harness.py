@@ -17,7 +17,7 @@ import numpy as np
 
 from . import analysis
 from .csvio import FLOAT_FORMAT, format_rows, write_csv
-from .errors import ConfigError, DivergenceError, UndefinedStatisticError, check_fields
+from .errors import ConfigError, DivergenceError, check_fields
 from .losses import MethodFlags, check_threshold, total_loss
 from .model import ModelDims, ModelState, class_confidence, featurize, init_model
 from .numerics import cosine_lr, sgd_step, substream
@@ -100,9 +100,6 @@ class RunRecord:
     seed: int
     epochs: list[EpochRecord]
     final_state: ModelState
-    confidence_log: analysis.ConfidenceLog | None = None
-    # set together with confidence_log: the benchmark holds the log's truth
-    benchmark: DomainBenchmark | None = None
 
     @property
     def run_id(self) -> str:
@@ -136,12 +133,18 @@ def _first_non_finite(breakdown, grads) -> str | None:
 
 
 def train_one(config: TrainConfig, target: int, seed: int,
-              collect_log: bool = False) -> RunRecord:
+              benchmark: DomainBenchmark | None = None, on_epoch=None) -> RunRecord:
     """One leave-one-domain-out run; `seed` varies init and batch draws while
-    the benchmark itself stays fixed by the benchmark master_seed. With
-    `collect_log` the record also carries the confidence log and the
-    benchmark it was scored on."""
-    bench = generate_benchmark(config.benchmark)
+    the benchmark itself stays fixed by the benchmark master_seed.
+
+    `benchmark`, when given, is the one generated from config.benchmark, so
+    a caller that also exports it generates it once. `on_epoch`, when given,
+    receives each epoch's confidence log of the source unlabeled pools as
+    soon as it is scored.
+    """
+    bench = generate_benchmark(config.benchmark) if benchmark is None else benchmark
+    if bench.config != config.benchmark:
+        raise ConfigError("the benchmark was generated from another config")
     if target not in bench.domain_ids:
         raise ConfigError(f"target domain {target} outside 0..{len(bench.domain_ids) - 1}")
     view = bench.without_domain(target)
@@ -158,7 +161,6 @@ def train_one(config: TrainConfig, target: int, seed: int,
                   "projectors": config.lr_projectors}
 
     records: list[EpochRecord] = []
-    logs: list[analysis.ConfidenceLog] = []
     for epoch in range(1, config.epochs + 1):
         sums = dict.fromkeys(_LOSS_TERMS, 0.0)
         for s in range(config.steps_per_epoch):
@@ -191,24 +193,20 @@ def train_one(config: TrainConfig, target: int, seed: int,
             return class_confidence(st, featurize(st, x))
 
         log = analysis.log_source_confidences(bench, view.source_ids, confidence_fn, epoch)
-        if collect_log:
-            logs.append(log)
-        try:
-            incl = analysis.inclusion_rate(log, config.tau)
-        except UndefinedStatisticError:
-            incl = math.nan
+        if on_epoch is not None:
+            on_epoch(log)
+        uus, inclusion = analysis.confidence_rates(log, config.tau)
         test_x, test_y = bench.test(target)
         records.append(EpochRecord(
             epoch=epoch,
             **{name: sums[name] / config.steps_per_epoch for name in sums},
             source_unlabeled_accuracy=analysis.top1_accuracy(log.conf, log.truth),
-            uus_rate=analysis.uus_rate(log, config.tau),
-            inclusion_rate=incl,
+            uus_rate=uus,
+            inclusion_rate=inclusion,
             target_accuracy=analysis.top1_accuracy(confidence_fn(test_x), test_y),
         ))
 
-    with_log = (analysis.ConfidenceLog.concatenate(logs), bench) if collect_log else ()
-    return RunRecord(config.method, target, seed, records, state, *with_log)
+    return RunRecord(config.method, target, seed, records, state)
 
 
 def run_protocol(config: TrainConfig, jobs: int = 1) -> ProtocolResult:

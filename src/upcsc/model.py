@@ -120,7 +120,9 @@ def featurize(state, x):
     if x.ndim != 2 or x.shape[1] != state.dims.input_dim:
         raise ShapeError(f"featurize expects (n, {state.dims.input_dim}), got {x.shape}")
     for w, b in state.featurizer[:-1]:
-        x = relu(linear(x, w, b))
+        x = linear(x, w, b)
+        # on plain arrays x is linear's fresh output, so ReLU may overwrite it
+        x = np.maximum(x, 0.0, out=x) if isinstance(x, np.ndarray) else relu(x)
     return linear(x, *state.featurizer[-1])
 
 

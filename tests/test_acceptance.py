@@ -169,8 +169,9 @@ def test_criterion_6_observation_reproduction():
     cfg = TrainConfig(method="fixmatch", epochs=3)
     logs = []
     for target in range(cfg.benchmark.num_domains):
-        run = train_one(cfg, target=target, seed=0, collect_log=True)
-        logs.append(run.confidence_log.filter(epoch=3))
+        epoch_logs = []
+        train_one(cfg, target=target, seed=0, on_epoch=epoch_logs.append)
+        logs.append(analysis.ConfidenceLog.concatenate(epoch_logs).filter(epoch=3))
     pooled = analysis.ConfidenceLog.concatenate(logs)
     uus = analysis.uus_rate(pooled, cfg.tau)
     incl = analysis.inclusion_rate(pooled, cfg.tau)

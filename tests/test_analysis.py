@@ -97,6 +97,13 @@ def test_inclusion_rate_undefined_when_all_confident():
         inclusion_rate(log, 0.9)
 
 
+def test_confidence_rates_reads_nan_inclusion_when_all_confident():
+    log = ConfidenceLog([1, 1], [0, 0], np.array([[0.99, 0.005, 0.005], [0.005, 0.99, 0.005]]),
+                        [0, 2])
+    uus, inclusion = analysis.confidence_rates(log, 0.9)
+    assert uus == 0.0 and np.isnan(inclusion)
+
+
 def test_candidate_sizes_and_histogram_mass():
     for seed in range(50):
         log = random_log(300 + seed, n=60)
@@ -173,7 +180,7 @@ def test_confidences_csv_round_trip(tmp_path):
              for e in (1, 2)]
     log = ConfidenceLog.concatenate(parts)
     path = tmp_path / "confidences.csv"
-    write_confidences_csv(log, path)
+    write_confidences_csv([log], path)
     loaded = load_confidence_log(path, tmp_path)
     assert np.array_equal(loaded.epochs, log.epochs)
     assert np.array_equal(loaded.domains, log.domains)

@@ -1,14 +1,16 @@
 """End-to-end command-line flows with a shrunken config."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import upcsc
-from upcsc import cli, harness, synthdata
+from upcsc import analysis, cli, harness, model, synthdata
 from upcsc.cli import main
 
 SRC = str(Path(upcsc.__file__).resolve().parent.parent)
@@ -67,6 +69,127 @@ def test_train_generates_the_benchmark_once(cfg_path, tmp_path, monkeypatch):
     synthdata.export_benchmark(synthdata.generate_benchmark(calls[0]), fresh)
     for path in fresh.iterdir():
         assert (out / "benchmark" / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_train_writes_the_confidences_of_its_epoch_logs(cfg_path, tmp_path):
+    # the writer process formats epoch by epoch; the file is the one for the
+    # whole log
+    cfg = tmp_path / "three.cfg"
+    cfg.write_text(SMALL_CFG.replace("epochs = 2", "epochs = 3"))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--target", "1", "--out", str(out)]) == 0
+    config = harness.build_train_config(harness.parse_config_file(cfg))
+    logs = []
+    harness.train_one(config, target=1, seed=0, on_epoch=logs.append)
+    assert len(logs) == 3
+    whole = tmp_path / "whole.csv"
+    analysis.write_confidences_csv([analysis.ConfidenceLog.concatenate(logs)], whole)
+    written = (out / "confidences.csv").read_bytes()
+    assert written == whole.read_bytes()
+    # and the last epoch's rows are the saved model's scores of both source pools
+    state = model.load_model(out / "model.bin")
+    last = analysis.log_source_confidences(
+        synthdata.generate_benchmark(config.benchmark), [0, 2],
+        lambda x: model.class_confidence(state, model.featurize(state, x)), epoch=3)
+    analysis.write_confidences_csv([last], tmp_path / "last.csv")
+    last_rows = (tmp_path / "last.csv").read_text().splitlines()[1:]
+    assert [row for row in written.decode().splitlines() if row.startswith("3,")] == last_rows
+
+
+def _leftovers(root):
+    """Temp files and staging directories anywhere under root."""
+    return [p for p in root.rglob("*") if p.name.endswith((".tmp", ".staging"))]
+
+
+def test_train_leaves_no_writer_process_temp_file_or_staging(cfg_path, tmp_path):
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
+    assert multiprocessing.active_children() == []
+    assert _leftovers(tmp_path) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run", "small.cfg"]
+    diverging = tmp_path / "diverge.cfg"
+    diverging.write_text(DIVERGING_CFG)
+    assert main(["train", "--config", str(diverging), "--out", str(tmp_path / "gone")]) == 1
+    assert multiprocessing.active_children() == []
+    assert _leftovers(tmp_path) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["diverge.cfg", "run", "small.cfg"]
+
+
+def test_train_into_missing_parents_leaves_none_on_failure(tmp_path):
+    diverging = tmp_path / "diverge.cfg"
+    diverging.write_text(DIVERGING_CFG)
+    assert main(["train", "--config", str(diverging), "--out", str(tmp_path / "a" / "b")]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["diverge.cfg"]
+
+
+def test_writer_error_exits_1_and_keeps_the_old_outputs(cfg_path, tmp_path, monkeypatch, capsys):
+    def failing(*args):
+        raise OSError("disk full while formatting")
+
+    # the writer is forked, so it inherits the patch
+    monkeypatch.setattr(analysis, "format_rows", failing)
+    out = tmp_path / "run"
+    (out / "benchmark").mkdir(parents=True)
+    old = {"model.bin": b"old model", "confidences.csv": b"old log\r\n",
+           "benchmark/domain0_test.csv": b"old data\r\n"}
+    for name, data in old.items():
+        (out / name).write_bytes(data)
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: disk full while formatting\n"
+    assert {p.relative_to(out).as_posix(): p.read_bytes()
+            for p in out.rglob("*") if p.is_file()} == old
+    assert multiprocessing.active_children() == []
+    assert _leftovers(tmp_path) == []
+
+
+def test_writer_error_on_the_last_epoch_surfaces_at_the_end(cfg_path, tmp_path, monkeypatch,
+                                                            capsys):
+    real = analysis.format_rows
+
+    def failing_on_epoch_2(row_format, epochs, *columns):
+        if epochs[0] == 2:
+            raise OSError("disk full at epoch 2")
+        return real(row_format, epochs, *columns)
+
+    monkeypatch.setattr(analysis, "format_rows", failing_on_epoch_2)
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: disk full at epoch 2\n"
+    assert not out.exists()
+    assert _leftovers(tmp_path) == []
+
+
+def test_writer_error_stops_training_at_the_next_epoch(cfg_path, tmp_path, monkeypatch, capsys):
+    def failing(*args):
+        raise OSError("cannot export")
+
+    epochs_scored = []
+    real = analysis.log_source_confidences
+
+    def slow_first_epoch(*args):
+        # time enough for the writer to fail before epoch 1 is handed over
+        if not epochs_scored:
+            time.sleep(0.5)
+        epochs_scored.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(cli, "export_benchmark", failing)
+    monkeypatch.setattr(analysis, "log_source_confidences", slow_first_epoch)
+    cfg = tmp_path / "five.cfg"
+    cfg.write_text(SMALL_CFG.replace("epochs = 2", "epochs = 5"))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == "error: cannot export\n"
+    assert epochs_scored == [1]
+
+
+def test_writer_that_dies_without_a_word_exits_1(cfg_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "export_benchmark", lambda *args: os._exit(3))
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: writer process exited with code 3\n"
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+    assert _leftovers(tmp_path) == []
 
 
 def test_protocol_writes_results(cfg_path, tmp_path, capsys):

@@ -103,7 +103,7 @@ def write_golden_outputs(out):
     bench = golden_benchmark()
     export_benchmark(bench, out / "benchmark")
     log = golden_log(bench)
-    analysis.write_confidences_csv(log, out / "confidences.csv")
+    analysis.write_confidences_csv([log], out / "confidences.csv")
     analysis.write_stats_csv(log, 0.6, out / "stats.csv")
     analysis.write_histogram_csv(log, 0.6, 2, out / "histogram.csv")
     result = golden_protocol()
@@ -118,6 +118,23 @@ def test_csv_outputs_match_golden_digests(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in written}
     assert digests == GOLDEN
+
+
+def test_confidences_csv_from_epoch_logs_matches_the_whole_log(tmp_path):
+    log = golden_log(golden_benchmark())
+    path = tmp_path / "confidences.csv"
+    analysis.write_confidences_csv(iter([log.filter(epoch=1), log.filter(epoch=2)]), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN["confidences.csv"]
+
+
+def test_confidences_csv_rejects_logs_out_of_epoch_order(tmp_path):
+    log = golden_log(golden_benchmark())
+    path = tmp_path / "confidences.csv"
+    with pytest.raises(DataError, match="epoch 1 after epoch 2"):
+        analysis.write_confidences_csv([log.filter(epoch=2), log.filter(epoch=1)], path)
+    with pytest.raises(DataError, match="no confidence log"):
+        analysis.write_confidences_csv([], path)
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------------ loader edges
@@ -193,7 +210,7 @@ def test_sample_index_counts_within_interleaved_groups(tmp_path):
     log = ConfidenceLog(rng.integers(1, 4, n), rng.integers(0, 3, n),
                         rng.random((n, 2)), rng.integers(0, 2, n))
     path = tmp_path / "conf.csv"
-    analysis.write_confidences_csv(log, path)
+    analysis.write_confidences_csv([log], path)
     counters = {}
     expected = []
     for e, d in zip(log.epochs.tolist(), log.domains.tolist()):
@@ -215,6 +232,6 @@ def test_failed_write_leaves_the_old_file_and_no_partial(tmp_path):
     path = tmp_path / "confidences.csv"
     path.write_bytes(b"previous contents\r\n")
     with pytest.raises(TypeError):
-        analysis.write_confidences_csv(log, path)
+        analysis.write_confidences_csv([log], path)
     assert path.read_bytes() == b"previous contents\r\n"
     assert [p.name for p in tmp_path.iterdir()] == ["confidences.csv"]

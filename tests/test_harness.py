@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from oracles import final_accuracies, paired_deltas
-from upcsc import harness
+from upcsc import analysis, harness
 from upcsc.errors import ConfigError, DivergenceError
 from upcsc.harness import (EPOCH_METRICS, METHODS, TrainConfig, build_train_config,
                            parse_config_file, run_protocol, train_one, write_metrics_csv,
                            write_results_csv)
 from upcsc.model import ModelDims
-from upcsc.synthdata import BenchmarkConfig
+from upcsc.synthdata import BenchmarkConfig, generate_benchmark
 
 # latent_dim 8 keeps the chance of strong-augment dropout zeroing a whole
 # row negligible; hidden_dims () avoids dead-ReLU rows at toy width
@@ -157,7 +157,8 @@ def test_train_one_never_reads_target_training_data(monkeypatch):
         return bench
 
     monkeypatch.setattr(harness, "generate_benchmark", capturing)
-    record = train_one(cfg, target=2, seed=0, collect_log=True)
+    logs = []
+    train_one(cfg, target=2, seed=0, on_epoch=logs.append)
     counts = captured["bench"].read_counts
     assert counts.get((2, "labeled"), 0) == 0
     assert counts.get((2, "unlabeled"), 0) == 0
@@ -165,7 +166,30 @@ def test_train_one_never_reads_target_training_data(monkeypatch):
     assert counts.get((2, "test"), 0) == cfg.epochs  # evaluation only
     assert counts.get((0, "labeled"), 0) > 0
     assert counts.get((1, "unlabeled"), 0) > 0
-    assert sorted(set(record.confidence_log.domains.tolist())) == [0, 1]
+    assert [sorted(set(log.domains.tolist())) for log in logs] == [[0, 1]] * cfg.epochs
+
+
+def test_train_one_applies_the_confidence_rule_once_per_epoch(monkeypatch):
+    # uus_rate and inclusion_rate come from one pass over each epoch's log
+    calls = []
+    real = analysis.confidence_roles
+
+    def counting(conf, tau):
+        calls.append(len(conf))
+        return real(conf, tau)
+
+    monkeypatch.setattr(analysis, "confidence_roles", counting)
+    cfg = small_config(epochs=3)
+    record = train_one(cfg, target=0, seed=0)
+    assert len(calls) == cfg.epochs
+    assert all(0.0 <= rec.uus_rate <= 1.0 for rec in record.epochs)
+
+
+def test_train_one_rejects_a_benchmark_of_another_config():
+    cfg = small_config()
+    other = generate_benchmark(replace(cfg.benchmark, master_seed=cfg.benchmark.master_seed + 1))
+    with pytest.raises(ConfigError, match="another config"):
+        train_one(cfg, target=0, seed=0, benchmark=other)
 
 
 def test_epoch_records_cover_schedule():

@@ -127,6 +127,18 @@ def test_featurize_matches_manual_forward():
     assert np.allclose(featurize(state, x), manual, atol=1e-14)
 
 
+def test_featurize_on_arrays_matches_the_tape_bit_for_bit():
+    # evaluation applies ReLU in place on each layer's fresh output; the
+    # tape path builds a node instead, and the caller's input is left alone
+    dims = ModelDims(input_dim=3, hidden_dims=(4, 5), feature_dim=2, num_classes=3)
+    state = init_model(dims, seed=6)
+    x = np.random.default_rng(5).standard_normal((9, 3))
+    x_before = x.copy()
+    tape = ModelState(dims, {name: Tensor(a) for name, a in state.param_items()})
+    assert np.array_equal(featurize(state, x), featurize(tape, x).data)
+    assert np.array_equal(x, x_before)
+
+
 def test_featurize_no_activation_after_last_layer():
     # with enough random inputs some feature coordinates must go negative
     state = init_model(DIMS, seed=3)
