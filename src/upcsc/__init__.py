@@ -14,7 +14,8 @@ from .losses import (BatchPartition, LossBreakdown, MethodFlags, build_loss_grap
                      param_gradients, partition_unlabeled, sc_anchor_indices, sc_loss,
                      sc_negative_masks, total_loss, upc_loss, upc_negative_masks)
 from .model import (ModelDims, ModelState, class_confidence, featurize, init_model,
-                    load_model, param_layout, project_features, project_proxies, save_model)
+                    load_model, param_layout, project_features, project_proxies, save_model,
+                    score_rows)
 from .harness import (METHODS, ProtocolResult, RunRecord, TrainConfig,
                       build_train_config, run_protocol, train_one)
 from .synthdata import (BenchmarkConfig, DomainBenchmark, DomainSpec,

@@ -9,6 +9,7 @@ target, run_seed, step), so runs replay exactly and never share streams.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 from dataclasses import dataclass, field, fields
@@ -19,7 +20,7 @@ from . import analysis
 from .csvio import FLOAT_FORMAT, format_rows, write_csv
 from .errors import ConfigError, DivergenceError, check_fields
 from .losses import MethodFlags, check_threshold, total_loss
-from .model import ModelDims, ModelState, class_confidence, featurize, init_model
+from .model import ModelDims, ModelState, init_model, score_rows
 from .numerics import cosine_lr, sgd_step, substream
 from .synthdata import BenchmarkConfig, DomainBenchmark, generate_benchmark, sample_batch
 
@@ -189,9 +190,7 @@ def train_one(config: TrainConfig, target: int, seed: int,
             for name in sums:
                 sums[name] += getattr(breakdown, name)
 
-        def confidence_fn(x, st=state):
-            return class_confidence(st, featurize(st, x))
-
+        confidence_fn = functools.partial(score_rows, state)
         log = analysis.log_source_confidences(bench, view.source_ids, confidence_fn, epoch)
         if on_epoch is not None:
             on_epoch(log)

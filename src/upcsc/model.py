@@ -16,7 +16,7 @@ import numpy as np
 
 from .autograd import linear, relu
 from .errors import ConfigError, ShapeError, check_fields
-from .numerics import l2_normalize_rows, softmax_rows, substream
+from .numerics import heap_rows, l2_normalize_rows, softmax_rows, substream
 
 MAGIC = b"UPCS"
 FORMAT_VERSION = 1
@@ -114,15 +114,18 @@ def init_model(dims: ModelDims, seed: int) -> ModelState:
     return ModelState(dims, params)
 
 
-def featurize(state, x):
-    """Featurizer forward pass: linear layers with ReLU between, none after the last."""
+def _inputs(state, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != state.dims.input_dim:
         raise ShapeError(f"featurize expects (n, {state.dims.input_dim}), got {x.shape}")
+    return x
+
+
+def featurize(state, x):
+    """Featurizer forward pass: linear layers with ReLU between, none after the last."""
+    x = _inputs(state, x)
     for w, b in state.featurizer[:-1]:
-        x = linear(x, w, b)
-        # on plain arrays x is linear's fresh output, so ReLU may overwrite it
-        x = np.maximum(x, 0.0, out=x) if isinstance(x, np.ndarray) else relu(x)
+        x = relu(linear(x, w, b))
     return linear(x, *state.featurizer[-1])
 
 
@@ -132,6 +135,28 @@ def class_confidence(state, features) -> np.ndarray:
     if features.ndim != 2 or features.shape[1] != state.dims.feature_dim:
         raise ShapeError(f"expected (n, {state.dims.feature_dim}) features, got {features.shape}")
     return softmax_rows(features @ np.asarray(state.classifier).T)
+
+
+def score_rows(state, x) -> np.ndarray:
+    """class_confidence(state, featurize(state, x)) of plain arrays, scored in
+    blocks of numerics.heap_rows(widest layer) rows, whose arrays malloc
+    serves from the heap, so scoring a large pool maps no fresh pages.
+
+    Past the first block, every block has that many rows: the last one ends
+    at the last row and overlaps the one before. A shorter block could take
+    another BLAS kernel than the whole product (a one-row product takes
+    numpy's matrix-vector path; OpenBLAS has small-matrix kernels), and
+    those round differently."""
+    x = _inputs(state, x)
+    dims = state.dims
+    rows = heap_rows(max(dims.input_dim, *dims.hidden_dims, dims.feature_dim, dims.num_classes))
+    n = len(x)
+    out = np.empty((n, dims.num_classes))
+    # an empty x still reaches class_confidence, which rejects it
+    for lo in range(0, max(n, 1), rows):
+        lo = max(0, min(lo, n - rows))
+        out[lo:lo + rows] = class_confidence(state, featurize(state, x[lo:lo + rows]))
+    return out
 
 
 def project_features(state, features):

@@ -81,22 +81,37 @@ def pin_blas_threads() -> None:
 # mallopt parameters from glibc's <malloc.h>
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 MMAP_THRESHOLD = 128 << 10   # glibc's starting value
+# free memory the heap keeps at its top: one training step's small arrays,
+# so a step reuses the pages the last one faulted in instead of trimming them.
+# A default fixmatch+upcsc step needs 7 multiples (at 6 a warmed step still
+# faults about 3.5 pages in); 8 leaves one for larger batches
+TRIM_THRESHOLD = 8 * MMAP_THRESHOLD
+# bytes malloc adds to a request before it compares it with MMAP_THRESHOLD:
+# the chunk's size field, then rounding up to 16 bytes
+_MALLOC_OVERHEAD = 8 + 15
 
 
 def pin_malloc_thresholds() -> None:
     """Hold glibc's malloc thresholds still: a block of MMAP_THRESHOLD bytes
     or more that the heap has no room for gets its own mapping, which goes
     back to the system when the block is freed, and the heap gives back free
-    memory at its top beyond twice that, the ratio glibc keeps. glibc
-    otherwise raises both each time it frees a large block, so later large
-    arrays come from the heap and may stay resident after they are freed,
-    by an amount that changes from run to run. Held, a process keeps about
-    what its live arrays need. Without glibc this does nothing."""
+    memory at its top beyond TRIM_THRESHOLD. glibc otherwise raises both
+    each time it frees a large block, so later large arrays come from the
+    heap and may stay resident after they are freed, by an amount that
+    changes from run to run. Held, a process keeps about what its live
+    arrays need, plus one step's working set. Without glibc this does
+    nothing."""
     if platform.libc_ver()[0] != "glibc":
         return
     mallopt = ctypes.CDLL(None).mallopt
     mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
-    mallopt(_M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
+def heap_rows(width: int) -> int:
+    """The most rows of `width` float64 columns whose array malloc serves
+    from the heap, below MMAP_THRESHOLD, rather than from a fresh mapping."""
+    return max(1, (MMAP_THRESHOLD - _MALLOC_OVERHEAD) // (8 * width))
 
 
 def substream(*keys: int) -> np.random.Generator:

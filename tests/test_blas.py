@@ -1,6 +1,7 @@
 """Process-wide settings made by `import upcsc`: one BLAS thread, so outputs
 do not depend on the machine, and large blocks that go back to the system
-when freed, so memory use does not depend on the history of frees."""
+when freed, so memory use does not depend on the history of frees, beside a
+heap that keeps one training step's small arrays."""
 
 import json
 import multiprocessing
@@ -99,3 +100,33 @@ def test_freed_large_arrays_do_not_stay_resident():
     out = subprocess.run([sys.executable, "-c", FREED_BLOCK],
                          env=env, capture_output=True, text=True, check=True)
     assert int(out.stdout) < 1024   # kB; the block itself is 8192
+
+
+# A warmed-up 2-epoch default run: each step's small arrays come from heap
+# pages the steps before faulted in, and evaluation scores every pool in
+# blocks that fit the heap. What faults is mostly each epoch's confidence
+# log, about 500 pages in all; trimming the heap at twice the mapping
+# threshold made it about 5.8k, and scoring whole pools as well about 9.9k.
+WARM_RUN = """
+import resource
+from upcsc.harness import TrainConfig, train_one
+from upcsc.synthdata import generate_benchmark
+
+config = TrainConfig(epochs=2)
+bench = generate_benchmark(config.benchmark)
+train_one(config, target=0, seed=0, benchmark=bench)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train_one(config, target=0, seed=1, benchmark=bench)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_a_warmed_run_faults_in_few_pages():
+    if platform.libc_ver()[0] != "glibc" or not sys.platform.startswith("linux"):
+        reason = "not glibc on Linux; malloc is left as it is"
+        print(f"skipped: {reason}")
+        pytest.skip(reason)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", WARM_RUN],
+                         env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 2000   # minor page faults

@@ -11,8 +11,8 @@ from upcsc.autograd import Tensor
 from upcsc.errors import ConfigError, ShapeError
 from upcsc.model import (FORMAT_VERSION, MAGIC, ModelDims, ModelState, class_confidence,
                          featurize, init_model, load_model, param_layout, project_features,
-                         project_proxies, save_model)
-from upcsc.numerics import substream
+                         project_proxies, save_model, score_rows)
+from upcsc.numerics import MMAP_THRESHOLD, heap_rows, substream
 
 DIMS = ModelDims(input_dim=3, hidden_dims=(4,), feature_dim=2, num_classes=3)
 
@@ -128,8 +128,8 @@ def test_featurize_matches_manual_forward():
 
 
 def test_featurize_on_arrays_matches_the_tape_bit_for_bit():
-    # evaluation applies ReLU in place on each layer's fresh output; the
-    # tape path builds a node instead, and the caller's input is left alone
+    # plain arrays and the tape run the same forward, and the caller's input
+    # is left alone
     dims = ModelDims(input_dim=3, hidden_dims=(4, 5), feature_dim=2, num_classes=3)
     state = init_model(dims, seed=6)
     x = np.random.default_rng(5).standard_normal((9, 3))
@@ -162,6 +162,45 @@ def test_class_confidence_rows_normalized_and_equivariant():
     permuted = with_params(state, {"classifier.weight": state.classifier[perm]})
     conf_p = class_confidence(permuted, feats)
     assert np.allclose(conf_p, conf[:, perm], atol=1e-14)
+
+
+@pytest.mark.parametrize("width", [1, 7, 32, 64, 100, 4096])
+def test_heap_rows_is_the_most_rows_below_the_mapping_threshold(width):
+    def chunk(rows):   # glibc's request2size: a size field, rounded up to 16 bytes
+        return (8 * rows * width + 8 + 15) & ~15
+    rows = heap_rows(width)
+    assert chunk(rows) < MMAP_THRESHOLD <= chunk(rows + 1)
+
+
+# 255 at the default widths: 256 rows of 64 float64 columns are exactly
+# 128 KiB, which gets a mapping
+B = heap_rows(64)
+
+
+@pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B + 1, 700, 2730])
+def test_score_rows_equals_the_unblocked_scores_bit_for_bit(n, monkeypatch):
+    state = init_model(ModelDims(), seed=7)
+    x = 3.0 * np.random.default_rng(n).standard_normal((n, 32))
+    expect = class_confidence(state, featurize(state, x))
+    blocks = []
+
+    def recording_featurize(st, rows):
+        blocks.append(len(rows))
+        return featurize(st, rows)
+
+    monkeypatch.setattr(model, "featurize", recording_featurize)
+    assert np.array_equal(score_rows(state, x), expect)
+    # ceil(n / B) blocks, each of min(n, B) rows: below the mapping threshold,
+    # and none of one row unless x has one
+    assert blocks == [min(n, B)] * -(-n // B)
+
+
+def test_score_rows_rejects_what_class_confidence_rejects():
+    state = init_model(DIMS, seed=0)
+    with pytest.raises(ShapeError):
+        score_rows(state, np.ones((2, 4)))
+    with pytest.raises(ShapeError):
+        score_rows(state, np.ones((0, 3)))
 
 
 def test_projections_unit_norm_and_tensor_passthrough():
