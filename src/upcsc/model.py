@@ -137,25 +137,40 @@ def class_confidence(state, features) -> np.ndarray:
     return softmax_rows(features @ np.asarray(state.classifier).T)
 
 
+# OpenBLAS computes a product's rows in small groups, and a row at another
+# place in its group, or in the short group at the end, can round differently
+# (its Haswell and Nehalem kernels do). A block that starts on a multiple of
+# ROW_ALIGN rows keeps every row where the whole product has it.
+ROW_ALIGN = 16
+
+
+def block_rows(dims: ModelDims) -> int:
+    """Rows per block of score_rows: the most multiple of ROW_ALIGN that,
+    with ROW_ALIGN - 1 rows more, still fits numerics.heap_rows of the
+    widest layer, so every block's arrays come from the heap. Layers too wide
+    for that get blocks of ROW_ALIGN rows, which are mapped."""
+    rows = heap_rows(max(dims.input_dim, *dims.hidden_dims, dims.feature_dim, dims.num_classes))
+    return max(ROW_ALIGN, (rows + 1) // ROW_ALIGN * ROW_ALIGN - ROW_ALIGN)
+
+
 def score_rows(state, x) -> np.ndarray:
     """class_confidence(state, featurize(state, x)) of plain arrays, scored in
-    blocks of numerics.heap_rows(widest layer) rows, whose arrays malloc
-    serves from the heap, so scoring a large pool maps no fresh pages.
+    blocks of block_rows rows, whose arrays malloc serves from the heap, so
+    scoring a large pool maps no fresh pages.
 
-    Past the first block, every block has that many rows: the last one ends
-    at the last row and overlaps the one before. A shorter block could take
-    another BLAS kernel than the whole product (a one-row product takes
-    numpy's matrix-vector path; OpenBLAS has small-matrix kernels), and
-    those round differently."""
+    Every block starts on a multiple of ROW_ALIGN, and the last one starts
+    at least block_rows rows before the end, overlapping the one before if
+    need be. A short block could take another kernel than the whole product
+    (a one-row product takes numpy's matrix-vector path; OpenBLAS has
+    small-matrix kernels), and those round differently."""
     x = _inputs(state, x)
-    dims = state.dims
-    rows = heap_rows(max(dims.input_dim, *dims.hidden_dims, dims.feature_dim, dims.num_classes))
-    n = len(x)
-    out = np.empty((n, dims.num_classes))
-    # an empty x still reaches class_confidence, which rejects it
-    for lo in range(0, max(n, 1), rows):
-        lo = max(0, min(lo, n - rows))
-        out[lo:lo + rows] = class_confidence(state, featurize(state, x[lo:lo + rows]))
+    block = block_rows(state.dims)
+    out = np.empty((len(x), state.dims.num_classes))
+    last = max(0, len(x) - block) // ROW_ALIGN * ROW_ALIGN
+    for lo in range(0, last, block):
+        out[lo:lo + block] = class_confidence(state, featurize(state, x[lo:lo + block]))
+    # an empty x reaches class_confidence too, which rejects it
+    out[last:] = class_confidence(state, featurize(state, x[last:]))
     return out
 
 

@@ -83,9 +83,9 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 MMAP_THRESHOLD = 128 << 10   # glibc's starting value
 # free memory the heap keeps at its top: one training step's small arrays,
 # so a step reuses the pages the last one faulted in instead of trimming them.
-# A default fixmatch+upcsc step needs 7 multiples (at 6 a warmed step still
-# faults about 3.5 pages in); 8 leaves one for larger batches
-TRIM_THRESHOLD = 8 * MMAP_THRESHOLD
+# 7 multiples is the fewest at which a warmed default fixmatch+upcsc step
+# stops faulting (at 6 it still faults about 3.5 pages in)
+TRIM_THRESHOLD = 7 * MMAP_THRESHOLD
 # bytes malloc adds to a request before it compares it with MMAP_THRESHOLD:
 # the chunk's size field, then rounding up to 16 bytes
 _MALLOC_OVERHEAD = 8 + 15

@@ -72,6 +72,43 @@ def test_pool_workers_run_blas_on_one_thread(method):
     assert [set(r.values()) for r in reports] == [{1}, {1}]
 
 
+# score_rows against the whole product on each x86-64 kernel set of a
+# DYNAMIC_ARCH OpenBLAS that this CPU can run, by the CPU flags each needs;
+# OPENBLAS_CORETYPE picks the set when the process loads OpenBLAS, and a
+# build without DYNAMIC_ARCH ignores it. At every n here but 2B+1 the last
+# block overlaps the one before; unaligned, it fails on the Haswell and
+# Nehalem kernels, which round a row at another place in its group differently.
+KERNEL_FLAGS = {"Nehalem": {"sse4_2"}, "Sandybridge": {"avx"}, "Haswell": {"avx2", "fma"},
+                "SkylakeX": {"avx512f", "avx512vl", "avx512bw", "avx512dq"}}
+SCORE_BLOCKS = """
+import numpy as np
+from upcsc.model import ModelDims, block_rows, class_confidence, featurize, init_model, score_rows
+state = init_model(ModelDims(), seed=7)
+B = block_rows(ModelDims())
+for n in (B + 16, B + 17, 2 * B + 1, 700, 2730):
+    x = 3.0 * np.random.default_rng(n).standard_normal((n, 32))
+    assert np.array_equal(score_rows(state, x), class_confidence(state, featurize(state, x))), n
+"""
+
+
+@pytest.mark.parametrize("kernel", KERNEL_FLAGS)
+def test_score_rows_is_bit_exact_on_each_openblas_kernel_set(kernel):
+    _require_openblas()
+    if platform.machine() != "x86_64" or not os.path.exists("/proc/cpuinfo"):
+        reason = "not x86-64 Linux; no CPU flags to pick kernel sets by"
+        print(f"skipped: {reason}")
+        pytest.skip(reason)
+    with open("/proc/cpuinfo") as fh:
+        flags = set(next(line for line in fh if line.startswith("flags")).split())
+    if not KERNEL_FLAGS[kernel] <= flags:
+        reason = f"this CPU cannot run OpenBLAS's {kernel} kernels"
+        print(f"skipped: {reason}")
+        pytest.skip(reason)
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel,
+               PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", SCORE_BLOCKS], env=env, check=True)
+
+
 # Frees a 16 MB block, then measures what an 8 MB block leaves resident after
 # it is freed. Left to itself, glibc would raise its mapping threshold to 16 MB
 # and its trim threshold to 32 MB on the first free, and serve the 8 MB block

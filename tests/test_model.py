@@ -9,9 +9,9 @@ from oracles import with_params
 from upcsc import model
 from upcsc.autograd import Tensor
 from upcsc.errors import ConfigError, ShapeError
-from upcsc.model import (FORMAT_VERSION, MAGIC, ModelDims, ModelState, class_confidence,
-                         featurize, init_model, load_model, param_layout, project_features,
-                         project_proxies, save_model, score_rows)
+from upcsc.model import (FORMAT_VERSION, MAGIC, ROW_ALIGN, ModelDims, ModelState, block_rows,
+                         class_confidence, featurize, init_model, load_model, param_layout,
+                         project_features, project_proxies, save_model, score_rows)
 from upcsc.numerics import MMAP_THRESHOLD, heap_rows, substream
 
 DIMS = ModelDims(input_dim=3, hidden_dims=(4,), feature_dim=2, num_classes=3)
@@ -172,12 +172,13 @@ def test_heap_rows_is_the_most_rows_below_the_mapping_threshold(width):
     assert chunk(rows) < MMAP_THRESHOLD <= chunk(rows + 1)
 
 
-# 255 at the default widths: 256 rows of 64 float64 columns are exactly
-# 128 KiB, which gets a mapping
-B = heap_rows(64)
+# 240 at the default widths: a last block of up to 255 rows of the 64-wide
+# hidden layer stays below the mapping threshold (256 rows are exactly 128 KiB).
+# B + ROW_ALIGN rows are the fewest scored in two blocks
+B = block_rows(ModelDims())
 
 
-@pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B + 1, 700, 2730])
+@pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, B + ROW_ALIGN, 2 * B + 1, 700, 2730])
 def test_score_rows_equals_the_unblocked_scores_bit_for_bit(n, monkeypatch):
     state = init_model(ModelDims(), seed=7)
     x = 3.0 * np.random.default_rng(n).standard_normal((n, 32))
@@ -185,14 +186,18 @@ def test_score_rows_equals_the_unblocked_scores_bit_for_bit(n, monkeypatch):
     blocks = []
 
     def recording_featurize(st, rows):
-        blocks.append(len(rows))
+        blocks.append(((rows.ctypes.data - x.ctypes.data) // x.strides[0], len(rows)))
         return featurize(st, rows)
 
     monkeypatch.setattr(model, "featurize", recording_featurize)
     assert np.array_equal(score_rows(state, x), expect)
-    # ceil(n / B) blocks, each of min(n, B) rows: below the mapping threshold,
-    # and none of one row unless x has one
-    assert blocks == [min(n, B)] * -(-n // B)
+    # the blocks cover x in order, each starts on a multiple of ROW_ALIGN,
+    # fits below the mapping threshold, and has min(n, B) rows or more, so
+    # none has one row unless x has one
+    ends = [0] + [lo + size for lo, size in blocks]
+    assert all(lo <= end for (lo, _), end in zip(blocks, ends)) and ends[-1] == n
+    assert all(lo % ROW_ALIGN == 0 and min(n, B) <= size <= heap_rows(64)
+               for lo, size in blocks)
 
 
 def test_score_rows_rejects_what_class_confidence_rejects():
