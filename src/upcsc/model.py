@@ -145,7 +145,7 @@ ROW_ALIGN = 16
 
 
 def block_rows(dims: ModelDims) -> int:
-    """Rows per block of score_rows: the most multiple of ROW_ALIGN that,
+    """Rows per block of score_rows: the largest multiple of ROW_ALIGN that,
     with ROW_ALIGN - 1 rows more, still fits numerics.heap_rows of the
     widest layer, so every block's arrays come from the heap. Layers too wide
     for that get blocks of ROW_ALIGN rows, which are mapped."""

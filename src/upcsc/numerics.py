@@ -72,7 +72,8 @@ def pin_blas_threads() -> None:
     """Run OpenBLAS on one thread in this process, whatever OPENBLAS_NUM_THREADS
     says. The thread count changes how products are blocked and so their
     rounding, and with worker processes it oversubscribes the cores; pinned,
-    outputs do not depend on the machine and `--jobs` is the only parallelism.
+    outputs do not depend on the core count and `--jobs` is the only
+    parallelism.
     Without a loaded OpenBLAS (MKL or Accelerate builds) this does nothing."""
     for _, set_threads in _openblas_functions("set", [ctypes.c_int], None):
         set_threads(1)

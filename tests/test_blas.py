@@ -1,5 +1,5 @@
 """Process-wide settings made by `import upcsc`: one BLAS thread, so outputs
-do not depend on the machine, and large blocks that go back to the system
+do not depend on the core count, and large blocks that go back to the system
 when freed, so memory use does not depend on the history of frees, beside a
 heap that keeps one training step's small arrays."""
 
@@ -142,8 +142,8 @@ def test_freed_large_arrays_do_not_stay_resident():
 # A warmed-up 2-epoch default run: each step's small arrays come from heap
 # pages the steps before faulted in, and evaluation scores every pool in
 # blocks that fit the heap. What faults is mostly each epoch's confidence
-# log, about 500 pages in all; trimming the heap at twice the mapping
-# threshold made it about 5.8k, and scoring whole pools as well about 9.9k.
+# log, about 350 pages in all; trimming the heap at twice the mapping
+# threshold made it about 5.6k, and scoring whole pools as well about 10.8k.
 WARM_RUN = """
 import resource
 from upcsc.harness import TrainConfig, train_one
