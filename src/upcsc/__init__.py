@@ -8,8 +8,7 @@ confidence-weighted surrogate built from their candidate classes.
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigError, DataError, DegenerateInputError, DivergenceError,
-                     ShapeError, UndefinedStatisticError)
+from .errors import ConfigError, DataError, DegenerateInputError, DivergenceError, ShapeError
 from .losses import (BatchPartition, LossBreakdown, MethodFlags, build_loss_graph,
                      param_gradients, partition_unlabeled, sc_anchor_indices, sc_loss,
                      sc_negative_masks, total_loss, upc_loss, upc_negative_masks)

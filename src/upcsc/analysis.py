@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import FLOAT_FORMAT, format_rows, read_csv, read_header, write_csv
-from .errors import DataError, ShapeError, UndefinedStatisticError
+from .errors import DataError, ShapeError
 from .losses import confidence_roles
 
 
@@ -86,20 +86,6 @@ def confidence_rates(log: ConfidenceLog, tau: float) -> tuple[float, float]:
     unconfident, hit, _ = _candidate_roles(log, tau)
     inclusion = float(hit[unconfident].mean()) if unconfident.any() else math.nan
     return float(unconfident.mean()), inclusion
-
-
-def uus_rate(log: ConfidenceLog, tau: float) -> float:
-    """Fraction of samples below the confidence threshold."""
-    return confidence_rates(log, tau)[0]
-
-
-def inclusion_rate(log: ConfidenceLog, tau: float) -> float:
-    """Among unconfident samples, how often the true class sits in the
-    candidate set."""
-    inclusion = confidence_rates(log, tau)[1]
-    if math.isnan(inclusion):
-        raise UndefinedStatisticError("no unconfident samples; inclusion rate undefined")
-    return inclusion
 
 
 def confusing_class_histogram(log: ConfidenceLog, tau: float) -> dict[int, int]:

@@ -10,12 +10,11 @@ import argparse
 import contextlib
 import multiprocessing
 import os
-import queue
+import pickle
 import shutil
 import signal
 import sys
 import tempfile
-import threading
 
 from . import analysis
 from .errors import ConfigError
@@ -42,10 +41,12 @@ class _TrainOutputs:
     and moved into `out` only once the whole run has succeeded.
 
     A forked writer process exports the benchmark there first, then writes
-    confidences.csv from the epoch logs that `send` passes it while this
-    process trains. A sender thread does the passing, so training never
-    waits on the pipe. If anything raises, the writer included, the writer
-    is stopped and the staging directory removed: `out` is not created if it
+    confidences.csv from the epoch logs that `send` hands it while this
+    process trains. Each log is pickled to an unlinked spool file, which
+    holds whatever the writer has not read yet, and one channel carries a
+    notice per log to the writer and its report back. Training waits on the
+    writer only once the channel is full of unread notices, some 270 on Linux. If anything raises, the writer included, the writer is
+    stopped and the staging directory removed: `out` is not created if it
     did not exist, and keeps its old files if it did.
     """
 
@@ -63,47 +64,46 @@ class _TrainOutputs:
         self.staging = tempfile.mkdtemp(prefix=f".{name}.", suffix=".staging", dir=head)
         self._made = self._made or self.staging
         ctx = multiprocessing.get_context("fork")
-        self._logs_in, self._logs_out = ctx.Pipe(duplex=False)
-        self._report_in, self._report_out = ctx.Pipe(duplex=False)
         self._writer = ctx.Process(target=self._write, daemon=True)
-        self._pending = queue.SimpleQueue()
-        self._sender = threading.Thread(target=self._forward, daemon=True)
+        self._ends = contextlib.ExitStack()
         try:
-            # the fork comes first, while this process has one thread
+            # two handles with their own offsets; once unlinked, the file
+            # goes with the last of them, however the processes end
+            spool = self.path("logs.spool")
+            self._spool_out = self._ends.enter_context(open(spool, "wb"))
+            self._spool_in = self._ends.enter_context(open(spool, "rb"))
+            os.unlink(spool)
+            self._channel, self._writer_end = map(self._ends.enter_context, ctx.Pipe())
             self._writer.start()
-            self._sender.start()
         except BaseException:
             self.__exit__(*sys.exc_info())
             raise
-        self._logs_in.close()
-        self._report_out.close()
+        self._spool_in.close()
+        self._writer_end.close()
         return self
 
     def __exit__(self, exc_type, exc, tb):
         if self._writer.pid is not None:
             self._writer.terminate()   # a no-op once commit has joined it
             self._writer.join()
-        if self._sender.ident is not None:
-            # with the writer gone, a send still in progress fails and ends the thread
-            self._pending.put(None)
-            self._sender.join()
-        for conn in (self._logs_in, self._logs_out, self._report_in, self._report_out):
-            conn.close()
+        self._ends.close()
         shutil.rmtree(self.staging if exc_type is None else self._made, ignore_errors=True)
 
     def path(self, name: str) -> str:
         return os.path.join(self.staging, name)
 
     def send(self, log) -> None:
-        """Queue one epoch's log for the writer; raises the writer's error as
+        """Spool one epoch's log for the writer; raises the writer's error as
         soon as it has reported one."""
-        if self._report_in.poll():
+        if self._channel.poll():
             raise RuntimeError(self._report())
-        self._pending.put(log)
+        pickle.dump(log, self._spool_out, pickle.HIGHEST_PROTOCOL)
+        self._spool_out.flush()
+        self._notify(True)
 
     def commit(self) -> None:
         """Wait for the writer, then move every staged file into `out`."""
-        self._pending.put(None)
+        self._notify(None)
         message = self._report()
         if message is not None:
             raise RuntimeError(message)
@@ -114,36 +114,35 @@ class _TrainOutputs:
             for name in files:
                 os.replace(os.path.join(root, name), os.path.join(dest, name))
 
+    def _notify(self, notice) -> None:
+        """True for each spooled log, then None when there are no more."""
+        with contextlib.suppress(OSError):   # the writer is gone and reports why itself
+            self._channel.send(notice)
+
     def _report(self):
         """The writer's report: None once everything is written, else why not."""
         try:
-            return self._report_in.recv()
-        except EOFError:   # it died without a word
+            return self._channel.recv()
+        # it died without a word; the channel resets if it left notices unread
+        except (EOFError, ConnectionResetError):
             self._writer.join()
             return f"writer process exited with code {self._writer.exitcode}"
-
-    def _forward(self) -> None:
-        """The sender thread: each queued log, then the closing None, to the writer."""
-        with contextlib.suppress(OSError):   # the writer is gone and reports why itself
-            for log in iter(self._pending.get, None):
-                self._logs_out.send(log)
-            self._logs_out.send(None)
 
     def _write(self) -> None:
         """The writer process: the benchmark export, then confidences.csv."""
         # Ctrl-C reaches the whole process group; the parent handles it and stops this process
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-        self._logs_out.close()
-        self._report_in.close()
+        self._spool_out.close()
+        self._channel.close()
         try:
             export_benchmark(self._benchmark, self.path("benchmark"))
-            analysis.write_confidences_csv(iter(self._logs_in.recv, None),
-                                           self.path("confidences.csv"))
+            logs = (pickle.load(self._spool_in) for _ in iter(self._writer_end.recv, None))
+            analysis.write_confidences_csv(logs, self.path("confidences.csv"))
             message = None
         except Exception as exc:  # noqa: BLE001 - the parent raises it
             message = str(exc) or type(exc).__name__
         with contextlib.suppress(OSError):   # the parent is gone
-            self._report_out.send(message)
+            self._writer_end.send(message)
 
 
 def cmd_train(args) -> int:

@@ -27,10 +27,6 @@ class DataError(ValueError):
     """A dataset or split is empty or otherwise unusable."""
 
 
-class UndefinedStatisticError(ValueError):
-    """The requested statistic is undefined on this input (empty denominator)."""
-
-
 class DivergenceError(ArithmeticError):
     """Training produced a non-finite loss term or gradient."""
 

@@ -7,12 +7,30 @@ import math
 
 import numpy as np
 
-from upcsc.analysis import inclusion_rate, uus_rate
+from upcsc.analysis import confidence_rates
 from upcsc.autograd import _node
-from upcsc.errors import ConfigError, DataError, ShapeError, UndefinedStatisticError
+from upcsc.errors import ConfigError, DataError, ShapeError
 from upcsc.losses import confidence_roles
 from upcsc.model import ModelState
 from upcsc.numerics import _openblas_functions, as_matrix
+
+
+class UndefinedStatisticError(ValueError):
+    """The requested statistic is undefined on this input (empty denominator)."""
+
+
+def uus_rate(log, tau) -> float:
+    """Fraction of samples of a ConfidenceLog below the confidence threshold."""
+    return confidence_rates(log, tau)[0]
+
+
+def inclusion_rate(log, tau) -> float:
+    """Among the unconfident samples of a ConfidenceLog, how often the true
+    class sits in the candidate set."""
+    inclusion = confidence_rates(log, tau)[1]
+    if math.isnan(inclusion):
+        raise UndefinedStatisticError("no unconfident samples; inclusion rate undefined")
+    return inclusion
 
 
 def seeded(out, s):

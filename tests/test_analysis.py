@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from oracles import (candidate_set_sizes, degenerate_uniform_count, mean_candidate_fraction,
-                     stats_rows_reference)
+from oracles import (UndefinedStatisticError, candidate_set_sizes, degenerate_uniform_count,
+                     inclusion_rate, mean_candidate_fraction, stats_rows_reference, uus_rate)
 from upcsc import analysis
-from upcsc.analysis import (ConfidenceLog, confusing_class_histogram, inclusion_rate,
-                            load_confidence_log, top1_accuracy, uus_rate,
-                            write_confidences_csv, write_histogram_csv, write_stats_csv)
-from upcsc.errors import ConfigError, DataError, ShapeError, UndefinedStatisticError
+from upcsc.analysis import (ConfidenceLog, confusing_class_histogram, load_confidence_log,
+                            top1_accuracy, write_confidences_csv, write_histogram_csv,
+                            write_stats_csv)
+from upcsc.errors import ConfigError, DataError, ShapeError
 from upcsc.numerics import softmax_rows, substream
 from upcsc.synthdata import BenchmarkConfig, export_benchmark, generate_benchmark
 

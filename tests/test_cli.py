@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -190,6 +191,76 @@ def test_writer_that_dies_without_a_word_exits_1(cfg_path, tmp_path, monkeypatch
     assert not out.exists()
     assert multiprocessing.active_children() == []
     assert _leftovers(tmp_path) == []
+
+
+# default pools, so each epoch's log (about 655 KB) overflows any pipe buffer
+THREE_SHORT_EPOCHS = "epochs = 3\nsteps_per_epoch = 1\n"
+
+
+def _gate_the_writer(monkeypatch, gate, then):
+    """Make the forked writer wait, instead of exporting, until the gate file
+    exists and then call `then`; the parent makes the gate in save_model,
+    after training has ended."""
+    real_save = cli.save_model
+
+    def gated(*args):
+        deadline = time.monotonic() + 30.0
+        while not gate.exists():
+            if time.monotonic() > deadline:
+                raise TimeoutError("training waited on the writer")
+            time.sleep(0.01)
+        return then(*args)
+
+    def opening_save(*args):
+        gate.touch()
+        return real_save(*args)
+
+    monkeypatch.setattr(cli, "export_benchmark", gated)   # forked into the writer
+    monkeypatch.setattr(cli, "save_model", opening_save)
+
+
+def test_training_never_waits_on_the_writer(tmp_path, monkeypatch):
+    # a parent that blocked on handing over a log would wait for the gate's timeout
+    _gate_the_writer(monkeypatch, tmp_path / "gate", cli.export_benchmark)
+    real_train = cli.train_one
+    threads = []
+
+    def counting_train(*args, on_epoch):
+        def counted(log):
+            threads.append(threading.active_count())
+            on_epoch(log)
+        return real_train(*args, on_epoch=counted)
+
+    monkeypatch.setattr(cli, "train_one", counting_train)
+    cfg = tmp_path / "three.cfg"
+    cfg.write_text(THREE_SHORT_EPOCHS)
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert threads == [1, 1, 1]
+    assert (tmp_path / "run" / "confidences.csv").exists()
+
+
+def test_writer_that_dies_with_logs_unread_exits_1(cfg_path, tmp_path, monkeypatch, capsys):
+    # every epoch's notice is on the channel before the writer dies unread
+    _gate_the_writer(monkeypatch, tmp_path / "gate", lambda *args: os._exit(3))
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: writer process exited with code 3\n"
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+    assert _leftovers(tmp_path) == []
+
+
+def test_train_leaks_no_file_descriptor(cfg_path, tmp_path):
+    if not os.path.isdir("/proc/self/fd"):
+        reason = "no /proc/self/fd to count open descriptors in"
+        print(f"skipped: {reason}")
+        pytest.skip(reason)
+    diverging = tmp_path / "diverge.cfg"
+    diverging.write_text(DIVERGING_CFG)
+    for cfg, code in ((cfg_path, 0), (str(diverging), 1)):
+        before = sorted(os.listdir("/proc/self/fd"))
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == code
+        assert sorted(os.listdir("/proc/self/fd")) == before, cfg
 
 
 def test_protocol_writes_results(cfg_path, tmp_path, capsys):

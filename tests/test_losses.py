@@ -9,13 +9,13 @@ import pytest
 
 from oracles import pcl_reference_loss, with_params
 
-from upcsc.autograd import Tensor
+from upcsc.autograd import Tensor, gather_rows
 from upcsc.errors import ConfigError, ShapeError
-from upcsc.losses import (MethodFlags, _surrogate_weights, build_loss_graph,
+from upcsc.losses import (MethodFlags, _cross_entropy, _surrogate_weights, build_loss_graph,
                           param_gradients, partition_unlabeled, sc_anchor_indices,
                           sc_loss, sc_negative_masks, sum_terms, total_loss, upc_loss,
                           upc_negative_masks)
-from upcsc.model import ModelDims, class_confidence, featurize, init_model
+from upcsc.model import ModelDims, ModelState, class_confidence, featurize, init_model
 from upcsc.numerics import l2_normalize_rows, softmax_rows, substream
 from upcsc.synthdata import TrainBatch, strong_augment, weak_augment
 
@@ -203,7 +203,10 @@ def test_consistency_loss_empty_batch():
 def test_consistency_loss_compositional_oracle():
     # replaying the graph's rng order (weak views of the full batch, then
     # strong views of the full batch) and feeding the confident rows' strong
-    # views to the supervised term must reproduce value and gradients exactly
+    # views to the supervised kernel must reproduce value and gradients
+    # exactly. The views are featurized stacked, strong view i at row n + i,
+    # because that is where the graph places them, and some BLAS kernel sets
+    # (OpenBLAS's Haswell ones) round a product row by its place in the product
     state = sharp_state()
     x_u = substream(12).standard_normal((10, DIMS.input_dim))
     value, grads, part = unsup_term(state, x_u, tau=0.9, rng=substream(13))
@@ -216,8 +219,12 @@ def test_consistency_loss_compositional_oracle():
     part2 = partition_unlabeled(conf, 0.9)
     ci = part2.confident_indices
     assert np.array_equal(ci, part.confident_indices)
-    expect_value, expect_grads = sup_term(state, xs[ci], part2.pseudo_labels)
-    assert value == expect_value
+    tp = ModelState(DIMS, {name: Tensor(a) for name, a in state.param_items()})
+    strong = gather_rows(featurize(tp, np.concatenate([xw, xs])), len(x_u) + ci)
+    expect = _cross_entropy(strong, tp.classifier, part2.pseudo_labels)
+    expect.backward()
+    assert value == expect.item()
+    expect_grads = param_gradients(tp)
     for name, g in grads.items():
         assert np.array_equal(g, expect_grads[name]), name
 

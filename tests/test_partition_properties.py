@@ -18,9 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import degenerate_uniform_count
-from upcsc.analysis import ConfidenceLog, confusing_class_histogram, inclusion_rate, uus_rate
-from upcsc.errors import UndefinedStatisticError
+from oracles import UndefinedStatisticError, degenerate_uniform_count, inclusion_rate, uus_rate
+from upcsc.analysis import ConfidenceLog, confusing_class_histogram
 from upcsc.losses import (_surrogate_weights, partition_unlabeled, sc_anchor_indices,
                           sc_negative_masks, upc_negative_masks)
 

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import candidate_set_sizes, degenerate_uniform_count
-from upcsc.analysis import ConfidenceLog, confusing_class_histogram, inclusion_rate, uus_rate
-from upcsc.errors import DataError, UndefinedStatisticError
+from oracles import (UndefinedStatisticError, candidate_set_sizes, degenerate_uniform_count,
+                     inclusion_rate, uus_rate)
+from upcsc.analysis import ConfidenceLog, confusing_class_histogram
+from upcsc.errors import DataError
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
