@@ -21,7 +21,7 @@ from .errors import ConfigError, DegenerateInputError
 from .losses import MethodFlags, build_loss_graph, param_gradients, sum_terms
 from .model import ModelDims, init_model
 from .numerics import max_relative_error, substream
-from .synthdata import TrainBatch, strong_augment, weak_augment
+from .synthdata import BenchmarkConfig, TrainBatch, augment_views
 
 LOSS_NAMES = ("sup", "unsup", "upc", "sc", "total")
 
@@ -32,7 +32,6 @@ RELU_MARGIN = 1e-3      # min |preactivation| so an FD_STEP perturbation cannot 
 MAX_ATTEMPTS = 500      # draws per case before find_checkable_case gives up
 MIN_TERM_VALUE = 0.05   # each gated term must be visibly nonzero
 CLASSIFIER_BOOST = 6.0  # sharpens confidences so both batch roles occur
-KNOBS = {"sigma_weak": 0.05, "sigma_strong": 0.5, "strong_dropout": 0.2}
 _ALL_FLAGS = MethodFlags(unsup=True, upc=True, sc=True)
 
 _TAG_STATE = 9101
@@ -40,24 +39,23 @@ _TAG_BATCH = 9102
 _TAG_AUG = 9103
 
 
-def _graph(state, batch, rng_keys, partition=None):
+def _graph(state, batch, views, partition=None):
     """The checked loss graph, pinned to `partition` when one is given; its
     terms gain "total", their sum."""
-    terms, partition, tp = build_loss_graph(state, batch, _ALL_FLAGS, TAU, substream(*rng_keys),
-                                            partition=partition, **KNOBS)
+    terms, partition, tp = build_loss_graph(state, batch, views, _ALL_FLAGS, TAU, partition)
     terms["total"] = sum_terms(terms.values())
     return terms, partition, tp
 
 
-def _term_values(state, batch, rng_keys, partition) -> dict[str, float]:
-    return {name: t.item() for name, t in _graph(state, batch, rng_keys, partition)[0].items()}
+def _term_values(state, batch, views, partition) -> dict[str, float]:
+    return {name: t.item() for name, t in _graph(state, batch, views, partition)[0].items()}
 
 
-def _analytic_gradients(state, batch, rng_keys, partition) -> dict[str, dict[str, np.ndarray]]:
+def _analytic_gradients(state, batch, views, partition) -> dict[str, dict[str, np.ndarray]]:
     grads = {}
     for name in LOSS_NAMES:
         # fresh graph per backward pass: gradients accumulate on a tape
-        terms, _, tp = _graph(state, batch, rng_keys, partition)
+        terms, _, tp = _graph(state, batch, views, partition)
         terms[name].backward()
         grads[name] = param_gradients(tp)
     return grads
@@ -86,19 +84,11 @@ def _fd_gradients(values_fn, params) -> dict[str, dict[str, np.ndarray]]:
     return out
 
 
-def _relu_margin(state, batch, rng_keys) -> float:
+def _relu_margin(state, batch, views) -> float:
     """Smallest |preactivation| over the two forwards the losses run: the
-    labeled batch, and the weak views stacked over the strong ones.
-
-    Views are drawn in the same stream order the loss uses (weak over the
-    full batch, then strong), so the checked forwards are the checked loss's.
-    """
-    rng = substream(*rng_keys)
-    xw = weak_augment(batch.unlabeled_x, rng, KNOBS["sigma_weak"])
-    xs = strong_augment(batch.unlabeled_x, rng, KNOBS["sigma_strong"], KNOBS["strong_dropout"])
+    labeled batch, and the weak views stacked over the strong ones."""
     margins = []
-    for x in (batch.labeled_x, np.concatenate([xw, xs])):
-        h = x
+    for h in (batch.labeled_x, views):
         for w, b in state.featurizer[:-1]:
             h = linear(h, w, b)
             margins.append(np.abs(h).min())
@@ -107,7 +97,7 @@ def _relu_margin(state, batch, rng_keys) -> float:
 
 
 def find_checkable_case(case_seed: int):
-    """Draw (state, batch, rng_keys, partition) safe for finite differencing,
+    """Draw (state, batch, views, partition) safe for finite differencing,
     with the partition the draw's own unpinned graph made.
 
     Attempts cycle until the ReLU margin clears RELU_MARGIN and every loss
@@ -124,17 +114,18 @@ def find_checkable_case(case_seed: int):
             labeled_y=brng.integers(0, SMALL_DIMS.num_classes, size=4),
             unlabeled_x=brng.standard_normal((8, SMALL_DIMS.input_dim)),
         )
-        rng_keys = (_TAG_AUG, case_seed, attempt)
+        views = augment_views(batch.unlabeled_x, substream(_TAG_AUG, case_seed, attempt),
+                              BenchmarkConfig())
         try:
-            terms, partition, _ = _graph(state, batch, rng_keys)
+            terms, partition, _ = _graph(state, batch, views)
         except DegenerateInputError:
             # dropout can zero an entire row at these tiny dims; redraw
             continue
         if min(terms[name].item() for name in ("unsup", "upc", "sc")) < MIN_TERM_VALUE:
             continue
-        if _relu_margin(state, batch, rng_keys) < RELU_MARGIN:
+        if _relu_margin(state, batch, views) < RELU_MARGIN:
             continue
-        return state, batch, rng_keys, partition
+        return state, batch, views, partition
     raise RuntimeError(f"no finite-difference-safe draw found for case {case_seed}")
 
 
@@ -142,11 +133,13 @@ def check_losses(num_draws: int = 20, seed: int = 0) -> dict[str, float]:
     """Worst relative error per loss term across num_draws random cases."""
     if num_draws < 1:
         raise ConfigError(f"draws must be >= 1, got {num_draws}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     worst = {name: 0.0 for name in LOSS_NAMES}
     for k in range(num_draws):
-        state, batch, rng_keys, partition = find_checkable_case(seed * 10_000 + k)
-        analytic = _analytic_gradients(state, batch, rng_keys, partition)
-        fd = _fd_gradients(lambda st: _term_values(st, batch, rng_keys, partition), state)
+        state, batch, views, partition = find_checkable_case(seed * 10_000 + k)
+        analytic = _analytic_gradients(state, batch, views, partition)
+        fd = _fd_gradients(lambda st: _term_values(st, batch, views, partition), state)
         for name in LOSS_NAMES:
             worst[name] = max(worst[name], max_relative_error(analytic[name], fd[name]))
     return worst

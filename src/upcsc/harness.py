@@ -22,7 +22,8 @@ from .errors import ConfigError, DivergenceError, check_fields
 from .losses import MethodFlags, check_threshold, total_loss
 from .model import ModelDims, ModelState, init_model, score_rows
 from .numerics import cosine_lr, sgd_step, substream
-from .synthdata import BenchmarkConfig, DomainBenchmark, generate_benchmark, sample_batch
+from .synthdata import (BenchmarkConfig, DomainBenchmark, augment_views, generate_benchmark,
+                        sample_batch)
 
 METHODS = {
     "supervised-only": MethodFlags(unsup=False, upc=False, sc=False),
@@ -33,8 +34,6 @@ METHODS = {
 }
 
 _LOSS_TERMS = ("l_sup", "l_unsup", "l_upc", "l_sc", "l_total")
-EPOCH_METRICS = _LOSS_TERMS + ("source_unlabeled_accuracy", "uus_rate", "inclusion_rate",
-                               "target_accuracy")
 
 _TAG_INIT = 7
 _TAG_STEP = 11
@@ -73,6 +72,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be positive")
         if not self.seeds:
             raise ConfigError("need at least one run seed")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be nonnegative, got {self.seeds}")
         check_threshold(self.tau, self.benchmark.num_classes)
         if self.dims.input_dim != self.benchmark.latent_dim:
             raise ConfigError("model input_dim must equal the benchmark latent_dim")
@@ -92,6 +93,9 @@ class EpochRecord:
     uus_rate: float
     inclusion_rate: float   # nan when no sample is unconfident
     target_accuracy: float
+
+
+EPOCH_METRICS = tuple(f.name for f in fields(EpochRecord))[1:]   # metrics.csv's rows, in order
 
 
 @dataclass
@@ -148,6 +152,8 @@ def train_one(config: TrainConfig, target: int, seed: int,
         raise ConfigError("the benchmark was generated from another config")
     if target not in bench.domain_ids:
         raise ConfigError(f"target domain {target} outside 0..{len(bench.domain_ids) - 1}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     view = bench.without_domain(target)
     flags = METHODS[config.method]
     run_id = _run_id(config.method, target, seed)
@@ -169,13 +175,11 @@ def train_one(config: TrainConfig, target: int, seed: int,
             rng = substream(master, _TAG_STEP, target, seed, step)
             batch = sample_batch(view, config.labeled_per_domain,
                                  config.unlabeled_per_domain, rng)
+            views = augment_views(batch.unlabeled_x, rng, bc)
             # a diverging step is reported once, by the non-finite check
             # below, rather than by numpy warnings on the way there
             with np.errstate(over="ignore", invalid="ignore"):
-                breakdown, grads = total_loss(
-                    state, batch, flags, config.tau, rng,
-                    sigma_weak=bc.sigma_weak, sigma_strong=bc.sigma_strong,
-                    strong_dropout=bc.strong_dropout)
+                breakdown, grads = total_loss(state, batch, views, flags, config.tau)
                 bad = _first_non_finite(breakdown, grads)
                 if bad:
                     raise DivergenceError(f"{run_id}: non-finite {bad} at step {step}")

@@ -25,7 +25,6 @@ from .autograd import Tensor, _node, gather_rows, value_of
 from .errors import ConfigError, ShapeError
 from .model import ModelState, class_confidence, featurize, project_features, project_proxies
 from .numerics import as_matrix
-from .synthdata import strong_augment, weak_augment
 
 
 @dataclass(frozen=True)
@@ -278,19 +277,19 @@ def sc_loss(z_uu, w, weights, candidates, z_uc, pseudo) -> Tensor:
                            [(z_uc, vs_confident), (z_uu, vs_unconfident)])
 
 
-def build_loss_graph(state, batch, flags: MethodFlags, tau: float, rng,
-                     sigma_weak: float = 0.05, sigma_strong: float = 0.5,
-                     strong_dropout: float = 0.2, partition=None):
+def build_loss_graph(state, batch, views, flags: MethodFlags, tau: float, partition=None):
     """Assemble every loss term on one tape.
 
     Returns (terms, partition, tape_state): terms is a dict of scalar Tensors
     for sup/unsup/upc/sc, tape_state the ModelState of Tensor leaves they were
-    built from (see param_gradients). Augmentations are drawn before any flag
-    is consulted and shared quantities are computed one way only, so
-    switching terms on or off never perturbs the others.
+    built from (see param_gradients). The graph draws nothing, and shared
+    quantities are computed one way only, so switching terms on or off never
+    perturbs the others.
 
-    Both the weak and the strong view of each unlabeled sample enter the
-    contrastive terms, inheriting the sample's weak-view role.
+    `views` (2n, input_dim) holds the weak views of the batch's n unlabeled
+    rows stacked over their strong views, as synthdata.augment_views draws
+    them. Both views of each unlabeled sample enter the contrastive terms,
+    inheriting the sample's weak-view role.
 
     `partition` substitutes for the BatchPartition of the weak-view
     confidences, which is everything the losses read from them and carries
@@ -301,42 +300,40 @@ def build_loss_graph(state, batch, flags: MethodFlags, tau: float, rng,
     tp = ModelState(state.dims, {name: Tensor(a) for name, a in state.param_items()})
     x_l = np.asarray(batch.labeled_x, dtype=np.float64)
     y_l = np.asarray(batch.labeled_y, dtype=np.int64)
-    x_u = np.asarray(batch.unlabeled_x, dtype=np.float64)
+    n, c = len(batch.unlabeled_x), state.dims.num_classes
+    if np.shape(views) != (2 * n, state.dims.input_dim):
+        raise ShapeError(f"views must be ({2 * n}, {state.dims.input_dim}), got {np.shape(views)}")
 
     sup = _cross_entropy(featurize(tp, x_l), tp.classifier, y_l) if len(y_l) else Tensor(0.0)
 
-    xw = weak_augment(x_u, rng, sigma_weak)
-    xs = strong_augment(x_u, rng, sigma_strong, strong_dropout)
-    n, c = len(x_u), state.dims.num_classes
     if n:
         # one forward over both views: rows [0, n) are weak, [n, 2n) strong
-        f = featurize(tp, np.concatenate([xw, xs]))
+        f = featurize(tp, views)
     if partition is None:
         conf = class_confidence(state, f.data[:n]) if n else np.zeros((0, c))
         partition = partition_unlabeled(conf, tau)
     elif sorted([*partition.confident_indices, *partition.unconfident_indices]) != list(range(n)):
         raise ShapeError(f"pinned partition must cover the {n} unlabeled rows once each")
-    part = partition
 
     unsup = upc = sc = Tensor(0.0)
-    ci = part.confident_indices
-    ui = part.unconfident_indices
+    ci = partition.confident_indices
+    ui = partition.unconfident_indices
     if flags.unsup and ci.size:
-        unsup = _cross_entropy(gather_rows(f, n + ci), tp.classifier, part.pseudo_labels)
+        unsup = _cross_entropy(gather_rows(f, n + ci), tp.classifier, partition.pseudo_labels)
     if (flags.upc or flags.sc) and n:
         w = project_proxies(tp)
         z = project_features(tp, f)
         z_uc = gather_rows(z, np.concatenate([ci, n + ci]))
         z_uu = gather_rows(z, np.concatenate([ui, n + ui]))
-        pseudo2 = np.concatenate([part.pseudo_labels, part.pseudo_labels])
-        cands2 = np.concatenate([part.candidates, part.candidates])
+        pseudo2 = np.concatenate([partition.pseudo_labels, partition.pseudo_labels])
+        cands2 = np.concatenate([partition.candidates, partition.candidates])
         if flags.upc:
             upc = upc_loss(z_uc, w, pseudo2, z_uu, cands2)
         if flags.sc:
-            sc = sc_loss(z_uu, w, np.concatenate([part.weights] * 2), cands2, z_uc, pseudo2)
+            sc = sc_loss(z_uu, w, np.concatenate([partition.weights] * 2), cands2, z_uc, pseudo2)
 
     terms = {"sup": sup, "unsup": unsup, "upc": upc, "sc": sc}
-    return terms, part, tp
+    return terms, partition, tp
 
 
 def sum_terms(terms) -> Tensor:
@@ -347,12 +344,10 @@ def sum_terms(terms) -> Tensor:
     return _node(sum(values[1:], values[0]), *((t, lambda g: g) for t in terms))
 
 
-def total_loss(state, batch, flags: MethodFlags, tau: float, rng,
-               sigma_weak: float = 0.05, sigma_strong: float = 0.5,
-               strong_dropout: float = 0.2) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
+def total_loss(state, batch, views, flags: MethodFlags,
+               tau: float) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
     """Equal-weight sum of the enabled terms, with gradients."""
-    terms, _, tp = build_loss_graph(state, batch, flags, tau, rng,
-                                    sigma_weak, sigma_strong, strong_dropout)
+    terms, _, tp = build_loss_graph(state, batch, views, flags, tau)
     total = sum_terms(terms.values())
     total.backward()
     breakdown = LossBreakdown(*(terms[name].item() for name in ("sup", "unsup", "upc", "sc")),

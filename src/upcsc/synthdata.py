@@ -42,7 +42,7 @@ class BenchmarkConfig:
     scale_log_range: float = 0.45     # per-axis scale in exp(+-range)
     shift_sigma: float = 1.0
     noise_sigma: float = 1.875
-    # augmentation defaults
+    # view noise, read by augment_views
     sigma_weak: float = 0.05
     sigma_strong: float = 0.5
     strong_dropout: float = 0.2
@@ -63,8 +63,8 @@ class BenchmarkConfig:
         if spc - self.test_per_class() <= 2 * self.labels_per_class:
             raise ConfigError("splits leave no unlabeled majority; "
                               "raise samples_per_class_per_domain or lower labels_per_class")
-        for name in ("class_separation", "rotation_max_angle", "scale_log_range", "shift_sigma",
-                     "noise_sigma", "sigma_weak", "sigma_strong"):
+        for name in ("master_seed", "class_separation", "rotation_max_angle", "scale_log_range",
+                     "shift_sigma", "noise_sigma", "sigma_weak", "sigma_strong"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
         # at 1.0 every strong view is all zeros and has no projection direction
@@ -236,19 +236,26 @@ def generate_benchmark(config: BenchmarkConfig) -> DomainBenchmark:
     return DomainBenchmark(config, prototypes, specs, domains)
 
 
-def weak_augment(x: np.ndarray, rng: np.random.Generator, sigma: float = 0.05) -> np.ndarray:
+def weak_augment(x: np.ndarray, rng: np.random.Generator, sigma: float) -> np.ndarray:
     """Additive isotropic Gaussian noise."""
     x = np.asarray(x, dtype=np.float64)
     return x + sigma * rng.standard_normal(x.shape)
 
 
-def strong_augment(x: np.ndarray, rng: np.random.Generator, sigma: float = 0.5,
-                   dropout: float = 0.2) -> np.ndarray:
+def strong_augment(x: np.ndarray, rng: np.random.Generator, sigma: float,
+                   dropout: float) -> np.ndarray:
     """Heavier Gaussian noise followed by independent coordinate dropout."""
     x = np.asarray(x, dtype=np.float64)
     noisy = x + sigma * rng.standard_normal(x.shape)
     keep = rng.random(x.shape) >= dropout
     return noisy * keep
+
+
+def augment_views(x: np.ndarray, rng: np.random.Generator, config: BenchmarkConfig) -> np.ndarray:
+    """x's weak views stacked over its strong views, (2n, k), at the config's
+    noise settings; every weak view is drawn from rng before any strong one."""
+    return np.concatenate([weak_augment(x, rng, config.sigma_weak),
+                           strong_augment(x, rng, config.sigma_strong, config.strong_dropout)])
 
 
 @dataclass

@@ -21,7 +21,7 @@ from upcsc.losses import (MethodFlags, partition_unlabeled, sc_anchor_indices,
                           sc_negative_masks, total_loss, upc_loss, upc_negative_masks)
 from upcsc.model import ModelDims, init_model
 from upcsc.numerics import l2_normalize_rows, softmax_rows, substream
-from upcsc.synthdata import BenchmarkConfig, TrainBatch
+from upcsc.synthdata import BenchmarkConfig, TrainBatch, augment_views
 
 GRAD_TOLERANCE = 1e-4
 EXACT = 1e-12
@@ -212,6 +212,7 @@ def test_criterion_8_loss_identities():
     state = init_model(dims, seed=12)
     state.classifier[:] = state.classifier * 6.0
     state = with_params(state, {"featurizer.0.bias": state.featurizer[0][1] + 1.5})
+    noise = BenchmarkConfig()   # the default view noise
 
     checked = 0
     for k in range(1000):
@@ -219,7 +220,8 @@ def test_criterion_8_loss_identities():
         batch = TrainBatch(rng.standard_normal((4, dims.input_dim)),
                            rng.integers(0, dims.num_classes, 4),
                            rng.standard_normal((8, dims.input_dim)))
-        breakdown, _ = total_loss(state, batch, flags, 0.65, substream(9200, k))
+        views = augment_views(batch.unlabeled_x, substream(9200, k), noise)
+        breakdown, _ = total_loss(state, batch, views, flags, 0.65)
         assert breakdown.l_total == \
             breakdown.l_sup + breakdown.l_unsup + breakdown.l_upc + breakdown.l_sc
         for term in (breakdown.l_sup, breakdown.l_unsup,
@@ -235,10 +237,11 @@ def test_criterion_8_loss_identities():
         batch = TrainBatch(rng.standard_normal((4, dims.input_dim)),
                            rng.integers(0, dims.num_classes, 4),
                            rng.standard_normal((8, dims.input_dim)))
-        base, _ = total_loss(state, batch, flags, 0.65, substream(9400, k))
+        views = augment_views(batch.unlabeled_x, substream(9400, k), noise)
+        base, _ = total_loss(state, batch, views, flags, 0.65)
         pstate = with_params(state, {"classifier.weight": state.classifier[perm]})
         pbatch = TrainBatch(batch.labeled_x, inv[batch.labeled_y], batch.unlabeled_x)
-        other, _ = total_loss(pstate, pbatch, flags, 0.65, substream(9400, k))
+        other, _ = total_loss(pstate, pbatch, views, flags, 0.65)
         for a, b in ((base.l_sup, other.l_sup), (base.l_unsup, other.l_unsup),
                      (base.l_upc, other.l_upc), (base.l_sc, other.l_sc),
                      (base.l_total, other.l_total)):

@@ -375,6 +375,12 @@ def test_gradcheck_without_draws_exits_2(draws, capsys):
     assert "ok" not in captured.out and "draws must be >= 1" in captured.err
 
 
+def test_gradcheck_with_a_negative_seed_exits_2(capsys):
+    assert main(["gradcheck", "--seed", "-1", "--draws", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "ok" not in captured.out and "error: seed must be nonnegative" in captured.err
+
+
 def test_gen_data_exports(cfg_path, tmp_path, capsys):
     out = tmp_path / "data"
     code = main(["gen-data", "--config", cfg_path, "--out", str(out)])
@@ -416,6 +422,29 @@ def test_non_integer_for_an_int_key_exits_2(tmp_path, capsys, line):
     code = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"{key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, key", [("train", "seed"), ("protocol", "seeds")])
+def test_a_negative_seed_flag_exits_2_and_writes_nothing(cfg_path, tmp_path, capsys, command,
+                                                         key):
+    out = tmp_path / "neg"
+    code = main([command, "--config", cfg_path, "--seed", "-1", "--out", str(out)])
+    assert code == 2
+    assert f"error: {key} must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["seeds = -2", "master_seed = -3"])
+def test_a_negative_seed_key_exits_2_and_writes_nothing(tmp_path, capsys, line):
+    key = line.split(" = ")[0]
+    body = [line if row.startswith(key + " ") else row for row in SMALL_CFG.splitlines()]
+    assert line in body
+    path = tmp_path / "bad.cfg"
+    path.write_text("\n".join(body) + "\n")
+    code = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"error: {key} must be nonnegative" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

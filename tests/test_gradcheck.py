@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from upcsc.errors import ConfigError
 from upcsc.gradcheck import (LOSS_NAMES, check_losses, find_checkable_case, _analytic_gradients,
                              _graph, _relu_margin, _term_values, MIN_TERM_VALUE, RELU_MARGIN)
 from upcsc.synthdata import TrainBatch
@@ -19,12 +20,17 @@ def test_all_losses_pass_at_tolerance():
         assert err < TOLERANCE, f"{name}: {err:.3e}"
 
 
+def test_a_negative_seed_is_a_config_error():
+    with pytest.raises(ConfigError, match="^seed must be nonnegative"):
+        check_losses(num_draws=1, seed=-1)
+
+
 def test_checkable_cases_really_are():
     for case_seed in range(3):
-        state, batch, rng_keys, part = find_checkable_case(case_seed)
-        values = _term_values(state, batch, rng_keys, part)
+        state, batch, views, part = find_checkable_case(case_seed)
+        values = _term_values(state, batch, views, part)
         assert min(values["unsup"], values["upc"], values["sc"]) >= MIN_TERM_VALUE
-        assert _relu_margin(state, batch, rng_keys) >= RELU_MARGIN
+        assert _relu_margin(state, batch, views) >= RELU_MARGIN
         rows = np.concatenate([part.confident_indices, part.unconfident_indices])
         assert sorted(rows.tolist()) == list(range(len(batch.unlabeled_x)))
         assert np.all(part.weights.sum(axis=1) <= 1.0 + 1e-12)
@@ -35,14 +41,16 @@ def test_pinning_the_graphs_own_partition_changes_nothing(n_u):
     # the pin is the partition object the free graph returned, so even a
     # one-row batch, whose stacked forward rounds differently from a lone
     # weak forward, reproduces every term and gradient bit for bit
-    state, batch, rng_keys, _ = find_checkable_case(0)
+    state, batch, views, _ = find_checkable_case(0)
+    n = len(batch.unlabeled_x)
     small = TrainBatch(batch.labeled_x, batch.labeled_y, batch.unlabeled_x[:n_u])
-    terms, part, _ = _graph(state, small, rng_keys)
+    small_views = views[np.r_[:n_u, n:n + n_u]]   # both views of the kept rows
+    terms, part, _ = _graph(state, small, small_views)
     free = {name: t.item() for name, t in terms.items()}
     assert len(part.confident_indices) + len(part.unconfident_indices) == n_u
-    assert _term_values(state, small, rng_keys, part) == free
-    pinned = _analytic_gradients(state, small, rng_keys, part)
-    for name, grads in _analytic_gradients(state, small, rng_keys, None).items():
+    assert _term_values(state, small, small_views, part) == free
+    pinned = _analytic_gradients(state, small, small_views, part)
+    for name, grads in _analytic_gradients(state, small, small_views, None).items():
         for pname, g in grads.items():
             assert np.array_equal(pinned[name][pname], g), (name, pname)
 
@@ -51,7 +59,7 @@ def test_draws_are_reproducible():
     a = find_checkable_case(7)
     b = find_checkable_case(7)
     assert np.array_equal(a[1].unlabeled_x, b[1].unlabeled_x)
-    assert a[2] == b[2]
+    assert np.array_equal(a[2], b[2])
     for field in ("confident_indices", "pseudo_labels", "unconfident_indices", "candidates",
                   "weights"):
         assert np.array_equal(getattr(a[3], field), getattr(b[3], field)), field

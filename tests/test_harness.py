@@ -13,7 +13,9 @@ from upcsc.harness import (EPOCH_METRICS, METHODS, TrainConfig, build_train_conf
                            parse_config_file, run_protocol, train_one, write_metrics_csv,
                            write_results_csv)
 from upcsc.model import ModelDims
-from upcsc.synthdata import BenchmarkConfig, generate_benchmark
+from upcsc.numerics import substream
+from upcsc.synthdata import (BenchmarkConfig, generate_benchmark, sample_batch, strong_augment,
+                             weak_augment)
 
 # latent_dim 8 keeps the chance of strong-augment dropout zeroing a whole
 # row negligible; hidden_dims () avoids dead-ReLU rows at toy width
@@ -146,6 +148,41 @@ def test_train_one_rejects_bad_target():
         train_one(small_config(), target=7, seed=0)
 
 
+def test_negative_seeds_are_config_errors_naming_the_key():
+    # numpy's own refusal names no key and reached the CLI as exit 1
+    with pytest.raises(ConfigError, match="seeds must be nonnegative"):
+        small_config(seeds=(0, -2))
+    with pytest.raises(ConfigError, match="master_seed must be nonnegative"):
+        replace(SMALL_BENCH, master_seed=-3)
+    with pytest.raises(ConfigError, match="^seed must be nonnegative"):
+        train_one(small_config(), target=0, seed=-1)
+
+
+def test_train_one_draws_the_batch_then_weak_then_strong_views(monkeypatch):
+    # a step's stream yields its batch, then the weak views of every
+    # unlabeled row, then their strong views, at the benchmark's noise
+    # settings; the loss graph itself draws nothing
+    bench_cfg = replace(SMALL_BENCH, sigma_weak=0.1, sigma_strong=0.3, strong_dropout=0.1)
+    cfg = small_config(benchmark=bench_cfg, epochs=1)
+    seen = []
+    real = harness.total_loss
+
+    def recording(state, batch, views, flags, tau):
+        seen.append(views)
+        return real(state, batch, views, flags, tau)
+
+    monkeypatch.setattr(harness, "total_loss", recording)
+    train_one(cfg, target=1, seed=2)
+    assert len(seen) == cfg.steps_per_epoch
+    view = generate_benchmark(bench_cfg).without_domain(1)
+    for step, views in enumerate(seen):
+        rng = substream(bench_cfg.master_seed, harness._TAG_STEP, 1, 2, step)
+        x_u = sample_batch(view, cfg.labeled_per_domain, cfg.unlabeled_per_domain, rng).unlabeled_x
+        weak = weak_augment(x_u, rng, 0.1)
+        strong = strong_augment(x_u, rng, 0.3, 0.1)
+        assert np.array_equal(views, np.concatenate([weak, strong])), step
+
+
 def test_train_one_never_reads_target_training_data(monkeypatch):
     cfg = small_config()
     captured = {}
@@ -266,7 +303,14 @@ def test_metrics_csv_layout(tmp_path):
     assert len(lines) - 1 == len(result.runs) * cfg.epochs * len(EPOCH_METRICS)
     first = lines[1].split(",")
     assert first[0] == "fixmatch+upcsc-t0-s0"
-    assert first[4] in EPOCH_METRICS
+    # one row per EpochRecord field after epoch, in field order
+    assert EPOCH_METRICS == ("l_sup", "l_unsup", "l_upc", "l_sc", "l_total",
+                             "source_unlabeled_accuracy", "uus_rate", "inclusion_rate",
+                             "target_accuracy")
+    rec = result.runs[0].epochs[0]
+    assert [line.split(",")[4] for line in lines[1:10]] == list(EPOCH_METRICS)
+    assert [float(line.split(",")[5]) for line in lines[1:10]] == \
+        pytest.approx([getattr(rec, m) for m in EPOCH_METRICS], nan_ok=True)
     for line in lines[1:]:
         float(line.split(",")[5])  # parses, nan included
 

@@ -17,7 +17,7 @@ from upcsc.losses import (MethodFlags, _cross_entropy, _surrogate_weights, build
                           upc_negative_masks)
 from upcsc.model import ModelDims, ModelState, class_confidence, featurize, init_model
 from upcsc.numerics import l2_normalize_rows, softmax_rows, substream
-from upcsc.synthdata import TrainBatch, strong_augment, weak_augment
+from upcsc.synthdata import BenchmarkConfig, TrainBatch, augment_views
 
 DIMS = ModelDims(input_dim=5, hidden_dims=(6,), feature_dim=4, num_classes=3)
 ALL = MethodFlags(True, True, True)
@@ -44,9 +44,15 @@ def unit_rows(seed, n, d):
     return l2_normalize_rows(substream(seed).standard_normal((n, d)))
 
 
-def term_and_grads(state, batch, name, flags, tau, rng, **knobs):
+def views_of(x_u, seed, **noise):
+    """augment_views of x_u from substream(seed), at BenchmarkConfig's noise
+    settings where `noise` does not override them."""
+    return augment_views(x_u, substream(seed), BenchmarkConfig(**noise))
+
+
+def term_and_grads(state, batch, views, name, flags, tau):
     """One build_loss_graph term's value, its gradients and the partition."""
-    terms, part, tp = build_loss_graph(state, batch, flags, tau, rng, **knobs)
+    terms, part, tp = build_loss_graph(state, batch, views, flags, tau)
     terms[name].backward()
     return terms[name].item(), param_gradients(tp), part
 
@@ -54,13 +60,13 @@ def term_and_grads(state, batch, name, flags, tau, rng, **knobs):
 def sup_term(state, x, y):
     """terms["sup"] on a batch with no unlabeled rows."""
     batch = TrainBatch(x, y, np.zeros((0, x.shape[1])))
-    return term_and_grads(state, batch, "sup", SUP_ONLY, 0.65, substream(0))[:2]
+    return term_and_grads(state, batch, np.zeros((0, x.shape[1])), "sup", SUP_ONLY, 0.65)[:2]
 
 
-def unsup_term(state, x_u, tau, rng, **knobs):
+def unsup_term(state, x_u, tau, views):
     """terms["unsup"] on a batch with no labeled rows."""
     batch = TrainBatch(np.zeros((0, x_u.shape[1])), np.zeros(0, dtype=int), x_u)
-    return term_and_grads(state, batch, "unsup", UNSUP_ONLY, tau, rng, **knobs)
+    return term_and_grads(state, batch, views, "unsup", UNSUP_ONLY, tau)
 
 
 def max_abs(grads):
@@ -184,7 +190,7 @@ def test_supervised_loss_permutation_equivariant():
 def test_consistency_loss_no_confident_is_zero():
     state = init_model(DIMS, seed=3)  # unboosted: confidences stay diffuse
     x_u = substream(9).standard_normal((10, DIMS.input_dim))
-    value, grads, part = unsup_term(state, x_u, tau=0.999999, rng=substream(10))
+    value, grads, part = unsup_term(state, x_u, tau=0.999999, views=views_of(x_u, 10))
     assert value == 0.0
     assert max_abs(grads) == 0.0
     assert len(part.confident_indices) == 0
@@ -193,34 +199,31 @@ def test_consistency_loss_no_confident_is_zero():
 
 def test_consistency_loss_empty_batch():
     state = sharp_state()
-    value, grads, part = unsup_term(state, np.zeros((0, DIMS.input_dim)),
-                                    tau=0.9, rng=substream(11))
+    x_u = np.zeros((0, DIMS.input_dim))
+    value, grads, part = unsup_term(state, x_u, tau=0.9, views=views_of(x_u, 11))
     assert value == 0.0 and max_abs(grads) == 0.0
     assert part.confident_indices.size == 0 and part.unconfident_indices.size == 0
     assert part.candidates.shape == (0, DIMS.num_classes)
 
 
 def test_consistency_loss_compositional_oracle():
-    # replaying the graph's rng order (weak views of the full batch, then
-    # strong views of the full batch) and feeding the confident rows' strong
-    # views to the supervised kernel must reproduce value and gradients
-    # exactly. The views are featurized stacked, strong view i at row n + i,
-    # because that is where the graph places them, and some BLAS kernel sets
-    # (OpenBLAS's Haswell ones) round a product row by its place in the product
+    # partitioning the weak views (rows [0, n) of the views) and feeding the
+    # confident rows' strong views (rows n + i) to the supervised kernel must
+    # reproduce value and gradients exactly. The views are featurized stacked,
+    # as the graph does, because some BLAS kernel sets (OpenBLAS's Haswell
+    # ones) round a product row by its place in the product
     state = sharp_state()
     x_u = substream(12).standard_normal((10, DIMS.input_dim))
-    value, grads, part = unsup_term(state, x_u, tau=0.9, rng=substream(13))
+    views = views_of(x_u, 13)
+    value, grads, part = unsup_term(state, x_u, tau=0.9, views=views)
     assert 0 < len(part.confident_indices) < len(x_u)  # both roles occur
 
-    replay = substream(13)
-    xw = weak_augment(x_u, replay, 0.05)
-    xs = strong_augment(x_u, replay, 0.5, 0.2)
-    conf = class_confidence(state, featurize(state, xw))
+    conf = class_confidence(state, featurize(state, views[:len(x_u)]))
     part2 = partition_unlabeled(conf, 0.9)
     ci = part2.confident_indices
     assert np.array_equal(ci, part.confident_indices)
     tp = ModelState(DIMS, {name: Tensor(a) for name, a in state.param_items()})
-    strong = gather_rows(featurize(tp, np.concatenate([xw, xs])), len(x_u) + ci)
+    strong = gather_rows(featurize(tp, views), len(x_u) + ci)
     expect = _cross_entropy(strong, tp.classifier, part2.pseudo_labels)
     expect.backward()
     assert value == expect.item()
@@ -236,8 +239,8 @@ def test_consistency_loss_near_zero_when_predictions_match():
         "featurizer.0.weight": np.eye(2) * 5.0, "featurizer.0.bias": np.zeros(2),
         "classifier.weight": np.array([[10.0, 0.0], [0.0, 10.0]])})
     x_u = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.1], [0.1, 1.0]])
-    value, _, part = unsup_term(state, x_u, tau=0.9, rng=substream(14),
-                                sigma_weak=0.01, sigma_strong=0.01, strong_dropout=0.0)
+    views = views_of(x_u, 14, sigma_weak=0.01, sigma_strong=0.01, strong_dropout=0.0)
+    value, _, part = unsup_term(state, x_u, tau=0.9, views=views)
     assert len(part.confident_indices) == 4
     assert value < 1e-3
 
@@ -484,8 +487,9 @@ def test_total_loss_breakdown_sums_exactly():
     for seed in range(20):
         # low dropout: at 5 input features the default rate can zero a whole
         # row, which the projector rejects by design
-        breakdown, _ = total_loss(state, random_batch(seed), ALL, 0.65, substream(seed),
-                                  strong_dropout=0.05)
+        batch = random_batch(seed)
+        views = views_of(batch.unlabeled_x, seed, strong_dropout=0.05)
+        breakdown, _ = total_loss(state, batch, views, ALL, 0.65)
         assert breakdown.l_total == breakdown.l_sup + breakdown.l_unsup + \
             breakdown.l_upc + breakdown.l_sc
         for term in (breakdown.l_sup, breakdown.l_unsup, breakdown.l_upc, breakdown.l_sc):
@@ -495,7 +499,7 @@ def test_total_loss_breakdown_sums_exactly():
 def test_total_loss_supervised_only_equals_supervised():
     state = sharp_state()
     batch = random_batch(60)
-    breakdown, grads = total_loss(state, batch, SUP_ONLY, 0.65, substream(61))
+    breakdown, grads = total_loss(state, batch, views_of(batch.unlabeled_x, 61), SUP_ONLY, 0.65)
     expect_value, expect_grads = sup_term(state, batch.labeled_x, batch.labeled_y)
     assert breakdown.l_total == expect_value
     assert breakdown.l_unsup == 0.0 and breakdown.l_upc == 0.0 and breakdown.l_sc == 0.0
@@ -508,10 +512,9 @@ def test_total_loss_ablation_identity():
     state = sharp_state()
     for seed in range(10):
         batch = random_batch(70 + seed)
-        base, _ = total_loss(state, batch, MethodFlags(True, False, False),
-                             0.65, substream(80 + seed), strong_dropout=0.05)
-        full, _ = total_loss(state, batch, ALL, 0.65, substream(80 + seed),
-                             strong_dropout=0.05)
+        views = views_of(batch.unlabeled_x, 80 + seed, strong_dropout=0.05)
+        base, _ = total_loss(state, batch, views, MethodFlags(True, False, False), 0.65)
+        full, _ = total_loss(state, batch, views, ALL, 0.65)
         assert abs(base.l_sup - full.l_sup) <= 1e-12
         assert abs(base.l_unsup - full.l_unsup) <= 1e-12
         assert base.l_total == base.l_sup + base.l_unsup
@@ -522,8 +525,9 @@ def test_total_loss_empty_unlabeled():
     batch = TrainBatch(substream(90).standard_normal((4, DIMS.input_dim)),
                        substream(91).integers(0, 3, 4),
                        np.zeros((0, DIMS.input_dim)))
-    breakdown, grads = total_loss(state, batch, ALL, 0.65, substream(92))
-    _, part, _ = build_loss_graph(state, batch, ALL, 0.65, substream(92))
+    views = views_of(batch.unlabeled_x, 92)
+    breakdown, grads = total_loss(state, batch, views, ALL, 0.65)
+    _, part, _ = build_loss_graph(state, batch, views, ALL, 0.65)
     assert len(part.confident_indices) == 0 and len(part.unconfident_indices) == 0
     assert breakdown.l_unsup == 0.0 and breakdown.l_upc == 0.0 and breakdown.l_sc == 0.0
     assert breakdown.l_total == breakdown.l_sup
@@ -537,12 +541,11 @@ def test_total_loss_class_permutation_equivariance():
     inv = np.argsort(perm)
     for seed in range(10):
         batch = random_batch(100 + seed)
-        base, _ = total_loss(state, batch, ALL, 0.65, substream(200 + seed),
-                             strong_dropout=0.05)
+        views = views_of(batch.unlabeled_x, 200 + seed, strong_dropout=0.05)
+        base, _ = total_loss(state, batch, views, ALL, 0.65)
         permuted_state = with_params(state, {"classifier.weight": state.classifier[perm]})
         permuted_batch = TrainBatch(batch.labeled_x, inv[batch.labeled_y], batch.unlabeled_x)
-        other, _ = total_loss(permuted_state, permuted_batch, ALL, 0.65,
-                              substream(200 + seed), strong_dropout=0.05)
+        other, _ = total_loss(permuted_state, permuted_batch, views, ALL, 0.65)
         assert abs(base.l_total - other.l_total) <= 1e-12
         assert abs(base.l_upc - other.l_upc) <= 1e-12
         assert abs(base.l_sc - other.l_sc) <= 1e-12
@@ -554,7 +557,7 @@ def test_build_loss_graph_counts_degenerate_uniform():
     conf = np.full((3, 3), 1 / 3)
     conf[0] = [0.97, 0.02, 0.01]
     conf[1] = [0.6, 0.3, 0.1]
-    terms, part, _ = build_loss_graph(state, batch, ALL, 0.65, substream(111),
+    terms, part, _ = build_loss_graph(state, batch, views_of(batch.unlabeled_x, 111), ALL, 0.65,
                                       partition=partition_unlabeled(conf, 0.65))
     assert (~part.candidates.any(axis=1)).sum() == 1
     assert len(part.confident_indices) == 1 and len(part.unconfident_indices) == 2
@@ -565,8 +568,20 @@ def test_build_loss_graph_rejects_bad_pinned_shape():
     state = sharp_state()
     batch = random_batch(112, n_u=3)
     with pytest.raises(ShapeError):
-        build_loss_graph(state, batch, ALL, 0.65, substream(113),
+        build_loss_graph(state, batch, views_of(batch.unlabeled_x, 113), ALL, 0.65,
                          partition=partition_unlabeled(np.full((2, 3), 1 / 3), 0.65))
+
+
+@pytest.mark.parametrize("rows,cols", [(3, 5), (6, 4), (12, 5), (0, 5)])
+def test_build_loss_graph_rejects_views_of_the_wrong_shape(rows, cols):
+    # 3 unlabeled rows need 6 views of the 5 input features
+    state = sharp_state()
+    batch = random_batch(118, n_u=3)
+    views = substream(119).standard_normal((rows, cols))
+    with pytest.raises(ShapeError, match=r"views must be \(6, 5\)"):
+        build_loss_graph(state, batch, views, ALL, 0.65)
+    with pytest.raises(ShapeError):
+        total_loss(state, batch, views, ALL, 0.65)
 
 
 def test_pinning_the_natural_confidences_changes_nothing():
@@ -574,15 +589,12 @@ def test_pinning_the_natural_confidences_changes_nothing():
     # term bit for bit; the pin only matters when parameters move afterward
     state = sharp_state()
     batch = random_batch(114)
-    knobs = dict(sigma_weak=0.05, sigma_strong=0.5, strong_dropout=0.05)
-    free_terms, free_part, _ = build_loss_graph(state, batch, ALL, 0.65,
-                                                substream(115), **knobs)
-    replay = substream(115)
-    xw = weak_augment(batch.unlabeled_x, replay, knobs["sigma_weak"])
+    views = views_of(batch.unlabeled_x, 115, strong_dropout=0.05)
+    free_terms, free_part, _ = build_loss_graph(state, batch, views, ALL, 0.65)
+    xw = views[:len(batch.unlabeled_x)]
     natural = partition_unlabeled(class_confidence(state, featurize(state, xw)), 0.65)
-    pinned_terms, pinned_part, _ = build_loss_graph(state, batch, ALL, 0.65,
-                                                    substream(115),
-                                                    partition=free_part, **knobs)
+    pinned_terms, pinned_part, _ = build_loss_graph(state, batch, views, ALL, 0.65,
+                                                    partition=free_part)
     assert pinned_part is free_part
     for field in ("confident_indices", "pseudo_labels", "unconfident_indices", "candidates",
                   "weights"):
@@ -612,8 +624,9 @@ def test_loss_graph_is_freed_without_the_cycle_collector():
     gc.collect()
     gc.disable()
     try:
-        terms, _, tp = build_loss_graph(state, random_batch(116), ALL, 0.65, substream(117),
-                                        strong_dropout=0.05)
+        batch = random_batch(116)
+        views = views_of(batch.unlabeled_x, 117, strong_dropout=0.05)
+        terms, _, tp = build_loss_graph(state, batch, views, ALL, 0.65)
         total = sum_terms(terms.values())
         total.backward()
         refs = _reachable_nodes(total)

@@ -8,7 +8,7 @@ from upcsc.analysis import load_confidence_log
 from upcsc.csvio import read_csv
 from upcsc.errors import ConfigError, DataError
 from upcsc.numerics import substream
-from upcsc.synthdata import (BenchmarkConfig, DomainSpec, export_benchmark,
+from upcsc.synthdata import (BenchmarkConfig, DomainSpec, augment_views, export_benchmark,
                              generate_benchmark, random_rotation, sample_batch,
                              strong_augment, weak_augment)
 
@@ -145,6 +145,16 @@ def test_strong_augment_stats_and_edges():
     assert np.array_equal(strong_augment(x, substream(14), sigma=0.5, dropout=1.0),
                           np.zeros_like(x))
     assert np.array_equal(strong_augment(x, substream(15), sigma=0.0, dropout=0.0), x)
+
+
+def test_augment_views_stacks_weak_over_strong_from_one_stream():
+    x = substream(16).standard_normal((7, 5))
+    config = BenchmarkConfig(sigma_weak=0.1, sigma_strong=0.3, strong_dropout=0.25)
+    views = augment_views(x, substream(17), config)
+    replay = substream(17)
+    weak = weak_augment(x, replay, 0.1)
+    assert np.array_equal(views, np.concatenate([weak, strong_augment(x, replay, 0.3, 0.25)]))
+    assert augment_views(x[:0], substream(17), config).shape == (0, 5)
 
 
 def test_sample_batch_structure_and_domain_blocks():
