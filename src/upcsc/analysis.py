@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +16,7 @@ import numpy as np
 from .csvio import FLOAT_FORMAT, format_rows, read_csv, read_header, write_csv
 from .errors import DataError, ShapeError
 from .losses import confidence_roles
+from .synthdata import truth_sidecar
 
 
 @dataclass
@@ -177,7 +177,7 @@ def write_confidences_csv(logs, path) -> None:
 
 
 def load_confidence_log(confidences_path, truth_dir) -> ConfidenceLog:
-    """Join a confidences CSV with the per-domain *_truth.csv sidecars."""
+    """Join a confidences CSV with the per-domain synthdata.truth_sidecar files."""
     header = read_header(confidences_path)
     c = len(header) - 3
     if c < 2 or header != _confidence_header(c):
@@ -190,8 +190,7 @@ def load_confidence_log(confidences_path, truth_dir) -> ConfidenceLog:
     domains, sample_index = rows["domain"], rows["sample_index"]
     labels = np.empty(len(rows), dtype=np.int64)
     for domain in np.unique(domains).tolist():
-        truth = read_csv(os.path.join(truth_dir, f"domain{domain}_unlabeled_truth.csv"),
-                         ["label"], np.int64)
+        truth = read_csv(*truth_sidecar(truth_dir, domain), np.int64)
         mine = domains == domain
         idx = sample_index[mine]
         bad = (idx < 0) | (idx >= len(truth))

@@ -184,12 +184,10 @@ def cmd_stats(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     report = check_losses(num_draws=args.draws, seed=args.seed)
-    failed = False
+    passed = {name: err < GRAD_TOLERANCE for name, err in report.items()}
     for name, err in report.items():
-        ok = err < GRAD_TOLERANCE
-        failed = failed or not ok
-        print(f"{name:>6}: max relative error {err:.3e}  {'ok' if ok else 'FAIL'}")
-    return 1 if failed else 0
+        print(f"{name:>6}: max relative error {err:.3e}  {'ok' if passed[name] else 'FAIL'}")
+    return 0 if all(passed.values()) else 1
 
 
 def cmd_gen_data(args) -> int:
@@ -200,6 +198,16 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _out_dir(out: str) -> str:
+    """--out, a usage error unless it or else its nearest existing ancestor is a directory."""
+    path = os.path.abspath(out)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path} is not a directory")
+    return out
+
+
 # flags that mean the same in every command that reads them; --seed differs
 # between commands, so each command declares its own
 _FLAGS = {
@@ -208,7 +216,7 @@ _FLAGS = {
     "--tau": dict(type=float, help="confidence threshold"),
     "--labels-per-class": dict(type=int, dest="labels_per_class",
                                help="labeled samples per class per domain"),
-    "--out": dict(default="out", help="output directory"),
+    "--out": dict(default="out", type=_out_dir, help="output directory"),
 }
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import analysis
 from .csvio import FLOAT_FORMAT, format_rows, write_csv
 from .errors import ConfigError, DivergenceError, check_fields
-from .losses import MethodFlags, check_threshold, total_loss
+from .losses import LossBreakdown, MethodFlags, check_threshold, total_loss
 from .model import ModelDims, ModelState, init_model, score_rows
 from .numerics import cosine_lr, sgd_step, substream
 from .synthdata import (BenchmarkConfig, DomainBenchmark, augment_views, generate_benchmark,
@@ -33,7 +33,7 @@ METHODS = {
     "fixmatch+upcsc": MethodFlags(unsup=True, upc=True, sc=True),
 }
 
-_LOSS_TERMS = ("l_sup", "l_unsup", "l_upc", "l_sc", "l_total")
+_LOSS_TERMS = tuple(f.name for f in fields(LossBreakdown))
 
 _TAG_INIT = 7
 _TAG_STEP = 11
@@ -72,8 +72,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be positive")
         if not self.seeds:
             raise ConfigError("need at least one run seed")
-        if min(self.seeds) < 0:
-            raise ConfigError(f"seeds must be nonnegative, got {self.seeds}")
+        if min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds must be nonnegative and distinct, got {self.seeds}")
         check_threshold(self.tau, self.benchmark.num_classes)
         if self.dims.input_dim != self.benchmark.latent_dim:
             raise ConfigError("model input_dim must equal the benchmark latent_dim")
@@ -215,8 +215,8 @@ def train_one(config: TrainConfig, target: int, seed: int,
 def run_protocol(config: TrainConfig, jobs: int = 1) -> ProtocolResult:
     """train_one over every (target, seed) pair, in a fixed order.
 
-    With jobs > 1 the runs execute in a process pool; results are merged in
-    task order, so parallel and serial protocols produce identical output.
+    With jobs > 1 the runs execute in a pool of at most one process per run;
+    results are merged in task order, so parallel and serial protocols match.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -224,7 +224,7 @@ def run_protocol(config: TrainConfig, jobs: int = 1) -> ProtocolResult:
     tasks = [(config, target, seed) for target in range(num_domains) for seed in config.seeds]
     if jobs > 1:
         # one task at a time, so no worker idles while another runs a chunk
-        with multiprocessing.Pool(processes=jobs) as pool:
+        with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
             runs = pool.starmap(train_one, tasks, chunksize=1)
     else:
         runs = [train_one(*task) for task in tasks]

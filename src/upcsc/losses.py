@@ -95,6 +95,7 @@ def partition_unlabeled(conf, tau: float) -> BatchPartition:
 
 @dataclass(frozen=True)
 class LossBreakdown:
+    """One step's loss terms: the one list of their names, in build_loss_graph's order."""
     l_sup: float
     l_unsup: float
     l_upc: float
@@ -238,14 +239,14 @@ def sc_anchor_indices(candidates) -> np.ndarray:
 def sc_negative_masks(candidates, pseudo) -> tuple[np.ndarray, np.ndarray]:
     """0/1 negative-pair selections for the unconfident-anchor loss.
 
-    Row order follows sc_anchor_indices(candidates). vs_confident[a, j] = 1
+    One row per anchor, sc_anchor_indices(candidates). vs_confident[a, j] = 1
     when confident j's pseudo label falls outside anchor a's candidate row;
     vs_unconfident[a, j] = 1 when unconfident j's candidate row shares no
     class with anchor a's. These are the masks the loss itself consumes.
     """
     pseudo = np.asarray(pseudo, dtype=np.int64)
     cand = np.asarray(candidates, dtype=bool)
-    cand_a = cand[cand.any(axis=1)]
+    cand_a = cand[sc_anchor_indices(cand)]
     vs_confident = (~cand_a[:, pseudo]).astype(np.float64)
     # shared-candidate counts are small integers, exact in float64
     shared = cand_a.astype(np.float64) @ cand.T.astype(np.float64)
@@ -277,12 +278,21 @@ def sc_loss(z_uu, w, weights, candidates, z_uc, pseudo) -> Tensor:
                            [(z_uc, vs_confident), (z_uu, vs_unconfident)])
 
 
+def sum_terms(terms) -> Tensor:
+    """The sum of scalar terms as one node, added left to right; each term's
+    share of the gradient is the total's."""
+    terms = list(terms)
+    values = [value_of(t) for t in terms]
+    return _node(sum(values[1:], values[0]), *((t, lambda g: g) for t in terms))
+
+
 def build_loss_graph(state, batch, views, flags: MethodFlags, tau: float, partition=None):
     """Assemble every loss term on one tape.
 
     Returns (terms, partition, tape_state): terms is a dict of scalar Tensors
-    for sup/unsup/upc/sc, tape_state the ModelState of Tensor leaves they were
-    built from (see param_gradients). The graph draws nothing, and shared
+    for sup/unsup/upc/sc and their sum, total, named as LossBreakdown's
+    fields; tape_state is the ModelState of Tensor leaves they were built
+    from (see param_gradients). The graph draws nothing, and shared
     quantities are computed one way only, so switching terms on or off never
     perturbs the others.
 
@@ -333,23 +343,13 @@ def build_loss_graph(state, batch, views, flags: MethodFlags, tau: float, partit
             sc = sc_loss(z_uu, w, np.concatenate([partition.weights] * 2), cands2, z_uc, pseudo2)
 
     terms = {"sup": sup, "unsup": unsup, "upc": upc, "sc": sc}
+    terms["total"] = sum_terms(terms.values())
     return terms, partition, tp
-
-
-def sum_terms(terms) -> Tensor:
-    """The sum of scalar terms as one node, added left to right; each term's
-    share of the gradient is the total's."""
-    terms = list(terms)
-    values = [value_of(t) for t in terms]
-    return _node(sum(values[1:], values[0]), *((t, lambda g: g) for t in terms))
 
 
 def total_loss(state, batch, views, flags: MethodFlags,
                tau: float) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
     """Equal-weight sum of the enabled terms, with gradients."""
     terms, _, tp = build_loss_graph(state, batch, views, flags, tau)
-    total = sum_terms(terms.values())
-    total.backward()
-    breakdown = LossBreakdown(*(terms[name].item() for name in ("sup", "unsup", "upc", "sc")),
-                              l_total=total.item())
-    return breakdown, param_gradients(tp)
+    terms["total"].backward()
+    return LossBreakdown(*(t.item() for t in terms.values())), param_gradients(tp)

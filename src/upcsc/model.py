@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -121,12 +122,20 @@ def _inputs(state, x) -> np.ndarray:
     return x
 
 
-def featurize(state, x):
-    """Featurizer forward pass: linear layers with ReLU between, none after the last."""
+def layer_outputs(state, x):
+    """Yields each featurizer layer's output before its ReLU; the last is the features."""
     x = _inputs(state, x)
     for w, b in state.featurizer[:-1]:
-        x = relu(linear(x, w, b))
-    return linear(x, *state.featurizer[-1])
+        x = linear(x, w, b)
+        yield x
+        x = relu(x)
+    yield linear(x, *state.featurizer[-1])
+
+
+def featurize(state, x):
+    """layer_outputs' last entry; islice drops each hidden one as it comes."""
+    # list() runs it to its end: closing it suspended, once per call, faulted in more pages
+    return list(islice(layer_outputs(state, x), len(state.dims.hidden_dims), None))[0]
 
 
 def class_confidence(state, features) -> np.ndarray:

@@ -100,14 +100,10 @@ def random_rotation(latent_dim: int, rng: np.random.Generator, max_angle: float)
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.diag(r))  # fix signs so the basis is draw-stable
     b = np.eye(latent_dim)
-    for p in range(latent_dim // 2):
+    for i in range(0, latent_dim - 1, 2):
         theta = rng.uniform(0.0, max_angle)
         c, s = math.cos(theta), math.sin(theta)
-        i, j = 2 * p, 2 * p + 1
-        b[i, i] = c
-        b[j, j] = c
-        b[i, j] = -s
-        b[j, i] = s
+        b[i:i + 2, i:i + 2] = [[c, -s], [s, c]]
     return q @ b @ q.T
 
 
@@ -298,16 +294,20 @@ def _write_xy(path, x: np.ndarray, y) -> None:
               format_rows(",".join([FLOAT_FORMAT] * k) + ",%d", x, np.asarray(y)))
 
 
+def truth_sidecar(directory, domain: int) -> tuple[str, list[str]]:
+    """Path and header of the CSV that holds a domain's unlabeled labels."""
+    return os.path.join(directory, f"domain{domain}_unlabeled_truth.csv"), ["label"]
+
+
 def export_benchmark(benchmark: DomainBenchmark, out_dir) -> None:
     """One CSV per (domain, split); unlabeled labels are written as -1 and
-    the real labels go to a *_truth.csv sidecar.
+    the real labels go to the truth_sidecar.
     """
     os.makedirs(out_dir, exist_ok=True)
     for d in benchmark.domain_ids:
         _write_xy(os.path.join(out_dir, f"domain{d}_labeled.csv"), *benchmark.labeled(d))
         ux = benchmark.unlabeled(d)
         _write_xy(os.path.join(out_dir, f"domain{d}_unlabeled.csv"), ux, np.full(len(ux), -1))
-        write_csv(os.path.join(out_dir, f"domain{d}_unlabeled_truth.csv"), ["label"],
-                  format_rows("%d", benchmark.quarantined_truth(d)))
+        write_csv(*truth_sidecar(out_dir, d), format_rows("%d", benchmark.quarantined_truth(d)))
         _write_xy(os.path.join(out_dir, f"domain{d}_test.csv"), *benchmark.test(d))
 

@@ -391,6 +391,38 @@ def test_gen_data_exports(cfg_path, tmp_path, capsys):
             assert (out / f"domain{d}_{kind}.csv").exists()
 
 
+@pytest.mark.parametrize("below", [False, True])
+@pytest.mark.parametrize("command, flags", [
+    ("train", []), ("protocol", ["--jobs", "2"]), ("gen-data", []),
+    ("stats", ["--confidences", "missing.csv", "--truth-dir", "missing"])])
+def test_an_out_that_is_not_a_directory_exits_2_before_any_work(cfg_path, tmp_path, monkeypatch,
+                                                                capsys, command, flags, below):
+    calls = []
+    for owner, name in ((cli, "generate_benchmark"), (cli, "run_protocol"),
+                        (analysis, "load_confidence_log")):
+        monkeypatch.setattr(owner, name, lambda *args, name=name, **kw: calls.append(name))
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" if below else blocker
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg_path, *flags, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument --out: {blocker} is not a directory" in capsys.readouterr().err
+    assert calls == []
+    assert blocker.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "small.cfg"]
+
+
+def test_duplicate_seeds_in_a_config_exit_2_and_write_nothing(tmp_path, capsys):
+    path = tmp_path / "dup.cfg"
+    path.write_text(SMALL_CFG.replace("seeds = 0\n", "seeds = 0, 0\n"))
+    code = main(["protocol", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "error: seeds must be nonnegative and distinct" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_flag_exits_2(cfg_path):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--config", cfg_path, "--frobnicate"])

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from upcsc.errors import ConfigError
-from upcsc.gradcheck import (LOSS_NAMES, check_losses, find_checkable_case, _analytic_gradients,
-                             _graph, _relu_margin, _term_values, MIN_TERM_VALUE, RELU_MARGIN)
+from upcsc.gradcheck import (check_losses, find_checkable_case, _analytic_gradients, _relu_margin,
+                             _term_values, _ALL_FLAGS, MIN_TERM_VALUE, RELU_MARGIN, TAU)
+from upcsc.losses import build_loss_graph
 from upcsc.synthdata import TrainBatch
 
 TOLERANCE = 1e-4
@@ -15,7 +16,7 @@ TOLERANCE = 1e-4
 
 def test_all_losses_pass_at_tolerance():
     worst = check_losses(num_draws=5, seed=1)
-    assert set(worst) == set(LOSS_NAMES)
+    assert list(worst) == ["sup", "unsup", "upc", "sc", "total"]
     for name, err in worst.items():
         assert err < TOLERANCE, f"{name}: {err:.3e}"
 
@@ -45,7 +46,7 @@ def test_pinning_the_graphs_own_partition_changes_nothing(n_u):
     n = len(batch.unlabeled_x)
     small = TrainBatch(batch.labeled_x, batch.labeled_y, batch.unlabeled_x[:n_u])
     small_views = views[np.r_[:n_u, n:n + n_u]]   # both views of the kept rows
-    terms, part, _ = _graph(state, small, small_views)
+    terms, part, _ = build_loss_graph(state, small, small_views, _ALL_FLAGS, TAU)
     free = {name: t.item() for name, t in terms.items()}
     assert len(part.confident_indices) + len(part.unconfident_indices) == n_u
     assert _term_values(state, small, small_views, part) == free

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -257,6 +258,14 @@ def test_supervised_only_learns_separable_benchmark():
                for r in record.epochs)
 
 
+def test_duplicate_seeds_are_a_config_error():
+    # a repeated seed would write two rows with one run_id and count the run twice
+    with pytest.raises(ConfigError, match="seeds must be nonnegative and distinct"):
+        build_train_config({"seeds": "1,1"})
+    with pytest.raises(ConfigError, match="seeds must be nonnegative and distinct"):
+        small_config(seeds=(0, 1, 0))
+
+
 def test_run_protocol_order_and_coverage():
     cfg = small_config(seeds=(0, 1), epochs=1, steps_per_epoch=2)
     result = run_protocol(cfg)
@@ -275,6 +284,31 @@ def test_run_protocol_parallel_matches_serial():
         for (name, pa), (_, pb) in zip(a.final_state.param_items(),
                                        b.final_state.param_items()):
             assert np.array_equal(pa, pb), name
+
+
+def test_run_protocol_starts_at_most_one_worker_per_run(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, tasks, chunksize):
+            return [func(*task) for task in tasks]
+
+    monkeypatch.setattr(harness, "multiprocessing", SimpleNamespace(Pool=RecordingPool))
+    monkeypatch.setattr(harness, "train_one", lambda config, target, seed: (target, seed))
+    result = run_protocol(small_config(seeds=(0, 1)), jobs=64)
+    assert started == [6]
+    assert result.runs == [(t, s) for t in range(3) for s in (0, 1)]
+    run_protocol(small_config(seeds=(0, 1)), jobs=4)
+    assert started == [6, 4]
 
 
 def test_run_protocol_rejects_nonpositive_jobs():

@@ -3,6 +3,7 @@
 import gc
 import math
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from oracles import pcl_reference_loss, with_params
 
 from upcsc.autograd import Tensor, gather_rows
 from upcsc.errors import ConfigError, ShapeError
-from upcsc.losses import (MethodFlags, _cross_entropy, _surrogate_weights, build_loss_graph,
-                          param_gradients, partition_unlabeled, sc_anchor_indices,
-                          sc_loss, sc_negative_masks, sum_terms, total_loss, upc_loss,
+from upcsc.losses import (LossBreakdown, MethodFlags, _cross_entropy, _surrogate_weights,
+                          build_loss_graph, param_gradients, partition_unlabeled,
+                          sc_anchor_indices, sc_loss, sc_negative_masks, total_loss, upc_loss,
                           upc_negative_masks)
 from upcsc.model import ModelDims, ModelState, class_confidence, featurize, init_model
 from upcsc.numerics import l2_normalize_rows, softmax_rows, substream
@@ -496,6 +497,18 @@ def test_total_loss_breakdown_sums_exactly():
             assert term >= 0.0
 
 
+def test_loss_graph_terms_follow_the_breakdown_and_end_at_their_sum():
+    state = sharp_state()
+    batch = random_batch(58)
+    views = views_of(batch.unlabeled_x, 59, strong_dropout=0.05)
+    terms, _, _ = build_loss_graph(state, batch, views, ALL, 0.65)
+    assert ["l_" + name for name in terms] == [f.name for f in fields(LossBreakdown)]
+    *parts, total = (t.item() for t in terms.values())
+    assert total == parts[0] + parts[1] + parts[2] + parts[3]
+    breakdown, _ = total_loss(state, batch, views, ALL, 0.65)
+    assert breakdown == LossBreakdown(*parts, total)
+
+
 def test_total_loss_supervised_only_equals_supervised():
     state = sharp_state()
     batch = random_batch(60)
@@ -627,11 +640,10 @@ def test_loss_graph_is_freed_without_the_cycle_collector():
         batch = random_batch(116)
         views = views_of(batch.unlabeled_x, 117, strong_dropout=0.05)
         terms, _, tp = build_loss_graph(state, batch, views, ALL, 0.65)
-        total = sum_terms(terms.values())
-        total.backward()
-        refs = _reachable_nodes(total)
+        terms["total"].backward()
+        refs = _reachable_nodes(terms["total"])
         assert len(refs) > 20   # the fused graph has 28 nodes
-        del terms, tp, total
+        del terms, tp
         assert [ref for ref in refs if ref() is not None] == []
     finally:
         gc.enable()

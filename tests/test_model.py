@@ -1,13 +1,14 @@
 """ModelState construction, forward ops, and serialization."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import with_params
 from upcsc import model
-from upcsc.autograd import Tensor
+from upcsc.autograd import Tensor, linear, relu
 from upcsc.errors import ConfigError, ShapeError
 from upcsc.model import (FORMAT_VERSION, MAGIC, ROW_ALIGN, ModelDims, ModelState, block_rows,
                          class_confidence, featurize, init_model, load_model, param_layout,
@@ -125,6 +126,41 @@ def test_featurize_matches_manual_forward():
     (w0, b0), (w1, b1) = state.featurizer
     manual = np.maximum(x @ w0 + b0, 0.0) @ w1 + b1
     assert np.allclose(featurize(state, x), manual, atol=1e-14)
+
+
+def test_layer_outputs_are_each_layers_output_before_its_relu():
+    dims = ModelDims(input_dim=3, hidden_dims=(4, 5), feature_dim=2, num_classes=3)
+    state = init_model(dims, seed=4)
+    x = np.random.default_rng(3).standard_normal((7, 3))
+    expect, h = [], x
+    for w, b in state.featurizer:
+        expect.append(h @ w + b)
+        h = np.maximum(expect[-1], 0.0)
+    outs = list(model.layer_outputs(state, x))
+    assert len(outs) == 3
+    for got, want in zip(outs, expect):
+        assert np.allclose(got, want, atol=1e-14)
+    assert np.array_equal(featurize(state, x), outs[-1])
+
+
+def test_featurize_keeps_no_hidden_output_alive():
+    # score_rows sizes its blocks to the heap: a hidden layer's output kept
+    # past its ReLU would put one more block-sized array in every block
+    dims = ModelDims(input_dim=8, hidden_dims=(64,), feature_dim=64, num_classes=3)
+    state = init_model(dims, seed=0)
+    x = np.random.default_rng(4).standard_normal((1000, 8))
+    (w0, b0), (w1, b1) = state.featurizer
+
+    def peak_bytes(forward):
+        tracemalloc.start()
+        try:
+            forward()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    fused = peak_bytes(lambda: linear(relu(linear(x, w0, b0)), w1, b1))
+    assert peak_bytes(lambda: featurize(state, x)) < fused + 1000 * 64 * 8 // 2
 
 
 def test_featurize_on_arrays_matches_the_tape_bit_for_bit():
