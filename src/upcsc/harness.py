@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis
 from .csvio import FLOAT_FORMAT, format_rows, write_csv
-from .errors import ConfigError, DivergenceError, check_fields
+from .errors import ConfigError, DegenerateInputError, DivergenceError, check_fields
 from .losses import LossBreakdown, MethodFlags, check_threshold, total_loss
 from .model import ModelDims, ModelState, init_model, score_rows
 from .numerics import cosine_lr, sgd_step, substream
@@ -46,7 +46,8 @@ MAX_LOSS_GROWTH = 100.0
 @dataclass(frozen=True)
 class TrainConfig:
     benchmark: BenchmarkConfig = field(default_factory=BenchmarkConfig)
-    dims: ModelDims = field(default_factory=ModelDims)
+    hidden_dims: tuple[int, ...] = ModelDims.hidden_dims
+    feature_dim: int = ModelDims.feature_dim
     method: str = "fixmatch+upcsc"
     tau: float = 0.95
     epochs: int = 20
@@ -57,6 +58,8 @@ class TrainConfig:
     lr_classifier: float = 0.01
     lr_projectors: float = 0.0005
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
+    # the model's, derived: its input width and head follow the benchmark
+    dims: ModelDims = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_fields(self)
@@ -75,27 +78,22 @@ class TrainConfig:
         if min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
             raise ConfigError(f"seeds must be nonnegative and distinct, got {self.seeds}")
         check_threshold(self.tau, self.benchmark.num_classes)
-        if self.dims.input_dim != self.benchmark.latent_dim:
-            raise ConfigError("model input_dim must equal the benchmark latent_dim")
-        if self.dims.num_classes != self.benchmark.num_classes:
-            raise ConfigError("model and benchmark disagree on num_classes")
+        object.__setattr__(self, "dims", ModelDims(self.benchmark.latent_dim, self.hidden_dims,
+                                                   self.feature_dim, self.benchmark.num_classes))
 
 
 @dataclass(frozen=True)
-class EpochRecord:
+class EpochRecord(LossBreakdown):
+    """One epoch's mean loss terms and its evaluation."""
     epoch: int   # 1-based
-    l_sup: float
-    l_unsup: float
-    l_upc: float
-    l_sc: float
-    l_total: float
     source_unlabeled_accuracy: float
     uus_rate: float
     inclusion_rate: float   # nan when no sample is unconfident
     target_accuracy: float
 
 
-EPOCH_METRICS = tuple(f.name for f in fields(EpochRecord))[1:]   # metrics.csv's rows, in order
+# metrics.csv's rows, in order
+EPOCH_METRICS = tuple(f.name for f in fields(EpochRecord) if f.name != "epoch")
 
 
 @dataclass
@@ -179,7 +177,10 @@ def train_one(config: TrainConfig, target: int, seed: int,
             # a diverging step is reported once, by the non-finite check
             # below, rather than by numpy warnings on the way there
             with np.errstate(over="ignore", invalid="ignore"):
-                breakdown, grads = total_loss(state, batch, views, flags, config.tau)
+                try:
+                    breakdown, grads = total_loss(state, batch, views, flags, config.tau)
+                except DegenerateInputError as exc:
+                    raise DegenerateInputError(f"{run_id}: {exc} at step {step}") from exc
                 bad = _first_non_finite(breakdown, grads)
                 if bad:
                     raise DivergenceError(f"{run_id}: non-finite {bad} at step {step}")
@@ -216,7 +217,8 @@ def run_protocol(config: TrainConfig, jobs: int = 1) -> ProtocolResult:
     """train_one over every (target, seed) pair, in a fixed order.
 
     With jobs > 1 the runs execute in a pool of at most one process per run;
-    results are merged in task order, so parallel and serial protocols match.
+    results, and the error of the first run in task order that fails, are
+    taken in task order, so parallel and serial protocols match.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -225,10 +227,11 @@ def run_protocol(config: TrainConfig, jobs: int = 1) -> ProtocolResult:
     if jobs > 1:
         # one task at a time, so no worker idles while another runs a chunk
         with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
-            runs = pool.starmap(train_one, tasks, chunksize=1)
+            pending = [pool.apply_async(train_one, task) for task in tasks]
+            runs = [p.get() for p in pending]
     else:
         runs = [train_one(*task) for task in tasks]
-    return ProtocolResult(config, list(runs))
+    return ProtocolResult(config, runs)
 
 
 def write_metrics_csv(result: ProtocolResult, path) -> None:
@@ -248,11 +251,9 @@ def write_results_csv(result: ProtocolResult, path) -> None:
 
 # ------------------------------------------------------------ config parsing
 
-# config key -> the config class that takes it; the model's input_dim and
-# num_classes follow the benchmark
+# config key -> the config class that takes it
 _KEY_OWNERS = {**{f.name: TrainConfig for f in fields(TrainConfig)
-                  if f.name not in ("benchmark", "dims")},
-               "hidden_dims": ModelDims, "feature_dim": ModelDims,
+                  if f.init and f.name != "benchmark"},
                **{f.name: BenchmarkConfig for f in fields(BenchmarkConfig)}}
 
 
@@ -278,18 +279,11 @@ def parse_config_file(path) -> dict:
 
 def build_train_config(overrides: dict) -> TrainConfig:
     """TrainConfig from a flat key/value mapping; each config class reads its
-    own values, config-file strings included.
-
-    num_classes feeds both the benchmark and the model head, and the model
-    input width always follows the benchmark latent_dim.
-    """
+    own values, config-file strings included."""
     unknown = set(overrides) - set(_KEY_OWNERS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {cls: {} for cls in (BenchmarkConfig, ModelDims, TrainConfig)}
+    kwargs = {cls: {} for cls in (BenchmarkConfig, TrainConfig)}
     for key, value in overrides.items():
         kwargs[_KEY_OWNERS[key]][key] = value
-    bench = BenchmarkConfig(**kwargs[BenchmarkConfig])
-    dims = ModelDims(input_dim=bench.latent_dim, num_classes=bench.num_classes,
-                     **kwargs[ModelDims])
-    return TrainConfig(benchmark=bench, dims=dims, **kwargs[TrainConfig])
+    return TrainConfig(benchmark=BenchmarkConfig(**kwargs[BenchmarkConfig]), **kwargs[TrainConfig])

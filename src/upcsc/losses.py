@@ -39,26 +39,17 @@ class MethodFlags:
 class BatchPartition:
     """Roles of the rows of one unlabeled batch, as arrays.
 
-    confident_indices (n_c,) are batch rows in increasing order and
-    pseudo_labels (n_c,) their labels. unconfident_indices (n_u,) are the
-    remaining rows in increasing order and candidates is the candidate
-    matrix K, boolean of shape (n_u, C), one row per unconfident sample;
-    weights (n_u, C) are those samples' surrogate weights.
+    confident (n_c,) are batch rows in increasing order and pseudo_labels
+    (n_c,) their labels. unconfident (n_u,) are the remaining rows in
+    increasing order and candidates is the candidate matrix K, boolean of
+    shape (n_u, C), one row per unconfident sample; weights (n_u, C) are
+    those samples' surrogate weights.
     """
-    confident_indices: np.ndarray
+    confident: np.ndarray
     pseudo_labels: np.ndarray
-    unconfident_indices: np.ndarray
+    unconfident: np.ndarray
     candidates: np.ndarray
     weights: np.ndarray
-
-    # batch rows of each role, so len() counts the role (bench/tracer.py does)
-    @property
-    def confident(self) -> np.ndarray:
-        return self.confident_indices
-
-    @property
-    def unconfident(self) -> np.ndarray:
-        return self.unconfident_indices
 
 
 def check_threshold(tau: float, num_classes: int) -> None:
@@ -322,12 +313,11 @@ def build_loss_graph(state, batch, views, flags: MethodFlags, tau: float, partit
     if partition is None:
         conf = class_confidence(state, f.data[:n]) if n else np.zeros((0, c))
         partition = partition_unlabeled(conf, tau)
-    elif sorted([*partition.confident_indices, *partition.unconfident_indices]) != list(range(n)):
+    elif sorted([*partition.confident, *partition.unconfident]) != list(range(n)):
         raise ShapeError(f"pinned partition must cover the {n} unlabeled rows once each")
 
     unsup = upc = sc = Tensor(0.0)
-    ci = partition.confident_indices
-    ui = partition.unconfident_indices
+    ci, ui = partition.confident, partition.unconfident
     if flags.unsup and ci.size:
         unsup = _cross_entropy(gather_rows(f, n + ci), tp.classifier, partition.pseudo_labels)
     if (flags.upc or flags.sc) and n:

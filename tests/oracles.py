@@ -4,15 +4,18 @@ tests call."""
 
 import ctypes
 import math
+import os
+import platform
 
 import numpy as np
+import pytest
 
 from upcsc.analysis import confidence_rates
 from upcsc.autograd import _node
 from upcsc.errors import ConfigError, DataError, ShapeError
 from upcsc.losses import confidence_roles
 from upcsc.model import ModelState
-from upcsc.numerics import _openblas_functions, as_matrix
+from upcsc.numerics import _loaded_library_paths, _openblas_functions, as_matrix
 
 
 class UndefinedStatisticError(ValueError):
@@ -138,3 +141,35 @@ def paired_deltas(a, b) -> np.ndarray:
 def blas_threads() -> dict[str, int]:
     """Thread count of each loaded OpenBLAS, keyed by its path."""
     return {path: get() for path, get in _openblas_functions("get", [], ctypes.c_int)}
+
+
+def skip(reason: str) -> None:
+    """Skip the calling test, with the reason in its output too."""
+    print(f"skipped: {reason}")
+    pytest.skip(reason)
+
+
+def require_openblas() -> None:
+    # by file name, not by blas_threads(): a loaded OpenBLAS whose thread
+    # functions go unrecognised is unpinned, and must fail these tests
+    if not any("openblas" in os.path.basename(path).lower()
+               for path in _loaded_library_paths()):
+        skip("no OpenBLAS loaded by numpy; its BLAS is not pinned")
+
+
+# each x86-64 kernel set of a DYNAMIC_ARCH OpenBLAS, by the CPU flags it
+# needs; OPENBLAS_CORETYPE picks the set when the process loads OpenBLAS,
+# and a build without DYNAMIC_ARCH ignores it
+KERNEL_FLAGS = {"Nehalem": {"sse4_2"}, "Sandybridge": {"avx"}, "Haswell": {"avx2", "fma"},
+                "SkylakeX": {"avx512f", "avx512vl", "avx512bw", "avx512dq"}}
+
+
+def require_kernel_set(kernel: str) -> None:
+    """Skip unless numpy's OpenBLAS can run `kernel`'s kernels on this CPU."""
+    require_openblas()
+    if platform.machine() != "x86_64" or not os.path.exists("/proc/cpuinfo"):
+        skip("not x86-64 Linux; no CPU flags to pick kernel sets by")
+    with open("/proc/cpuinfo") as fh:
+        flags = set(next(line for line in fh if line.startswith("flags")).split())
+    if not KERNEL_FLAGS[kernel] <= flags:
+        skip(f"this CPU cannot run OpenBLAS's {kernel} kernels")

@@ -77,9 +77,9 @@ def test_criterion_3_pair_selection_oracle():
                        if conf[i].max() >= tau]
         expect_unconf = [(i, frozenset(y for y in range(c) if conf[i][y] > 1 / c))
                          for i in range(n) if conf[i].max() < tau]
-        got_conf = list(zip(part.confident_indices.tolist(), part.pseudo_labels.tolist()))
+        got_conf = list(zip(part.confident.tolist(), part.pseudo_labels.tolist()))
         got_unconf = [(i, frozenset(np.flatnonzero(row).tolist()))
-                      for i, row in zip(part.unconfident_indices.tolist(), part.candidates)]
+                      for i, row in zip(part.unconfident.tolist(), part.candidates)]
         assert got_conf == expect_conf
         assert got_unconf == expect_unconf
 

@@ -14,8 +14,7 @@ from pathlib import Path
 import pytest
 
 import upcsc
-from oracles import blas_threads
-from upcsc import numerics
+from oracles import KERNEL_FLAGS, blas_threads, require_kernel_set, require_openblas, skip
 
 SRC = str(Path(upcsc.__file__).resolve().parent.parent)
 
@@ -48,38 +47,24 @@ def test_outputs_do_not_depend_on_the_blas_thread_env(tmp_path):
     assert one["losses"] == two["losses"]
 
 
-def _require_openblas():
-    # by file name, not by blas_threads(): a loaded OpenBLAS whose thread
-    # functions go unrecognised is unpinned, and must fail these tests
-    if not any("openblas" in os.path.basename(path).lower()
-               for path in numerics._loaded_library_paths()):
-        reason = "no OpenBLAS loaded by numpy; its BLAS is not pinned"
-        print(f"skipped: {reason}")
-        pytest.skip(reason)
-
-
 def test_blas_runs_on_one_thread_after_import():
-    _require_openblas()
+    require_openblas()
     assert set(blas_threads().values()) == {1}
 
 
 @pytest.mark.parametrize("method", [m for m in ("fork", "spawn")
                                     if m in multiprocessing.get_all_start_methods()])
 def test_pool_workers_run_blas_on_one_thread(method):
-    _require_openblas()
+    require_openblas()
     with multiprocessing.get_context(method).Pool(2) as pool:
         reports = [pool.apply(blas_threads) for _ in range(2)]
     assert [set(r.values()) for r in reports] == [{1}, {1}]
 
 
-# score_rows against the whole product on each x86-64 kernel set of a
-# DYNAMIC_ARCH OpenBLAS that this CPU can run, by the CPU flags each needs;
-# OPENBLAS_CORETYPE picks the set when the process loads OpenBLAS, and a
-# build without DYNAMIC_ARCH ignores it. At every n here but 2B+1 the last
-# block overlaps the one before; unaligned, it fails on the Haswell and
-# Nehalem kernels, which round a row at another place in its group differently.
-KERNEL_FLAGS = {"Nehalem": {"sse4_2"}, "Sandybridge": {"avx"}, "Haswell": {"avx2", "fma"},
-                "SkylakeX": {"avx512f", "avx512vl", "avx512bw", "avx512dq"}}
+# score_rows against the whole product on each kernel set of KERNEL_FLAGS
+# that this CPU can run. At every n here but 2B+1 the last block overlaps
+# the one before; unaligned, it fails on the Haswell and Nehalem kernels,
+# which round a row at another place in its group differently.
 SCORE_BLOCKS = """
 import numpy as np
 from upcsc.model import ModelDims, block_rows, class_confidence, featurize, init_model, score_rows
@@ -93,17 +78,7 @@ for n in (B + 16, B + 17, 2 * B + 1, 700, 2730):
 
 @pytest.mark.parametrize("kernel", KERNEL_FLAGS)
 def test_score_rows_is_bit_exact_on_each_openblas_kernel_set(kernel):
-    _require_openblas()
-    if platform.machine() != "x86_64" or not os.path.exists("/proc/cpuinfo"):
-        reason = "not x86-64 Linux; no CPU flags to pick kernel sets by"
-        print(f"skipped: {reason}")
-        pytest.skip(reason)
-    with open("/proc/cpuinfo") as fh:
-        flags = set(next(line for line in fh if line.startswith("flags")).split())
-    if not KERNEL_FLAGS[kernel] <= flags:
-        reason = f"this CPU cannot run OpenBLAS's {kernel} kernels"
-        print(f"skipped: {reason}")
-        pytest.skip(reason)
+    require_kernel_set(kernel)
     env = dict(os.environ, OPENBLAS_CORETYPE=kernel,
                PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     subprocess.run([sys.executable, "-c", SCORE_BLOCKS], env=env, check=True)
@@ -130,9 +105,7 @@ print(rss_kb() - before)
 
 def test_freed_large_arrays_do_not_stay_resident():
     if platform.libc_ver()[0] != "glibc" or not os.path.exists("/proc/self/status"):
-        reason = "not glibc on Linux; malloc is left as it is"
-        print(f"skipped: {reason}")
-        pytest.skip(reason)
+        skip("not glibc on Linux; malloc is left as it is")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", FREED_BLOCK],
                          env=env, capture_output=True, text=True, check=True)
@@ -160,9 +133,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 def test_a_warmed_run_faults_in_few_pages():
     if platform.libc_ver()[0] != "glibc" or not sys.platform.startswith("linux"):
-        reason = "not glibc on Linux; malloc is left as it is"
-        print(f"skipped: {reason}")
-        pytest.skip(reason)
+        skip("not glibc on Linux; malloc is left as it is")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", WARM_RUN],
                          env=env, capture_output=True, text=True, check=True)

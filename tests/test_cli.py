@@ -529,6 +529,21 @@ def test_diverging_train_exits_1_without_outputs(tmp_path, capsys):
     assert not out.exists()
 
 
+# one latent axis: a projected row can be all zeros, which l2-normalization refuses
+DEGENERATE_CFG = "latent_dim = 1\nepochs = 1\nsteps_per_epoch = 2\n"
+
+
+@pytest.mark.parametrize("command", [["train"], ["protocol", "--jobs", "2"]])
+def test_a_degenerate_projection_names_its_run_and_step(tmp_path, capsys, command):
+    cfg = tmp_path / "degenerate.cfg"
+    cfg.write_text(DEGENERATE_CFG)
+    out = tmp_path / "out"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "fixmatch+upcsc-t0-s0" in err and "step 0" in err, err
+    assert not out.exists()
+
+
 # at these rates step 1's forward overflows, so numpy warns on the way to
 # the non-finite check; DIVERGING_CFG stops at the finite growth bound first
 OVERFLOWING_CFG = "lr_backbone = 1e150\nlr_classifier = 1e150\nepochs = 1\nsteps_per_epoch = 10\n"

@@ -92,8 +92,11 @@ def golden_protocol():
     rng = np.random.Generator(np.random.PCG64(11))
     runs = []
     for target, seed in ((0, 0), (1, 3)):
-        epochs = [EpochRecord(e, *rng.random(5).tolist(), 0.5, 0.25,
-                              float("nan") if e == 1 else 0.75, rng.random())
+        losses = ("l_sup", "l_unsup", "l_upc", "l_sc", "l_total")
+        epochs = [EpochRecord(epoch=e, **dict(zip(losses, rng.random(5).tolist())),
+                              source_unlabeled_accuracy=0.5, uus_rate=0.25,
+                              inclusion_rate=float("nan") if e == 1 else 0.75,
+                              target_accuracy=rng.random())
                   for e in (1, 2)]
         runs.append(RunRecord("fixmatch+upcsc", target, seed, epochs, None))
     return ProtocolResult(TrainConfig(), runs)

@@ -32,7 +32,7 @@ def test_checkable_cases_really_are():
         values = _term_values(state, batch, views, part)
         assert min(values["unsup"], values["upc"], values["sc"]) >= MIN_TERM_VALUE
         assert _relu_margin(state, batch, views) >= RELU_MARGIN
-        rows = np.concatenate([part.confident_indices, part.unconfident_indices])
+        rows = np.concatenate([part.confident, part.unconfident])
         assert sorted(rows.tolist()) == list(range(len(batch.unlabeled_x)))
         assert np.all(part.weights.sum(axis=1) <= 1.0 + 1e-12)
 
@@ -48,7 +48,7 @@ def test_pinning_the_graphs_own_partition_changes_nothing(n_u):
     small_views = views[np.r_[:n_u, n:n + n_u]]   # both views of the kept rows
     terms, part, _ = build_loss_graph(state, small, small_views, _ALL_FLAGS, TAU)
     free = {name: t.item() for name, t in terms.items()}
-    assert len(part.confident_indices) + len(part.unconfident_indices) == n_u
+    assert len(part.confident) + len(part.unconfident) == n_u
     assert _term_values(state, small, small_views, part) == free
     pinned = _analytic_gradients(state, small, small_views, part)
     for name, grads in _analytic_gradients(state, small, small_views, None).items():
@@ -61,7 +61,7 @@ def test_draws_are_reproducible():
     b = find_checkable_case(7)
     assert np.array_equal(a[1].unlabeled_x, b[1].unlabeled_x)
     assert np.array_equal(a[2], b[2])
-    for field in ("confident_indices", "pseudo_labels", "unconfident_indices", "candidates",
+    for field in ("confident", "pseudo_labels", "unconfident", "candidates",
                   "weights"):
         assert np.array_equal(getattr(a[3], field), getattr(b[3], field)), field
     for (name, pa), (_, pb) in zip(a[0].param_items(), b[0].param_items()):

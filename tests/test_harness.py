@@ -23,11 +23,10 @@ from upcsc.synthdata import (BenchmarkConfig, generate_benchmark, sample_batch, 
 SMALL_BENCH = BenchmarkConfig(num_domains=3, num_classes=4, latent_dim=8,
                               samples_per_class_per_domain=40, labels_per_class=4,
                               master_seed=3)
-SMALL_DIMS = ModelDims(input_dim=8, hidden_dims=(), feature_dim=6, num_classes=4)
 
 
 def small_config(method="fixmatch+upcsc", **kw):
-    base = dict(benchmark=SMALL_BENCH, dims=SMALL_DIMS, method=method, tau=0.6,
+    base = dict(benchmark=SMALL_BENCH, hidden_dims=(), feature_dim=6, method=method, tau=0.6,
                 epochs=2, steps_per_epoch=3, labeled_per_domain=4,
                 unlabeled_per_domain=6, seeds=(0,))
     base.update(kw)
@@ -46,11 +45,12 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         small_config(seeds=())
     with pytest.raises(ConfigError):
-        small_config(dims=ModelDims(input_dim=5, hidden_dims=(), feature_dim=6,
-                                    num_classes=4))
-    with pytest.raises(ConfigError):
-        small_config(dims=ModelDims(input_dim=8, hidden_dims=(), feature_dim=6,
-                                    num_classes=5))
+        small_config(hidden_dims=(8, 0))
+
+
+def test_model_dims_follow_the_benchmark():
+    cfg = replace(TrainConfig(), benchmark=BenchmarkConfig(num_classes=5, latent_dim=6))
+    assert cfg.dims == ModelDims(input_dim=6, hidden_dims=(64,), feature_dim=64, num_classes=5)
 
 
 @pytest.mark.parametrize("cls, field, value", [
@@ -65,8 +65,7 @@ def test_int_fields_reject_non_integers(cls, field, value):
 
 
 def test_int_fields_take_numpy_integers_as_ints():
-    cfg = TrainConfig(epochs=np.int64(3), seeds=[np.int32(4)],
-                      dims=ModelDims(hidden_dims=(np.uint8(5),)),
+    cfg = TrainConfig(epochs=np.int64(3), seeds=[np.int32(4)], hidden_dims=(np.uint8(5),),
                       benchmark=BenchmarkConfig(master_seed=np.int16(6)))
     values = (cfg.epochs, *cfg.seeds, *cfg.dims.hidden_dims, cfg.benchmark.master_seed)
     assert values == (3, 4, 5, 6)
@@ -90,11 +89,9 @@ def test_float_fields_reject_negative_and_non_finite_values(cls, field, value):
 
 
 def test_fields_read_strings_and_python_values_alike():
-    from_strings = TrainConfig(epochs="3", lr_backbone="1", seeds="4, 5",
-                               dims=ModelDims(hidden_dims="7"),
+    from_strings = TrainConfig(epochs="3", lr_backbone="1", seeds="4, 5", hidden_dims="7",
                                benchmark=BenchmarkConfig(noise_sigma="2"))
-    from_values = TrainConfig(epochs=3, lr_backbone=1, seeds=[4, 5],
-                              dims=ModelDims(hidden_dims=(7,)),
+    from_values = TrainConfig(epochs=3, lr_backbone=1, seeds=[4, 5], hidden_dims=(7,),
                               benchmark=BenchmarkConfig(noise_sigma=np.float32(2.0)))
     assert from_strings == from_values
     assert type(from_values.lr_backbone) is float
@@ -248,8 +245,7 @@ def test_supervised_only_learns_separable_benchmark():
                            class_separation=8.0, noise_sigma=0.3,
                            rotation_max_angle=0.05, scale_log_range=0.02,
                            shift_sigma=0.05, master_seed=4)
-    dims = ModelDims(input_dim=8, hidden_dims=(), feature_dim=6, num_classes=3)
-    cfg = TrainConfig(benchmark=easy, dims=dims, method="supervised-only",
+    cfg = TrainConfig(benchmark=easy, hidden_dims=(), feature_dim=6, method="supervised-only",
                       tau=0.6, epochs=5, steps_per_epoch=10,
                       labeled_per_domain=8, unlabeled_per_domain=4, seeds=(0,))
     record = train_one(cfg, target=0, seed=0)
@@ -299,8 +295,8 @@ def test_run_protocol_starts_at_most_one_worker_per_run(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def starmap(self, func, tasks, chunksize):
-            return [func(*task) for task in tasks]
+        def apply_async(self, func, task):
+            return SimpleNamespace(get=lambda: func(*task))
 
     monkeypatch.setattr(harness, "multiprocessing", SimpleNamespace(Pool=RecordingPool))
     monkeypatch.setattr(harness, "train_one", lambda config, target, seed: (target, seed))

@@ -96,9 +96,9 @@ def test_partition_hand_case():
         [1 / 3, 1 / 3, 1 / 3],  # exactly uniform: empty candidate set
     ])
     part = partition_unlabeled(conf, tau=0.9)
-    assert part.confident_indices.tolist() == [0]
+    assert part.confident.tolist() == [0]
     assert part.pseudo_labels.tolist() == [0]
-    assert part.unconfident_indices.tolist() == [1, 2]
+    assert part.unconfident.tolist() == [1, 2]
     assert part.candidates.tolist() == [[True, True, False], [False, False, False]]
     assert (~part.candidates.any(axis=1)).sum() == 1
 
@@ -106,13 +106,13 @@ def test_partition_hand_case():
 def test_partition_threshold_boundary_is_inclusive():
     conf = np.array([[0.9, 0.05, 0.05], [0.89999, 0.05001, 0.05]])
     part = partition_unlabeled(conf, tau=0.9)
-    assert part.confident_indices.tolist() == [0]
-    assert part.unconfident_indices.tolist() == [1]
+    assert part.confident.tolist() == [0]
+    assert part.unconfident.tolist() == [1]
 
 
 def test_partition_argmax_tie_lowest_index():
     part = partition_unlabeled(np.array([[0.48, 0.48, 0.04]]), tau=0.4)
-    assert part.confident_indices.tolist() == [0]
+    assert part.confident.tolist() == [0]
     assert part.pseudo_labels.tolist() == [0]
 
 
@@ -141,9 +141,9 @@ def test_partition_matches_bruteforce_sets():
                 expect_conf.append((i, int(np.argmax(row))))
             else:
                 expect_unconf.append((i, frozenset(y for y in range(c) if row[y] > 1 / c)))
-        got_conf = list(zip(part.confident_indices.tolist(), part.pseudo_labels.tolist()))
+        got_conf = list(zip(part.confident.tolist(), part.pseudo_labels.tolist()))
         got_unconf = [(i, frozenset(np.flatnonzero(row).tolist()))
-                      for i, row in zip(part.unconfident_indices.tolist(), part.candidates)]
+                      for i, row in zip(part.unconfident.tolist(), part.candidates)]
         assert got_conf == expect_conf
         assert got_unconf == expect_unconf
         assert part.candidates.shape == (len(expect_unconf), c)
@@ -194,8 +194,8 @@ def test_consistency_loss_no_confident_is_zero():
     value, grads, part = unsup_term(state, x_u, tau=0.999999, views=views_of(x_u, 10))
     assert value == 0.0
     assert max_abs(grads) == 0.0
-    assert len(part.confident_indices) == 0
-    assert len(part.unconfident_indices) == 10
+    assert len(part.confident) == 0
+    assert len(part.unconfident) == 10
 
 
 def test_consistency_loss_empty_batch():
@@ -203,7 +203,7 @@ def test_consistency_loss_empty_batch():
     x_u = np.zeros((0, DIMS.input_dim))
     value, grads, part = unsup_term(state, x_u, tau=0.9, views=views_of(x_u, 11))
     assert value == 0.0 and max_abs(grads) == 0.0
-    assert part.confident_indices.size == 0 and part.unconfident_indices.size == 0
+    assert part.confident.size == 0 and part.unconfident.size == 0
     assert part.candidates.shape == (0, DIMS.num_classes)
 
 
@@ -217,12 +217,12 @@ def test_consistency_loss_compositional_oracle():
     x_u = substream(12).standard_normal((10, DIMS.input_dim))
     views = views_of(x_u, 13)
     value, grads, part = unsup_term(state, x_u, tau=0.9, views=views)
-    assert 0 < len(part.confident_indices) < len(x_u)  # both roles occur
+    assert 0 < len(part.confident) < len(x_u)  # both roles occur
 
     conf = class_confidence(state, featurize(state, views[:len(x_u)]))
     part2 = partition_unlabeled(conf, 0.9)
-    ci = part2.confident_indices
-    assert np.array_equal(ci, part.confident_indices)
+    ci = part2.confident
+    assert np.array_equal(ci, part.confident)
     tp = ModelState(DIMS, {name: Tensor(a) for name, a in state.param_items()})
     strong = gather_rows(featurize(tp, views), len(x_u) + ci)
     expect = _cross_entropy(strong, tp.classifier, part2.pseudo_labels)
@@ -242,7 +242,7 @@ def test_consistency_loss_near_zero_when_predictions_match():
     x_u = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.1], [0.1, 1.0]])
     views = views_of(x_u, 14, sigma_weak=0.01, sigma_strong=0.01, strong_dropout=0.0)
     value, _, part = unsup_term(state, x_u, tau=0.9, views=views)
-    assert len(part.confident_indices) == 4
+    assert len(part.confident) == 4
     assert value < 1e-3
 
 
@@ -541,7 +541,7 @@ def test_total_loss_empty_unlabeled():
     views = views_of(batch.unlabeled_x, 92)
     breakdown, grads = total_loss(state, batch, views, ALL, 0.65)
     _, part, _ = build_loss_graph(state, batch, views, ALL, 0.65)
-    assert len(part.confident_indices) == 0 and len(part.unconfident_indices) == 0
+    assert len(part.confident) == 0 and len(part.unconfident) == 0
     assert breakdown.l_unsup == 0.0 and breakdown.l_upc == 0.0 and breakdown.l_sc == 0.0
     assert breakdown.l_total == breakdown.l_sup
     assert max_abs(grads) > 0  # supervised part still trains
@@ -573,7 +573,7 @@ def test_build_loss_graph_counts_degenerate_uniform():
     terms, part, _ = build_loss_graph(state, batch, views_of(batch.unlabeled_x, 111), ALL, 0.65,
                                       partition=partition_unlabeled(conf, 0.65))
     assert (~part.candidates.any(axis=1)).sum() == 1
-    assert len(part.confident_indices) == 1 and len(part.unconfident_indices) == 2
+    assert len(part.confident) == 1 and len(part.unconfident) == 2
     assert np.isfinite(terms["sc"].item())
 
 
@@ -609,7 +609,7 @@ def test_pinning_the_natural_confidences_changes_nothing():
     pinned_terms, pinned_part, _ = build_loss_graph(state, batch, views, ALL, 0.65,
                                                     partition=free_part)
     assert pinned_part is free_part
-    for field in ("confident_indices", "pseudo_labels", "unconfident_indices", "candidates",
+    for field in ("confident", "pseudo_labels", "unconfident", "candidates",
                   "weights"):
         assert np.array_equal(getattr(natural, field), getattr(free_part, field)), field
     for name in ("sup", "unsup", "upc", "sc"):

@@ -87,15 +87,15 @@ def test_partition_matches_set_oracle(batch):
     part = partition_unlabeled(conf, tau)
     confident, unconfident = set_oracle(conf, tau)
 
-    assert part.confident_indices.tolist() == [i for i, _ in confident]
+    assert part.confident.tolist() == [i for i, _ in confident]
     assert part.pseudo_labels.tolist() == [y for _, y in confident]
-    assert part.unconfident_indices.tolist() == [i for i, _ in unconfident]
+    assert part.unconfident.tolist() == [i for i, _ in unconfident]
     assert part.candidates.dtype == bool
     assert part.candidates.shape == (len(unconfident), c)
     for row, (_, cand) in zip(part.candidates, unconfident):
         assert {y for y in range(c) if row[y]} == cand
     assert (~part.candidates.any(axis=1)).sum() == sum(1 for _, cand in unconfident if not cand)
-    assert sorted(part.confident_indices.tolist() + part.unconfident_indices.tolist()) \
+    assert sorted(part.confident.tolist() + part.unconfident.tolist()) \
         == list(range(n))
 
 
@@ -135,7 +135,7 @@ def test_surrogate_weights_match_set_oracle(batch):
     conf, tau = batch
     part = partition_unlabeled(conf, tau)
     _, unconfident = set_oracle(conf, tau)
-    weights = _surrogate_weights(conf[part.unconfident_indices], part.candidates)
+    weights = _surrogate_weights(conf[part.unconfident], part.candidates)
     expect = [[float(conf[i, y]) if y in cand else 0.0 for y in range(conf.shape[1])]
               for i, cand in unconfident]
     assert weights.tolist() == expect
@@ -167,7 +167,7 @@ def test_statistics_agree_with_the_partition(drawn):
     _, unconfident = set_oracle(conf, tau)
     log = ConfidenceLog(np.ones(n), np.zeros(n), conf, truth)
 
-    assert uus_rate(log, tau) == len(part.unconfident_indices) / n
+    assert uus_rate(log, tau) == len(part.unconfident) / n
     hist = confusing_class_histogram(log, tau)
     assert Counter(hist) + Counter({0: degenerate_uniform_count(log, tau)}) \
         == Counter(part.candidates.sum(axis=1).tolist())
