@@ -199,7 +199,10 @@ def cmd_gen_data(args) -> int:
 
 
 def _out_dir(out: str) -> str:
-    """--out, a usage error unless it or else its nearest existing ancestor is a directory."""
+    """--out, a usage error if empty (abspath reads "" as the working directory)
+    or unless it or else its nearest existing ancestor is a directory."""
+    if not out:
+        raise argparse.ArgumentTypeError("an empty path is not a directory")
     path = os.path.abspath(out)
     while not os.path.lexists(path):
         path = os.path.dirname(path)

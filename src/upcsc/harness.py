@@ -18,7 +18,8 @@ import numpy as np
 
 from . import analysis
 from .csvio import FLOAT_FORMAT, format_rows, write_csv
-from .errors import ConfigError, DegenerateInputError, DivergenceError, check_fields
+from .errors import (ConfigError, DataError, DegenerateInputError, DivergenceError, bounded,
+                     check_fields)
 from .losses import LossBreakdown, MethodFlags, check_threshold, total_loss
 from .model import ModelDims, ModelState, init_model, score_rows
 from .numerics import cosine_lr, sgd_step, substream
@@ -46,37 +47,28 @@ MAX_LOSS_GROWTH = 100.0
 @dataclass(frozen=True)
 class TrainConfig:
     benchmark: BenchmarkConfig = field(default_factory=BenchmarkConfig)
+    # ModelDims holds these two to its bounds
     hidden_dims: tuple[int, ...] = ModelDims.hidden_dims
     feature_dim: int = ModelDims.feature_dim
     method: str = "fixmatch+upcsc"
     tau: float = 0.95
-    epochs: int = 20
-    steps_per_epoch: int = 50
-    labeled_per_domain: int = 16
-    unlabeled_per_domain: int = 16
-    lr_backbone: float = 0.003
-    lr_classifier: float = 0.01
-    lr_projectors: float = 0.0005
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
+    epochs: int = bounded(20, least=1)
+    steps_per_epoch: int = bounded(50, least=1)
+    labeled_per_domain: int = bounded(16, least=1)
+    unlabeled_per_domain: int = bounded(16, least=1)
+    lr_backbone: float = bounded(0.003, above=0)
+    lr_classifier: float = bounded(0.01, above=0)
+    lr_projectors: float = bounded(0.0005, above=0)
+    seeds: tuple[int, ...] = bounded((0, 1, 2, 3, 4), least=0)
     # the model's, derived: its input width and head follow the benchmark
     dims: ModelDims = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_fields(self)
         if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}; "
-                              f"choose one of {sorted(METHODS)}")
-        if self.epochs < 1 or self.steps_per_epoch < 1:
-            raise ConfigError("epochs and steps_per_epoch must be >= 1")
-        if self.labeled_per_domain < 1 or self.unlabeled_per_domain < 1:
-            raise ConfigError("per-domain batch sizes must be >= 1")
-        for name in ("lr_backbone", "lr_classifier", "lr_projectors"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if not self.seeds:
-            raise ConfigError("need at least one run seed")
-        if min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
-            raise ConfigError(f"seeds must be nonnegative and distinct, got {self.seeds}")
+            raise ConfigError(f"'method' must be one of {sorted(METHODS)}, got {self.method!r}")
+        if not self.seeds or len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"'seeds' must be one or more distinct seeds, got {self.seeds}")
         check_threshold(self.tau, self.benchmark.num_classes)
         object.__setattr__(self, "dims", ModelDims(self.benchmark.latent_dim, self.hidden_dims,
                                                    self.feature_dim, self.benchmark.num_classes))
@@ -196,7 +188,12 @@ def train_one(config: TrainConfig, target: int, seed: int,
                 sums[name] += getattr(breakdown, name)
 
         confidence_fn = functools.partial(score_rows, state)
-        log = analysis.log_source_confidences(bench, view.source_ids, confidence_fn, epoch)
+        # the last step can leave weights whose scores overflow, which no step checks
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                log = analysis.log_source_confidences(bench, view.source_ids, confidence_fn, epoch)
+            except DataError as exc:
+                raise DivergenceError(f"{run_id}: {exc} when scored after step {step}") from exc
         if on_epoch is not None:
             on_epoch(log)
         uus, inclusion = analysis.confidence_rates(log, config.tau)

@@ -54,7 +54,8 @@ class BatchPartition:
 
 def check_threshold(tau: float, num_classes: int) -> None:
     if not (1.0 / num_classes < tau < 1.0):
-        raise ConfigError(f"threshold {tau} must lie strictly between 1/{num_classes} and 1")
+        raise ConfigError(f"'tau' must lie strictly between 1/'num_classes' = 1/{num_classes} "
+                          f"and 1, got {tau}")
 
 
 def confidence_roles(conf, tau: float) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ from itertools import islice
 import numpy as np
 
 from .autograd import linear, relu
-from .errors import ConfigError, ShapeError, check_fields
+from .errors import ShapeError, bounded, check_fields
 from .numerics import heap_rows, l2_normalize_rows, softmax_rows, substream
 
 MAGIC = b"UPCS"
@@ -25,19 +25,13 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class ModelDims:
-    input_dim: int = 32
-    hidden_dims: tuple[int, ...] = (64,)
-    feature_dim: int = 64
-    num_classes: int = 7
+    input_dim: int = bounded(32, least=1)
+    hidden_dims: tuple[int, ...] = bounded((64,), least=1)
+    feature_dim: int = bounded(64, least=1)
+    num_classes: int = bounded(7, least=2)
 
     def __post_init__(self):
         check_fields(self)
-        if self.input_dim < 1 or self.feature_dim < 1:
-            raise ConfigError("input_dim and feature_dim must be positive")
-        if any(h < 1 for h in self.hidden_dims):
-            raise ConfigError("hidden layer widths must be positive")
-        if self.num_classes < 2:
-            raise ConfigError("need at least two classes")
 
     def layer_widths(self) -> list[tuple[int, int]]:
         """(fan_in, fan_out) for each featurizer layer, ending at feature_dim."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import FLOAT_FORMAT, format_rows, write_csv
-from .errors import ConfigError, DataError, check_fields
+from .errors import ConfigError, DataError, bounded, check_fields
 from .numerics import substream
 
 TEST_FRACTION = 0.2
@@ -30,46 +30,31 @@ _TAG_SPLITS = 3
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    num_domains: int = 4
-    num_classes: int = 7
-    latent_dim: int = 32
-    samples_per_class_per_domain: int = 500
-    labels_per_class: int = 10
-    class_separation: float = 7.5
-    master_seed: int = 0
+    num_domains: int = bounded(4, least=2)
+    num_classes: int = bounded(7, least=2)
+    latent_dim: int = bounded(32, least=1)
+    samples_per_class_per_domain: int = 500   # bounded by the unlabeled majority below
+    labels_per_class: int = bounded(10, least=1)
+    class_separation: float = bounded(7.5, least=0)
+    master_seed: int = bounded(0, least=0)
     # domain-shift strength
-    rotation_max_angle: float = 1.1   # radians, per rotation plane
-    scale_log_range: float = 0.45     # per-axis scale in exp(+-range)
-    shift_sigma: float = 1.0
-    noise_sigma: float = 1.875
+    rotation_max_angle: float = bounded(1.1, least=0)   # radians, per rotation plane
+    scale_log_range: float = bounded(0.45, least=0)     # per-axis scale in exp(+-range)
+    shift_sigma: float = bounded(1.0, least=0)
+    noise_sigma: float = bounded(1.875, least=0)
     # view noise, read by augment_views
-    sigma_weak: float = 0.05
-    sigma_strong: float = 0.5
-    strong_dropout: float = 0.2
+    sigma_weak: float = bounded(0.05, least=0)
+    sigma_strong: float = bounded(0.5, least=0)
+    # at 1 every strong view is all zeros and has no projection direction
+    strong_dropout: float = bounded(0.2, least=0, below=1)
 
     def __post_init__(self):
         check_fields(self)
-        if self.num_domains < 2:
-            raise ConfigError("need at least two domains")
-        if self.num_classes < 2:
-            raise ConfigError("need at least two classes")
-        if self.latent_dim < 1:
-            raise ConfigError("latent_dim must be positive")
-        if self.labels_per_class < 1:
-            raise ConfigError("labels_per_class must be positive")
-        spc = self.samples_per_class_per_domain
-        if self.labels_per_class > spc:
-            raise ConfigError("labels_per_class cannot exceed samples per class")
-        if spc - self.test_per_class() <= 2 * self.labels_per_class:
-            raise ConfigError("splits leave no unlabeled majority; "
-                              "raise samples_per_class_per_domain or lower labels_per_class")
-        for name in ("master_seed", "class_separation", "rotation_max_angle", "scale_log_range",
-                     "shift_sigma", "noise_sigma", "sigma_weak", "sigma_strong"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative")
-        # at 1.0 every strong view is all zeros and has no projection direction
-        if not 0.0 <= self.strong_dropout < 1.0:
-            raise ConfigError("strong_dropout must be in [0, 1)")
+        # an unlabeled majority; this also keeps labels_per_class < samples_per_class_per_domain
+        spc, lpc = self.samples_per_class_per_domain, self.labels_per_class
+        if spc - self.test_per_class() <= 2 * lpc:
+            raise ConfigError(f"'samples_per_class_per_domain' = {spc} less its test split "
+                              f"must exceed twice 'labels_per_class' = {lpc}")
 
     def test_per_class(self) -> int:
         return max(1, round(TEST_FRACTION * self.samples_per_class_per_domain))

@@ -391,16 +391,25 @@ def test_gen_data_exports(cfg_path, tmp_path, capsys):
             assert (out / f"domain{d}_{kind}.csv").exists()
 
 
-@pytest.mark.parametrize("below", [False, True])
-@pytest.mark.parametrize("command, flags", [
-    ("train", []), ("protocol", ["--jobs", "2"]), ("gen-data", []),
-    ("stats", ["--confidences", "missing.csv", "--truth-dir", "missing"])])
-def test_an_out_that_is_not_a_directory_exits_2_before_any_work(cfg_path, tmp_path, monkeypatch,
-                                                                capsys, command, flags, below):
+# every command that takes --out, with the flags it needs besides --config
+OUT_COMMANDS = [("train", []), ("protocol", ["--jobs", "2"]), ("gen-data", []),
+                ("stats", ["--confidences", "missing.csv", "--truth-dir", "missing"])]
+
+
+def _record_work(monkeypatch) -> list:
+    """The names of the work functions a command calls, none of which runs."""
     calls = []
     for owner, name in ((cli, "generate_benchmark"), (cli, "run_protocol"),
                         (analysis, "load_confidence_log")):
         monkeypatch.setattr(owner, name, lambda *args, name=name, **kw: calls.append(name))
+    return calls
+
+
+@pytest.mark.parametrize("below", [False, True])
+@pytest.mark.parametrize("command, flags", OUT_COMMANDS)
+def test_an_out_that_is_not_a_directory_exits_2_before_any_work(cfg_path, tmp_path, monkeypatch,
+                                                                capsys, command, flags, below):
+    calls = _record_work(monkeypatch)
     blocker = tmp_path / "file"
     blocker.write_text("kept\n")
     out = blocker / "sub" if below else blocker
@@ -414,12 +423,46 @@ def test_an_out_that_is_not_a_directory_exits_2_before_any_work(cfg_path, tmp_pa
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "small.cfg"]
 
 
+@pytest.mark.parametrize("command, flags", OUT_COMMANDS)
+def test_an_empty_out_exits_2_before_any_work(cfg_path, tmp_path, monkeypatch, capsys, command,
+                                              flags):
+    # "" was read as the working directory: train wrote its outputs there, and
+    # protocol and gen-data did all their work before failing with exit 1
+    calls = _record_work(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg_path, *flags, "--out", ""])
+    assert exc.value.code == 2
+    assert "argument --out: an empty path is not a directory" in capsys.readouterr().err
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["small.cfg"]
+
+
+@pytest.mark.parametrize("line", [
+    "num_domains = 1", "num_classes = 1", "latent_dim = 0", "labels_per_class = 0",
+    "labeled_per_domain = 0", "unlabeled_per_domain = 0", "hidden_dims = 0", "feature_dim = 0",
+    "epochs = 0", "steps_per_epoch = 0", "lr_backbone = 0", "strong_dropout = 1",
+    "shift_sigma = -1", "master_seed = -3", "seeds = -2", "tau = 0.1"])
+def test_an_out_of_range_value_exits_2_naming_its_key_before_any_work(tmp_path, monkeypatch,
+                                                                      capsys, line):
+    # the first six used to name no key, and feature_dim's named input_dim
+    calls = _record_work(monkeypatch)
+    path = tmp_path / "bad.cfg"
+    path.write_text(line + "\n")
+    code = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: '{line.split(' = ')[0]}'" in err and "input_dim" not in err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_duplicate_seeds_in_a_config_exit_2_and_write_nothing(tmp_path, capsys):
     path = tmp_path / "dup.cfg"
     path.write_text(SMALL_CFG.replace("seeds = 0\n", "seeds = 0, 0\n"))
     code = main(["protocol", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "error: seeds must be nonnegative and distinct" in capsys.readouterr().err
+    assert "error: 'seeds' must be one or more distinct seeds" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -463,7 +506,10 @@ def test_a_negative_seed_flag_exits_2_and_writes_nothing(cfg_path, tmp_path, cap
     out = tmp_path / "neg"
     code = main([command, "--config", cfg_path, "--seed", "-1", "--out", str(out)])
     assert code == 2
-    assert f"error: {key} must be nonnegative" in capsys.readouterr().err
+    # train's --seed is train_one's argument; protocol's replaces the config key
+    message = {"seed": "seed must be nonnegative",
+               "seeds": "'seeds' must be comma-separated integers >= 0"}[key]
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -476,7 +522,8 @@ def test_a_negative_seed_key_exits_2_and_writes_nothing(tmp_path, capsys, line):
     path.write_text("\n".join(body) + "\n")
     code = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert f"error: {key} must be nonnegative" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {key!r} must be " in err and " >= 0, got " in err
     assert not (tmp_path / "out").exists()
 
 

@@ -64,6 +64,49 @@ def test_int_fields_reject_non_integers(cls, field, value):
         cls(**{field: value})
 
 
+# (class, key, last value that builds, first that does not), as README's
+# table of config ranges states them; TrainConfig's tau rows are for its
+# default 7 classes, and the majority rows for the other key's default
+BOUNDS = [
+    (BenchmarkConfig, "num_domains", 2, 1),
+    (BenchmarkConfig, "num_classes", 2, 1),
+    (BenchmarkConfig, "latent_dim", 1, 0),
+    (BenchmarkConfig, "samples_per_class_per_domain", 26, 25),
+    (BenchmarkConfig, "labels_per_class", 1, 0),
+    (BenchmarkConfig, "labels_per_class", 199, 200),
+    (BenchmarkConfig, "master_seed", 0, -1),
+    *[(BenchmarkConfig, key, 0.0, -5e-324)
+      for key in ("class_separation", "rotation_max_angle", "scale_log_range", "shift_sigma",
+                  "noise_sigma", "sigma_weak", "sigma_strong", "strong_dropout")],
+    (BenchmarkConfig, "strong_dropout", 0.9999999999999999, 1.0),
+    (ModelDims, "input_dim", 1, 0),
+    (ModelDims, "hidden_dims", (1,), (0,)),
+    (ModelDims, "hidden_dims", (4, 1), (4, 0)),
+    (ModelDims, "feature_dim", 1, 0),
+    (ModelDims, "num_classes", 2, 1),
+    (TrainConfig, "hidden_dims", (1,), (0,)),
+    (TrainConfig, "feature_dim", 1, 0),
+    (TrainConfig, "tau", math.nextafter(1 / 7, 1), 1 / 7),
+    (TrainConfig, "tau", 0.9999999999999999, 1.0),
+    (TrainConfig, "epochs", 1, 0),
+    (TrainConfig, "steps_per_epoch", 1, 0),
+    (TrainConfig, "labeled_per_domain", 1, 0),
+    (TrainConfig, "unlabeled_per_domain", 1, 0),
+    *[(TrainConfig, key, 5e-324, 0.0)
+      for key in ("lr_backbone", "lr_classifier", "lr_projectors")],
+    (TrainConfig, "seeds", (0,), (-1,)),
+    (TrainConfig, "seeds", (0, 1), (0, 0)),
+    (TrainConfig, "seeds", (0,), ()),
+]
+
+
+@pytest.mark.parametrize("cls, key, good, bad", BOUNDS)
+def test_config_bounds_build_inside_and_name_the_key_outside(cls, key, good, bad):
+    assert getattr(cls(**{key: good}), key) == good
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        cls(**{key: bad})
+
+
 def test_int_fields_take_numpy_integers_as_ints():
     cfg = TrainConfig(epochs=np.int64(3), seeds=[np.int32(4)], hidden_dims=(np.uint8(5),),
                       benchmark=BenchmarkConfig(master_seed=np.int16(6)))
@@ -86,6 +129,16 @@ def test_float_fields_reject_negative_and_non_finite_values(cls, field, value):
     # benchmark of shift_sigma = 0, and a nan learning rate failed at step 0
     with pytest.raises(ConfigError, match=field):
         cls(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["scale_log_range", "noise_sigma"])
+def test_a_negative_zero_reads_as_zero(field):
+    # -0.0 passes the >= 0 bound, and numpy's samplers refused it: the
+    # benchmark failed with "high - low < 0" or "scale < 0", naming no key
+    for value in ("-0.0", -0.0):
+        config = replace(SMALL_BENCH, **{field: value})
+        assert math.copysign(1.0, getattr(config, field)) == 1.0
+    generate_benchmark(replace(SMALL_BENCH, **{field: -0.0}))
 
 
 def test_fields_read_strings_and_python_values_alike():
@@ -141,6 +194,17 @@ def test_train_one_stops_a_finite_blow_up():
         train_one(cfg, target=0, seed=0)
 
 
+def test_train_one_names_the_step_whose_weights_overflow_the_scores():
+    # at this separation the one step is finite but leaves weights whose
+    # epoch scores overflow; the run used to fail with "confidence rows
+    # must be finite", naming neither run nor step
+    cfg = small_config(benchmark=replace(SMALL_BENCH, class_separation=1e300), epochs=1,
+                       steps_per_epoch=1)
+    with pytest.raises(DivergenceError, match=r"^fixmatch\+upcsc-t0-s0: confidence rows must "
+                                              r"be finite when scored after step 0$"):
+        train_one(cfg, target=0, seed=0)
+
+
 def test_train_one_rejects_bad_target():
     with pytest.raises(ConfigError):
         train_one(small_config(), target=7, seed=0)
@@ -148,9 +212,9 @@ def test_train_one_rejects_bad_target():
 
 def test_negative_seeds_are_config_errors_naming_the_key():
     # numpy's own refusal names no key and reached the CLI as exit 1
-    with pytest.raises(ConfigError, match="seeds must be nonnegative"):
+    with pytest.raises(ConfigError, match="'seeds' must be comma-separated integers >= 0"):
         small_config(seeds=(0, -2))
-    with pytest.raises(ConfigError, match="master_seed must be nonnegative"):
+    with pytest.raises(ConfigError, match="'master_seed' must be an integer >= 0"):
         replace(SMALL_BENCH, master_seed=-3)
     with pytest.raises(ConfigError, match="^seed must be nonnegative"):
         train_one(small_config(), target=0, seed=-1)
@@ -256,9 +320,9 @@ def test_supervised_only_learns_separable_benchmark():
 
 def test_duplicate_seeds_are_a_config_error():
     # a repeated seed would write two rows with one run_id and count the run twice
-    with pytest.raises(ConfigError, match="seeds must be nonnegative and distinct"):
+    with pytest.raises(ConfigError, match="'seeds' must be one or more distinct seeds"):
         build_train_config({"seeds": "1,1"})
-    with pytest.raises(ConfigError, match="seeds must be nonnegative and distinct"):
+    with pytest.raises(ConfigError, match="'seeds' must be one or more distinct seeds"):
         small_config(seeds=(0, 1, 0))
 
 
