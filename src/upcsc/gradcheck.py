@@ -19,12 +19,14 @@ import numpy as np
 from .errors import ConfigError, DegenerateInputError
 from .losses import MethodFlags, build_loss_graph, param_gradients
 from .model import ModelDims, init_model, layer_outputs
-from .numerics import max_relative_error, substream
+from .numerics import substream
 from .synthdata import BenchmarkConfig, TrainBatch, augment_views
 
 SMALL_DIMS = ModelDims(input_dim=5, hidden_dims=(6,), feature_dim=4, num_classes=3)
 TAU = 0.65
 FD_STEP = 1e-5          # central-difference step on every parameter coordinate
+ERROR_FLOOR = 1e-8      # least denominator of the relative error
+TOLERANCE = 1e-4        # a term passes when its worst relative error is below this
 RELU_MARGIN = 1e-3      # min |preactivation| so an FD_STEP perturbation cannot cross a kink
 MAX_ATTEMPTS = 500      # draws per case before find_checkable_case gives up
 MIN_TERM_VALUE = 0.05   # each gated term must be visibly nonzero
@@ -41,25 +43,25 @@ def _term_values(state, batch, views, partition) -> dict[str, float]:
     return {name: t.item() for name, t in terms.items()}
 
 
-def _analytic_gradients(state, batch, views, partition) -> dict[str, dict[str, np.ndarray]]:
+def _analytic_gradients(state, batch, views, partition) -> dict[str, np.ndarray]:
     grads = {}
     for name in _term_values(state, batch, views, partition):
         # fresh graph per backward pass: gradients accumulate on a tape
         terms, _, tp = build_loss_graph(state, batch, views, _ALL_FLAGS, TAU, partition)
         terms[name].backward()
-        grads[name] = param_gradients(tp)
+        grads[name] = np.concatenate([g.ravel() for g in param_gradients(tp).values()])
     return grads
 
 
-def _fd_gradients(values_fn, params) -> dict[str, dict[str, np.ndarray]]:
-    """Central differences of every value values_fn(params) returns, by name,
-    in one sweep over the parameter coordinates.
+def _fd_gradients(values_fn, params) -> dict[str, np.ndarray]:
+    """Central differences of every value values_fn(params) returns, by name, in
+    one sweep: one flat vector over every parameter, in declaration order.
 
     Perturbs the parameter arrays in place and restores them, so values_fn
     must read the current arrays on every call (and must be deterministic).
     """
-    out: dict[str, dict[str, np.ndarray]] = {}
-    for pname, arr in params.param_items():
+    slopes = []
+    for _, arr in params.param_items():
         flat = arr.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
@@ -68,10 +70,14 @@ def _fd_gradients(values_fn, params) -> dict[str, dict[str, np.ndarray]]:
             flat[i] = orig - FD_STEP
             minus = values_fn(params)
             flat[i] = orig
-            for name in plus:
-                grad = out.setdefault(name, {}).setdefault(pname, np.zeros_like(arr))
-                grad.reshape(-1)[i] = (plus[name] - minus[name]) / (2.0 * FD_STEP)
-    return out
+            slopes.append({name: (plus[name] - minus[name]) / (2.0 * FD_STEP) for name in plus})
+    return {name: np.array([s[name] for s in slopes]) for name in slopes[0]}
+
+
+def _relative_error(analytic: np.ndarray, fd: np.ndarray) -> float:
+    """max over coordinates of |a - f| / max(|a|, |f|, ERROR_FLOOR)."""
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), ERROR_FLOOR)
+    return float(np.max(np.abs(analytic - fd) / denom))
 
 
 def _relu_margin(state, batch, views) -> float:
@@ -112,8 +118,8 @@ def find_checkable_case(case_seed: int):
     raise RuntimeError(f"no finite-difference-safe draw found for case {case_seed}")
 
 
-def check_losses(num_draws: int = 20, seed: int = 0) -> dict[str, float]:
-    """Worst relative error per loss term across num_draws random cases."""
+def check_losses(num_draws: int = 20, seed: int = 0) -> dict[str, tuple[float, bool]]:
+    """Per loss term, (worst relative error over num_draws cases, whether it passes)."""
     if num_draws < 1:
         raise ConfigError(f"draws must be >= 1, got {num_draws}")
     if seed < 0:
@@ -123,6 +129,6 @@ def check_losses(num_draws: int = 20, seed: int = 0) -> dict[str, float]:
         state, batch, views, partition = find_checkable_case(seed * 10_000 + k)
         analytic = _analytic_gradients(state, batch, views, partition)
         fd = _fd_gradients(lambda st: _term_values(st, batch, views, partition), state)
-        for name in analytic:
-            worst[name] = max(worst.get(name, 0.0), max_relative_error(analytic[name], fd[name]))
-    return worst
+        for name, grad in analytic.items():
+            worst[name] = max(worst.get(name, 0.0), _relative_error(grad, fd[name]))
+    return {name: (err, err < TOLERANCE) for name, err in worst.items()}

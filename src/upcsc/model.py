@@ -165,7 +165,8 @@ def score_rows(state, x) -> np.ndarray:
     at least block_rows rows before the end, overlapping the one before if
     need be. A short block could take another kernel than the whole product
     (a one-row product takes numpy's matrix-vector path; OpenBLAS has
-    small-matrix kernels), and those round differently."""
+    small-matrix kernels), and those round differently. Bit for bit at the
+    default dims only: other dims can move last bits, never the argmax."""
     x = _inputs(state, x)
     block = block_rows(state.dims)
     out = np.empty((len(x), state.dims.num_classes))

@@ -184,14 +184,3 @@ def sgd_step(params, grads: Mapping[str, np.ndarray], rates: Mapping[str, float]
         updated[name] = arr - rates[params.group_of(name)] * g
     return type(params)(params.dims, updated)
 
-
-def max_relative_error(a: Mapping[str, np.ndarray], b: Mapping[str, np.ndarray],
-                       floor: float = 1e-8) -> float:
-    """max over coordinates of |a-b| / max(|a|, |b|, floor), matching names."""
-    worst = 0.0
-    for name, ga in a.items():
-        gb = b[name]
-        denom = np.maximum(np.maximum(np.abs(ga), np.abs(gb)), floor)
-        if ga.size:
-            worst = max(worst, float(np.max(np.abs(ga - gb) / denom)))
-    return worst

@@ -168,8 +168,10 @@ class TrainingView:
         return self._benchmark.unlabeled(domain)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def generate_benchmark(config: BenchmarkConfig) -> DomainBenchmark:
-    """Deterministic benchmark: fixed entirely by the config (master_seed included)."""
+    """Deterministic benchmark: fixed entirely by the config (master_seed included).
+    Scales whose data overflow float64 are a ConfigError naming their keys."""
     c, k = config.num_classes, config.latent_dim
     proto_rng = substream(config.master_seed, _TAG_PROTOTYPES)
     directions = proto_rng.standard_normal((c, k))
@@ -214,6 +216,9 @@ def generate_benchmark(config: BenchmarkConfig) -> DomainBenchmark:
         tx, ty = stack(tst_x, tst_y, split_rng)
         domains.append(DomainSplits(lx, ly, ux, uy, tx, ty))
 
+    if not all(np.isfinite(x).all() for d in domains for x in (d.labeled_x, d.unlabeled_x, d.test_x)):
+        raise ConfigError("the generated data overflow float64; lower 'class_separation', "
+                          "'scale_log_range', 'shift_sigma' or 'noise_sigma'")
     return DomainBenchmark(config, prototypes, specs, domains)
 
 

@@ -34,10 +34,11 @@ def report(criterion: str, ok: bool, detail: str):
 
 def test_criterion_1_gradient_suite():
     start = time.time()
-    worst = check_losses(num_draws=20, seed=0)
+    verdicts = check_losses(num_draws=20, seed=0)
     elapsed = time.time() - start
+    worst = {name: err for name, (err, _) in verdicts.items()}
     bad = {k: v for k, v in worst.items() if v >= GRAD_TOLERANCE}
-    ok = not bad and elapsed < 60.0
+    ok = not bad and all(passed for _, passed in verdicts.values()) and elapsed < 60.0
     report("gradient suite",
            ok,
            f"5 losses x 20 draws, worst rel err "

@@ -391,6 +391,21 @@ def test_gen_data_exports(cfg_path, tmp_path, capsys):
             assert (out / f"domain{d}_{kind}.csv").exists()
 
 
+@pytest.mark.parametrize("command", [["gen-data"], ["train"], ["protocol", "--jobs", "2"]],
+                         ids=["gen-data", "train", "protocol"])
+def test_data_that_overflow_exit_2_naming_the_scale_keys_and_write_nothing(tmp_path, capsys,
+                                                                          command):
+    # exp(800) is inf: the data were written as inf and nan, and train blamed step 0
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("scale_log_range = 800\n")
+    out = tmp_path / "out"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    for key in ("class_separation", "scale_log_range", "shift_sigma", "noise_sigma"):
+        assert f"'{key}'" in err, err
+    assert not out.exists()
+
+
 # every command that takes --out, with the flags it needs besides --config
 OUT_COMMANDS = [("train", []), ("protocol", ["--jobs", "2"]), ("gen-data", []),
                 ("stats", ["--confidences", "missing.csv", "--truth-dir", "missing"])]

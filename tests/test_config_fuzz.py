@@ -80,6 +80,8 @@ def test_the_fuzzer_draws_every_config_key():
 # each failed at run time naming no run or step; see test_harness.py
 @example({"scale_log_range": -0.0})
 @example({"class_separation": 1e300, "steps_per_epoch": 1})
+# overflowed while generating the data, naming no key, run or step
+@example({"scale_log_range": 1000.0})
 @given(DRAWS)
 def test_train_exits_0_or_names_a_key_or_the_run_and_step(draw):
     lines = [f"{key} = {value}" for key, value in {**BASE, **draw}.items()]

@@ -114,6 +114,15 @@ def test_identity_shift_makes_domains_identically_distributed():
         assert z.max() < 5.0
 
 
+def test_data_that_overflow_are_a_config_error_naming_the_scale_keys():
+    # exp(800) is inf, so the data were inf and nan; huge finite data are
+    # left to training, whose divergence check names the run and step
+    with pytest.raises(ConfigError, match="'scale_log_range'.*'shift_sigma' or 'noise_sigma'"):
+        generate_benchmark(BenchmarkConfig(**{**SMALL.__dict__, "scale_log_range": 800.0}))
+    huge = generate_benchmark(BenchmarkConfig(**{**SMALL.__dict__, "shift_sigma": 1e300}))
+    assert np.isfinite(huge.test(0)[0]).all() and np.abs(huge.test(0)[0]).max() > 1e290
+
+
 def test_random_rotation_is_orthogonal_and_identity_at_zero():
     rng = substream(5)
     r = random_rotation(7, rng, max_angle=0.8)
