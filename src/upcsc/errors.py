@@ -25,7 +25,7 @@ class ConfigError(ValueError):
 
 
 class DataError(ValueError):
-    """A dataset or split is empty or otherwise unusable."""
+    """A data file, dataset or split is malformed, empty or otherwise unusable."""
 
 
 class DivergenceError(ArithmeticError):

@@ -16,7 +16,7 @@ from itertools import islice
 import numpy as np
 
 from .autograd import linear, relu
-from .errors import ShapeError, bounded, check_fields
+from .errors import DataError, ShapeError, bounded, check_fields
 from .numerics import heap_rows, l2_normalize_rows, softmax_rows, substream
 
 MAGIC = b"UPCS"
@@ -190,49 +190,48 @@ def project_proxies(state):
     return l2_normalize_rows(linear(state.classifier, w, b))
 
 
+def _header(dims: ModelDims) -> bytes:
+    """model.bin's header: MAGIC, then little-endian u32s for the version,
+    input_dim, the hidden-layer count, each width, feature_dim, num_classes."""
+    words = (FORMAT_VERSION, dims.input_dim, len(dims.hidden_dims), *dims.hidden_dims,
+             dims.feature_dim, dims.num_classes)
+    return MAGIC + struct.pack(f"<{len(words)}I", *words)
+
+
 def save_model(state: ModelState, path) -> None:
-    """Flat little-endian binary dump; loads back bit-exactly."""
-    dims = state.dims
+    """model.bin: the header, then each parameter as little-endian float64 in
+    param_layout order; loads back bit-exactly."""
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        header = (FORMAT_VERSION, dims.input_dim, len(dims.hidden_dims), *dims.hidden_dims,
-                  dims.feature_dim, dims.num_classes)
-        fh.write(struct.pack(f"<{len(header)}I", *header))
+        fh.write(_header(state.dims))
         for _, arr in state.param_items():
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_model(path) -> ModelState:
+    """The ModelState save_model wrote to `path`; a malformed file raises
+    DataError naming it, before any ModelState is built."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:4] != MAGIC:
-        raise ValueError("not a model file (bad magic)")
-    off = 4
-
-    def read_u32():
-        nonlocal off
-        if off + 4 > len(raw):
-            raise ValueError("truncated model file header")
-        (v,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        return v
-
-    version = read_u32()
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {version}")
-    input_dim = read_u32()
-    n_hidden = read_u32()
-    hidden = tuple(read_u32() for _ in range(n_hidden))
-    dims = ModelDims(input_dim, hidden, read_u32(), read_u32())
-    layout = param_layout(dims)
-    expected = off + 8 * sum(math.prod(shape) for shape, _ in layout.values())
-    if len(raw) < expected:
-        raise ValueError("truncated model file payload")
-    if len(raw) > expected:
-        raise ValueError("trailing bytes after model payload")
-
-    params = {}
-    for name, (shape, _) in layout.items():
-        params[name] = np.frombuffer(raw, "<f8", math.prod(shape), off).reshape(shape).copy()
-        off += params[name].nbytes
-    return ModelState(dims, params)
+    try:
+        if raw[:4] != MAGIC:
+            raise ValueError("not a model file (bad magic)")
+        version, input_dim, n_hidden = struct.unpack_from("<3I", raw, 4)
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported model format version {version}")
+        # widths from byte 16 on; a huge count raises struct.error at once, allocating nothing
+        *hidden, feature_dim, num_classes = struct.unpack_from(f"<{n_hidden + 2}I", raw, 16)
+        dims = ModelDims(input_dim, tuple(hidden), feature_dim, num_classes)
+        layout = param_layout(dims)
+        sizes = [math.prod(shape) for shape, _ in layout.values()]
+        offset = len(_header(dims))
+        if len(raw) < offset + 8 * sum(sizes):
+            raise ValueError("truncated model file payload")
+        if len(raw) > offset + 8 * sum(sizes):
+            raise ValueError("trailing bytes after model payload")
+    except struct.error as exc:
+        raise DataError(f"{path}: truncated model file header") from exc
+    except ValueError as exc:   # ModelDims' ConfigError among them
+        raise DataError(f"{path}: {exc}") from exc
+    chunks = np.split(np.frombuffer(raw, "<f8", offset=offset), np.cumsum(sizes)[:-1])
+    return ModelState(dims, {name: chunk.reshape(shape).copy()
+                             for (name, (shape, _)), chunk in zip(layout.items(), chunks)})

@@ -187,7 +187,7 @@ def generate_benchmark(config: BenchmarkConfig) -> DomainBenchmark:
         spec_rng = substream(config.master_seed, _TAG_DOMAIN_SPEC, d)
         rotation = random_rotation(k, spec_rng, config.rotation_max_angle)
         scale = np.exp(spec_rng.uniform(-config.scale_log_range, config.scale_log_range, size=k))
-        shift = spec_rng.normal(0.0, config.shift_sigma, size=k) if config.shift_sigma > 0 else np.zeros(k)
+        shift = spec_rng.normal(0.0, config.shift_sigma, size=k)
         spec = DomainSpec(d, rotation, scale, shift)
         specs.append(spec)
 

@@ -306,6 +306,24 @@ def test_stats_flow_reads_train_output(cfg_path, tmp_path, capsys):
     assert hist_lines[0] == "set_size,count"
 
 
+def test_stats_at_the_runs_tau_reproduces_its_rates(cfg_path, tmp_path):
+    # metrics.csv's uus_rate and inclusion_rate of each epoch are the micro
+    # rates stats computes from confidences.csv, to the last digit
+    run_out = tmp_path / "run"
+    assert main(["train", "--config", cfg_path, "--out", str(run_out)]) == 0
+    assert main(["stats", "--config", cfg_path, "--confidences", str(run_out / "confidences.csv"),
+                 "--truth-dir", str(run_out / "benchmark"), "--out", str(run_out)]) == 0
+
+    def rows(name):
+        return [line.split(",") for line in (run_out / name).read_text().splitlines()[1:]]
+
+    run = {(epoch, metric): value for _, _, _, epoch, metric, value in rows("metrics.csv")
+           if metric in ("uus_rate", "inclusion_rate")}
+    stats = {(epoch, statistic.removesuffix("_micro")): value
+             for statistic, epoch, _, value in rows("stats.csv") if statistic.endswith("_micro")}
+    assert len(run) == 2 * 2 and stats == run
+
+
 def test_stats_epoch_flag(cfg_path, tmp_path):
     run_out = tmp_path / "run"
     assert main(["train", "--config", cfg_path, "--out", str(run_out)]) == 0

@@ -5,14 +5,19 @@ the like round differently from its AVX-512 ones.
 
 A short fixed workload runs in a subprocess under each kernel set of
 KERNEL_FLAGS that this CPU can run: a 2-epoch, one-seed protocol of every
-method, a train + stats tree, and the lines gradcheck prints. A change meant
-to keep every output byte passes unchanged. A change meant to move bytes
-records them again, on a CPU that runs every kernel set, with
+method, a train + stats tree, and the lines gradcheck prints. It prints its
+own key, since NPY_DISABLE_CPU_FEATURES changes the targets numpy enables.
+Besides each native key, Haswell kernels are checked on numpy's X86_V3
+(AVX2) targets alone: the key of an AVX2-only CPU, such as most CI runners.
+
+A change meant to keep every output byte passes unchanged. A change meant
+to move bytes records them again, on a CPU that runs every kernel set, with
 
     PYTHONPATH=src python tests/test_digests.py
 
-which rewrites digests.json with this machine's keys only: a byte change
-leaves the digests of every other key stale.
+which rewrites digests.json with this machine's keys only, for each kernel
+set at each SIMD level reached by disabling targets from the top: a byte
+change leaves the digests of every other key stale.
 """
 
 import json
@@ -30,9 +35,11 @@ from oracles import KERNEL_FLAGS, require_kernel_set, skip
 SRC = str(Path(upcsc.__file__).resolve().parent.parent)
 DIGESTS = Path(__file__).with_name("digests.json")
 
-# argv[1] is an empty directory; prints {output path: sha256}
+# argv[1] is an empty directory; prints [key, {output path: sha256}], the
+# key naming OPENBLAS_CORETYPE, the numpy version and its enabled SIMD targets
 WORKLOAD = """
 import contextlib, hashlib, io, json, os, sys
+import numpy as np
 from upcsc import cli
 from upcsc.harness import METHODS
 
@@ -57,47 +64,80 @@ for root, _, files in os.walk(out):
     for name in files:
         with open(os.path.join(root, name), "rb") as fh:
             digests[os.path.relpath(fh.name, out)] = hashlib.sha256(fh.read()).hexdigest()
-print(json.dumps(digests))
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:   # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+targets = " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t))
+key = f"{os.environ['OPENBLAS_CORETYPE']}, numpy {np.__version__} on {targets or 'its baseline'}"
+print(json.dumps([key, dict(sorted(digests.items()))]))
 """
 
 
-def _key(kernel: str) -> str:
+def _enabled_targets() -> list[str]:
+    """numpy's dispatch targets this process enables, lowest first."""
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     except ImportError:   # numpy 1.x
         from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    targets = " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t))
-    return f"{kernel}, numpy {np.__version__} on {targets or 'its baseline'}"
+    return [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
 
 
-def _digests(kernel: str, work) -> dict[str, str]:
+def _digests(kernel: str, work, disabled=()) -> tuple[str, dict[str, str]]:
+    """(key, digests) of the workload under `kernel` with numpy's `disabled`
+    dispatch targets switched off."""
     env = dict(os.environ, OPENBLAS_CORETYPE=kernel,
                PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
     proc = subprocess.run([sys.executable, "-c", WORKLOAD, str(work)],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    key, digests = json.loads(proc.stdout)
+    return key, digests
+
+
+def _check(kernel: str, work, disabled=()) -> None:
+    key, digests = _digests(kernel, work, disabled)
+    recorded = json.loads(DIGESTS.read_text())
+    if key not in recorded:
+        skip(f"no digests recorded for {key}")
+    assert digests == recorded[key]
 
 
 @pytest.mark.parametrize("kernel", KERNEL_FLAGS)
 def test_outputs_match_the_recorded_digests(kernel, tmp_path):
     require_kernel_set(kernel)
-    recorded = json.loads(DIGESTS.read_text())
-    if _key(kernel) not in recorded:
-        skip(f"no digests recorded for {_key(kernel)}")
-    assert _digests(kernel, tmp_path) == recorded[_key(kernel)]
+    _check(kernel, tmp_path)
+
+
+def test_outputs_on_avx2_targets_alone_match_the_recorded_digests(tmp_path):
+    """Haswell kernels with numpy's targets above X86_V3 switched off: the
+    key of an AVX2-only CPU, checked on any CPU that runs more."""
+    require_kernel_set("Haswell")
+    targets = _enabled_targets()
+    if "X86_V3" not in targets:
+        skip(f"numpy enables no X86_V3 target here, only {' '.join(targets) or 'its baseline'}")
+    above = targets[targets.index("X86_V3") + 1:]
+    if not above:
+        skip("X86_V3 is this CPU's top target; the native Haswell key covers it")
+    _check("Haswell", tmp_path, above)
 
 
 if __name__ == "__main__":
     import tempfile
 
+    targets = _enabled_targets()
     digests = {}
     for kernel in KERNEL_FLAGS:
         try:
             require_kernel_set(kernel)
         except pytest.skip.Exception:
             continue
-        with tempfile.TemporaryDirectory() as work:
-            digests[_key(kernel)] = dict(sorted(_digests(kernel, work).items()))
+        # every SIMD level from the native one down to the baseline
+        for top in range(len(targets), -1, -1):
+            with tempfile.TemporaryDirectory() as work:
+                key, sums = _digests(kernel, work, targets[top:])
+            digests[key] = sums
     DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")
-    print(f"recorded {', '.join(digests)} in {DIGESTS}")
+    print(f"recorded {len(digests)} keys in {DIGESTS}:", *digests, sep="\n")

@@ -1,5 +1,6 @@
 """ModelState construction, forward ops, and serialization."""
 
+import re
 import struct
 import tracemalloc
 
@@ -9,7 +10,7 @@ import pytest
 from oracles import with_params
 from upcsc import model
 from upcsc.autograd import Tensor, linear, relu
-from upcsc.errors import ConfigError, ShapeError
+from upcsc.errors import ConfigError, DataError, ShapeError
 from upcsc.model import (FORMAT_VERSION, MAGIC, ROW_ALIGN, ModelDims, ModelState, block_rows,
                          class_confidence, featurize, init_model, load_model, param_layout,
                          project_features, project_proxies, save_model, score_rows)
@@ -308,6 +309,35 @@ def test_load_rejects_corrupt_files(tmp_path):
     bad_version.write_bytes(raw[:4] + b"\x63\x00\x00\x00" + raw[8:])
     with pytest.raises(ValueError):
         load_model(bad_version)
+
+
+# DIMS' header words: version, input_dim 3, one hidden layer, width 4,
+# feature_dim 2, num_classes 3; each at 4 + 4 * word
+def _word(raw, word, value):
+    return raw[:4 + 4 * word] + struct.pack("<I", value) + raw[8 + 4 * word:]
+
+
+CORRUPTIONS = {
+    "bad magic": lambda raw: b"XXXX" + raw[4:],
+    "bad version": lambda raw: _word(raw, 0, 99),
+    "truncated header": lambda raw: raw[:18],
+    "huge hidden count": lambda raw: _word(raw, 2, 0xFFFFFFFF),
+    **{f"zero {name}": lambda raw, word=word: _word(raw, word, 0)
+       for word, name in ((1, "input_dim"), (3, "hidden width"), (4, "feature_dim"),
+                          (5, "num_classes"))},
+    "truncated payload": lambda raw: raw[:-8],
+    "trailing bytes": lambda raw: raw + bytes(8),
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS)
+def test_a_malformed_model_file_is_a_data_error_naming_it(tmp_path, corrupt):
+    # a zero width in the header is the file's fault, not a config problem
+    path = tmp_path / "model.bin"
+    save_model(init_model(DIMS, seed=0), path)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(DataError, match=re.escape(str(path))):
+        load_model(path)
 
 
 def test_load_checks_payload_size_before_building_a_model(tmp_path, monkeypatch):

@@ -102,6 +102,8 @@ def test_identity_shift_makes_domains_identically_distributed():
                           shift_sigma=0.0, master_seed=1)
     bench = generate_benchmark(cfg)
     assert all(np.array_equal(s.rotation, np.eye(5)) for s in bench.specs)
+    # a zero sigma draws +0.0 shifts: no sign bit reaches the data
+    assert not any(s.shift.any() or np.signbit(s.shift).any() for s in bench.specs)
     # per-class mean difference between domains, standardized: should look like
     # noise, not shift (|z| far below 5 for n ~ 300 per class)
     for y in range(3):
