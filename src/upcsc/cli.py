@@ -19,7 +19,7 @@ import tempfile
 from . import analysis
 from .errors import ConfigError
 from .gradcheck import check_losses
-from .harness import (METHODS, ProtocolResult, build_train_config, parse_config_file,
+from .harness import (METHODS, ProtocolResult, build_train_config, check_run, parse_config_file,
                       run_protocol, train_one, write_metrics_csv, write_results_csv)
 from .model import save_model
 from .synthdata import export_benchmark, generate_benchmark
@@ -43,9 +43,10 @@ class _TrainOutputs:
     process trains. Each log is pickled to an unlinked spool file, which
     holds whatever the writer has not read yet, and one channel carries a
     notice per log to the writer and its report back. Training waits on the
-    writer only once the channel is full of unread notices, some 270 on Linux. If anything raises, the writer included, the writer is
-    stopped and the staging directory removed: `out` is not created if it
-    did not exist, and keeps its old files if it did.
+    writer only once the channel is full of unread notices, some 270 on
+    Linux. If anything raises, the writer included, the writer is stopped
+    and the staging directory removed: `out` is not created if it did not
+    exist, and keeps its old files if it did.
     """
 
     def __init__(self, out, benchmark):
@@ -145,6 +146,7 @@ class _TrainOutputs:
 
 def cmd_train(args) -> int:
     config = _config_from_args(args)
+    check_run(config, args.target, args.seed)
     bench = generate_benchmark(config.benchmark)
     with _TrainOutputs(args.out, bench) as outputs:
         run = train_one(config, args.target, args.seed, bench, on_epoch=outputs.send)

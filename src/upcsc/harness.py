@@ -127,6 +127,16 @@ def _first_non_finite(breakdown, grads) -> str | None:
                  if not np.isfinite(g).all()), None)
 
 
+def check_run(config: TrainConfig, target: int, seed: int) -> None:
+    """A ConfigError unless `target` is one of the config's domains and `seed`
+    is nonnegative: train_one's arguments, checked before any work."""
+    num_domains = config.benchmark.num_domains
+    if not 0 <= target < num_domains:
+        raise ConfigError(f"target domain {target} outside 0..{num_domains - 1}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+
+
 def train_one(config: TrainConfig, target: int, seed: int,
               benchmark: DomainBenchmark | None = None, on_epoch=None) -> RunRecord:
     """One leave-one-domain-out run; `seed` varies init and batch draws while
@@ -137,13 +147,10 @@ def train_one(config: TrainConfig, target: int, seed: int,
     receives each epoch's confidence log of the source unlabeled pools as
     soon as it is scored.
     """
+    check_run(config, target, seed)
     bench = generate_benchmark(config.benchmark) if benchmark is None else benchmark
     if bench.config != config.benchmark:
         raise ConfigError("the benchmark was generated from another config")
-    if target not in bench.domain_ids:
-        raise ConfigError(f"target domain {target} outside 0..{len(bench.domain_ids) - 1}")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
     view = bench.without_domain(target)
     flags = METHODS[config.method]
     run_id = _run_id(config.method, target, seed)

@@ -103,27 +103,23 @@ class DomainSplits:
 
 
 class DomainBenchmark:
-    """Generated domains plus read counters used to audit data access.
-
-    Every accessor bumps a (domain, split) counter, so tests can prove a
-    training run never touched the held-out target's labels or unlabeled pool.
-    """
+    """Generated domains, read split by split through `_get`."""
 
     def __init__(self, config: BenchmarkConfig, prototypes, specs, domains):
         self.config = config
         self.prototypes = prototypes   # (C, k) latent class centers
         self.specs = specs             # list[DomainSpec]
         self._domains = domains        # list[DomainSplits]
-        self.read_counts: dict[tuple[int, str], int] = {}
 
     @property
     def domain_ids(self) -> list[int]:
         return list(range(len(self._domains)))
 
     def _get(self, domain: int, split: str) -> DomainSplits:
+        """The domain's splits; `split` names the one the caller reads, so
+        wrapping this method audits which data a run touches."""
         if not 0 <= domain < len(self._domains):
             raise KeyError(f"no domain {domain}")
-        self.read_counts[(domain, split)] = self.read_counts.get((domain, split), 0) + 1
         return self._domains[domain]
 
     def labeled(self, domain: int) -> tuple[np.ndarray, np.ndarray]:

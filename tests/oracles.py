@@ -6,6 +6,9 @@ import ctypes
 import math
 import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,22 @@ from upcsc.errors import ConfigError, DataError, ShapeError
 from upcsc.losses import confidence_roles
 from upcsc.model import ModelState
 from upcsc.numerics import _loaded_library_paths, _openblas_functions, as_matrix
+
+
+# this checkout's package source, which every child interpreter imports first
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(*args, expect=0, **env) -> subprocess.CompletedProcess:
+    """A fresh interpreter run on `args` with SRC first on its PYTHONPATH and
+    `env` added to its environment, its output as text; fails, showing the
+    child's stderr, unless it exits with `expect`."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, *args], env={**os.environ, **env, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+    assert proc.returncode == expect, (
+        f"exit code {proc.returncode}, expected {expect}; stderr:\n{proc.stderr}")
+    return proc
 
 
 class UndefinedStatisticError(ValueError):

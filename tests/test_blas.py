@@ -7,16 +7,12 @@ import json
 import multiprocessing
 import os
 import platform
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import upcsc
-from oracles import KERNEL_FLAGS, blas_threads, require_kernel_set, require_openblas, skip
-
-SRC = str(Path(upcsc.__file__).resolve().parent.parent)
+from oracles import (KERNEL_FLAGS, blas_threads, require_kernel_set, require_openblas, run_python,
+                     skip)
 
 # a 5-step default-dims run; its products are large enough for OpenBLAS to
 # split them over threads when it may
@@ -33,11 +29,8 @@ print(json.dumps({"model": hashlib.sha256(open(sys.argv[1], "rb").read()).hexdig
 
 
 def _five_steps(tmp_path, threads: str) -> dict:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-               PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", FIVE_STEPS,
-                          str(tmp_path / f"model{threads}.bin")],
-                         env=env, capture_output=True, text=True, check=True)
+    out = run_python("-c", FIVE_STEPS, str(tmp_path / f"model{threads}.bin"),
+                     OPENBLAS_NUM_THREADS=threads)
     return json.loads(out.stdout)
 
 
@@ -79,9 +72,7 @@ for n in (B + 16, B + 17, 2 * B + 1, 700, 2730):
 @pytest.mark.parametrize("kernel", KERNEL_FLAGS)
 def test_score_rows_is_bit_exact_on_each_openblas_kernel_set(kernel):
     require_kernel_set(kernel)
-    env = dict(os.environ, OPENBLAS_CORETYPE=kernel,
-               PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    subprocess.run([sys.executable, "-c", SCORE_BLOCKS], env=env, check=True)
+    run_python("-c", SCORE_BLOCKS, OPENBLAS_CORETYPE=kernel)
 
 
 # Frees a 16 MB block, then measures what an 8 MB block leaves resident after
@@ -106,10 +97,7 @@ print(rss_kb() - before)
 def test_freed_large_arrays_do_not_stay_resident():
     if platform.libc_ver()[0] != "glibc" or not os.path.exists("/proc/self/status"):
         skip("not glibc on Linux; malloc is left as it is")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", FREED_BLOCK],
-                         env=env, capture_output=True, text=True, check=True)
-    assert int(out.stdout) < 1024   # kB; the block itself is 8192
+    assert int(run_python("-c", FREED_BLOCK).stdout) < 1024   # kB; the block itself is 8192
 
 
 # A warmed-up 2-epoch default run: each step's small arrays come from heap
@@ -134,7 +122,4 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 def test_a_warmed_run_faults_in_few_pages():
     if platform.libc_ver()[0] != "glibc" or not sys.platform.startswith("linux"):
         skip("not glibc on Linux; malloc is left as it is")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", WARM_RUN],
-                         env=env, capture_output=True, text=True, check=True)
-    assert int(out.stdout) < 2000   # minor page faults
+    assert int(run_python("-c", WARM_RUN).stdout) < 2000   # minor page faults

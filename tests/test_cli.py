@@ -2,19 +2,14 @@
 
 import multiprocessing
 import os
-import subprocess
-import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
-import upcsc
+from oracles import SRC, run_python, skip
 from upcsc import analysis, cli, harness, model, synthdata
 from upcsc.cli import main
-
-SRC = str(Path(upcsc.__file__).resolve().parent.parent)
 
 SMALL_CFG = """\
 # desk-size setup for fast CLI runs
@@ -252,9 +247,7 @@ def test_writer_that_dies_with_logs_unread_exits_1(cfg_path, tmp_path, monkeypat
 
 def test_train_leaks_no_file_descriptor(cfg_path, tmp_path):
     if not os.path.isdir("/proc/self/fd"):
-        reason = "no /proc/self/fd to count open descriptors in"
-        print(f"skipped: {reason}")
-        pytest.skip(reason)
+        skip("no /proc/self/fd to count open descriptors in")
     diverging = tmp_path / "diverge.cfg"
     diverging.write_text(DIVERGING_CFG)
     for cfg, code in ((cfg_path, 0), (str(diverging), 1)):
@@ -264,14 +257,17 @@ def test_train_leaks_no_file_descriptor(cfg_path, tmp_path):
 
 
 def test_protocol_writes_results(cfg_path, tmp_path, capsys):
-    out = tmp_path / "proto"
-    code = main(["protocol", "--config", cfg_path, "--out", str(out)])
-    assert code == 0
-    assert "mean final accuracy" in capsys.readouterr().out
-    lines = (out / "results.csv").read_text().strip().split("\n")
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    for jobs, out in (("1", serial), ("2", pooled)):
+        code = main(["protocol", "--config", cfg_path, "--jobs", jobs, "--out", str(out)])
+        assert code == 0
+        assert "mean final accuracy" in capsys.readouterr().out
+    lines = (serial / "results.csv").read_text().strip().split("\n")
     assert lines[0] == "method,target,seed,final_accuracy"
     assert len(lines) - 1 == 3  # 3 targets x 1 seed
-    assert (out / "metrics.csv").exists()
+    # two workers write the serial bytes
+    for name in ("results.csv", "metrics.csv"):
+        assert (pooled / name).read_bytes() == (serial / name).read_bytes(), name
 
 
 def test_protocol_seed_flag_runs_only_that_seed(cfg_path, tmp_path):
@@ -409,6 +405,30 @@ def test_gen_data_exports(cfg_path, tmp_path, capsys):
             assert (out / f"domain{d}_{kind}.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "gen-data"])
+def test_the_labels_per_class_flag_overrides_the_config(cfg_path, tmp_path, command):
+    # SMALL_CFG has labels_per_class = 4 and num_classes = 4
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg_path, "--labels-per-class", "2", "--out", str(out)]) == 0
+    data = out / "benchmark" if command == "train" else out
+    for d in range(3):
+        lines = (data / f"domain{d}_labeled.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2 * 4, d
+
+
+@pytest.mark.parametrize("value", ["0", "16"])   # 16: 40 samples less 8 test ones are 2 * 16
+@pytest.mark.parametrize("command", ["train", "protocol", "gen-data"])
+def test_an_out_of_range_labels_per_class_flag_exits_2_naming_it(cfg_path, tmp_path, monkeypatch,
+                                                                  capsys, command, value):
+    calls = _record_work(monkeypatch)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg_path, "--labels-per-class", value,
+                 "--out", str(out)]) == 2
+    assert "'labels_per_class'" in capsys.readouterr().err
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["small.cfg"]
+
+
 @pytest.mark.parametrize("command", [["gen-data"], ["train"], ["protocol", "--jobs", "2"]],
                          ids=["gen-data", "train", "protocol"])
 def test_data_that_overflow_exit_2_naming_the_scale_keys_and_write_nothing(tmp_path, capsys,
@@ -421,7 +441,7 @@ def test_data_that_overflow_exit_2_naming_the_scale_keys_and_write_nothing(tmp_p
     err = capsys.readouterr().err
     for key in ("class_separation", "scale_log_range", "shift_sigma", "noise_sigma"):
         assert f"'{key}'" in err, err
-    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["huge.cfg"]
 
 
 # every command that takes --out, with the flags it needs besides --config
@@ -492,11 +512,12 @@ def test_an_out_of_range_value_exits_2_naming_its_key_before_any_work(tmp_path, 
 
 def test_duplicate_seeds_in_a_config_exit_2_and_write_nothing(tmp_path, capsys):
     path = tmp_path / "dup.cfg"
-    path.write_text(SMALL_CFG.replace("seeds = 0\n", "seeds = 0, 0\n"))
-    code = main(["protocol", "--config", str(path), "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert "error: 'seeds' must be one or more distinct seeds" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    for seeds in ("0, 0", "0,0"):
+        path.write_text(SMALL_CFG.replace("seeds = 0\n", f"seeds = {seeds}\n"))
+        code = main(["protocol", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "error: 'seeds' must be one or more distinct seeds" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["dup.cfg"]
 
 
 def test_unknown_flag_exits_2(cfg_path):
@@ -534,16 +555,32 @@ def test_non_integer_for_an_int_key_exits_2(tmp_path, capsys, line):
 
 
 @pytest.mark.parametrize("command, key", [("train", "seed"), ("protocol", "seeds")])
-def test_a_negative_seed_flag_exits_2_and_writes_nothing(cfg_path, tmp_path, capsys, command,
-                                                         key):
+def test_a_negative_seed_flag_exits_2_and_writes_nothing(cfg_path, tmp_path, monkeypatch, capsys,
+                                                         command, key):
+    # train's seed was train_one's check alone, reached after the benchmark
+    # was generated, the staging directory made and the writer forked
+    calls = _record_work(monkeypatch)
     out = tmp_path / "neg"
     code = main([command, "--config", cfg_path, "--seed", "-1", "--out", str(out)])
     assert code == 2
     # train's --seed is train_one's argument; protocol's replaces the config key
-    message = {"seed": "seed must be nonnegative",
+    message = {"seed": "seed must be nonnegative, got -1",
                "seeds": "'seeds' must be comma-separated integers >= 0"}[key]
     assert f"error: {message}" in capsys.readouterr().err
-    assert not out.exists()
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["small.cfg"]
+
+
+@pytest.mark.parametrize("target", ["9", "-1"])
+def test_a_target_outside_the_domains_exits_2_before_any_work(cfg_path, tmp_path, monkeypatch,
+                                                              capsys, target):
+    # like a negative seed, this was train_one's check alone
+    calls = _record_work(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg_path, "--target", target, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: target domain {target} outside 0..2\n"
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["small.cfg"]
 
 
 @pytest.mark.parametrize("line", ["seeds = -2", "master_seed = -3"])
@@ -605,8 +642,9 @@ def test_diverging_train_exits_1_without_outputs(tmp_path, capsys):
     cfg.write_text(DIVERGING_CFG)
     out = tmp_path / "out"
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
-    assert "l_total 1.36e+06 at step 1 is 1.26e+05 times step 0's 10.8" in capsys.readouterr().err
-    assert not out.exists()
+    assert ("error: fixmatch+upcsc-t0-s0: l_total 1.36e+06 at step 1 is 1.26e+05 times step 0's "
+            "10.8\n") == capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["diverge.cfg"]
 
 
 # one latent axis: a projected row can be all zeros, which l2-normalization refuses
@@ -621,7 +659,7 @@ def test_a_degenerate_projection_names_its_run_and_step(tmp_path, capsys, comman
     assert main([*command, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "fixmatch+upcsc-t0-s0" in err and "step 0" in err, err
-    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["degenerate.cfg"]
 
 
 # at these rates step 1's forward overflows, so numpy warns on the way to
@@ -633,15 +671,31 @@ def test_diverging_train_prints_one_error_line_and_no_warnings(tmp_path):
     # numpy's overflow and invalid-value warnings must not precede the error
     cfg = tmp_path / "diverge.cfg"
     cfg.write_text(OVERFLOWING_CFG)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-m", "upcsc.cli", "train", "--config", str(cfg),
-                           "--out", str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True)
-    assert proc.returncode == 1
+    proc = run_python("-m", "upcsc.cli", "train", "--config", str(cfg),
+                      "--out", str(tmp_path / "out"), expect=1)
     assert "RuntimeWarning" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
     assert "non-finite l_sup at step 1" in lines[0]
+
+
+def test_the_console_script_runs_main_and_exits_with_its_code(cfg_path, tmp_path):
+    # [project.scripts] is read as text, since Python 3.10 has no tomllib
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.split() == ["upcsc", "=", '"upcsc.cli:main"']
+    # the body of the script that installing the package writes for that entry
+    shim = "import sys; from upcsc.cli import main; sys.exit(main())"
+    data = tmp_path / "data"
+    run_python("-c", shim, "gen-data", "--config", cfg_path, "--out", str(data), expect=0)
+    assert (data / "domain2_test.csv").exists()
+    missing = run_python("-c", shim, "stats", "--confidences", str(tmp_path / "missing.csv"),
+                         "--truth-dir", str(data), "--out", str(tmp_path / "stats"), expect=1)
+    assert missing.stderr.startswith("error: ")
+    negative = run_python("-c", shim, "train", "--config", cfg_path, "--seed", "-1",
+                          "--out", str(tmp_path / "run"), expect=2)
+    assert negative.stderr == "error: seed must be nonnegative, got -1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "small.cfg"]
 
 
 def test_missing_required_flag_exits_2():

@@ -21,18 +21,12 @@ change leaves the digests of every other key stale.
 """
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-import upcsc
-from oracles import KERNEL_FLAGS, require_kernel_set, skip
+from oracles import KERNEL_FLAGS, require_kernel_set, run_python, skip
 
-SRC = str(Path(upcsc.__file__).resolve().parent.parent)
 DIGESTS = Path(__file__).with_name("digests.json")
 
 # argv[1] is an empty directory; prints [key, {output path: sha256}], the
@@ -86,13 +80,8 @@ def _enabled_targets() -> list[str]:
 def _digests(kernel: str, work, disabled=()) -> tuple[str, dict[str, str]]:
     """(key, digests) of the workload under `kernel` with numpy's `disabled`
     dispatch targets switched off."""
-    env = dict(os.environ, OPENBLAS_CORETYPE=kernel,
-               PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    if disabled:
-        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
-    proc = subprocess.run([sys.executable, "-c", WORKLOAD, str(work)],
-                          env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    env = {"NPY_DISABLE_CPU_FEATURES": " ".join(disabled)} if disabled else {}
+    proc = run_python("-c", WORKLOAD, str(work), OPENBLAS_CORETYPE=kernel, **env)
     key, digests = json.loads(proc.stdout)
     return key, digests
 

@@ -1,6 +1,7 @@
 """Leave-one-domain-out runs, protocol sweeps, and config parsing."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -15,8 +16,8 @@ from upcsc.harness import (EPOCH_METRICS, METHODS, TrainConfig, build_train_conf
                            write_results_csv)
 from upcsc.model import ModelDims
 from upcsc.numerics import substream
-from upcsc.synthdata import (BenchmarkConfig, generate_benchmark, sample_batch, strong_augment,
-                             weak_augment)
+from upcsc.synthdata import (BenchmarkConfig, DomainBenchmark, generate_benchmark, sample_batch,
+                             strong_augment, weak_augment)
 
 # latent_dim 8 keeps the chance of strong-augment dropout zeroing a whole
 # row negligible; hidden_dims () avoids dead-ReLU rows at toy width
@@ -247,24 +248,23 @@ def test_train_one_draws_the_batch_then_weak_then_strong_views(monkeypatch):
 
 def test_train_one_never_reads_target_training_data(monkeypatch):
     cfg = small_config()
-    captured = {}
-    real = harness.generate_benchmark
+    reads = []
+    real = DomainBenchmark._get
 
-    def capturing(bench_cfg):
-        bench = real(bench_cfg)
-        captured.setdefault("bench", bench)
-        return bench
+    def recording(self, domain, split):
+        reads.append((domain, split))
+        return real(self, domain, split)
 
-    monkeypatch.setattr(harness, "generate_benchmark", capturing)
+    monkeypatch.setattr(DomainBenchmark, "_get", recording)
     logs = []
     train_one(cfg, target=2, seed=0, on_epoch=logs.append)
-    counts = captured["bench"].read_counts
-    assert counts.get((2, "labeled"), 0) == 0
-    assert counts.get((2, "unlabeled"), 0) == 0
-    assert counts.get((2, "truth"), 0) == 0
-    assert counts.get((2, "test"), 0) == cfg.epochs  # evaluation only
-    assert counts.get((0, "labeled"), 0) > 0
-    assert counts.get((1, "unlabeled"), 0) > 0
+    counts = Counter(reads)
+    assert counts[(2, "labeled")] == 0
+    assert counts[(2, "unlabeled")] == 0
+    assert counts[(2, "truth")] == 0
+    assert counts[(2, "test")] == cfg.epochs  # evaluation only
+    assert counts[(0, "labeled")] > 0
+    assert counts[(1, "unlabeled")] > 0
     assert [sorted(set(log.domains.tolist())) for log in logs] == [[0, 1]] * cfg.epochs
 
 

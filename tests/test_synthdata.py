@@ -214,19 +214,6 @@ def test_training_view_blocks_target():
         bench.without_domain(7)
 
 
-def test_read_counters_track_access():
-    bench = generate_benchmark(SMALL)
-    assert bench.read_counts == {}
-    bench.labeled(0)
-    bench.labeled(0)
-    bench.unlabeled(2)
-    bench.quarantined_truth(1)
-    assert bench.read_counts[(0, "labeled")] == 2
-    assert bench.read_counts[(2, "unlabeled")] == 1
-    assert bench.read_counts[(1, "truth")] == 1
-    assert (0, "test") not in bench.read_counts
-
-
 def read_xy(path, k):
     rows = read_csv(path, [f"x_{i}" for i in range(k)] + ["label"],
                     [("x", np.float64, (k,)), ("y", np.int64)])
