@@ -70,29 +70,45 @@ class ConfidenceLog:
                    np.concatenate([l.truth for l in logs]))
 
 
-def _candidate_roles(log: ConfidenceLog, tau: float):
-    """(unconfident (n,), hit (n,), K (n, C)) by losses.confidence_roles; hit
-    marks the unconfident samples whose true class is a candidate."""
+def _epoch_domain_groups(log: ConfidenceLog) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): a stable sort of the log by (epoch, domain), which
+    keeps log order within a group, and the sorted position where each
+    group starts."""
+    order = np.lexsort((log.domains, log.epochs))
+    epochs, domains = log.epochs[order], log.domains[order]
+    group_start = np.ones(len(log), dtype=bool)
+    group_start[1:] = (epochs[1:] != epochs[:-1]) | (domains[1:] != domains[:-1])
+    return order, np.flatnonzero(group_start)
+
+
+def _group_counts(log: ConfidenceLog, tau: float):
+    """(epochs, domains, counts) of the log's (epoch, domain) groups in
+    _epoch_domain_groups order; counts[g] is (samples, unconfident samples,
+    unconfident samples whose true class is a candidate), by confidence_roles."""
     if len(log) == 0:
         raise DataError("statistic over an empty log")
     is_confident, k = confidence_roles(log.conf, tau)
-    unconfident = ~is_confident
-    return unconfident, unconfident & k[np.arange(len(log)), log.truth], k
+    hit = k[np.arange(len(log)), log.truth] & ~is_confident
+    order, starts = _epoch_domain_groups(log)
+    flags = np.stack([np.ones(len(log), dtype=bool), ~is_confident, hit], axis=1)
+    counts = np.add.reduceat(np.take(flags, order, axis=0), starts, axis=0, dtype=np.int64)
+    return log.epochs[order[starts]], log.domains[order[starts]], counts
 
 
 def confidence_rates(log: ConfidenceLog, tau: float) -> tuple[float, float]:
-    """(uus_rate, inclusion_rate) from one pass of the confidence rule; the
+    """(uus_rate, inclusion_rate) from the log's summed group counts; the
     inclusion rate is nan when no sample is unconfident."""
-    unconfident, hit, _ = _candidate_roles(log, tau)
-    inclusion = float(hit[unconfident].mean()) if unconfident.any() else math.nan
-    return float(unconfident.mean()), inclusion
+    n, n_unconfident, n_hit = _group_counts(log, tau)[2].sum(axis=0).tolist()
+    return n_unconfident / n, n_hit / n_unconfident if n_unconfident else math.nan
 
 
 def confusing_class_histogram(log: ConfidenceLog, tau: float) -> dict[int, int]:
     """Counts of candidate-set sizes >= 1 over unconfident samples; size-0
     rows (exactly uniform confidence) are left out."""
-    unconfident, _, k = _candidate_roles(log, tau)
-    counts = np.bincount(k[unconfident].sum(axis=1))
+    if len(log) == 0:
+        raise DataError("statistic over an empty log")
+    is_confident, k = confidence_roles(log.conf, tau)
+    counts = np.bincount(k[~is_confident].sum(axis=1))
     return {size: n for size, n in enumerate(counts.tolist()) if size and n}
 
 
@@ -104,7 +120,7 @@ def top1_accuracy(conf, truth) -> float:
         raise ShapeError("predictions and labels disagree in shape")
     if len(truth) == 0:
         raise DataError("accuracy over an empty set")
-    return float((conf.argmax(axis=1) == truth).mean())
+    return np.count_nonzero(conf.argmax(axis=1) == truth) / len(truth)
 
 
 def log_source_confidences(benchmark, source_ids, confidence_fn, epoch: int) -> ConfidenceLog:
@@ -128,17 +144,6 @@ def log_source_confidences(benchmark, source_ids, confidence_fn, epoch: int) -> 
 
 def _confidence_header(c: int) -> list[str]:
     return ["epoch", "domain", "sample_index"] + [f"c_{i}" for i in range(c)]
-
-
-def _epoch_domain_groups(log: ConfidenceLog) -> tuple[np.ndarray, np.ndarray]:
-    """(order, starts): a stable sort of the log by (epoch, domain), which
-    keeps log order within a group, and the sorted position where each
-    group starts."""
-    order = np.lexsort((log.domains, log.epochs))
-    epochs, domains = log.epochs[order], log.domains[order]
-    group_start = np.ones(len(log), dtype=bool)
-    group_start[1:] = (epochs[1:] != epochs[:-1]) | (domains[1:] != domains[:-1])
-    return order, np.flatnonzero(group_start)
 
 
 def write_confidences_csv(logs, path) -> None:
@@ -207,12 +212,7 @@ def write_stats_csv(log: ConfidenceLog, tau: float, path) -> None:
     of the epoch, macro averages the per-domain values. Inclusion rows are
     omitted where the statistic is undefined (no unconfident samples).
     """
-    unconfident, hit, _ = _candidate_roles(log, tau)
-    order, starts = _epoch_domain_groups(log)
-    # samples, unconfident samples and inclusion hits of each (epoch, domain)
-    flags = np.stack([np.ones(len(log), dtype=bool), unconfident, hit], axis=1)
-    counts = np.add.reduceat(flags[order].astype(np.int64), starts, axis=0)
-    group_epochs, group_domains = log.epochs[order[starts]], log.domains[order[starts]]
+    group_epochs, group_domains, counts = _group_counts(log, tau)
     rows = []
     for epoch in np.unique(group_epochs).tolist():
         mine = group_epochs == epoch

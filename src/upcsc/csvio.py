@@ -61,7 +61,16 @@ def write_csv(path, header, chunks) -> None:
 
 def read_header(path) -> list[str]:
     with open(path, encoding="utf-8") as fh:
+        return _first_line(fh, path)
+
+
+def _first_line(fh, path) -> list[str]:
+    """The fields of fh's first line. Reading it decodes a whole buffer of
+    the file, so a byte that is not UTF-8 there raises DataError naming it."""
+    try:
         return fh.readline().rstrip("\r\n").split(",")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def read_csv(path, header, dtype) -> np.ndarray:
@@ -70,7 +79,7 @@ def read_csv(path, header, dtype) -> np.ndarray:
     columns). Either line ending is accepted; an empty body gives an empty
     array, and a malformed field raises DataError naming the file."""
     with open(path, encoding="utf-8") as fh:
-        if fh.readline().rstrip("\r\n").split(",") != list(header):
+        if _first_line(fh, path) != list(header):
             raise DataError(f"unexpected header in {path}")
         try:
             with warnings.catch_warnings():

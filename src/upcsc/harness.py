@@ -262,22 +262,26 @@ _KEY_OWNERS = {**{f.name: TrainConfig for f in fields(TrainConfig)
 
 
 def parse_config_file(path) -> dict:
-    """`key = value` lines with # comments; values stay strings here."""
+    """UTF-8 `key = value` lines with # comments; values stay strings here."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     values: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if not key or not val:
-                raise ConfigError(f"{path}:{lineno}: empty key or value")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = val
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if not key or not val:
+            raise ConfigError(f"{path}:{lineno}: empty key or value")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        values[key] = val
     return values
 
 

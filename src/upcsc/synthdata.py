@@ -63,7 +63,6 @@ class BenchmarkConfig:
 @dataclass
 class DomainSpec:
     """Linear observation model of one domain: x = R (s * latent) + shift."""
-    domain_id: int
     rotation: np.ndarray   # (k, k) orthogonal
     scale: np.ndarray      # (k,) positive per-axis factors
     shift: np.ndarray      # (k,)
@@ -184,7 +183,7 @@ def generate_benchmark(config: BenchmarkConfig) -> DomainBenchmark:
         rotation = random_rotation(k, spec_rng, config.rotation_max_angle)
         scale = np.exp(spec_rng.uniform(-config.scale_log_range, config.scale_log_range, size=k))
         shift = spec_rng.normal(0.0, config.shift_sigma, size=k)
-        spec = DomainSpec(d, rotation, scale, shift)
+        spec = DomainSpec(rotation, scale, shift)
         specs.append(spec)
 
         sample_rng = substream(config.master_seed, _TAG_SAMPLES, d)

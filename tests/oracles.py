@@ -17,7 +17,7 @@ from upcsc.analysis import confidence_rates
 from upcsc.autograd import _node
 from upcsc.errors import ConfigError, DataError, ShapeError
 from upcsc.losses import confidence_roles
-from upcsc.model import ModelState
+from upcsc.model import ModelDims, ModelState, init_model
 from upcsc.numerics import _loaded_library_paths, _openblas_functions, as_matrix
 
 
@@ -131,6 +131,11 @@ def mean_candidate_fraction(log, tau) -> float:
     if sizes.size == 0:
         raise UndefinedStatisticError("no unconfident samples")
     return float(sizes.mean()) / log.num_classes
+
+
+def tiny_state() -> ModelState:
+    """A seeded model with one linear featurizer layer, 2 inputs and 2 classes."""
+    return init_model(ModelDims(input_dim=2, hidden_dims=(), feature_dim=2, num_classes=2), seed=5)
 
 
 def with_params(state, arrays) -> ModelState:

@@ -277,14 +277,6 @@ def test_protocol_seed_flag_runs_only_that_seed(cfg_path, tmp_path):
     assert [(target, seed) for _, target, seed, _ in rows] == [("0", "2"), ("1", "2"), ("2", "2")]
 
 
-def test_protocol_repeat_is_byte_identical(cfg_path, tmp_path):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["protocol", "--config", cfg_path, "--out", str(out_a)]) == 0
-    assert main(["protocol", "--config", cfg_path, "--out", str(out_b)]) == 0
-    assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
-    assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
-
-
 def test_stats_flow_reads_train_output(cfg_path, tmp_path, capsys):
     run_out = tmp_path / "run"
     assert main(["train", "--config", cfg_path, "--out", str(run_out)]) == 0
@@ -518,6 +510,20 @@ def test_duplicate_seeds_in_a_config_exit_2_and_write_nothing(tmp_path, capsys):
         assert code == 2
         assert "error: 'seeds' must be one or more distinct seeds" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["dup.cfg"]
+
+
+def test_a_config_file_that_is_not_utf8_exits_2_naming_it_before_any_work(tmp_path, monkeypatch,
+                                                                          capsys):
+    # it exited 1 with the codec's message alone, and read the file in the
+    # locale's encoding
+    calls = _record_work(monkeypatch)
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"epochs = 2\xff\n")
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "can't decode byte 0xff in position 10" in err, err
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
 
 
 def test_unknown_flag_exits_2(cfg_path):

@@ -207,6 +207,22 @@ def test_stats_without_truth_sidecar_exits_1(tmp_path, capsys):
     assert "domain1_unlabeled_truth.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damaged", ["conf.csv", "domain0_unlabeled_truth.csv"])
+def test_stats_on_a_file_that_is_not_utf8_exits_1_naming_it(tmp_path, capsys, damaged):
+    # reading the header line decodes the file's first buffer, so a bad byte
+    # anywhere in it printed the codec's message alone, with no file name
+    write_truth(tmp_path, 0, [1, 0])
+    write_confidences(tmp_path / "conf.csv", ["1,0,0,0.5,0.5", "1,0,1,0.5,0.5"])
+    path = tmp_path / damaged
+    path.write_bytes(path.read_bytes()[:-1] + b"\xff\n")
+    code = main(["stats", "--confidences", str(tmp_path / "conf.csv"),
+                 "--truth-dir", str(tmp_path), "--out", str(tmp_path / "stats")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "can't decode byte 0xff" in err, err
+    assert not (tmp_path / "stats").exists()
+
+
 def test_sample_index_counts_within_interleaved_groups(tmp_path):
     rng = np.random.Generator(np.random.PCG64(3))
     n = 500

@@ -1,15 +1,18 @@
-"""The finite-difference suite itself, run small but for real."""
+"""The finite-difference suite itself, run small but for real, and the
+coordinate sweep it runs."""
 
 import time
 
 import numpy as np
 import pytest
 
+from oracles import tiny_state
 from upcsc.errors import ConfigError
-from upcsc.gradcheck import (check_losses, find_checkable_case, _analytic_gradients, _relu_margin,
-                             _relative_error, _term_values, _ALL_FLAGS, MIN_TERM_VALUE,
-                             RELU_MARGIN, TAU)
+from upcsc.gradcheck import (check_losses, find_checkable_case, _analytic_gradients,
+                             _fd_gradients, _relu_margin, _relative_error, _term_values,
+                             _ALL_FLAGS, MIN_TERM_VALUE, RELU_MARGIN, TAU)
 from upcsc.losses import build_loss_graph
+from upcsc.model import param_layout
 from upcsc.synthdata import TrainBatch
 
 TOLERANCE = 1e-4
@@ -28,6 +31,35 @@ def test_relative_error_basics():
     assert _relative_error(a, np.array([1.1, 2.0])) == pytest.approx(0.1 / 1.1)
     # below the floor, differences are relative to 1e-8, not to the values
     assert _relative_error(np.array([1e-10]), np.array([3e-10])) == pytest.approx(2e-2)
+
+
+def test_fd_gradients_of_a_quadratic_and_a_linear_map():
+    state = tiny_state()
+    state.featurizer[0][0][0, 0] = 3.0
+    layout = param_layout(state.dims)
+
+    def values(s):
+        # "order" has slope k at the k-th coordinate of the declaration order
+        flat = np.concatenate([s.params[name].ravel() for name in layout])
+        return {"q": s.featurizer[0][0][0, 0] ** 2, "order": np.arange(flat.size) @ flat}
+
+    g = _fd_gradients(values, state)
+    size = sum(arr.size for _, arr in state.param_items())
+    assert g["q"].shape == g["order"].shape == (size,)
+    # featurizer.0.weight[0, 0] is the first coordinate
+    assert g["q"][0] == pytest.approx(6.0, abs=1e-6)
+    # untouched coordinates have zero slope
+    assert np.allclose(g["q"][1:], 0.0)
+    assert np.allclose(g["order"], np.arange(size), atol=1e-6)
+
+
+def test_fd_gradients_of_a_constant_are_zero_and_restore_the_state():
+    state = tiny_state()
+    before = {name: arr.copy() for name, arr in state.param_items()}
+    g = _fd_gradients(lambda s: {"c": 42.0}, state)["c"]
+    assert g.size == sum(arr.size for arr in before.values()) and not g.any()
+    for name, arr in state.param_items():
+        assert np.array_equal(arr, before[name])
 
 
 def test_a_negative_seed_is_a_config_error():

@@ -1,23 +1,16 @@
-"""Matrix helpers, schedule, SGD, and the finite-difference sweep that the
-gradient audit runs."""
+"""Matrix helpers, schedule and SGD."""
 
 import math
 
 import numpy as np
 import pytest
 
-from oracles import seeded
+from oracles import seeded, tiny_state
 from upcsc.autograd import Tensor
 from upcsc.errors import DegenerateInputError, ShapeError
-from upcsc.gradcheck import _fd_gradients
-from upcsc.model import ModelDims, ModelState, init_model, param_layout
 from upcsc.numerics import cosine_lr, l2_normalize_rows, sgd_step, softmax_rows, substream
 
 RNG = np.random.default_rng(77)
-
-
-def tiny_state() -> ModelState:
-    return init_model(ModelDims(input_dim=2, hidden_dims=(), feature_dim=2, num_classes=2), seed=5)
 
 
 def test_softmax_direct_formula():
@@ -130,35 +123,6 @@ def test_sgd_step_shape_mismatch_rejected():
     bad["classifier.weight"] = np.zeros((1, 1))
     with pytest.raises(ShapeError):
         sgd_step(state, bad, {"backbone": 1, "classifier": 1, "projectors": 1})
-
-
-def test_finite_diff_on_quadratic():
-    state = tiny_state()
-    state.featurizer[0][0][0, 0] = 3.0
-    layout = param_layout(state.dims)
-
-    def values(s):
-        # "order" has slope k at the k-th coordinate of the declaration order
-        flat = np.concatenate([s.params[name].ravel() for name in layout])
-        return {"q": s.featurizer[0][0][0, 0] ** 2, "order": np.arange(flat.size) @ flat}
-
-    g = _fd_gradients(values, state)
-    size = sum(arr.size for _, arr in state.param_items())
-    assert g["q"].shape == g["order"].shape == (size,)
-    # featurizer.0.weight[0, 0] is the first coordinate
-    assert g["q"][0] == pytest.approx(6.0, abs=1e-6)
-    # untouched coordinates have zero slope
-    assert np.allclose(g["q"][1:], 0.0)
-    assert np.allclose(g["order"], np.arange(size), atol=1e-6)
-
-
-def test_finite_diff_constant_is_zero_and_restores():
-    state = tiny_state()
-    before = {name: arr.copy() for name, arr in state.param_items()}
-    g = _fd_gradients(lambda s: {"c": 42.0}, state)["c"]
-    assert g.size == sum(arr.size for arr in before.values()) and not g.any()
-    for name, arr in state.param_items():
-        assert np.array_equal(arr, before[name])
 
 
 def test_substream_reproducible_and_keyed():

@@ -134,7 +134,7 @@ def test_random_rotation_is_orthogonal_and_identity_at_zero():
 
 
 def test_domain_spec_invert_round_trip():
-    spec = DomainSpec(0, random_rotation(4, substream(8), 1.0),
+    spec = DomainSpec(random_rotation(4, substream(8), 1.0),
                       np.array([0.5, 1.0, 2.0, 1.5]), np.array([1.0, -2.0, 0.0, 3.0]))
     latent = substream(9).standard_normal((20, 4))
     assert np.allclose(invert(spec, spec.apply(latent)), latent, atol=1e-10)
