@@ -184,8 +184,9 @@ def cmd_stats(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     report = check_losses(num_draws=args.draws, seed=args.seed)
-    for name, (err, passed) in report.items():
-        print(f"{name:>6}: max relative error {err:.3e}  {'ok' if passed else 'FAIL'}")
+    for name, (ratio, passed) in report.items():
+        verdict = "ok" if passed else "FAIL"
+        print(f"{name:>6}: worst |a - f| {ratio:.3f} of its allowance  {verdict}")
     return 0 if all(passed for _, passed in report.values()) else 1
 
 

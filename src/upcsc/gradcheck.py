@@ -6,6 +6,11 @@ input that carries no gradient. A central-difference probe therefore pins
 the partition the base point's own graph made, so both sides differentiate
 the same function of the parameters.
 
+The probe is the 4-point central stencil, whose truncation error is O(h^4),
+and a coordinate passes when the analytic gradient a and the stencil f agree
+to a relative TOLERANCE, plus the stencil's own rounding noise: a few ulps of
+the term's value F, divided by the step.
+
 ReLU kinks are the one genuine nondifferentiability left, so draws are
 rejected until every preactivation clears a margin much larger than the
 perturbation. Draws must also make every term active, otherwise the
@@ -24,10 +29,10 @@ from .synthdata import BenchmarkConfig, TrainBatch, augment_views
 
 SMALL_DIMS = ModelDims(input_dim=5, hidden_dims=(6,), feature_dim=4, num_classes=3)
 TAU = 0.65
-FD_STEP = 1e-5          # central-difference step on every parameter coordinate
-ERROR_FLOOR = 1e-8      # least denominator of the relative error
-TOLERANCE = 1e-4        # a term passes when its worst relative error is below this
-RELU_MARGIN = 1e-3      # min |preactivation| so an FD_STEP perturbation cannot cross a kink
+FD_STEP = 1e-5          # finite-difference step on every parameter coordinate
+TOLERANCE = 1e-4        # relative agreement a coordinate must reach above the noise
+NOISE_ULPS = 10.0       # rounding noise allowed, in ulps of max(|F|, 1), over FD_STEP
+RELU_MARGIN = 1e-3      # min |preactivation| so a 2 * FD_STEP perturbation cannot cross a kink
 MAX_ATTEMPTS = 500      # draws per case before find_checkable_case gives up
 MIN_TERM_VALUE = 0.05   # each gated term must be visibly nonzero
 CLASSIFIER_BOOST = 6.0  # sharpens confidences so both batch roles occur
@@ -54,8 +59,9 @@ def _analytic_gradients(state, batch, views, partition) -> dict[str, np.ndarray]
 
 
 def _fd_gradients(values_fn, params) -> dict[str, np.ndarray]:
-    """Central differences of every value values_fn(params) returns, by name, in
-    one sweep: one flat vector over every parameter, in declaration order.
+    """4-point central differences, (-f(x+2h) + 8f(x+h) - 8f(x-h) + f(x-2h)) / 12h,
+    of every value values_fn(params) returns, by name, in one sweep: one flat
+    vector over every parameter, in declaration order.
 
     Perturbs the parameter arrays in place and restores them, so values_fn
     must read the current arrays on every call (and must be deterministic).
@@ -65,19 +71,23 @@ def _fd_gradients(values_fn, params) -> dict[str, np.ndarray]:
         flat = arr.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + FD_STEP
-            plus = values_fn(params)
-            flat[i] = orig - FD_STEP
-            minus = values_fn(params)
+            at = []
+            for offset in (2.0, 1.0, -1.0, -2.0):
+                flat[i] = orig + offset * FD_STEP
+                at.append(values_fn(params))
             flat[i] = orig
-            slopes.append({name: (plus[name] - minus[name]) / (2.0 * FD_STEP) for name in plus})
+            slopes.append({name: (-at[0][name] + 8.0 * at[1][name] - 8.0 * at[2][name]
+                                  + at[3][name]) / (12.0 * FD_STEP) for name in at[0]})
     return {name: np.array([s[name] for s in slopes]) for name in slopes[0]}
 
 
-def _relative_error(analytic: np.ndarray, fd: np.ndarray) -> float:
-    """max over coordinates of |a - f| / max(|a|, |f|, ERROR_FLOOR)."""
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), ERROR_FLOOR)
-    return float(np.max(np.abs(analytic - fd) / denom))
+def _error_ratio(analytic: np.ndarray, fd: np.ndarray, value: float) -> float:
+    """max over coordinates of |a - f| over its allowance,
+    TOLERANCE * max(|a|, |f|) + NOISE_ULPS * eps * max(|F|, 1) / FD_STEP,
+    for a term of value F at the base point; a coordinate passes at <= 1."""
+    noise = NOISE_ULPS * np.finfo(np.float64).eps * max(abs(value), 1.0) / FD_STEP
+    allowance = TOLERANCE * np.maximum(np.abs(analytic), np.abs(fd)) + noise
+    return float(np.max(np.abs(analytic - fd) / allowance))
 
 
 def _relu_margin(state, batch, views) -> float:
@@ -119,7 +129,8 @@ def find_checkable_case(case_seed: int):
 
 
 def check_losses(num_draws: int = 20, seed: int = 0) -> dict[str, tuple[float, bool]]:
-    """Per loss term, (worst relative error over num_draws cases, whether it passes)."""
+    """Per loss term, (its worst coordinate's |a - f| as a share of its
+    allowance over num_draws cases, whether every coordinate passes)."""
     if num_draws < 1:
         raise ConfigError(f"draws must be >= 1, got {num_draws}")
     if seed < 0:
@@ -127,8 +138,9 @@ def check_losses(num_draws: int = 20, seed: int = 0) -> dict[str, tuple[float, b
     worst: dict[str, float] = {}
     for k in range(num_draws):
         state, batch, views, partition = find_checkable_case(seed * 10_000 + k)
+        values = _term_values(state, batch, views, partition)
         analytic = _analytic_gradients(state, batch, views, partition)
         fd = _fd_gradients(lambda st: _term_values(st, batch, views, partition), state)
         for name, grad in analytic.items():
-            worst[name] = max(worst.get(name, 0.0), _relative_error(grad, fd[name]))
-    return {name: (err, err < TOLERANCE) for name, err in worst.items()}
+            worst[name] = max(worst.get(name, 0.0), _error_ratio(grad, fd[name], values[name]))
+    return {name: (ratio, ratio <= 1.0) for name, ratio in worst.items()}

@@ -1,6 +1,13 @@
 """Plain-loop reference implementations the tests check the package against,
 the test-side scalar node that seeds a backward pass, and helpers that only
-tests call."""
+tests call.
+
+The confidence rule's one set oracle lives here: confidence_sets restates it
+row by row with Python sets, pair_selections derives every pair selection of
+the losses from those sets, and confidence_counts the statistics' counts.
+Acceptance criteria 3 and 4 and the property tests assert through it, each on
+its own draws; the property tests draw theirs from confidence_rows.
+"""
 
 import ctypes
 import math
@@ -12,11 +19,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from upcsc.analysis import confidence_rates
 from upcsc.autograd import _node
 from upcsc.errors import ConfigError, DataError, ShapeError
-from upcsc.losses import confidence_roles
+from upcsc.losses import (confidence_roles, sc_anchor_indices, sc_negative_masks,
+                          upc_negative_masks)
 from upcsc.model import ModelDims, ModelState, init_model
 from upcsc.numerics import _loaded_library_paths, _openblas_functions, as_matrix
 
@@ -86,26 +96,121 @@ def pcl_reference_loss(z, w, labels) -> float:
     return total / len(z)
 
 
+def confidence_sets(conf, tau) -> tuple[list, list]:
+    """The confidence rule row by row, as the method states it: a row whose
+    top score reaches tau is confident, its pseudo label the first class at
+    that top; any other row is unconfident, its candidate set the classes
+    scored strictly above 1/C. ([(row, pseudo label)], [(row, candidate set)])."""
+    c = conf.shape[1]
+    confident, unconfident = [], []
+    for i, row in enumerate(conf.tolist()):
+        top = max(row)
+        if top >= tau:
+            confident.append((i, row.index(top)))
+        else:
+            unconfident.append((i, frozenset(y for y in range(c) if row[y] > 1 / c)))
+    return confident, unconfident
+
+
+def partition_sets(part) -> tuple[list, list]:
+    """A BatchPartition read back as confidence_sets' two lists; rows and
+    their labels or candidate rows must pair up one to one."""
+    return (list(zip(part.confident.tolist(), part.pseudo_labels.tolist(), strict=True)),
+            [(i, frozenset(np.flatnonzero(row).tolist()))
+             for i, row in zip(part.unconfident.tolist(), part.candidates, strict=True)])
+
+
+def _mask(anchors, keys, selects) -> tuple:
+    return (len(anchors), len(keys)), [[float(selects(a, k)) for k in keys] for a in anchors]
+
+
+def pair_selections(conf, tau) -> dict[str, object]:
+    """Every pair selection of the losses, from confidence_sets' own sets; each
+    mask as (shape, rows of 0.0/1.0). UPC's confident anchors take as
+    negatives the confident rows of another pseudo label and the unconfident
+    rows whose set excludes theirs. SC's anchors are the unconfident rows with
+    a candidate; they take the confident rows whose pseudo label their set
+    excludes and the unconfident rows whose set shares no class with theirs."""
+    confident, unconfident = confidence_sets(conf, tau)
+    pseudo = [y for _, y in confident]
+    cands = [cand for _, cand in unconfident]
+    anchors = [cand for cand in cands if cand]
+    return {"upc_vs_confident": _mask(pseudo, pseudo, lambda y_i, y_j: y_j != y_i),
+            "upc_vs_unconfident": _mask(pseudo, cands, lambda y_i, c_j: y_i not in c_j),
+            "sc_anchors": [a for a, cand in enumerate(cands) if cand],
+            "sc_vs_confident": _mask(anchors, pseudo, lambda c_a, y_j: y_j not in c_a),
+            "sc_vs_unconfident": _mask(anchors, cands, lambda c_a, c_j: c_a.isdisjoint(c_j))}
+
+
+def package_pair_selections(part) -> dict[str, object]:
+    """pair_selections' dict from the package's mask builders on a partition."""
+    vs_c, vs_u = upc_negative_masks(part.pseudo_labels, part.candidates)
+    svs_c, svs_u = sc_negative_masks(part.candidates, part.pseudo_labels)
+    return {"upc_vs_confident": (vs_c.shape, vs_c.tolist()),
+            "upc_vs_unconfident": (vs_u.shape, vs_u.tolist()),
+            "sc_anchors": sc_anchor_indices(part.candidates).tolist(),
+            "sc_vs_confident": (svs_c.shape, svs_c.tolist()),
+            "sc_vs_unconfident": (svs_u.shape, svs_u.tolist())}
+
+
+def confidence_counts(log, tau) -> tuple[int, list[int], list[bool]]:
+    """(unconfident count, candidate-set sizes, whether the true class is a
+    candidate) over a ConfidenceLog's unconfident rows by confidence_sets,
+    sizes and hits in log order."""
+    _, unconfident = confidence_sets(log.conf, tau)
+    truth = log.truth.tolist()
+    return (len(unconfident), [len(cand) for _, cand in unconfident],
+            [truth[i] in cand for i, cand in unconfident])
+
+
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def confidence_rows(draw, min_rows=0, max_rows=10):
+    """(conf, tau): rows of small integer weights over 2..6 classes, normalised,
+    so exact ties, exactly uniform rows (an all-zero draw) and scores of
+    exactly 1/C occur often; tau is sometimes a row's own top score, to
+    exercise the inclusive boundary."""
+    c = draw(st.integers(2, 6))
+    n = draw(st.integers(min_rows, max_rows))
+    weights = draw(st.lists(st.lists(st.integers(0, 4), min_size=c, max_size=c),
+                            min_size=n, max_size=n))
+    rows = [[float(v) for v in ws] if any(ws) else [1.0] * c for ws in weights]
+    conf = np.array(rows, dtype=np.float64).reshape(n, c)
+    if n:
+        conf = conf / conf.sum(axis=1, keepdims=True)
+    on_boundary = [t for t in conf.max(axis=1).tolist() if 1 / c < t < 1] if n else []
+    if on_boundary and draw(st.booleans()):
+        tau = draw(st.sampled_from(on_boundary))
+    else:
+        tau = draw(st.floats(1 / c, 1.0, exclude_min=True, exclude_max=True))
+    return conf, tau
+
+
 def stats_rows_reference(log, tau) -> list[tuple]:
-    """write_stats_csv's rows, one filtered copy of the log per epoch and per
-    (epoch, domain), each statistic from the public per-log functions."""
+    """write_stats_csv's rows, from confidence_counts on one filtered copy of
+    the log per epoch and per (epoch, domain)."""
+    def rates(sub):
+        n_unconfident, _, hits = confidence_counts(sub, tau)
+        return n_unconfident / len(sub), sum(hits) / n_unconfident if n_unconfident else None
+
     rows = []
     for epoch in sorted(set(log.epochs.tolist())):
         elog = log.filter(epoch=epoch)
         uus, inclusion = [], []
         for domain in sorted(set(elog.domains.tolist())):
-            dlog = elog.filter(domain=domain)
-            uus.append(uus_rate(dlog, tau))
-            rows.append(("uus_rate", epoch, domain, uus[-1]))
-            try:
-                inclusion.append(inclusion_rate(dlog, tau))
-                rows.append(("inclusion_rate", epoch, domain, inclusion[-1]))
-            except UndefinedStatisticError:
-                pass
-        rows.append(("uus_rate_micro", epoch, -1, uus_rate(elog, tau)))
+            u, i = rates(elog.filter(domain=domain))
+            uus.append(u)
+            rows.append(("uus_rate", epoch, domain, u))
+            if i is not None:
+                inclusion.append(i)
+                rows.append(("inclusion_rate", epoch, domain, i))
+        u, i = rates(elog)
+        rows.append(("uus_rate_micro", epoch, -1, u))
         rows.append(("uus_rate_macro", epoch, -1, float(np.mean(uus))))
         if inclusion:
-            rows.append(("inclusion_rate_micro", epoch, -1, inclusion_rate(elog, tau)))
+            rows.append(("inclusion_rate_micro", epoch, -1, i))
             rows.append(("inclusion_rate_macro", epoch, -1, float(np.mean(inclusion))))
     return rows
 

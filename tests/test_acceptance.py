@@ -6,24 +6,23 @@ lines; the directional-improvement sweep dominates the runtime (minutes).
 
 import math
 import time
+from collections import Counter
 
 import numpy as np
-import pytest
-from oracles import (candidate_set_sizes, degenerate_uniform_count, inclusion_rate,
-                     mean_candidate_fraction, paired_deltas, pcl_reference_loss, uus_rate,
-                     with_params)
+from oracles import (candidate_set_sizes, confidence_counts, confidence_sets,
+                     degenerate_uniform_count, inclusion_rate, mean_candidate_fraction,
+                     package_pair_selections, pair_selections, paired_deltas,
+                     partition_sets, pcl_reference_loss, uus_rate, with_params)
 
 from upcsc import analysis
 from upcsc.cli import main
 from upcsc.gradcheck import check_losses
 from upcsc.harness import TrainConfig, run_protocol, train_one
-from upcsc.losses import (MethodFlags, partition_unlabeled, sc_anchor_indices,
-                          sc_negative_masks, total_loss, upc_loss, upc_negative_masks)
+from upcsc.losses import MethodFlags, partition_unlabeled, total_loss, upc_loss
 from upcsc.model import ModelDims, init_model
 from upcsc.numerics import l2_normalize_rows, softmax_rows, substream
 from upcsc.synthdata import BenchmarkConfig, TrainBatch, augment_views
 
-GRAD_TOLERANCE = 1e-4
 EXACT = 1e-12
 
 
@@ -36,13 +35,12 @@ def test_criterion_1_gradient_suite():
     start = time.time()
     verdicts = check_losses(num_draws=20, seed=0)
     elapsed = time.time() - start
-    worst = {name: err for name, (err, _) in verdicts.items()}
-    bad = {k: v for k, v in worst.items() if v >= GRAD_TOLERANCE}
-    ok = not bad and all(passed for _, passed in verdicts.values()) and elapsed < 60.0
+    ok = len(verdicts) == 5 and all(passed for _, passed in verdicts.values()) and elapsed < 60.0
     report("gradient suite",
            ok,
-           f"5 losses x 20 draws, worst rel err "
-           f"{max(worst.values()):.2e} (< 1e-4), {elapsed:.1f}s (< 60s)")
+           f"5 losses x 20 draws, worst |a - f| "
+           f"{max(ratio for ratio, _ in verdicts.values()):.3f} of its allowance (<= 1), "
+           f"{elapsed:.1f}s (< 60s)")
 
 
 def test_criterion_2_reduction_oracle():
@@ -72,45 +70,10 @@ def test_criterion_3_pair_selection_oracle():
         conf = softmax_rows(rng.standard_normal((n, c)) * 2.5)
         tau = float(rng.uniform(1 / c + 0.02, 0.98))
         part = partition_unlabeled(conf, tau)
-
-        # role assignment and candidate sets, re-derived row by row
-        expect_conf = [(i, int(np.argmax(conf[i]))) for i in range(n)
-                       if conf[i].max() >= tau]
-        expect_unconf = [(i, frozenset(y for y in range(c) if conf[i][y] > 1 / c))
-                         for i in range(n) if conf[i].max() < tau]
-        got_conf = list(zip(part.confident.tolist(), part.pseudo_labels.tolist()))
-        got_unconf = [(i, frozenset(np.flatnonzero(row).tolist()))
-                      for i, row in zip(part.unconfident.tolist(), part.candidates)]
-        assert got_conf == expect_conf
-        assert got_unconf == expect_unconf
-
-        # the oracle's own pseudo labels and candidate sets, not the partition's
-        pseudo = [y for _, y in expect_conf]
-        cands = [cand for _, cand in expect_unconf]
-
-        # confident-anchor negatives from the set definitions
-        vs_c, vs_u = upc_negative_masks(part.pseudo_labels, part.candidates)
-        assert vs_c.shape == (len(pseudo), len(pseudo))
-        assert vs_u.shape == (len(pseudo), len(cands))
-        for a, (i, y_i) in enumerate(expect_conf):
-            for b, (j, y_j) in enumerate(expect_conf):
-                assert vs_c[a, b] == (1.0 if y_j != y_i else 0.0)
-            for b, (j, c_j) in enumerate(expect_unconf):
-                excluded_j = frozenset(range(c)) - c_j
-                assert vs_u[a, b] == (1.0 if y_i in excluded_j else 0.0)
-
-        # unconfident-anchor selection: anchors, then both negative kinds
-        anchors = sc_anchor_indices(part.candidates)
-        assert anchors.tolist() == [idx for idx, cand in enumerate(cands) if cand]
-        svs_c, svs_u = sc_negative_masks(part.candidates, part.pseudo_labels)
-        assert svs_c.shape == (len(anchors), len(pseudo))
-        assert svs_u.shape == (len(anchors), len(cands))
-        for row, a in enumerate(anchors):
-            excluded_a = frozenset(range(c)) - cands[a]
-            for b in range(len(pseudo)):
-                assert svs_c[row, b] == (1.0 if pseudo[b] in excluded_a else 0.0)
-            for b in range(len(cands)):
-                assert svs_u[row, b] == (1.0 if len(cands[a] & cands[b]) == 0 else 0.0)
+        # roles and candidate sets, then every pair selection from the
+        # oracle's own pseudo labels and sets, not the partition's
+        assert partition_sets(part) == confidence_sets(conf, tau)
+        assert package_pair_selections(part) == pair_selections(conf, tau)
         checked += 1
     report("pair-selection oracle", checked == 1000,
            f"{checked}/1000 random (confidence, tau) instances match "
@@ -128,19 +91,13 @@ def test_criterion_4_statistics_oracles():
         log = analysis.ConfidenceLog(np.ones(n), np.zeros(n), conf, truth)
         tau = float(rng.uniform(1 / c + 0.02, 0.98))
 
-        unconf = [i for i in range(n) if conf[i].max() < tau]
-        assert uus_rate(log, tau) == len(unconf) / n
-        if unconf:
-            hits = sum(1 for i in unconf if conf[i][truth[i]] > 1 / c)
-            assert inclusion_rate(log, tau) == hits / len(unconf)
+        n_unconfident, sizes, hits = confidence_counts(log, tau)
+        assert uus_rate(log, tau) == n_unconfident / n
+        if n_unconfident:
+            assert inclusion_rate(log, tau) == sum(hits) / n_unconfident
         hist = analysis.confusing_class_histogram(log, tau)
-        expect_hist: dict[int, int] = {}
-        for i in unconf:
-            size = sum(1 for y in range(c) if conf[i][y] > 1 / c)
-            if size >= 1:
-                expect_hist[size] = expect_hist.get(size, 0) + 1
-        assert hist == expect_hist
-        assert sum(hist.values()) + degenerate_uniform_count(log, tau) == len(unconf)
+        assert hist == dict(Counter(size for size in sizes if size >= 1))
+        assert sum(hist.values()) + degenerate_uniform_count(log, tau) == n_unconfident
         checked += 1
     report("statistics oracles", checked == 1000,
            f"{checked}/1000 logs match counting oracles exactly, "

@@ -135,7 +135,7 @@ def proxy_case(z, w, other, weights=PROXY_WEIGHTS):
                            (np.zeros((0, 3)), np.zeros((4, 0)))]
 
 
-def test_matmul_grads():
+def test_cross_entropy_grads_in_closed_form():
     # the product inside the cross-entropy kernel, logits f @ W.T, in closed
     # form: d = (softmax - onehot) / n gives d @ W for f and d.T @ f for W
     f = Tensor(RNG.standard_normal((6, 5)))

@@ -589,20 +589,6 @@ def test_a_target_outside_the_domains_exits_2_before_any_work(cfg_path, tmp_path
     assert [p.name for p in tmp_path.iterdir()] == ["small.cfg"]
 
 
-@pytest.mark.parametrize("line", ["seeds = -2", "master_seed = -3"])
-def test_a_negative_seed_key_exits_2_and_writes_nothing(tmp_path, capsys, line):
-    key = line.split(" = ")[0]
-    body = [line if row.startswith(key + " ") else row for row in SMALL_CFG.splitlines()]
-    assert line in body
-    path = tmp_path / "bad.cfg"
-    path.write_text("\n".join(body) + "\n")
-    code = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert f"error: {key!r} must be " in err and " >= 0, got " in err
-    assert not (tmp_path / "out").exists()
-
-
 def test_invalid_tau_exits_2(cfg_path, capsys):
     code = main(["train", "--config", cfg_path, "--tau", "1.5"])
     assert code == 2

@@ -213,9 +213,10 @@ def test_train_one_rejects_bad_target():
 
 def test_negative_seeds_are_config_errors_naming_the_key():
     # numpy's own refusal names no key and reached the CLI as exit 1
-    with pytest.raises(ConfigError, match="'seeds' must be comma-separated integers >= 0"):
+    with pytest.raises(ConfigError,
+                       match=r"'seeds' must be comma-separated integers >= 0, got \(0, -2\)$"):
         small_config(seeds=(0, -2))
-    with pytest.raises(ConfigError, match="'master_seed' must be an integer >= 0"):
+    with pytest.raises(ConfigError, match="'master_seed' must be an integer >= 0, got -3$"):
         replace(SMALL_BENCH, master_seed=-3)
     with pytest.raises(ConfigError, match="^seed must be nonnegative"):
         train_one(small_config(), target=0, seed=-1)
@@ -482,7 +483,7 @@ def test_build_train_config_converts_by_field_type():
     assert cfg.benchmark.sigma_weak == 0.0 and type(cfg.benchmark.sigma_weak) is float
 
 
-def test_with_overrides():
+def test_dataclasses_replace_revalidates_the_config():
     # dataclasses.replace re-runs validation, so overrides cannot skip it
     cfg = small_config()
     out = replace(cfg, method="fixmatch", tau=0.7)

@@ -22,21 +22,6 @@ def rows_as_set(x: np.ndarray) -> set:
     return {tuple(row) for row in np.round(x, 12)}
 
 
-def test_config_validation():
-    with pytest.raises(ConfigError):
-        BenchmarkConfig(num_domains=1)
-    with pytest.raises(ConfigError):
-        BenchmarkConfig(labels_per_class=0)
-    with pytest.raises(ConfigError):
-        BenchmarkConfig(samples_per_class_per_domain=30, labels_per_class=20)
-    with pytest.raises(ConfigError):
-        BenchmarkConfig(strong_dropout=1.5)
-    with pytest.raises(ConfigError):
-        BenchmarkConfig(strong_dropout=-0.1)
-    with pytest.raises(ConfigError):
-        BenchmarkConfig(noise_sigma=-0.1)
-
-
 def test_full_strong_dropout_rejected():
     # dropout 1.0 zeroes every strong view, whose projection then has no
     # direction; accept 0.0 up to anything short of 1.0
@@ -245,7 +230,7 @@ def test_exported_unlabeled_carries_no_labels(tmp_path):
     assert len(truth_lines) - 1 == len(text) - 1
 
 
-def test_import_rejects_mangled_files(tmp_path):
+def test_load_confidence_log_rejects_a_truncated_truth_sidecar(tmp_path):
     # the stats reader is what reads exported sidecars back; a truncated one
     # must not silently join the wrong labels
     bench = generate_benchmark(SMALL)
