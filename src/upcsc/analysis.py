@@ -34,9 +34,13 @@ class ConfidenceLog:
         self.truth = np.asarray(self.truth, dtype=np.int64)
         if self.conf.ndim != 2:
             raise ShapeError("confidence block must be 2-D")
-        # a nan row is no score at all, not an unconfident sample
-        if self.conf.size and not np.isfinite([self.conf.min(), self.conf.max()]).all():
-            raise DataError("confidence rows must be finite")
+        if self.conf.size:
+            lo, hi = self.conf.min(), self.conf.max()
+            # a nan row is no score at all, not an unconfident sample
+            if not np.isfinite([lo, hi]).all():
+                raise DataError("confidence rows must be finite")
+            if lo < 0.0 or hi > 1.0:
+                raise DataError(f"confidence rows must lie in [0, 1], got {lo:g} to {hi:g}")
         n = len(self.conf)
         if not (len(self.epochs) == len(self.domains) == len(self.truth) == n):
             raise ShapeError("log columns disagree in length")
@@ -192,17 +196,33 @@ def load_confidence_log(confidences_path, truth_dir) -> ConfidenceLog:
                      ("conf", np.float64, (c,))])
     if not len(rows):
         raise DataError("confidences file has no data rows")
-    domains, sample_index = rows["domain"], rows["sample_index"]
+    epochs, domains, sample_index = rows["epoch"], rows["domain"], rows["sample_index"]
     labels = np.empty(len(rows), dtype=np.int64)
     for domain in np.unique(domains).tolist():
-        truth = read_csv(*truth_sidecar(truth_dir, domain), np.int64)
+        truth_path, truth_header = truth_sidecar(truth_dir, domain)
+        truth = read_csv(truth_path, truth_header, np.int64)
+        bad = (truth < 0) | (truth >= c)
+        if bad.any():
+            raise DataError(f"{truth_path}: true label {truth[bad][0]} outside 0..{c - 1}")
         mine = domains == domain
-        idx = sample_index[mine]
+        ep, idx = epochs[mine], sample_index[mine]
         bad = (idx < 0) | (idx >= len(truth))
         if bad.any():
             raise DataError(f"sample_index {idx[bad][0]} outside truth sidecar for domain {domain}")
+        # rows as train writes them rise by (epoch, sample_index) and repeat
+        # none; any others are sorted stably, which puts each repeat right
+        # after the row it repeats
+        if not ((ep[1:] > ep[:-1]) | ((ep[1:] == ep[:-1]) & (idx[1:] > idx[:-1]))).all():
+            order = np.lexsort((idx, ep))
+            ep_sorted, idx_sorted = ep[order], idx[order]
+            repeats = order[1:][(ep_sorted[1:] == ep_sorted[:-1])
+                                & (idx_sorted[1:] == idx_sorted[:-1])]
+            if repeats.size:
+                first = repeats.min()
+                raise DataError(f"{confidences_path}: (epoch, domain, sample_index) "
+                                f"({ep[first]}, {domain}, {idx[first]}) repeats an earlier row")
         labels[mine] = truth[idx]
-    return ConfidenceLog(rows["epoch"].copy(), domains.copy(), rows["conf"].copy(), labels)
+    return ConfidenceLog(epochs.copy(), domains.copy(), rows["conf"].copy(), labels)
 
 
 def write_stats_csv(log: ConfidenceLog, tau: float, path) -> None:

@@ -186,7 +186,7 @@ def cmd_gradcheck(args) -> int:
     report = check_losses(num_draws=args.draws, seed=args.seed)
     for name, (ratio, passed) in report.items():
         verdict = "ok" if passed else "FAIL"
-        print(f"{name:>6}: worst |a - f| {ratio:.3f} of its allowance  {verdict}")
+        print(f"{name:>7}: worst |a - f| {ratio:.3f} of its allowance  {verdict}")
     return 0 if all(passed for _, passed in report.values()) else 1
 
 

@@ -122,7 +122,7 @@ def find_checkable_case(case_seed: int):
         except DegenerateInputError:
             # dropout can zero an entire row at these tiny dims; redraw
             continue
-        if (min(terms[name].item() for name in ("unsup", "upc", "sc")) >= MIN_TERM_VALUE
+        if (min(terms[name].item() for name in ("l_unsup", "l_upc", "l_sc")) >= MIN_TERM_VALUE
                 and _relu_margin(state, batch, views) >= RELU_MARGIN):
             return state, batch, views, partition
     raise RuntimeError(f"no finite-difference-safe draw found for case {case_seed}")

@@ -282,11 +282,11 @@ def build_loss_graph(state, batch, views, flags: MethodFlags, tau: float, partit
     """Assemble every loss term on one tape.
 
     Returns (terms, partition, tape_state): terms is a dict of scalar Tensors
-    for sup/unsup/upc/sc and their sum, total, named as LossBreakdown's
-    fields; tape_state is the ModelState of Tensor leaves they were built
-    from (see param_gradients). The graph draws nothing, and shared
-    quantities are computed one way only, so switching terms on or off never
-    perturbs the others.
+    keyed by LossBreakdown's field names in field order, l_sup, l_unsup,
+    l_upc and l_sc, then their sum, l_total; tape_state is the ModelState of
+    Tensor leaves they were built from (see param_gradients). The graph
+    draws nothing, and shared quantities are computed one way only, so
+    switching terms on or off never perturbs the others.
 
     `views` (2n, input_dim) holds the weak views of the batch's n unlabeled
     rows stacked over their strong views, as synthdata.augment_views draws
@@ -333,8 +333,8 @@ def build_loss_graph(state, batch, views, flags: MethodFlags, tau: float, partit
         if flags.sc:
             sc = sc_loss(z_uu, w, np.concatenate([partition.weights] * 2), cands2, z_uc, pseudo2)
 
-    terms = {"sup": sup, "unsup": unsup, "upc": upc, "sc": sc}
-    terms["total"] = sum_terms(terms.values())
+    terms = {"l_sup": sup, "l_unsup": unsup, "l_upc": upc, "l_sc": sc}
+    terms["l_total"] = sum_terms(terms.values())
     return terms, partition, tp
 
 
@@ -342,5 +342,5 @@ def total_loss(state, batch, views, flags: MethodFlags,
                tau: float) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
     """Equal-weight sum of the enabled terms, with gradients."""
     terms, _, tp = build_loss_graph(state, batch, views, flags, tau)
-    terms["total"].backward()
-    return LossBreakdown(*(t.item() for t in terms.values())), param_gradients(tp)
+    terms["l_total"].backward()
+    return LossBreakdown(**{name: t.item() for name, t in terms.items()}), param_gradients(tp)

@@ -47,6 +47,20 @@ def run_python(*args, expect=0, **env) -> subprocess.CompletedProcess:
     return proc
 
 
+# the desk-size setup the run-level tests share: 3 domains of 4 classes, 40
+# samples per class per domain, 4 of them labeled; latent_dim 8 keeps the chance
+# of strong-augment dropout zeroing a whole row negligible. Each test file sets
+# its own hidden_dims, epochs, steps_per_epoch and seeds on top.
+DESK_CONFIG = {"num_domains": 3, "num_classes": 4, "latent_dim": 8,
+               "samples_per_class_per_domain": 40, "labels_per_class": 4, "master_seed": 3,
+               "feature_dim": 6, "tau": 0.6, "labeled_per_domain": 4, "unlabeled_per_domain": 6}
+
+
+def config_text(keys) -> str:
+    """A config file's text: one `key = value` line for each of `keys`."""
+    return "".join(f"{key} = {value}\n" for key, value in keys.items())
+
+
 class UndefinedStatisticError(ValueError):
     """The requested statistic is undefined on this input (empty denominator)."""
 

@@ -9,10 +9,10 @@ import time
 from collections import Counter
 
 import numpy as np
-from oracles import (candidate_set_sizes, confidence_counts, confidence_sets,
-                     degenerate_uniform_count, inclusion_rate, mean_candidate_fraction,
-                     package_pair_selections, pair_selections, paired_deltas,
-                     partition_sets, pcl_reference_loss, uus_rate, with_params)
+from oracles import (DESK_CONFIG, candidate_set_sizes, config_text, confidence_counts,
+                     confidence_sets, degenerate_uniform_count, inclusion_rate,
+                     mean_candidate_fraction, package_pair_selections, pair_selections,
+                     paired_deltas, partition_sets, pcl_reference_loss, uus_rate, with_params)
 
 from upcsc import analysis
 from upcsc.cli import main
@@ -146,14 +146,9 @@ def test_criterion_6_observation_reproduction():
 
 
 def test_criterion_7_protocol_determinism(tmp_path):
-    cfg_text = (
-        "num_domains = 3\nnum_classes = 4\nlatent_dim = 8\n"
-        "samples_per_class_per_domain = 40\nlabels_per_class = 4\n"
-        "master_seed = 3\nhidden_dims = 16\nfeature_dim = 6\n"
-        "tau = 0.6\nepochs = 2\nsteps_per_epoch = 5\n"
-        "labeled_per_domain = 4\nunlabeled_per_domain = 6\nseeds = 0,1\n")
     cfg_path = tmp_path / "proto.cfg"
-    cfg_path.write_text(cfg_text)
+    cfg_path.write_text(config_text({**DESK_CONFIG, "hidden_dims": 16, "epochs": 2,
+                                     "steps_per_epoch": 5, "seeds": "0,1"}))
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["protocol", "--config", str(cfg_path), "--out", str(out_a)]) == 0
     assert main(["protocol", "--config", str(cfg_path), "--out", str(out_b)]) == 0

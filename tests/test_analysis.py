@@ -167,6 +167,16 @@ def test_load_confidence_log_bounds_checks_sample_index(tmp_path):
         load_confidence_log(tmp_path / "confidences.csv", tmp_path)
 
 
+def test_load_confidence_log_takes_unique_rows_in_any_order(tmp_path):
+    (tmp_path / "domain0_unlabeled_truth.csv").write_text("label\n0\n1\n")
+    (tmp_path / "confidences.csv").write_text(
+        "epoch,domain,sample_index,c_0,c_1\n"
+        "2,0,1,0.1,0.9\n1,0,1,0.2,0.8\n2,0,0,0.7,0.3\n1,0,0,0.6,0.4\n")
+    log = load_confidence_log(tmp_path / "confidences.csv", tmp_path)
+    assert log.epochs.tolist() == [2, 1, 2, 1] and log.truth.tolist() == [1, 1, 0, 0]
+    assert log.conf[:, 0].tolist() == [0.1, 0.2, 0.7, 0.6]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_stats_csv_matches_per_group_oracle(tmp_path, seed):
     # unsorted epochs and domains; at the high thresholds some groups are

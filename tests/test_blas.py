@@ -45,6 +45,29 @@ def test_blas_runs_on_one_thread_after_import():
     assert set(blas_threads().values()) == {1}
 
 
+# argv[1] is this tests directory; prints the package modules a bare
+# `import upcsc` loaded, then the BLAS thread counts and whether OpenBLAS is
+# loaded at all
+BARE_IMPORT = """
+import json, os, sys
+import upcsc
+loaded = sorted(m for m in sys.modules if m == "upcsc" or m.startswith("upcsc."))
+sys.path.insert(0, sys.argv[1])
+from oracles import blas_threads
+from upcsc.numerics import _loaded_library_paths
+openblas = any("openblas" in os.path.basename(p).lower() for p in _loaded_library_paths())
+print(json.dumps([loaded, "multiprocessing" in sys.modules, blas_threads(), openblas]))
+"""
+
+
+def test_a_bare_import_loads_only_the_pins_and_pins_blas():
+    loaded, multiprocessing_loaded, threads, openblas = json.loads(
+        run_python("-c", BARE_IMPORT, os.path.dirname(__file__)).stdout)
+    assert loaded == ["upcsc", "upcsc.autograd", "upcsc.errors", "upcsc.numerics"]
+    assert not multiprocessing_loaded
+    assert set(threads.values()) == ({1} if openblas else set())
+
+
 @pytest.mark.parametrize("method", [m for m in ("fork", "spawn")
                                     if m in multiprocessing.get_all_start_methods()])
 def test_pool_workers_run_blas_on_one_thread(method):

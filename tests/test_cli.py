@@ -7,27 +7,12 @@ import time
 
 import pytest
 
-from oracles import SRC, run_python, skip
+from oracles import DESK_CONFIG, SRC, config_text, run_python, skip
 from upcsc import analysis, cli, harness, model, synthdata
 from upcsc.cli import main
 
-SMALL_CFG = """\
-# desk-size setup for fast CLI runs
-num_domains = 3
-num_classes = 4
-latent_dim = 8
-samples_per_class_per_domain = 40
-labels_per_class = 4
-master_seed = 3
-hidden_dims = 16
-feature_dim = 6
-tau = 0.6
-epochs = 2
-steps_per_epoch = 3
-labeled_per_domain = 4
-unlabeled_per_domain = 6
-seeds = 0
-"""
+SMALL_CFG = config_text({**DESK_CONFIG, "hidden_dims": 16, "epochs": 2, "steps_per_epoch": 3,
+                         "seeds": 0})
 
 
 @pytest.fixture
@@ -623,6 +608,33 @@ def test_stats_on_a_nan_confidence_exits_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
+    assert not (tmp_path / "stats").exists()
+
+
+@pytest.mark.parametrize("truth,rows,message", [
+    # a label outside 0..C-1 used to exit 1 naming no file
+    pytest.param("9", "1,0,0,0.6,0.4\n",
+                 "{dir}/domain0_unlabeled_truth.csv: true label 9 outside 0..1", id="label-9"),
+    pytest.param("0\n-1", "1,0,1,0.6,0.4\n",
+                 "{dir}/domain0_unlabeled_truth.csv: true label -1 outside 0..1", id="label-minus-1"),
+    # a repeated row, and a score outside [0, 1], used to be counted
+    pytest.param("0\n1", "1,0,0,0.6,0.4\n1,0,1,0.6,0.4\n2,0,1,0.6,0.4\n1,0,0,0.5,0.5\n",
+                 "{dir}/confidences.csv: (epoch, domain, sample_index) (1, 0, 0) repeats an "
+                 "earlier row", id="repeat-out-of-order"),
+    pytest.param("0\n1", "1,0,0,0.6,0.4\n1,0,1,0.6,0.4\n1,0,1,0.6,0.4\n",
+                 "{dir}/confidences.csv: (epoch, domain, sample_index) (1, 0, 1) repeats an "
+                 "earlier row", id="repeat-in-order"),
+    pytest.param("0", "1,0,0,-5,7\n", "confidence rows must lie in [0, 1], got -5 to 7",
+                 id="score-outside-0-1"),
+])
+def test_stats_on_a_malformed_log_exits_1_naming_what_is_wrong(tmp_path, capsys, truth, rows,
+                                                                message):
+    (tmp_path / "domain0_unlabeled_truth.csv").write_text(f"label\n{truth}\n")
+    (tmp_path / "confidences.csv").write_text("epoch,domain,sample_index,c_0,c_1\n" + rows)
+    code = main(["stats", "--confidences", str(tmp_path / "confidences.csv"),
+                 "--truth-dir", str(tmp_path), "--out", str(tmp_path / "stats")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message.format(dir=tmp_path)}\n"
     assert not (tmp_path / "stats").exists()
 
 

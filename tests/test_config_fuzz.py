@@ -15,14 +15,12 @@ import tempfile
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import DESK_CONFIG, config_text
 from upcsc.cli import main
 from upcsc.harness import _KEY_OWNERS, METHODS
 
 # a desk-size run that trains; each draw overrides a few of these keys
-BASE = {"num_domains": 3, "num_classes": 4, "latent_dim": 8,
-        "samples_per_class_per_domain": 40, "labels_per_class": 4, "master_seed": 3,
-        "hidden_dims": 16, "feature_dim": 6, "tau": 0.6, "epochs": 1, "steps_per_epoch": 2,
-        "labeled_per_domain": 4, "unlabeled_per_domain": 6, "seeds": 0}
+BASE = {**DESK_CONFIG, "hidden_dims": 16, "epochs": 1, "steps_per_epoch": 2, "seeds": 0}
 
 
 def _floats(lo, hi):
@@ -84,12 +82,11 @@ def test_the_fuzzer_draws_every_config_key():
 @example({"scale_log_range": 1000.0})
 @given(DRAWS)
 def test_train_exits_0_or_names_a_key_or_the_run_and_step(draw):
-    lines = [f"{key} = {value}" for key, value in {**BASE, **draw}.items()]
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         config = os.path.join(tmp, "fuzz.cfg")
         with open(config, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(config_text({**BASE, **draw}))
         out = os.path.join(tmp, "out")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["train", "--config", config, "--out", out])

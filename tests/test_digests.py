@@ -17,7 +17,9 @@ to move bytes records them again, on a CPU that runs every kernel set, with
 
 which rewrites digests.json with this machine's keys only, for each kernel
 set at each SIMD level reached by disabling targets from the top: a byte
-change leaves the digests of every other key stale.
+change leaves the digests of every other key stale. It prints, for each key,
+the outputs whose digest differs from the file it replaces, and the keys it
+adds or drops.
 """
 
 import json
@@ -117,6 +119,7 @@ if __name__ == "__main__":
     import tempfile
 
     targets = _enabled_targets()
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     digests = {}
     for kernel in KERNEL_FLAGS:
         try:
@@ -129,4 +132,12 @@ if __name__ == "__main__":
                 key, sums = _digests(kernel, work, targets[top:])
             digests[key] = sums
     DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")
-    print(f"recorded {len(digests)} keys in {DIGESTS}:", *digests, sep="\n")
+    print(f"recorded {len(digests)} keys in {DIGESTS}")
+    for key, sums in digests.items():
+        if key not in old:
+            print(f"added {key}")
+            continue
+        moved = sorted(name for name in {*sums, *old[key]} if sums.get(name) != old[key].get(name))
+        print(f"{key}: {', '.join(moved) or 'unchanged'}")
+    for key in old.keys() - digests.keys():
+        print(f"dropped {key}")

@@ -1,6 +1,8 @@
 """The finite-difference suite itself, run small but for real, and the
 coordinate sweep it runs."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -9,24 +11,24 @@ from upcsc.errors import ConfigError
 from upcsc.gradcheck import (check_losses, find_checkable_case, _analytic_gradients,
                              _error_ratio, _fd_gradients, _relu_margin, _term_values,
                              _ALL_FLAGS, MIN_TERM_VALUE, RELU_MARGIN, TAU)
-from upcsc.losses import build_loss_graph
+from upcsc.losses import LossBreakdown, build_loss_graph
 from upcsc.model import param_layout
 from upcsc.synthdata import TrainBatch
 
 
 def test_all_losses_pass_at_tolerance():
     # seed 9 first failed a central difference's truncation error at its 4th
-    # draw (sc, 1.6e-3 relative), and seed 4 its rounding noise under a 1e-8
-    # relative-error floor at its 10th (unsup, 1.1e-3 relative)
+    # draw (l_sc, 1.6e-3 relative), and seed 4 its rounding noise under a 1e-8
+    # relative-error floor at its 10th (l_unsup, 1.1e-3 relative)
     for seed, draws in ((1, 5), (9, 4), (4, 10)):
         report = check_losses(num_draws=draws, seed=seed)
-        assert list(report) == ["sup", "unsup", "upc", "sc", "total"]
+        assert list(report) == [f.name for f in fields(LossBreakdown)]
         for name, (ratio, passed) in report.items():
             assert passed and ratio <= 1.0, f"seed {seed}, {name}: {ratio:.3f} of its allowance"
 
 
 def test_error_ratio_allows_rounding_noise_but_not_a_one_percent_error():
-    # seed 4's unsup coordinate: 1e-11 apart, rounding noise at a term of ~1
+    # seed 4's l_unsup coordinate: 1e-11 apart, rounding noise at a term of ~1
     assert _error_ratio(np.array([1.698e-9]), np.array([1.688e-9]), 0.5) <= 1.0
     one = np.array([1.0])
     assert _error_ratio(one, one.copy(), 0.5) == 0.0
@@ -73,7 +75,7 @@ def test_checkable_cases_really_are():
     for case_seed in range(3):
         state, batch, views, part = find_checkable_case(case_seed)
         values = _term_values(state, batch, views, part)
-        assert min(values["unsup"], values["upc"], values["sc"]) >= MIN_TERM_VALUE
+        assert min(values["l_unsup"], values["l_upc"], values["l_sc"]) >= MIN_TERM_VALUE
         assert _relu_margin(state, batch, views) >= RELU_MARGIN
         rows = np.concatenate([part.confident, part.unconfident])
         assert sorted(rows.tolist()) == list(range(len(batch.unlabeled_x)))

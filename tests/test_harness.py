@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import final_accuracies, paired_deltas
+from oracles import DESK_CONFIG, final_accuracies, paired_deltas
 from upcsc import analysis, harness
 from upcsc.errors import ConfigError, DivergenceError
 from upcsc.harness import (EPOCH_METRICS, METHODS, TrainConfig, build_train_config,
@@ -19,34 +19,20 @@ from upcsc.numerics import substream
 from upcsc.synthdata import (BenchmarkConfig, DomainBenchmark, generate_benchmark, sample_batch,
                              strong_augment, weak_augment)
 
-# latent_dim 8 keeps the chance of strong-augment dropout zeroing a whole
-# row negligible; hidden_dims () avoids dead-ReLU rows at toy width
-SMALL_BENCH = BenchmarkConfig(num_domains=3, num_classes=4, latent_dim=8,
-                              samples_per_class_per_domain=40, labels_per_class=4,
-                              master_seed=3)
+DESK = build_train_config(DESK_CONFIG)
+SMALL_BENCH = DESK.benchmark
 
 
 def small_config(method="fixmatch+upcsc", **kw):
-    base = dict(benchmark=SMALL_BENCH, hidden_dims=(), feature_dim=6, method=method, tau=0.6,
-                epochs=2, steps_per_epoch=3, labeled_per_domain=4,
-                unlabeled_per_domain=6, seeds=(0,))
-    base.update(kw)
-    return TrainConfig(**base)
+    # hidden_dims () avoids dead-ReLU rows at toy width
+    return replace(DESK, **{"hidden_dims": (), "method": method, "epochs": 2,
+                            "steps_per_epoch": 3, "seeds": (0,), **kw})
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
+    # every range bound is a BOUNDS row below; the method is a name, not a range
+    with pytest.raises(ConfigError, match="^'method' must be one of"):
         small_config(method="adversarial")
-    with pytest.raises(ConfigError):
-        small_config(epochs=0)
-    with pytest.raises(ConfigError):
-        small_config(tau=0.2)  # below 1/C
-    with pytest.raises(ConfigError):
-        small_config(lr_backbone=0.0)
-    with pytest.raises(ConfigError):
-        small_config(seeds=())
-    with pytest.raises(ConfigError):
-        small_config(hidden_dims=(8, 0))
 
 
 def test_model_dims_follow_the_benchmark():

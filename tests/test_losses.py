@@ -59,15 +59,15 @@ def term_and_grads(state, batch, views, name, flags, tau):
 
 
 def sup_term(state, x, y):
-    """terms["sup"] on a batch with no unlabeled rows."""
+    """terms["l_sup"] on a batch with no unlabeled rows."""
     batch = TrainBatch(x, y, np.zeros((0, x.shape[1])))
-    return term_and_grads(state, batch, np.zeros((0, x.shape[1])), "sup", SUP_ONLY, 0.65)[:2]
+    return term_and_grads(state, batch, np.zeros((0, x.shape[1])), "l_sup", SUP_ONLY, 0.65)[:2]
 
 
 def unsup_term(state, x_u, tau, views):
-    """terms["unsup"] on a batch with no labeled rows."""
+    """terms["l_unsup"] on a batch with no labeled rows."""
     batch = TrainBatch(np.zeros((0, x_u.shape[1])), np.zeros(0, dtype=int), x_u)
-    return term_and_grads(state, batch, views, "unsup", UNSUP_ONLY, tau)
+    return term_and_grads(state, batch, views, "l_unsup", UNSUP_ONLY, tau)
 
 
 def max_abs(grads):
@@ -126,7 +126,7 @@ def test_partition_rejects_bad_tau():
         partition_unlabeled(conf, tau=0.2)
 
 
-# ------------------------------------------- supervised term (terms["sup"])
+# ------------------------------------------- supervised term (terms["l_sup"])
 
 def test_sup_term_matches_manual_ce():
     state = sharp_state()
@@ -163,7 +163,7 @@ def test_sup_term_permutation_equivariant():
     assert abs(base - relabeled) <= 1e-12
 
 
-# ---------------------------------------- consistency term (terms["unsup"])
+# ---------------------------------------- consistency term (terms["l_unsup"])
 
 def test_unsup_term_no_confident_is_zero():
     state = init_model(DIMS, seed=3)  # unboosted: confidences stay diffuse
@@ -452,7 +452,7 @@ def test_loss_graph_terms_follow_the_breakdown_and_end_at_their_sum():
     batch = random_batch(58)
     views = views_of(batch.unlabeled_x, 59, strong_dropout=0.05)
     terms, _, _ = build_loss_graph(state, batch, views, ALL, 0.65)
-    assert ["l_" + name for name in terms] == [f.name for f in fields(LossBreakdown)]
+    assert list(terms) == [f.name for f in fields(LossBreakdown)]
     *parts, total = (t.item() for t in terms.values())
     assert total == parts[0] + parts[1] + parts[2] + parts[3]
     breakdown, _ = total_loss(state, batch, views, ALL, 0.65)
@@ -507,7 +507,7 @@ def test_build_loss_graph_counts_degenerate_uniform():
                                       partition=partition_unlabeled(conf, 0.65))
     assert (~part.candidates.any(axis=1)).sum() == 1
     assert len(part.confident) == 1 and len(part.unconfident) == 2
-    assert np.isfinite(terms["sc"].item())
+    assert np.isfinite(terms["l_sc"].item())
 
 
 def test_build_loss_graph_rejects_bad_pinned_shape():
@@ -545,7 +545,7 @@ def test_pinning_the_natural_confidences_changes_nothing():
     for field in ("confident", "pseudo_labels", "unconfident", "candidates",
                   "weights"):
         assert np.array_equal(getattr(natural, field), getattr(free_part, field)), field
-    for name in ("sup", "unsup", "upc", "sc"):
+    for name in ("l_sup", "l_unsup", "l_upc", "l_sc"):
         assert pinned_terms[name].item() == free_terms[name].item(), name
 
 
@@ -573,8 +573,8 @@ def test_loss_graph_is_freed_without_the_cycle_collector():
         batch = random_batch(116)
         views = views_of(batch.unlabeled_x, 117, strong_dropout=0.05)
         terms, _, tp = build_loss_graph(state, batch, views, ALL, 0.65)
-        terms["total"].backward()
-        refs = _reachable_nodes(terms["total"])
+        terms["l_total"].backward()
+        refs = _reachable_nodes(terms["l_total"])
         assert len(refs) > 20   # the fused graph has 28 nodes
         del terms, tp
         assert [ref for ref in refs if ref() is not None] == []
