@@ -198,6 +198,7 @@ def load_confidence_log(confidences_path, truth_dir) -> ConfidenceLog:
         raise DataError("confidences file has no data rows")
     epochs, domains, sample_index = rows["epoch"], rows["domain"], rows["sample_index"]
     labels = np.empty(len(rows), dtype=np.int64)
+    first_repeat = len(rows)
     for domain in np.unique(domains).tolist():
         truth_path, truth_header = truth_sidecar(truth_dir, domain)
         truth = read_csv(truth_path, truth_header, np.int64)
@@ -209,19 +210,17 @@ def load_confidence_log(confidences_path, truth_dir) -> ConfidenceLog:
         bad = (idx < 0) | (idx >= len(truth))
         if bad.any():
             raise DataError(f"sample_index {idx[bad][0]} outside truth sidecar for domain {domain}")
-        # rows as train writes them rise by (epoch, sample_index) and repeat
-        # none; any others are sorted stably, which puts each repeat right
-        # after the row it repeats
-        if not ((ep[1:] > ep[:-1]) | ((ep[1:] == ep[:-1]) & (idx[1:] > idx[:-1]))).all():
-            order = np.lexsort((idx, ep))
-            ep_sorted, idx_sorted = ep[order], idx[order]
-            repeats = order[1:][(ep_sorted[1:] == ep_sorted[:-1])
-                                & (idx_sorted[1:] == idx_sorted[:-1])]
-            if repeats.size:
-                first = repeats.min()
-                raise DataError(f"{confidences_path}: (epoch, domain, sample_index) "
-                                f"({ep[first]}, {domain}, {idx[first]}) repeats an earlier row")
+        # a stable sort puts each repeat right after the row it repeats
+        order = np.lexsort((idx, ep))
+        ep_sorted, idx_sorted = ep[order], idx[order]
+        repeats = order[1:][(ep_sorted[1:] == ep_sorted[:-1]) & (idx_sorted[1:] == idx_sorted[:-1])]
+        if repeats.size:
+            first_repeat = min(first_repeat, int(np.flatnonzero(mine)[repeats.min()]))
         labels[mine] = truth[idx]
+    if first_repeat < len(rows):
+        raise DataError(f"{confidences_path}: (epoch, domain, sample_index) "
+                        f"({epochs[first_repeat]}, {domains[first_repeat]}, "
+                        f"{sample_index[first_repeat]}) repeats an earlier row")
     return ConfidenceLog(epochs.copy(), domains.copy(), rows["conf"].copy(), labels)
 
 

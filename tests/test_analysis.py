@@ -177,6 +177,17 @@ def test_load_confidence_log_takes_unique_rows_in_any_order(tmp_path):
     assert log.conf[:, 0].tolist() == [0.1, 0.2, 0.7, 0.6]
 
 
+def test_load_confidence_log_names_the_first_repeat_in_file_order(tmp_path):
+    # domain 1 repeats a row before domain 0 does, though domain 0 is checked first
+    for domain in (0, 1):
+        (tmp_path / f"domain{domain}_unlabeled_truth.csv").write_text("label\n0\n1\n")
+    (tmp_path / "confidences.csv").write_text(
+        "epoch,domain,sample_index,c_0,c_1\n"
+        "1,0,1,0.6,0.4\n1,1,0,0.6,0.4\n1,1,0,0.5,0.5\n1,0,0,0.6,0.4\n1,0,1,0.5,0.5\n")
+    with pytest.raises(DataError, match=r"\(1, 1, 0\) repeats an earlier row$"):
+        load_confidence_log(tmp_path / "confidences.csv", tmp_path)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_stats_csv_matches_per_group_oracle(tmp_path, seed):
     # unsorted epochs and domains; at the high thresholds some groups are
