@@ -54,12 +54,8 @@ class ConfidenceLog:
     def num_classes(self) -> int:
         return self.conf.shape[1]
 
-    def filter(self, epoch: int | None = None, domain: int | None = None) -> "ConfidenceLog":
-        mask = np.ones(len(self), dtype=bool)
-        if epoch is not None:
-            mask &= self.epochs == epoch
-        if domain is not None:
-            mask &= self.domains == domain
+    def filter(self, epoch: int) -> "ConfidenceLog":
+        mask = self.epochs == epoch
         return ConfidenceLog(self.epochs[mask], self.domains[mask],
                              self.conf[mask], self.truth[mask])
 
@@ -190,15 +186,25 @@ def load_confidence_log(confidences_path, truth_dir) -> ConfidenceLog:
     header = read_header(confidences_path)
     c = len(header) - 3
     if c < 2 or header != _confidence_header(c):
-        raise DataError(f"unexpected confidences header in {confidences_path}")
+        raise DataError(f"{confidences_path}: unexpected confidences header")
     rows = read_csv(confidences_path, header,
                     [("epoch", np.int64), ("domain", np.int64), ("sample_index", np.int64),
                      ("conf", np.float64, (c,))])
     if not len(rows):
-        raise DataError("confidences file has no data rows")
+        raise DataError(f"{confidences_path}: confidences file has no data rows")
     epochs, domains, sample_index = rows["epoch"], rows["domain"], rows["sample_index"]
+    # a stable sort puts each repeat right after the row it repeats
+    order = np.lexsort((sample_index, epochs, domains))
+    same = np.ones(len(rows) - 1, dtype=bool)
+    for column in (domains, epochs, sample_index):
+        column = column[order]
+        same &= column[1:] == column[:-1]
+    if same.any():
+        first = order[1:][same].min()
+        raise DataError(f"{confidences_path}: (epoch, domain, sample_index) "
+                        f"({epochs[first]}, {domains[first]}, {sample_index[first]}) "
+                        "repeats an earlier row")
     labels = np.empty(len(rows), dtype=np.int64)
-    first_repeat = len(rows)
     for domain in np.unique(domains).tolist():
         truth_path, truth_header = truth_sidecar(truth_dir, domain)
         truth = read_csv(truth_path, truth_header, np.int64)
@@ -206,22 +212,16 @@ def load_confidence_log(confidences_path, truth_dir) -> ConfidenceLog:
         if bad.any():
             raise DataError(f"{truth_path}: true label {truth[bad][0]} outside 0..{c - 1}")
         mine = domains == domain
-        ep, idx = epochs[mine], sample_index[mine]
+        idx = sample_index[mine]
         bad = (idx < 0) | (idx >= len(truth))
         if bad.any():
-            raise DataError(f"sample_index {idx[bad][0]} outside truth sidecar for domain {domain}")
-        # a stable sort puts each repeat right after the row it repeats
-        order = np.lexsort((idx, ep))
-        ep_sorted, idx_sorted = ep[order], idx[order]
-        repeats = order[1:][(ep_sorted[1:] == ep_sorted[:-1]) & (idx_sorted[1:] == idx_sorted[:-1])]
-        if repeats.size:
-            first_repeat = min(first_repeat, int(np.flatnonzero(mine)[repeats.min()]))
+            raise DataError(f"{confidences_path}: sample_index {idx[bad][0]} outside "
+                            f"truth sidecar {truth_path}")
         labels[mine] = truth[idx]
-    if first_repeat < len(rows):
-        raise DataError(f"{confidences_path}: (epoch, domain, sample_index) "
-                        f"({epochs[first_repeat]}, {domains[first_repeat]}, "
-                        f"{sample_index[first_repeat]}) repeats an earlier row")
-    return ConfidenceLog(epochs.copy(), domains.copy(), rows["conf"].copy(), labels)
+    try:
+        return ConfidenceLog(epochs, domains, rows["conf"], labels)
+    except DataError as exc:
+        raise DataError(f"{confidences_path}: {exc}") from exc
 
 
 def write_stats_csv(log: ConfidenceLog, tau: float, path) -> None:

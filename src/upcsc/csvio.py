@@ -80,7 +80,7 @@ def read_csv(path, header, dtype) -> np.ndarray:
     array, and a malformed field raises DataError naming the file."""
     with open(path, encoding="utf-8") as fh:
         if _first_line(fh, path) != list(header):
-            raise DataError(f"unexpected header in {path}")
+            raise DataError(f"{path}: unexpected header")
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from upcsc.analysis import confidence_rates
+from upcsc.analysis import ConfidenceLog, confidence_rates
 from upcsc.autograd import _node
 from upcsc.errors import ConfigError, DataError, ShapeError
 from upcsc.losses import (confidence_roles, sc_anchor_indices, sc_negative_masks,
@@ -214,7 +214,9 @@ def stats_rows_reference(log, tau) -> list[tuple]:
         elog = log.filter(epoch=epoch)
         uus, inclusion = [], []
         for domain in sorted(set(elog.domains.tolist())):
-            u, i = rates(elog.filter(domain=domain))
+            mine = elog.domains == domain
+            u, i = rates(ConfidenceLog(elog.epochs[mine], elog.domains[mine], elog.conf[mine],
+                                       elog.truth[mine]))
             uus.append(u)
             rows.append(("uus_rate", epoch, domain, u))
             if i is not None:

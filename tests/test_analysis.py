@@ -40,8 +40,10 @@ def test_log_rejects_non_finite_confidences(bad):
 
 def test_log_filter_and_concat():
     log = random_log(1)
-    sub = log.filter(epoch=1, domain=2)
-    assert np.all(sub.epochs == 1) and np.all(sub.domains == 2)
+    sub = log.filter(epoch=1)
+    mine = log.epochs == 1
+    for column in ("epochs", "domains", "conf", "truth"):
+        assert np.array_equal(getattr(sub, column), getattr(log, column)[mine]), column
     rebuilt = ConfidenceLog.concatenate(
         [log.filter(epoch=e) for e in (1, 2)])
     assert len(rebuilt) == len(log)
@@ -124,7 +126,7 @@ def test_log_source_confidences_joins_truth(tmp_path):
     assert len(log) == n0 + n2
     assert np.all(log.epochs == 3)
     assert sorted(set(log.domains.tolist())) == [0, 2]
-    assert np.array_equal(log.filter(domain=2).truth, bench.quarantined_truth(2))
+    assert np.array_equal(log.truth[log.domains == 2], bench.quarantined_truth(2))
 
 
 def test_confidences_csv_round_trip(tmp_path):
@@ -150,23 +152,6 @@ def test_confidences_csv_round_trip(tmp_path):
     assert np.array_equal(loaded.truth, log.truth)
 
 
-def test_load_confidence_log_rejects_mangled_files(tmp_path):
-    (tmp_path / "confidences.csv").write_text("epoch,domain,c_0,c_1\n1,0,0.5,0.5\n")
-    with pytest.raises(DataError):
-        load_confidence_log(tmp_path / "confidences.csv", tmp_path)
-    (tmp_path / "confidences.csv").write_text("epoch,domain,sample_index,c_0,c_1\n")
-    with pytest.raises(DataError):
-        load_confidence_log(tmp_path / "confidences.csv", tmp_path)
-
-
-def test_load_confidence_log_bounds_checks_sample_index(tmp_path):
-    (tmp_path / "domain0_unlabeled_truth.csv").write_text("label\n1\n")
-    (tmp_path / "confidences.csv").write_text(
-        "epoch,domain,sample_index,c_0,c_1\n1,0,5,0.5,0.5\n")
-    with pytest.raises(DataError):
-        load_confidence_log(tmp_path / "confidences.csv", tmp_path)
-
-
 def test_load_confidence_log_takes_unique_rows_in_any_order(tmp_path):
     (tmp_path / "domain0_unlabeled_truth.csv").write_text("label\n0\n1\n")
     (tmp_path / "confidences.csv").write_text(
@@ -175,17 +160,6 @@ def test_load_confidence_log_takes_unique_rows_in_any_order(tmp_path):
     log = load_confidence_log(tmp_path / "confidences.csv", tmp_path)
     assert log.epochs.tolist() == [2, 1, 2, 1] and log.truth.tolist() == [1, 1, 0, 0]
     assert log.conf[:, 0].tolist() == [0.1, 0.2, 0.7, 0.6]
-
-
-def test_load_confidence_log_names_the_first_repeat_in_file_order(tmp_path):
-    # domain 1 repeats a row before domain 0 does, though domain 0 is checked first
-    for domain in (0, 1):
-        (tmp_path / f"domain{domain}_unlabeled_truth.csv").write_text("label\n0\n1\n")
-    (tmp_path / "confidences.csv").write_text(
-        "epoch,domain,sample_index,c_0,c_1\n"
-        "1,0,1,0.6,0.4\n1,1,0,0.6,0.4\n1,1,0,0.5,0.5\n1,0,0,0.6,0.4\n1,0,1,0.5,0.5\n")
-    with pytest.raises(DataError, match=r"\(1, 1, 0\) repeats an earlier row$"):
-        load_confidence_log(tmp_path / "confidences.csv", tmp_path)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import re
 import threading
 import time
 
@@ -9,7 +10,9 @@ import pytest
 
 from oracles import DESK_CONFIG, SRC, config_text, run_python, skip
 from upcsc import analysis, cli, harness, model, synthdata
+from upcsc.analysis import load_confidence_log
 from upcsc.cli import main
+from upcsc.errors import DataError
 
 SMALL_CFG = config_text({**DESK_CONFIG, "hidden_dims": 16, "epochs": 2, "steps_per_epoch": 3,
                          "seeds": 0})
@@ -307,19 +310,6 @@ def test_stats_epoch_flag(cfg_path, tmp_path):
     assert code == 0
 
 
-def test_stats_epoch_outside_the_log_exits_2_before_writing(cfg_path, tmp_path, capsys):
-    run_out = tmp_path / "run"
-    assert main(["train", "--config", cfg_path, "--out", str(run_out)]) == 0
-    capsys.readouterr()
-    stats_out = tmp_path / "stats"
-    code = main(["stats", "--confidences", str(run_out / "confidences.csv"),
-                 "--truth-dir", str(run_out / "benchmark"),
-                 "--epoch", "3", "--out", str(stats_out)])
-    assert code == 2
-    assert "epoch 3" in capsys.readouterr().err
-    assert not stats_out.exists()   # no stats.csv, and not even the directory
-
-
 def test_stats_reads_tau_from_the_config(cfg_path, tmp_path):
     run_out = tmp_path / "run"
     assert main(["train", "--config", cfg_path, "--out", str(run_out)]) == 0
@@ -338,38 +328,12 @@ def test_stats_reads_tau_from_the_config(cfg_path, tmp_path):
     assert (outs["default"] / "stats.csv").read_bytes() != (outs["flag"] / "stats.csv").read_bytes()
 
 
-@pytest.mark.parametrize("argv", [["gradcheck", "--tau", "0.3"],
-                                  ["stats", "--confidences", "c.csv", "--truth-dir", ".",
-                                   "--method", "fixmatch"],
-                                  ["gen-data", "--seed", "7"]])
-def test_flag_the_command_does_not_read_exits_2(argv, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert not any(tmp_path.iterdir())
-
-
 def test_gradcheck_passes(capsys):
     code = main(["gradcheck", "--draws", "2"])
     out = capsys.readouterr().out
     assert code == 0
     assert "FAIL" not in out
     assert out.count("ok") == 5
-
-
-@pytest.mark.parametrize("draws", ["0", "-1"])
-def test_gradcheck_without_draws_exits_2(draws, capsys):
-    # no draw checks nothing, so it must not print five ok lines
-    assert main(["gradcheck", "--draws", draws]) == 2
-    captured = capsys.readouterr()
-    assert "ok" not in captured.out and "draws must be >= 1" in captured.err
-
-
-def test_gradcheck_with_a_negative_seed_exits_2(capsys):
-    assert main(["gradcheck", "--seed", "-1", "--draws", "1"]) == 2
-    captured = capsys.readouterr()
-    assert "ok" not in captured.out and "error: seed must be nonnegative" in captured.err
 
 
 def test_gen_data_exports(cfg_path, tmp_path, capsys):
@@ -393,249 +357,266 @@ def test_the_labels_per_class_flag_overrides_the_config(cfg_path, tmp_path, comm
         assert len(lines) == 1 + 2 * 4, d
 
 
-@pytest.mark.parametrize("value", ["0", "16"])   # 16: 40 samples less 8 test ones are 2 * 16
-@pytest.mark.parametrize("command", ["train", "protocol", "gen-data"])
-def test_an_out_of_range_labels_per_class_flag_exits_2_naming_it(cfg_path, tmp_path, monkeypatch,
-                                                                  capsys, command, value):
-    calls = _record_work(monkeypatch)
-    out = tmp_path / "out"
-    assert main([command, "--config", cfg_path, "--labels-per-class", value,
-                 "--out", str(out)]) == 2
-    assert "'labels_per_class'" in capsys.readouterr().err
-    assert calls == []
-    assert [p.name for p in tmp_path.iterdir()] == ["small.cfg"]
+# ------------------------------------------------------------ rejected input
+#
+# Every input the CLI rejects is one row of one of the two tables below, by
+# exit code, and a new rule is a new row. A row holds an argv, the files it
+# needs in an empty working directory, and the last line the command prints to
+# stderr. In a line, "{dir}" is that directory and "…" stands for text that
+# numpy, argparse or the OS writes.
 
-
-@pytest.mark.parametrize("command", [["gen-data"], ["train"], ["protocol", "--jobs", "2"]],
-                         ids=["gen-data", "train", "protocol"])
-def test_data_that_overflow_exit_2_naming_the_scale_keys_and_write_nothing(tmp_path, capsys,
-                                                                          command):
-    # exp(800) is inf: the data were written as inf and nan, and train blamed step 0
-    cfg = tmp_path / "huge.cfg"
-    cfg.write_text("scale_log_range = 800\n")
-    out = tmp_path / "out"
-    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    for key in ("class_separation", "scale_log_range", "shift_sigma", "noise_sigma"):
-        assert f"'{key}'" in err, err
-    assert [p.name for p in tmp_path.iterdir()] == ["huge.cfg"]
-
-
-# every command that takes --out, with the flags it needs besides --config
-OUT_COMMANDS = [("train", []), ("protocol", ["--jobs", "2"]), ("gen-data", []),
-                ("stats", ["--confidences", "missing.csv", "--truth-dir", "missing"])]
-
-
-def _record_work(monkeypatch) -> list:
-    """The names of the work functions a command calls, none of which runs."""
+def _record_work(monkeypatch, reaches) -> list:
+    """The names of the work functions a command calls. Each is stubbed out
+    except `reaches`, the one whose own check the row is about, which runs."""
     calls = []
     for owner, name in ((cli, "generate_benchmark"), (cli, "run_protocol"),
                         (analysis, "load_confidence_log")):
-        monkeypatch.setattr(owner, name, lambda *args, name=name, **kw: calls.append(name))
+        real = getattr(owner, name) if name == reaches else (lambda *args, **kw: None)
+
+        def recorded(*args, name=name, real=real, **kw):
+            calls.append(name)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(owner, name, recorded)
     return calls
 
 
-@pytest.mark.parametrize("below", [False, True])
-@pytest.mark.parametrize("command, flags", OUT_COMMANDS)
-def test_an_out_that_is_not_a_directory_exits_2_before_any_work(cfg_path, tmp_path, monkeypatch,
-                                                                capsys, command, flags, below):
-    calls = _record_work(monkeypatch)
-    blocker = tmp_path / "file"
-    blocker.write_text("kept\n")
-    out = blocker / "sub" if below else blocker
+def _listing(root) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+def _rejected(tmp_path, monkeypatch, capsys, argv, files, line, reaches, code) -> str:
+    """Run main on argv in tmp_path holding small.cfg and `files`, and check
+    that it exits with `code`, prints nothing on stdout and `line` last on
+    stderr, calls no work function but `reaches`, and leaves the directory as
+    it was. Returns the stderr line."""
+    for name, data in {"small.cfg": SMALL_CFG, **files}.items():
+        (tmp_path / name).write_bytes(data if isinstance(data, bytes) else data.encode())
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--config", cfg_path, *flags, "--out", str(out)])
-    assert exc.value.code == 2
-    assert f"argument --out: {blocker} is not a directory" in capsys.readouterr().err
-    assert calls == []
-    assert blocker.read_text() == "kept\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "small.cfg"]
+    calls = _record_work(monkeypatch, reaches)
+    before = _listing(tmp_path)
+    try:
+        got = main(argv)
+    except SystemExit as exc:   # argparse's usage errors
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert (got, out) == (code, "")
+    last = err.splitlines()[-1]
+    pattern = ".*".join(map(re.escape, line.format(dir=os.getcwd()).split("…")))
+    assert re.fullmatch(pattern, last), last
+    assert calls == ([reaches] if reaches else [])
+    assert _listing(tmp_path) == before
+    return last
 
 
-@pytest.mark.parametrize("command, flags", OUT_COMMANDS)
-def test_an_empty_out_exits_2_before_any_work(cfg_path, tmp_path, monkeypatch, capsys, command,
-                                              flags):
-    # "" was read as the working directory: train wrote its outputs there, and
-    # protocol and gen-data did all their work before failing with exit 1
-    calls = _record_work(monkeypatch)
-    monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--config", cfg_path, *flags, "--out", ""])
-    assert exc.value.code == 2
-    assert "argument --out: an empty path is not a directory" in capsys.readouterr().err
-    assert calls == []
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["small.cfg"]
+def _usage_error(id, argv, line, files={}, reaches=None):
+    return pytest.param(argv, files, line, reaches, id=id)
 
 
-@pytest.mark.parametrize("line", [
-    "num_domains = 1", "num_classes = 1", "latent_dim = 0", "labels_per_class = 0",
-    "labeled_per_domain = 0", "unlabeled_per_domain = 0", "hidden_dims = 0", "feature_dim = 0",
-    "epochs = 0", "steps_per_epoch = 0", "lr_backbone = 0", "strong_dropout = 1",
-    "shift_sigma = -1", "master_seed = -3", "seeds = -2", "tau = 0.1"])
-def test_an_out_of_range_value_exits_2_naming_its_key_before_any_work(tmp_path, monkeypatch,
-                                                                      capsys, line):
-    # the first six used to name no key, and feature_dim's named input_dim
-    calls = _record_work(monkeypatch)
-    path = tmp_path / "bad.cfg"
-    path.write_text(line + "\n")
-    code = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert f"error: '{line.split(' = ')[0]}'" in err and "input_dim" not in err
-    assert calls == []
-    assert not (tmp_path / "out").exists()
+def _bad_config(line, message, command="train"):
+    return _usage_error(line, [command, "--config", "bad.cfg", "--out", "out"],
+                        f"error: {message}", {"bad.cfg": line + "\n"})
 
 
-def test_duplicate_seeds_in_a_config_exit_2_and_write_nothing(tmp_path, capsys):
-    path = tmp_path / "dup.cfg"
-    for seeds in ("0, 0", "0,0"):
-        path.write_text(SMALL_CFG.replace("seeds = 0\n", f"seeds = {seeds}\n"))
-        code = main(["protocol", "--config", str(path), "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert "error: 'seeds' must be one or more distinct seeds" in capsys.readouterr().err
-        assert [p.name for p in tmp_path.iterdir()] == ["dup.cfg"]
+TRAIN = ["train", "--config", "small.cfg"]
+CONF_HEADER = "epoch,domain,sample_index,c_0,c_1\n"
+# every command that takes --out, with the flags it needs besides --config
+OUT_COMMANDS = {"train": [], "protocol": ["--jobs", "2"], "gen-data": [],
+                "stats": ["--confidences", "missing.csv", "--truth-dir", "missing"]}
+
+USAGE_AND_CONFIG_ERRORS = [
+    # flags a command does not read, or does not know
+    _usage_error("gradcheck-tau", ["gradcheck", "--tau", "0.3"],
+                 "upcsc: error: unrecognized arguments: --tau 0.3"),
+    _usage_error("stats-method", ["stats", "--confidences", "c.csv", "--truth-dir", ".",
+                                  "--method", "fixmatch"],
+                 "upcsc: error: unrecognized arguments: --method fixmatch"),
+    _usage_error("gen-data-seed", ["gen-data", "--seed", "7"],
+                 "upcsc: error: unrecognized arguments: --seed 7"),
+    _usage_error("unknown-flag", [*TRAIN, "--frobnicate"],
+                 "upcsc: error: unrecognized arguments: --frobnicate"),
+    _usage_error("unknown-method", [*TRAIN, "--method", "madeup"],
+                 "upcsc train: error: argument --method: invalid choice: 'madeup' (choose from …)"),
+    _usage_error("missing-confidences-flag", ["stats", "--truth-dir", "somewhere"],
+                 "upcsc stats: error: the following arguments are required: --confidences"),
+    # --out is checked before any work; "" is not the working directory
+    *[_usage_error(f"{command}-out-{where}",
+                   [command, "--config", "small.cfg", *flags, "--out", out],
+                   f"upcsc {command}: error: argument --out: {message}", {"file": "kept\n"})
+      for command, flags in OUT_COMMANDS.items()
+      for where, out, message in (("a-file", "file", "{dir}/file is not a directory"),
+                                  ("below-a-file", "file/sub", "{dir}/file is not a directory"),
+                                  ("empty", "", "an empty path is not a directory"))],
+    # gradcheck: no draw checks nothing, so it must not print five ok lines
+    _usage_error("gradcheck-draws-0", ["gradcheck", "--draws", "0"],
+                 "error: draws must be >= 1, got 0"),
+    _usage_error("gradcheck-draws--1", ["gradcheck", "--draws", "-1"],
+                 "error: draws must be >= 1, got -1"),
+    _usage_error("gradcheck-seed--1", ["gradcheck", "--seed", "-1", "--draws", "1"],
+                 "error: seed must be nonnegative, got -1"),
+    # config keys out of range, unknown or not integers
+    _bad_config("num_domains = 1", "'num_domains' must be an integer >= 2, got '1'"),
+    _bad_config("num_classes = 1", "'num_classes' must be an integer >= 2, got '1'"),
+    _bad_config("latent_dim = 0", "'latent_dim' must be an integer >= 1, got '0'"),
+    _bad_config("labels_per_class = 0", "'labels_per_class' must be an integer >= 1, got '0'"),
+    _bad_config("labeled_per_domain = 0",
+                "'labeled_per_domain' must be an integer >= 1, got '0'"),
+    _bad_config("unlabeled_per_domain = 0",
+                "'unlabeled_per_domain' must be an integer >= 1, got '0'"),
+    _bad_config("hidden_dims = 0",
+                "'hidden_dims' must be comma-separated integers >= 1, got (0,)"),
+    _bad_config("feature_dim = 0", "'feature_dim' must be an integer >= 1, got 0"),
+    _bad_config("epochs = 0", "'epochs' must be an integer >= 1, got '0'"),
+    _bad_config("steps_per_epoch = 0", "'steps_per_epoch' must be an integer >= 1, got '0'"),
+    _bad_config("lr_backbone = 0", "'lr_backbone' must be a finite number > 0, got '0'"),
+    _bad_config("strong_dropout = 1",
+                "'strong_dropout' must be a finite number >= 0 and < 1, got '1'"),
+    _bad_config("shift_sigma = -1", "'shift_sigma' must be a finite number >= 0, got '-1'"),
+    _bad_config("master_seed = -3", "'master_seed' must be an integer >= 0, got '-3'"),
+    _bad_config("seeds = -2", "'seeds' must be comma-separated integers >= 0, got '-2'"),
+    _bad_config("tau = 0.1",
+                "'tau' must lie strictly between 1/'num_classes' = 1/7 and 1, got 0.1"),
+    _bad_config("not_a_real_key = 5", "unknown config keys: ['not_a_real_key']"),
+    _bad_config("epochs = 1e0", "'epochs' must be an integer >= 1, got '1e0'"),
+    _bad_config("samples_per_class_per_domain = 1e2",
+                "'samples_per_class_per_domain' must be an integer, got '1e2'"),
+    _bad_config("master_seed = 2.5", "'master_seed' must be an integer >= 0, got '2.5'"),
+    _bad_config("seeds = 0, 0", "'seeds' must be one or more distinct seeds, got (0, 0)",
+                "protocol"),
+    _bad_config("seeds = 0,0", "'seeds' must be one or more distinct seeds, got (0, 0)",
+                "protocol"),
+    # a config file is read as UTF-8, whatever the locale
+    _usage_error("config-not-utf8", ["train", "--config", "bad.cfg", "--out", "out"],
+                 "error: bad.cfg: 'utf-8' codec can't decode byte 0xff in position 10: "
+                 "invalid start byte", {"bad.cfg": b"epochs = 2\xff\n"}),
+    # config flags; SMALL_CFG has num_classes = 4 and 40 samples per class,
+    # 8 of them test ones, so labels_per_class = 16 leaves no unlabeled pool
+    _usage_error("tau-flag", [*TRAIN, "--tau", "1.5"],
+                 "error: 'tau' must lie strictly between 1/'num_classes' = 1/4 and 1, got 1.5"),
+    *[_usage_error(f"{command}-labels-per-class-{value}",
+                   [command, "--config", "small.cfg", "--labels-per-class", value, "--out", "out"],
+                   message)
+      for command in ("train", "protocol", "gen-data")
+      for value, message in (
+          ("0", "error: 'labels_per_class' must be an integer >= 1, got 0"),
+          ("16", "error: 'samples_per_class_per_domain' = 40 less its test split must exceed "
+                 "twice 'labels_per_class' = 16"))],
+    # train checks its seed and target before it generates the benchmark;
+    # protocol's --seed replaces the config key
+    _usage_error("train-seed--1", [*TRAIN, "--seed", "-1", "--out", "out"],
+                 "error: seed must be nonnegative, got -1"),
+    _usage_error("protocol-seed--1", ["protocol", "--config", "small.cfg", "--seed", "-1",
+                                      "--out", "out"],
+                 "error: 'seeds' must be comma-separated integers >= 0, got (-1,)"),
+    _usage_error("target-9", [*TRAIN, "--target", "9", "--out", "out"],
+                 "error: target domain 9 outside 0..2"),
+    _usage_error("target--1", [*TRAIN, "--target", "-1", "--out", "out"],
+                 "error: target domain -1 outside 0..2"),
+    # rules that the work itself checks, before it writes anything; exp(800) is inf
+    *[_usage_error(f"{argv[0]}-overflow", [*argv, "--config", "huge.cfg", "--out", "out"],
+                   "error: the generated data overflow float64; lower 'class_separation', "
+                   "'scale_log_range', 'shift_sigma' or 'noise_sigma'",
+                   {"huge.cfg": "scale_log_range = 800\n"}, reaches)
+      for argv, reaches in ((["gen-data"], "generate_benchmark"),
+                            (["train"], "generate_benchmark"),
+                            (["protocol", "--jobs", "2"], "run_protocol"))],
+    *[_usage_error(f"protocol-jobs-{jobs}", ["protocol", "--config", "small.cfg", "--jobs", jobs,
+                                            "--out", "out"],
+                   f"error: jobs must be >= 1, got {jobs}", reaches="run_protocol")
+      for jobs in ("0", "-1")],
+    _usage_error("stats-epoch-outside-the-log",
+                 ["stats", "--confidences", "conf.csv", "--truth-dir", ".", "--epoch", "3",
+                  "--out", "stats"],
+                 "error: epoch 3 is not in conf.csv",
+                 {"conf.csv": CONF_HEADER + "1,0,0,0.6,0.4\n2,0,0,0.7,0.3\n",
+                  "domain0_unlabeled_truth.csv": "label\n1\n"}, "load_confidence_log"),
+]
 
 
-def test_a_config_file_that_is_not_utf8_exits_2_naming_it_before_any_work(tmp_path, monkeypatch,
-                                                                          capsys):
-    # it exited 1 with the codec's message alone, and read the file in the
-    # locale's encoding
-    calls = _record_work(monkeypatch)
-    path = tmp_path / "bad.cfg"
-    path.write_bytes(b"epochs = 2\xff\n")
-    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert str(path) in err and "can't decode byte 0xff in position 10" in err, err
-    assert calls == []
-    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+@pytest.mark.parametrize("argv, files, line, reaches", USAGE_AND_CONFIG_ERRORS)
+def test_usage_and_config_errors_exit_2(tmp_path, monkeypatch, capsys, argv, files, line,
+                                        reaches):
+    _rejected(tmp_path, monkeypatch, capsys, argv, files, line, reaches, 2)
 
 
-def test_unknown_flag_exits_2(cfg_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["train", "--config", cfg_path, "--frobnicate"])
-    assert exc.value.code == 2
+def _stats_input(id, rows, truths, line, error=DataError, header=CONF_HEADER):
+    """A table row whose conf.csv holds `rows` under `header`, with one truth
+    sidecar per item of `truths`, the labels of domain 0, 1, ..."""
+    files = {"conf.csv": header + rows}
+    for domain, labels in enumerate(truths):
+        files[f"domain{domain}_unlabeled_truth.csv"] = "label\n" + labels
+    return pytest.param(files, line, error, id=id)
 
 
-def test_bad_method_choice_exits_2(cfg_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["train", "--config", cfg_path, "--method", "madeup"])
-    assert exc.value.code == 2
+STATS_ARGV = ["stats", "--confidences", "conf.csv", "--truth-dir", ".", "--out", "stats"]
+# in the order load_confidence_log checks them
+STATS_INPUT_ERRORS = [
+    pytest.param({}, "error: [Errno 2] …: 'conf.csv'", FileNotFoundError, id="no-confidences"),
+    # reading the header decodes the file's first buffer, so a bad byte
+    # anywhere in that buffer is found there
+    pytest.param({"conf.csv": CONF_HEADER.encode() + b"1,0,0,0.5,0.5\n\xff\n"},
+                 "error: conf.csv: 'utf-8' codec can't decode byte 0xff in position 48: "
+                 "invalid start byte", DataError, id="confidences-not-utf8"),
+    _stats_input("header-without-sample-index", "1,0,0.5,0.5\n", [],
+                 "error: conf.csv: unexpected confidences header",
+                 header="epoch,domain,c_0,c_1\n"),
+    *[_stats_input(id, f"1,0,1,0.5,0.5\n{row}\n", ["1\n0\n"], "error: conf.csv: …")
+      for id, row in (("epoch-1.5", "1.5,0,0,0.5,0.5"), ("sample-index-0.5", "1,0,0.5,0.5,0.5"),
+                      ("sample-index-x", "1,0,x,0.5,0.5"), ("one-score", "1,0,0,0.5"),
+                      ("three-scores", "1,0,0,0.5,0.5,0.5"))],
+    _stats_input("header-only", "", ["1\n"],
+                 "error: conf.csv: confidences file has no data rows"),
+    # the first repeat in file order is named, though domain 0 sorts first
+    *[_stats_input(id, rows, ["0\n1\n", "0\n1\n"],
+                   f"error: conf.csv: (epoch, domain, sample_index) {triple} repeats an "
+                   "earlier row")
+      for id, rows, triple in (
+          ("repeat-in-order", "1,0,0,0.6,0.4\n1,0,1,0.6,0.4\n1,0,1,0.6,0.4\n", "(1, 0, 1)"),
+          ("repeat-out-of-order", "1,0,0,0.6,0.4\n1,0,1,0.6,0.4\n2,0,1,0.6,0.4\n1,0,0,0.5,0.5\n",
+           "(1, 0, 0)"),
+          ("repeat-in-a-later-domain-first",
+           "1,0,1,0.6,0.4\n1,1,0,0.6,0.4\n1,1,0,0.5,0.5\n1,0,0,0.6,0.4\n1,0,1,0.5,0.5\n",
+           "(1, 1, 0)"))],
+    _stats_input("no-truth-sidecar", "1,0,0,0.5,0.5\n1,1,0,0.5,0.5\n", ["1\n"],
+                 "error: [Errno 2] …: './domain1_unlabeled_truth.csv'", FileNotFoundError),
+    pytest.param({"conf.csv": CONF_HEADER + "1,0,0,0.5,0.5\n",
+                  "domain0_unlabeled_truth.csv": b"label\n1\n0\xff\n"},
+                 "error: ./domain0_unlabeled_truth.csv: 'utf-8' codec can't decode byte 0xff "
+                 "in position 9: invalid start byte", DataError, id="truth-not-utf8"),
+    pytest.param({"conf.csv": CONF_HEADER + "1,0,0,0.5,0.5\n",
+                  "domain0_unlabeled_truth.csv": "truth\n1\n0\n"},
+                 "error: ./domain0_unlabeled_truth.csv: unexpected header", DataError,
+                 id="truth-header"),
+    _stats_input("label-9", "1,0,0,0.6,0.4\n", ["9\n"],
+                 "error: ./domain0_unlabeled_truth.csv: true label 9 outside 0..1"),
+    _stats_input("label--1", "1,0,1,0.6,0.4\n", ["0\n-1\n"],
+                 "error: ./domain0_unlabeled_truth.csv: true label -1 outside 0..1"),
+    *[_stats_input(id, rows, truths,
+                   f"error: conf.csv: sample_index {index} outside truth sidecar "
+                   f"./domain{len(truths) - 1}_unlabeled_truth.csv")
+      for id, rows, truths, index in (
+          ("sample-index-5", "1,0,5,0.5,0.5\n", ["1\n"], 5),
+          ("sample-index--1", "1,0,0,0.5,0.5\n1,0,-1,0.5,0.5\n", ["1\n0\n"], -1),
+          # a truncated sidecar must not silently join the wrong labels
+          ("truncated-truth-sidecar", "1,0,0,0.5,0.5\n1,1,3,0.5,0.5\n", ["0\n", "0\n1\n"], 3))],
+    # a nan row has no top score: the confidence rule would count it as
+    # unconfident with no candidate
+    _stats_input("nan", "1,0,0,0.99,0.01\n1,0,1,0.6,0.4\n1,0,2,nan,nan\n", ["0\n1\n0\n"],
+                 "error: conf.csv: confidence rows must be finite"),
+    _stats_input("score-outside-0-1", "1,0,0,-5,7\n", ["0\n"],
+                 "error: conf.csv: confidence rows must lie in [0, 1], got -5 to 7"),
+]
 
 
-def test_config_error_exits_2(tmp_path, capsys):
-    path = tmp_path / "bad.cfg"
-    path.write_text("not_a_real_key = 5\n")
-    code = main(["train", "--config", str(path)])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("line", ["epochs = 1e0", "samples_per_class_per_domain = 1e2",
-                                  "master_seed = 2.5"])
-def test_non_integer_for_an_int_key_exits_2(tmp_path, capsys, line):
-    key = line.split(" = ")[0]
-    body = [line if row.startswith(key + " ") else row for row in SMALL_CFG.splitlines()]
-    assert line in body
-    path = tmp_path / "bad.cfg"
-    path.write_text("\n".join(body) + "\n")
-    code = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert f"{key!r}" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("command, key", [("train", "seed"), ("protocol", "seeds")])
-def test_a_negative_seed_flag_exits_2_and_writes_nothing(cfg_path, tmp_path, monkeypatch, capsys,
-                                                         command, key):
-    # train's seed was train_one's check alone, reached after the benchmark
-    # was generated, the staging directory made and the writer forked
-    calls = _record_work(monkeypatch)
-    out = tmp_path / "neg"
-    code = main([command, "--config", cfg_path, "--seed", "-1", "--out", str(out)])
-    assert code == 2
-    # train's --seed is train_one's argument; protocol's replaces the config key
-    message = {"seed": "seed must be nonnegative, got -1",
-               "seeds": "'seeds' must be comma-separated integers >= 0"}[key]
-    assert f"error: {message}" in capsys.readouterr().err
-    assert calls == []
-    assert [p.name for p in tmp_path.iterdir()] == ["small.cfg"]
-
-
-@pytest.mark.parametrize("target", ["9", "-1"])
-def test_a_target_outside_the_domains_exits_2_before_any_work(cfg_path, tmp_path, monkeypatch,
-                                                              capsys, target):
-    # like a negative seed, this was train_one's check alone
-    calls = _record_work(monkeypatch)
-    out = tmp_path / "out"
-    assert main(["train", "--config", cfg_path, "--target", target, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: target domain {target} outside 0..2\n"
-    assert calls == []
-    assert [p.name for p in tmp_path.iterdir()] == ["small.cfg"]
-
-
-def test_invalid_tau_exits_2(cfg_path, capsys):
-    code = main(["train", "--config", cfg_path, "--tau", "1.5"])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
-
-
-def test_protocol_nonpositive_jobs_exits_2(cfg_path, tmp_path, capsys):
-    for jobs in ("0", "-1"):
-        code = main(["protocol", "--config", cfg_path, "--jobs", jobs,
-                     "--out", str(tmp_path / "proto")])
-        assert code == 2
-        assert "jobs" in capsys.readouterr().err
-    assert not (tmp_path / "proto").exists()
-
-
-def test_missing_input_file_exits_1(tmp_path, capsys):
-    code = main(["stats", "--confidences", str(tmp_path / "nope.csv"),
-                 "--truth-dir", str(tmp_path)])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
-
-
-def test_stats_on_a_nan_confidence_exits_1(tmp_path, capsys):
-    # a nan row has no top score; the confidence rule would count it as
-    # unconfident with no candidate, so the log rejects it instead
-    (tmp_path / "domain0_unlabeled_truth.csv").write_text("label\n0\n1\n0\n")
-    (tmp_path / "confidences.csv").write_text(
-        "epoch,domain,sample_index,c_0,c_1\n"
-        "1,0,0,0.99,0.01\n1,0,1,0.6,0.4\n1,0,2,nan,nan\n")
-    code = main(["stats", "--confidences", str(tmp_path / "confidences.csv"),
-                 "--truth-dir", str(tmp_path), "--out", str(tmp_path / "stats")])
-    assert code == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
-    assert not (tmp_path / "stats").exists()
-
-
-@pytest.mark.parametrize("truth,rows,message", [
-    # a label outside 0..C-1 used to exit 1 naming no file
-    pytest.param("9", "1,0,0,0.6,0.4\n",
-                 "{dir}/domain0_unlabeled_truth.csv: true label 9 outside 0..1", id="label-9"),
-    pytest.param("0\n-1", "1,0,1,0.6,0.4\n",
-                 "{dir}/domain0_unlabeled_truth.csv: true label -1 outside 0..1", id="label-minus-1"),
-    # a repeated row, and a score outside [0, 1], used to be counted
-    pytest.param("0\n1", "1,0,0,0.6,0.4\n1,0,1,0.6,0.4\n2,0,1,0.6,0.4\n1,0,0,0.5,0.5\n",
-                 "{dir}/confidences.csv: (epoch, domain, sample_index) (1, 0, 0) repeats an "
-                 "earlier row", id="repeat-out-of-order"),
-    pytest.param("0\n1", "1,0,0,0.6,0.4\n1,0,1,0.6,0.4\n1,0,1,0.6,0.4\n",
-                 "{dir}/confidences.csv: (epoch, domain, sample_index) (1, 0, 1) repeats an "
-                 "earlier row", id="repeat-in-order"),
-    pytest.param("0", "1,0,0,-5,7\n", "confidence rows must lie in [0, 1], got -5 to 7",
-                 id="score-outside-0-1"),
-])
-def test_stats_on_a_malformed_log_exits_1_naming_what_is_wrong(tmp_path, capsys, truth, rows,
-                                                                message):
-    (tmp_path / "domain0_unlabeled_truth.csv").write_text(f"label\n{truth}\n")
-    (tmp_path / "confidences.csv").write_text("epoch,domain,sample_index,c_0,c_1\n" + rows)
-    code = main(["stats", "--confidences", str(tmp_path / "confidences.csv"),
-                 "--truth-dir", str(tmp_path), "--out", str(tmp_path / "stats")])
-    assert code == 1
-    assert capsys.readouterr().err == f"error: {message.format(dir=tmp_path)}\n"
-    assert not (tmp_path / "stats").exists()
+@pytest.mark.parametrize("files, line, error", STATS_INPUT_ERRORS)
+def test_malformed_stats_inputs_exit_1(tmp_path, monkeypatch, capsys, files, line, error):
+    last = _rejected(tmp_path, monkeypatch, capsys, STATS_ARGV, files, line,
+                     "load_confidence_log", 1)
+    # the library raises the same text
+    with pytest.raises(error) as exc:
+        load_confidence_log("conf.csv", ".")
+    assert last == f"error: {exc.value}"
 
 
 DIVERGING_CFG = "lr_backbone = 50.0\nlr_classifier = 50.0\nepochs = 1\nsteps_per_epoch = 10\n"
@@ -700,9 +681,3 @@ def test_the_console_script_runs_main_and_exits_with_its_code(cfg_path, tmp_path
                           "--out", str(tmp_path / "run"), expect=2)
     assert negative.stderr == "error: seed must be nonnegative, got -1\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "small.cfg"]
-
-
-def test_missing_required_flag_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["stats", "--truth-dir", "somewhere"])
-    assert exc.value.code == 2

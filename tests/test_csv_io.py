@@ -12,7 +12,6 @@ import pytest
 
 from upcsc import analysis
 from upcsc.analysis import ConfidenceLog
-from upcsc.cli import main
 from upcsc.errors import DataError
 from upcsc.harness import (EpochRecord, ProtocolResult, RunRecord, TrainConfig,
                            write_metrics_csv, write_results_csv)
@@ -173,54 +172,6 @@ def test_loader_keeps_a_single_row_two_dimensional(tmp_path):
     assert log.conf.shape == (1, 3)
     assert log.epochs.shape == log.domains.shape == log.truth.shape == (1,)
     assert log.truth.tolist() == [2]
-
-
-@pytest.mark.parametrize("row", ["1.5,0,0,0.5,0.5", "1,0,0.5,0.5,0.5", "1,0,x,0.5,0.5",
-                                 "1,0,0,0.5", "1,0,0,0.5,0.5,0.5"])
-def test_loader_rejects_malformed_rows(tmp_path, row):
-    write_truth(tmp_path, 0, [1, 0])
-    write_confidences(tmp_path / "conf.csv", ["1,0,1,0.5,0.5", row])
-    with pytest.raises(ValueError):
-        analysis.load_confidence_log(tmp_path / "conf.csv", tmp_path)
-
-
-def test_loader_rejects_negative_sample_index(tmp_path):
-    write_truth(tmp_path, 0, [1, 0])
-    write_confidences(tmp_path / "conf.csv", ["1,0,0,0.5,0.5", "1,0,-1,0.5,0.5"])
-    with pytest.raises(DataError):
-        analysis.load_confidence_log(tmp_path / "conf.csv", tmp_path)
-
-
-def test_loader_rejects_bad_truth_header(tmp_path):
-    (tmp_path / "domain0_unlabeled_truth.csv").write_text("truth\n1\n0\n")
-    write_confidences(tmp_path / "conf.csv", ["1,0,0,0.5,0.5"])
-    with pytest.raises(DataError):
-        analysis.load_confidence_log(tmp_path / "conf.csv", tmp_path)
-
-
-def test_stats_without_truth_sidecar_exits_1(tmp_path, capsys):
-    write_truth(tmp_path, 0, [1])
-    write_confidences(tmp_path / "conf.csv", ["1,0,0,0.5,0.5", "1,1,0,0.5,0.5"])
-    code = main(["stats", "--confidences", str(tmp_path / "conf.csv"),
-                 "--truth-dir", str(tmp_path), "--out", str(tmp_path / "stats")])
-    assert code == 1
-    assert "domain1_unlabeled_truth.csv" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("damaged", ["conf.csv", "domain0_unlabeled_truth.csv"])
-def test_stats_on_a_file_that_is_not_utf8_exits_1_naming_it(tmp_path, capsys, damaged):
-    # reading the header line decodes the file's first buffer, so a bad byte
-    # anywhere in it printed the codec's message alone, with no file name
-    write_truth(tmp_path, 0, [1, 0])
-    write_confidences(tmp_path / "conf.csv", ["1,0,0,0.5,0.5", "1,0,1,0.5,0.5"])
-    path = tmp_path / damaged
-    path.write_bytes(path.read_bytes()[:-1] + b"\xff\n")
-    code = main(["stats", "--confidences", str(tmp_path / "conf.csv"),
-                 "--truth-dir", str(tmp_path), "--out", str(tmp_path / "stats")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert str(path) in err and "can't decode byte 0xff" in err, err
-    assert not (tmp_path / "stats").exists()
 
 
 def test_sample_index_counts_within_interleaved_groups(tmp_path):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import invert
-from upcsc.analysis import load_confidence_log
 from upcsc.csvio import read_csv
-from upcsc.errors import ConfigError, DataError
+from upcsc.errors import ConfigError
 from upcsc.numerics import substream
 from upcsc.synthdata import (BenchmarkConfig, DomainSpec, augment_views, export_benchmark,
                              generate_benchmark, random_rotation, sample_batch,
@@ -228,18 +227,3 @@ def test_exported_unlabeled_carries_no_labels(tmp_path):
     truth_lines = (tmp_path / "domain0_unlabeled_truth.csv").read_text().splitlines()
     assert truth_lines[0] == "label"
     assert len(truth_lines) - 1 == len(text) - 1
-
-
-def test_load_confidence_log_rejects_a_truncated_truth_sidecar(tmp_path):
-    # the stats reader is what reads exported sidecars back; a truncated one
-    # must not silently join the wrong labels
-    bench = generate_benchmark(SMALL)
-    export_benchmark(bench, tmp_path)
-    path = tmp_path / "domain1_unlabeled_truth.csv"
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-3]) + "\n")
-    last = len(bench.unlabeled(1)) - 1
-    (tmp_path / "confidences.csv").write_text(
-        f"epoch,domain,sample_index,c_0,c_1,c_2,c_3\n1,1,{last},0.4,0.3,0.2,0.1\n")
-    with pytest.raises(DataError):
-        load_confidence_log(tmp_path / "confidences.csv", tmp_path)
