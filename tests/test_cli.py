@@ -359,11 +359,13 @@ def test_the_labels_per_class_flag_overrides_the_config(cfg_path, tmp_path, comm
 
 # ------------------------------------------------------------ rejected input
 #
-# Every input the CLI rejects is one row of one of the two tables below, by
-# exit code, and a new rule is a new row. A row holds an argv, the files it
-# needs in an empty working directory, and the last line the command prints to
-# stderr. In a line, "{dir}" is that directory and "…" stands for text that
-# numpy, argparse or the OS writes.
+# Every input the CLI rejects is one row of a table below, and a new rule is a
+# new row. A row holds an argv, the files it needs in an empty working
+# directory, and the last line the command prints to stderr. In a line,
+# "{dir}" is that directory and "…" stands for text that numpy, argparse or
+# the OS writes. The rows of one exit code share one test body. A rule that is
+# checked on many inputs has its rows in a group, under a test of its own; the
+# other rows are the exit code's table.
 
 def _record_work(monkeypatch, reaches) -> list:
     """The names of the work functions a command calls. Each is stubbed out
@@ -425,7 +427,16 @@ CONF_HEADER = "epoch,domain,sample_index,c_0,c_1\n"
 OUT_COMMANDS = {"train": [], "protocol": ["--jobs", "2"], "gen-data": [],
                 "stats": ["--confidences", "missing.csv", "--truth-dir", "missing"]}
 
-USAGE_AND_CONFIG_ERRORS = [
+
+def _exits_2(rows):
+    """A test that runs each (argv, files, line, reaches) row of rows."""
+    @pytest.mark.parametrize("argv, files, line, reaches", rows)
+    def test(tmp_path, monkeypatch, capsys, argv, files, line, reaches):
+        _rejected(tmp_path, monkeypatch, capsys, argv, files, line, reaches, 2)
+    return test
+
+
+test_usage_and_config_errors_exit_2 = _exits_2([
     # flags a command does not read, or does not know
     _usage_error("gradcheck-tau", ["gradcheck", "--tau", "0.3"],
                  "upcsc: error: unrecognized arguments: --tau 0.3"),
@@ -440,14 +451,6 @@ USAGE_AND_CONFIG_ERRORS = [
                  "upcsc train: error: argument --method: invalid choice: 'madeup' (choose from …)"),
     _usage_error("missing-confidences-flag", ["stats", "--truth-dir", "somewhere"],
                  "upcsc stats: error: the following arguments are required: --confidences"),
-    # --out is checked before any work; "" is not the working directory
-    *[_usage_error(f"{command}-out-{where}",
-                   [command, "--config", "small.cfg", *flags, "--out", out],
-                   f"upcsc {command}: error: argument --out: {message}", {"file": "kept\n"})
-      for command, flags in OUT_COMMANDS.items()
-      for where, out, message in (("a-file", "file", "{dir}/file is not a directory"),
-                                  ("below-a-file", "file/sub", "{dir}/file is not a directory"),
-                                  ("empty", "", "an empty path is not a directory"))],
     # gradcheck: no draw checks nothing, so it must not print five ok lines
     _usage_error("gradcheck-draws-0", ["gradcheck", "--draws", "0"],
                  "error: draws must be >= 1, got 0"),
@@ -455,7 +458,59 @@ USAGE_AND_CONFIG_ERRORS = [
                  "error: draws must be >= 1, got -1"),
     _usage_error("gradcheck-seed--1", ["gradcheck", "--seed", "-1", "--draws", "1"],
                  "error: seed must be nonnegative, got -1"),
-    # config keys out of range, unknown or not integers
+    # config keys unknown or repeated
+    _bad_config("not_a_real_key = 5", "unknown config keys: ['not_a_real_key']"),
+    _bad_config("seeds = 0, 0", "'seeds' must be one or more distinct seeds, got (0, 0)",
+                "protocol"),
+    _bad_config("seeds = 0,0", "'seeds' must be one or more distinct seeds, got (0, 0)",
+                "protocol"),
+    # a config file is read as UTF-8, whatever the locale
+    _usage_error("config-not-utf8", ["train", "--config", "bad.cfg", "--out", "out"],
+                 "error: bad.cfg: 'utf-8' codec can't decode byte 0xff in position 10: "
+                 "invalid start byte", {"bad.cfg": b"epochs = 2\xff\n"}),
+    # SMALL_CFG has num_classes = 4
+    _usage_error("tau-flag", [*TRAIN, "--tau", "1.5"],
+                 "error: 'tau' must lie strictly between 1/'num_classes' = 1/4 and 1, got 1.5"),
+    # train checks its seed and target before it generates the benchmark;
+    # protocol's --seed replaces the config key
+    _usage_error("train-seed--1", [*TRAIN, "--seed", "-1", "--out", "out"],
+                 "error: seed must be nonnegative, got -1"),
+    _usage_error("protocol-seed--1", ["protocol", "--config", "small.cfg", "--seed", "-1",
+                                      "--out", "out"],
+                 "error: 'seeds' must be comma-separated integers >= 0, got (-1,)"),
+    _usage_error("target-9", [*TRAIN, "--target", "9", "--out", "out"],
+                 "error: target domain 9 outside 0..2"),
+    _usage_error("target--1", [*TRAIN, "--target", "-1", "--out", "out"],
+                 "error: target domain -1 outside 0..2"),
+    # rules that the work itself checks, before it writes anything
+    *[_usage_error(f"protocol-jobs-{jobs}", ["protocol", "--config", "small.cfg", "--jobs", jobs,
+                                            "--out", "out"],
+                   f"error: jobs must be >= 1, got {jobs}", reaches="run_protocol")
+      for jobs in ("0", "-1")],
+    _usage_error("stats-epoch-outside-the-log",
+                 ["stats", "--confidences", "conf.csv", "--truth-dir", ".", "--epoch", "3",
+                  "--out", "stats"],
+                 "error: epoch 3 is not in conf.csv",
+                 {"conf.csv": CONF_HEADER + "1,0,0,0.6,0.4\n2,0,0,0.7,0.3\n",
+                  "domain0_unlabeled_truth.csv": "label\n1\n"}, "load_confidence_log"),
+])
+
+# --out is checked before any work; "" is not the working directory. An id
+# counts the commands in OUT_COMMANDS' order.
+test_an_out_that_is_not_a_directory_exits_2_before_any_work = _exits_2([
+    _usage_error(f"{command}-flags{i}-{below}",
+                 [command, "--config", "small.cfg", *flags, "--out", out],
+                 f"upcsc {command}: error: argument --out: {{dir}}/file is not a directory",
+                 {"file": "kept\n"})
+    for i, (command, flags) in enumerate(OUT_COMMANDS.items())
+    for below, out in ((False, "file"), (True, "file/sub"))])
+
+test_an_empty_out_exits_2_before_any_work = _exits_2([
+    _usage_error(f"{command}-flags{i}", [command, "--config", "small.cfg", *flags, "--out", ""],
+                 f"upcsc {command}: error: argument --out: an empty path is not a directory")
+    for i, (command, flags) in enumerate(OUT_COMMANDS.items())])
+
+test_an_out_of_range_value_exits_2_naming_its_key_before_any_work = _exits_2([
     _bad_config("num_domains = 1", "'num_domains' must be an integer >= 2, got '1'"),
     _bad_config("num_classes = 1", "'num_classes' must be an integer >= 2, got '1'"),
     _bad_config("latent_dim = 0", "'latent_dim' must be an integer >= 1, got '0'"),
@@ -477,67 +532,36 @@ USAGE_AND_CONFIG_ERRORS = [
     _bad_config("seeds = -2", "'seeds' must be comma-separated integers >= 0, got '-2'"),
     _bad_config("tau = 0.1",
                 "'tau' must lie strictly between 1/'num_classes' = 1/7 and 1, got 0.1"),
-    _bad_config("not_a_real_key = 5", "unknown config keys: ['not_a_real_key']"),
+])
+
+test_non_integer_for_an_int_key_exits_2 = _exits_2([
     _bad_config("epochs = 1e0", "'epochs' must be an integer >= 1, got '1e0'"),
     _bad_config("samples_per_class_per_domain = 1e2",
                 "'samples_per_class_per_domain' must be an integer, got '1e2'"),
     _bad_config("master_seed = 2.5", "'master_seed' must be an integer >= 0, got '2.5'"),
-    _bad_config("seeds = 0, 0", "'seeds' must be one or more distinct seeds, got (0, 0)",
-                "protocol"),
-    _bad_config("seeds = 0,0", "'seeds' must be one or more distinct seeds, got (0, 0)",
-                "protocol"),
-    # a config file is read as UTF-8, whatever the locale
-    _usage_error("config-not-utf8", ["train", "--config", "bad.cfg", "--out", "out"],
-                 "error: bad.cfg: 'utf-8' codec can't decode byte 0xff in position 10: "
-                 "invalid start byte", {"bad.cfg": b"epochs = 2\xff\n"}),
-    # config flags; SMALL_CFG has num_classes = 4 and 40 samples per class,
-    # 8 of them test ones, so labels_per_class = 16 leaves no unlabeled pool
-    _usage_error("tau-flag", [*TRAIN, "--tau", "1.5"],
-                 "error: 'tau' must lie strictly between 1/'num_classes' = 1/4 and 1, got 1.5"),
-    *[_usage_error(f"{command}-labels-per-class-{value}",
-                   [command, "--config", "small.cfg", "--labels-per-class", value, "--out", "out"],
-                   message)
-      for command in ("train", "protocol", "gen-data")
-      for value, message in (
-          ("0", "error: 'labels_per_class' must be an integer >= 1, got 0"),
-          ("16", "error: 'samples_per_class_per_domain' = 40 less its test split must exceed "
-                 "twice 'labels_per_class' = 16"))],
-    # train checks its seed and target before it generates the benchmark;
-    # protocol's --seed replaces the config key
-    _usage_error("train-seed--1", [*TRAIN, "--seed", "-1", "--out", "out"],
-                 "error: seed must be nonnegative, got -1"),
-    _usage_error("protocol-seed--1", ["protocol", "--config", "small.cfg", "--seed", "-1",
-                                      "--out", "out"],
-                 "error: 'seeds' must be comma-separated integers >= 0, got (-1,)"),
-    _usage_error("target-9", [*TRAIN, "--target", "9", "--out", "out"],
-                 "error: target domain 9 outside 0..2"),
-    _usage_error("target--1", [*TRAIN, "--target", "-1", "--out", "out"],
-                 "error: target domain -1 outside 0..2"),
-    # rules that the work itself checks, before it writes anything; exp(800) is inf
-    *[_usage_error(f"{argv[0]}-overflow", [*argv, "--config", "huge.cfg", "--out", "out"],
-                   "error: the generated data overflow float64; lower 'class_separation', "
-                   "'scale_log_range', 'shift_sigma' or 'noise_sigma'",
-                   {"huge.cfg": "scale_log_range = 800\n"}, reaches)
-      for argv, reaches in ((["gen-data"], "generate_benchmark"),
-                            (["train"], "generate_benchmark"),
-                            (["protocol", "--jobs", "2"], "run_protocol"))],
-    *[_usage_error(f"protocol-jobs-{jobs}", ["protocol", "--config", "small.cfg", "--jobs", jobs,
-                                            "--out", "out"],
-                   f"error: jobs must be >= 1, got {jobs}", reaches="run_protocol")
-      for jobs in ("0", "-1")],
-    _usage_error("stats-epoch-outside-the-log",
-                 ["stats", "--confidences", "conf.csv", "--truth-dir", ".", "--epoch", "3",
-                  "--out", "stats"],
-                 "error: epoch 3 is not in conf.csv",
-                 {"conf.csv": CONF_HEADER + "1,0,0,0.6,0.4\n2,0,0,0.7,0.3\n",
-                  "domain0_unlabeled_truth.csv": "label\n1\n"}, "load_confidence_log"),
-]
+])
 
+# SMALL_CFG has num_classes = 4 and 40 samples per class, 8 of them test
+# ones, so labels_per_class = 16 leaves no unlabeled pool
+test_an_out_of_range_labels_per_class_flag_exits_2_naming_it = _exits_2([
+    _usage_error(f"{command}-{value}",
+                 [command, "--config", "small.cfg", "--labels-per-class", value, "--out", "out"],
+                 message)
+    for command in ("train", "protocol", "gen-data")
+    for value, message in (
+        ("0", "error: 'labels_per_class' must be an integer >= 1, got 0"),
+        ("16", "error: 'samples_per_class_per_domain' = 40 less its test split must exceed "
+               "twice 'labels_per_class' = 16"))])
 
-@pytest.mark.parametrize("argv, files, line, reaches", USAGE_AND_CONFIG_ERRORS)
-def test_usage_and_config_errors_exit_2(tmp_path, monkeypatch, capsys, argv, files, line,
-                                        reaches):
-    _rejected(tmp_path, monkeypatch, capsys, argv, files, line, reaches, 2)
+# the work checks this before it writes anything; exp(800) is inf
+test_data_that_overflow_exit_2_naming_the_scale_keys_and_write_nothing = _exits_2([
+    _usage_error(argv[0], [*argv, "--config", "huge.cfg", "--out", "out"],
+                 "error: the generated data overflow float64; lower 'class_separation', "
+                 "'scale_log_range', 'shift_sigma' or 'noise_sigma'",
+                 {"huge.cfg": "scale_log_range = 800\n"}, reaches)
+    for argv, reaches in ((["gen-data"], "generate_benchmark"),
+                          (["train"], "generate_benchmark"),
+                          (["protocol", "--jobs", "2"], "run_protocol"))])
 
 
 def _stats_input(id, rows, truths, line, error=DataError, header=CONF_HEADER):
@@ -550,8 +574,23 @@ def _stats_input(id, rows, truths, line, error=DataError, header=CONF_HEADER):
 
 
 STATS_ARGV = ["stats", "--confidences", "conf.csv", "--truth-dir", ".", "--out", "stats"]
-# in the order load_confidence_log checks them
-STATS_INPUT_ERRORS = [
+
+
+def _exits_1(rows):
+    """A test that runs `upcsc stats` on each (files, line, error) row of
+    rows, and load_confidence_log, which must raise the same text."""
+    @pytest.mark.parametrize("files, line, error", rows)
+    def test(tmp_path, monkeypatch, capsys, files, line, error):
+        last = _rejected(tmp_path, monkeypatch, capsys, STATS_ARGV, files, line,
+                         "load_confidence_log", 1)
+        with pytest.raises(error) as exc:
+            load_confidence_log("conf.csv", ".")
+        assert last == f"error: {exc.value}"
+    return test
+
+
+# in the order load_confidence_log checks them, but for the group after the table
+test_malformed_stats_inputs_exit_1 = _exits_1([
     pytest.param({}, "error: [Errno 2] …: 'conf.csv'", FileNotFoundError, id="no-confidences"),
     # reading the header decodes the file's first buffer, so a bad byte
     # anywhere in that buffer is found there
@@ -567,17 +606,6 @@ STATS_INPUT_ERRORS = [
                       ("three-scores", "1,0,0,0.5,0.5,0.5"))],
     _stats_input("header-only", "", ["1\n"],
                  "error: conf.csv: confidences file has no data rows"),
-    # the first repeat in file order is named, though domain 0 sorts first
-    *[_stats_input(id, rows, ["0\n1\n", "0\n1\n"],
-                   f"error: conf.csv: (epoch, domain, sample_index) {triple} repeats an "
-                   "earlier row")
-      for id, rows, triple in (
-          ("repeat-in-order", "1,0,0,0.6,0.4\n1,0,1,0.6,0.4\n1,0,1,0.6,0.4\n", "(1, 0, 1)"),
-          ("repeat-out-of-order", "1,0,0,0.6,0.4\n1,0,1,0.6,0.4\n2,0,1,0.6,0.4\n1,0,0,0.5,0.5\n",
-           "(1, 0, 0)"),
-          ("repeat-in-a-later-domain-first",
-           "1,0,1,0.6,0.4\n1,1,0,0.6,0.4\n1,1,0,0.5,0.5\n1,0,0,0.6,0.4\n1,0,1,0.5,0.5\n",
-           "(1, 1, 0)"))],
     _stats_input("no-truth-sidecar", "1,0,0,0.5,0.5\n1,1,0,0.5,0.5\n", ["1\n"],
                  "error: [Errno 2] …: './domain1_unlabeled_truth.csv'", FileNotFoundError),
     pytest.param({"conf.csv": CONF_HEADER + "1,0,0,0.5,0.5\n",
@@ -588,10 +616,6 @@ STATS_INPUT_ERRORS = [
                   "domain0_unlabeled_truth.csv": "truth\n1\n0\n"},
                  "error: ./domain0_unlabeled_truth.csv: unexpected header", DataError,
                  id="truth-header"),
-    _stats_input("label-9", "1,0,0,0.6,0.4\n", ["9\n"],
-                 "error: ./domain0_unlabeled_truth.csv: true label 9 outside 0..1"),
-    _stats_input("label--1", "1,0,1,0.6,0.4\n", ["0\n-1\n"],
-                 "error: ./domain0_unlabeled_truth.csv: true label -1 outside 0..1"),
     *[_stats_input(id, rows, truths,
                    f"error: conf.csv: sample_index {index} outside truth sidecar "
                    f"./domain{len(truths) - 1}_unlabeled_truth.csv")
@@ -604,19 +628,29 @@ STATS_INPUT_ERRORS = [
     # unconfident with no candidate
     _stats_input("nan", "1,0,0,0.99,0.01\n1,0,1,0.6,0.4\n1,0,2,nan,nan\n", ["0\n1\n0\n"],
                  "error: conf.csv: confidence rows must be finite"),
+])
+
+# well-formed rows the log must not hold: a true label outside the classes, a
+# repeated (epoch, domain, sample_index) and a score outside [0, 1]
+test_stats_on_a_malformed_log_exits_1_naming_what_is_wrong = _exits_1([
+    _stats_input("label-9", "1,0,0,0.6,0.4\n", ["9\n"],
+                 "error: ./domain0_unlabeled_truth.csv: true label 9 outside 0..1"),
+    _stats_input("label-minus-1", "1,0,1,0.6,0.4\n", ["0\n-1\n"],
+                 "error: ./domain0_unlabeled_truth.csv: true label -1 outside 0..1"),
+    # the first repeat in file order is named, though domain 0 sorts first
+    *[_stats_input(id, rows, ["0\n1\n", "0\n1\n"],
+                   f"error: conf.csv: (epoch, domain, sample_index) {triple} repeats an "
+                   "earlier row")
+      for id, rows, triple in (
+          ("repeat-in-order", "1,0,0,0.6,0.4\n1,0,1,0.6,0.4\n1,0,1,0.6,0.4\n", "(1, 0, 1)"),
+          ("repeat-out-of-order", "1,0,0,0.6,0.4\n1,0,1,0.6,0.4\n2,0,1,0.6,0.4\n1,0,0,0.5,0.5\n",
+           "(1, 0, 0)"),
+          ("repeat-in-a-later-domain-first",
+           "1,0,1,0.6,0.4\n1,1,0,0.6,0.4\n1,1,0,0.5,0.5\n1,0,0,0.6,0.4\n1,0,1,0.5,0.5\n",
+           "(1, 1, 0)"))],
     _stats_input("score-outside-0-1", "1,0,0,-5,7\n", ["0\n"],
                  "error: conf.csv: confidence rows must lie in [0, 1], got -5 to 7"),
-]
-
-
-@pytest.mark.parametrize("files, line, error", STATS_INPUT_ERRORS)
-def test_malformed_stats_inputs_exit_1(tmp_path, monkeypatch, capsys, files, line, error):
-    last = _rejected(tmp_path, monkeypatch, capsys, STATS_ARGV, files, line,
-                     "load_confidence_log", 1)
-    # the library raises the same text
-    with pytest.raises(error) as exc:
-        load_confidence_log("conf.csv", ".")
-    assert last == f"error: {exc.value}"
+])
 
 
 DIVERGING_CFG = "lr_backbone = 50.0\nlr_classifier = 50.0\nepochs = 1\nsteps_per_epoch = 10\n"
