@@ -181,13 +181,20 @@ def write_confidences_csv(logs, path) -> None:
     write_csv(path, _confidence_header(c), chunks())
 
 
-def load_confidence_log(confidences_path, truth_dir) -> ConfidenceLog:
-    """Join a confidences CSV with the per-domain synthdata.truth_sidecar files."""
+def confidence_classes(confidences_path) -> int:
+    """The class count C that a confidences CSV's header declares; a
+    DataError unless it is epoch,domain,sample_index,c_0..c_{C-1}, C >= 2."""
     header = read_header(confidences_path)
     c = len(header) - 3
     if c < 2 or header != _confidence_header(c):
         raise DataError(f"{confidences_path}: unexpected confidences header")
-    rows = read_csv(confidences_path, header,
+    return c
+
+
+def load_confidence_log(confidences_path, truth_dir) -> ConfidenceLog:
+    """Join a confidences CSV with the per-domain synthdata.truth_sidecar files."""
+    c = confidence_classes(confidences_path)
+    rows = read_csv(confidences_path, _confidence_header(c),
                     [("epoch", np.int64), ("domain", np.int64), ("sample_index", np.int64),
                      ("conf", np.float64, (c,))])
     if not len(rows):

@@ -170,7 +170,9 @@ def cmd_protocol(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    tau = _config_from_args(args).tau
+    # tau is held to the log's class count, not the config's, before the log is read
+    num_classes = analysis.confidence_classes(args.confidences)
+    tau = _config_from_args(args, num_classes=num_classes).tau
     log = analysis.load_confidence_log(args.confidences, args.truth_dir)
     epoch = args.epoch if args.epoch is not None else int(log.epochs.max())
     if not (log.epochs == epoch).any():
@@ -271,7 +273,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary maps failures to exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -130,14 +130,11 @@ def _cross_entropy(features, classifier, labels) -> Tensor:
 
 
 def _checked_roles(pseudo, n_c: int, candidates, n_u: int, c: int):
-    """Pseudo labels (n_c,) and the boolean (n_u, C) candidate matrix, checked;
-    an empty candidate sequence stands for n_u = 0."""
+    """Pseudo labels (n_c,) and the boolean (n_u, C) candidate matrix, checked."""
     pseudo = np.asarray(pseudo, dtype=np.int64)
     if len(pseudo) != n_c:
         raise ShapeError("pseudo labels and confident embeddings disagree in length")
     cand = np.asarray(candidates, dtype=bool)
-    if cand.size == 0 and cand.ndim < 2:
-        cand = cand.reshape(0, c)
     if cand.shape != (n_u, c):
         raise ShapeError(f"candidate matrix must be ({n_u}, {c}), got {cand.shape}")
     return pseudo, cand

@@ -328,6 +328,23 @@ def test_stats_reads_tau_from_the_config(cfg_path, tmp_path):
     assert (outs["default"] / "stats.csv").read_bytes() != (outs["flag"] / "stats.csv").read_bytes()
 
 
+def test_stats_holds_tau_to_the_logs_class_count_not_the_configs(tmp_path, monkeypatch):
+    # 0.12 lies above a 10-class log's 1/10, though below the default config's 1/7
+    monkeypatch.chdir(tmp_path)
+    header = ",".join(["epoch,domain,sample_index", *(f"c_{i}" for i in range(10))])
+    scores = ("0.91" + ",0.01" * 9, "0.11,0.11" + ",0.0975" * 8)
+    (tmp_path / "conf.csv").write_text(
+        header + "\n" + "".join(f"1,0,{i},{row}\n" for i, row in enumerate(scores)))
+    (tmp_path / "domain0_unlabeled_truth.csv").write_text("label\n0\n1\n")
+    (tmp_path / "ten.cfg").write_text("num_classes = 10\n")
+    argv = ["stats", "--confidences", "conf.csv", "--truth-dir", ".", "--tau", "0.12"]
+    assert main([*argv, "--out", "default"]) == 0
+    assert main([*argv, "--config", "ten.cfg", "--out", "ten"]) == 0
+    assert "uus_rate_micro,1,-1,0.5" in (tmp_path / "default" / "stats.csv").read_text()
+    for csv in ("stats.csv", "histogram.csv"):
+        assert (tmp_path / "default" / csv).read_bytes() == (tmp_path / "ten" / csv).read_bytes()
+
+
 def test_gradcheck_passes(capsys):
     code = main(["gradcheck", "--draws", "2"])
     out = capsys.readouterr().out
@@ -487,6 +504,13 @@ test_usage_and_config_errors_exit_2 = _exits_2([
                                             "--out", "out"],
                    f"error: jobs must be >= 1, got {jobs}", reaches="run_protocol")
       for jobs in ("0", "-1")],
+    # stats holds tau to its log's class count, here 2, before it loads the log
+    _usage_error("stats-tau-below-the-logs-1-over-c",
+                 ["stats", "--confidences", "conf.csv", "--truth-dir", ".", "--tau", "0.3",
+                  "--out", "stats"],
+                 "error: 'tau' must lie strictly between 1/'num_classes' = 1/2 and 1, got 0.3",
+                 {"conf.csv": CONF_HEADER + "1,0,0,0.6,0.4\n",
+                  "domain0_unlabeled_truth.csv": "label\n1\n"}),
     _usage_error("stats-epoch-outside-the-log",
                  ["stats", "--confidences", "conf.csv", "--truth-dir", ".", "--epoch", "3",
                   "--out", "stats"],
@@ -564,25 +588,29 @@ test_data_that_overflow_exit_2_naming_the_scale_keys_and_write_nothing = _exits_
                           (["protocol", "--jobs", "2"], "run_protocol"))])
 
 
-def _stats_input(id, rows, truths, line, error=DataError, header=CONF_HEADER):
+# stats reads conf.csv's header before it loads the log, to hold tau to the
+# header's class count, so a row about the header reaches no loader
+LOADS = "load_confidence_log"
+
+
+def _stats_input(id, rows, truths, line, error=DataError, header=CONF_HEADER, reaches=LOADS):
     """A table row whose conf.csv holds `rows` under `header`, with one truth
     sidecar per item of `truths`, the labels of domain 0, 1, ..."""
     files = {"conf.csv": header + rows}
     for domain, labels in enumerate(truths):
         files[f"domain{domain}_unlabeled_truth.csv"] = "label\n" + labels
-    return pytest.param(files, line, error, id=id)
+    return pytest.param(files, line, error, reaches, id=id)
 
 
 STATS_ARGV = ["stats", "--confidences", "conf.csv", "--truth-dir", ".", "--out", "stats"]
 
 
 def _exits_1(rows):
-    """A test that runs `upcsc stats` on each (files, line, error) row of
-    rows, and load_confidence_log, which must raise the same text."""
-    @pytest.mark.parametrize("files, line, error", rows)
-    def test(tmp_path, monkeypatch, capsys, files, line, error):
-        last = _rejected(tmp_path, monkeypatch, capsys, STATS_ARGV, files, line,
-                         "load_confidence_log", 1)
+    """A test that runs `upcsc stats` on each (files, line, error, reaches) row
+    of rows, and load_confidence_log, which must raise the same text."""
+    @pytest.mark.parametrize("files, line, error, reaches", rows)
+    def test(tmp_path, monkeypatch, capsys, files, line, error, reaches):
+        last = _rejected(tmp_path, monkeypatch, capsys, STATS_ARGV, files, line, reaches, 1)
         with pytest.raises(error) as exc:
             load_confidence_log("conf.csv", ".")
         assert last == f"error: {exc.value}"
@@ -591,15 +619,16 @@ def _exits_1(rows):
 
 # in the order load_confidence_log checks them, but for the group after the table
 test_malformed_stats_inputs_exit_1 = _exits_1([
-    pytest.param({}, "error: [Errno 2] …: 'conf.csv'", FileNotFoundError, id="no-confidences"),
+    pytest.param({}, "error: [Errno 2] …: 'conf.csv'", FileNotFoundError, None,
+                 id="no-confidences"),
     # reading the header decodes the file's first buffer, so a bad byte
     # anywhere in that buffer is found there
     pytest.param({"conf.csv": CONF_HEADER.encode() + b"1,0,0,0.5,0.5\n\xff\n"},
                  "error: conf.csv: 'utf-8' codec can't decode byte 0xff in position 48: "
-                 "invalid start byte", DataError, id="confidences-not-utf8"),
+                 "invalid start byte", DataError, None, id="confidences-not-utf8"),
     _stats_input("header-without-sample-index", "1,0,0.5,0.5\n", [],
                  "error: conf.csv: unexpected confidences header",
-                 header="epoch,domain,c_0,c_1\n"),
+                 header="epoch,domain,c_0,c_1\n", reaches=None),
     *[_stats_input(id, f"1,0,1,0.5,0.5\n{row}\n", ["1\n0\n"], "error: conf.csv: …")
       for id, row in (("epoch-1.5", "1.5,0,0,0.5,0.5"), ("sample-index-0.5", "1,0,0.5,0.5,0.5"),
                       ("sample-index-x", "1,0,x,0.5,0.5"), ("one-score", "1,0,0,0.5"),
@@ -611,10 +640,10 @@ test_malformed_stats_inputs_exit_1 = _exits_1([
     pytest.param({"conf.csv": CONF_HEADER + "1,0,0,0.5,0.5\n",
                   "domain0_unlabeled_truth.csv": b"label\n1\n0\xff\n"},
                  "error: ./domain0_unlabeled_truth.csv: 'utf-8' codec can't decode byte 0xff "
-                 "in position 9: invalid start byte", DataError, id="truth-not-utf8"),
+                 "in position 9: invalid start byte", DataError, LOADS, id="truth-not-utf8"),
     pytest.param({"conf.csv": CONF_HEADER + "1,0,0,0.5,0.5\n",
                   "domain0_unlabeled_truth.csv": "truth\n1\n0\n"},
-                 "error: ./domain0_unlabeled_truth.csv: unexpected header", DataError,
+                 "error: ./domain0_unlabeled_truth.csv: unexpected header", DataError, LOADS,
                  id="truth-header"),
     *[_stats_input(id, rows, truths,
                    f"error: conf.csv: sample_index {index} outside truth sidecar "
@@ -690,7 +719,7 @@ def test_diverging_train_prints_one_error_line_and_no_warnings(tmp_path):
     # numpy's overflow and invalid-value warnings must not precede the error
     cfg = tmp_path / "diverge.cfg"
     cfg.write_text(OVERFLOWING_CFG)
-    proc = run_python("-m", "upcsc.cli", "train", "--config", str(cfg),
+    proc = run_python("-m", "upcsc", "train", "--config", str(cfg),
                       "--out", str(tmp_path / "out"), expect=1)
     assert "RuntimeWarning" not in proc.stderr
     lines = proc.stderr.splitlines()
@@ -703,15 +732,14 @@ def test_the_console_script_runs_main_and_exits_with_its_code(cfg_path, tmp_path
     pyproject = (SRC.parent / "pyproject.toml").read_text()
     scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
     assert scripts.split() == ["upcsc", "=", '"upcsc.cli:main"']
-    # the body of the script that installing the package writes for that entry
-    shim = "import sys; from upcsc.cli import main; sys.exit(main())"
+    # python -m upcsc runs the body of the script that installing the package writes
     data = tmp_path / "data"
-    run_python("-c", shim, "gen-data", "--config", cfg_path, "--out", str(data), expect=0)
+    run_python("-m", "upcsc", "gen-data", "--config", cfg_path, "--out", str(data), expect=0)
     assert (data / "domain2_test.csv").exists()
-    missing = run_python("-c", shim, "stats", "--confidences", str(tmp_path / "missing.csv"),
+    missing = run_python("-m", "upcsc", "stats", "--confidences", str(tmp_path / "missing.csv"),
                          "--truth-dir", str(data), "--out", str(tmp_path / "stats"), expect=1)
     assert missing.stderr.startswith("error: ")
-    negative = run_python("-c", shim, "train", "--config", cfg_path, "--seed", "-1",
+    negative = run_python("-m", "upcsc", "train", "--config", cfg_path, "--seed", "-1",
                           "--out", str(tmp_path / "run"), expect=2)
     assert negative.stderr == "error: seed must be nonnegative, got -1\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "small.cfg"]

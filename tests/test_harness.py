@@ -446,15 +446,6 @@ def test_build_train_config_conversions():
     assert cfg.lr_backbone == 0.001
 
 
-def test_build_train_config_rejects_unknown_and_bad_values():
-    with pytest.raises(ConfigError):
-        build_train_config({"learning_rate": "0.1"})
-    with pytest.raises(ConfigError):
-        build_train_config({"epochs": "two"})
-    with pytest.raises(ConfigError):
-        build_train_config({"tau": "1.5"})
-
-
 def test_build_train_config_converts_by_field_type():
     # a value's type comes from its field, not from how the string looks
     for key, raw in (("epochs", "1e0"), ("samples_per_class_per_domain", "1e2"),

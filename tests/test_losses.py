@@ -264,7 +264,7 @@ def test_upc_exclusion_gates_unconfident_negatives():
 def test_upc_no_negatives_is_zero():
     z = unit_rows(27, 3, 4)
     w = unit_rows(28, 2, 4)
-    value = upc_loss(z, w, [1, 1, 1], np.zeros((0, 4)), ()).item()
+    value = upc_loss(z, w, [1, 1, 1], np.zeros((0, 4)), cand_matrix([], c=2)).item()
     assert abs(value) <= 1e-12
 
 
@@ -305,7 +305,7 @@ def test_plain_inputs_give_the_tensor_path_bytes():
 
 def test_upc_shape_validation():
     with pytest.raises(ShapeError):
-        upc_loss(unit_rows(34, 2, 4), unit_rows(35, 3, 4), [0], np.zeros((0, 4)), ())
+        upc_loss(unit_rows(34, 2, 4), unit_rows(35, 3, 4), [0], np.zeros((0, 4)), cand_matrix([]))
     with pytest.raises(ShapeError):
         upc_loss(unit_rows(34, 2, 4), unit_rows(35, 3, 4), [0, 1],
                  unit_rows(36, 2, 4), cand_matrix([set()]))

@@ -284,33 +284,6 @@ def test_save_load_round_trip_bit_exact(tmp_path):
         assert a.tobytes() == b.tobytes(), name
 
 
-def test_load_rejects_corrupt_files(tmp_path):
-    state = init_model(DIMS, seed=0)
-    path = tmp_path / "model.bin"
-    save_model(state, path)
-    raw = path.read_bytes()
-
-    bad_magic = tmp_path / "bad_magic.bin"
-    bad_magic.write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(ValueError):
-        load_model(bad_magic)
-
-    truncated = tmp_path / "truncated.bin"
-    truncated.write_bytes(raw[:-16])
-    with pytest.raises(ValueError):
-        load_model(truncated)
-
-    trailing = tmp_path / "trailing.bin"
-    trailing.write_bytes(raw + b"\x00" * 8)
-    with pytest.raises(ValueError):
-        load_model(trailing)
-
-    bad_version = tmp_path / "bad_version.bin"
-    bad_version.write_bytes(raw[:4] + b"\x63\x00\x00\x00" + raw[8:])
-    with pytest.raises(ValueError):
-        load_model(bad_version)
-
-
 # DIMS' header words: version, input_dim 3, one hidden layer, width 4,
 # feature_dim 2, num_classes 3; each at 4 + 4 * word
 def _word(raw, word, value):
