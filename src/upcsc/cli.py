@@ -22,7 +22,7 @@ from .gradcheck import check_losses
 from .harness import (METHODS, ProtocolResult, build_train_config, check_run, parse_config_file,
                       run_protocol, train_one, write_metrics_csv, write_results_csv)
 from .model import save_model
-from .synthdata import export_benchmark, generate_benchmark
+from .synthdata import export_benchmark, export_truth, generate_benchmark
 
 
 def _config_from_args(args, **overrides) -> "TrainConfig":
@@ -38,20 +38,19 @@ class _TrainOutputs:
     """`upcsc train`'s outputs, written to a staging directory beside `out`
     and moved into `out` only once the whole run has succeeded.
 
-    A forked writer process exports the benchmark there first, then writes
-    confidences.csv from the epoch logs that `send` hands it while this
-    process trains. Each log is pickled to an unlinked spool file, which
-    holds whatever the writer has not read yet, and one channel carries a
-    notice per log to the writer and its report back. Training waits on the
-    writer only once the channel is full of unread notices, some 270 on
-    Linux. If anything raises, the writer included, the writer is stopped
-    and the staging directory removed: `out` is not created if it did not
-    exist, and keeps its old files if it did.
+    A forked writer process writes confidences.csv there, its one job, from
+    the epoch logs that `send` hands it while this process trains. Each log
+    is pickled to an unlinked spool file, which holds whatever the writer
+    has not read yet, and one channel carries a notice per log to the writer
+    and its report back. Training waits on the writer only once the channel
+    is full of unread notices, some 270 on Linux. If anything raises, the
+    writer included, the writer is stopped and the staging directory
+    removed: `out` is not created if it did not exist, and keeps its old
+    files if it did.
     """
 
-    def __init__(self, out, benchmark):
+    def __init__(self, out):
         self.out = os.path.abspath(out)
-        self._benchmark = benchmark
 
     def __enter__(self):
         head, name = os.path.split(self.out)
@@ -128,13 +127,12 @@ class _TrainOutputs:
             return f"writer process exited with code {self._writer.exitcode}"
 
     def _write(self) -> None:
-        """The writer process: the benchmark export, then confidences.csv."""
+        """The writer process: confidences.csv from the spooled logs."""
         # Ctrl-C reaches the whole process group; the parent handles it and stops this process
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         self._spool_out.close()
         self._channel.close()
         try:
-            export_benchmark(self._benchmark, self.path("benchmark"))
             logs = (pickle.load(self._spool_in) for _ in iter(self._writer_end.recv, None))
             analysis.write_confidences_csv(logs, self.path("confidences.csv"))
             message = None
@@ -148,7 +146,9 @@ def cmd_train(args) -> int:
     config = _config_from_args(args)
     check_run(config, args.target, args.seed)
     bench = generate_benchmark(config.benchmark)
-    with _TrainOutputs(args.out, bench) as outputs:
+    with _TrainOutputs(args.out) as outputs:
+        # stats joins confidences.csv with these; gen-data exports the data itself
+        export_truth(bench, outputs.path("benchmark"))
         run = train_one(config, args.target, args.seed, bench, on_epoch=outputs.send)
         save_model(run.final_state, outputs.path("model.bin"))
         write_metrics_csv(ProtocolResult(config, [run]), outputs.path("metrics.csv"))

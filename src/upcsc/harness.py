@@ -186,9 +186,10 @@ def train_one(config: TrainConfig, target: int, seed: int,
                 if step == 0:
                     first_total = breakdown.l_total
                 elif breakdown.l_total > MAX_LOSS_GROWTH * first_total:
+                    # step 0's l_total can be exactly 0, so the growth is not a ratio
                     raise DivergenceError(f"{run_id}: l_total {breakdown.l_total:.3g} at step "
-                                          f"{step} is {breakdown.l_total / first_total:.3g} "
-                                          f"times step 0's {first_total:.3g}")
+                                          f"{step} exceeds {MAX_LOSS_GROWTH:g} times step 0's "
+                                          f"{first_total:.3g}")
                 rates = {g: cosine_lr(base, step, total_steps) for g, base in base_rates.items()}
                 state = sgd_step(state, grads, rates)
             for name in sums:
@@ -266,7 +267,8 @@ def parse_config_file(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except UnicodeDecodeError as exc:
+    # a file that cannot be read is a config problem, like one that cannot be parsed
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     values: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):

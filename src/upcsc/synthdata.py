@@ -284,15 +284,21 @@ def truth_sidecar(directory, domain: int) -> tuple[str, list[str]]:
     return os.path.join(directory, f"domain{domain}_unlabeled_truth.csv"), ["label"]
 
 
+def export_truth(benchmark: DomainBenchmark, out_dir) -> None:
+    """Each domain's truth_sidecar: the labels of its unlabeled split."""
+    os.makedirs(out_dir, exist_ok=True)
+    for d in benchmark.domain_ids:
+        write_csv(*truth_sidecar(out_dir, d), format_rows("%d", benchmark.quarantined_truth(d)))
+
+
 def export_benchmark(benchmark: DomainBenchmark, out_dir) -> None:
     """One CSV per (domain, split); unlabeled labels are written as -1 and
-    the real labels go to the truth_sidecar.
+    the real labels go to the truth sidecars that export_truth writes.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    export_truth(benchmark, out_dir)
     for d in benchmark.domain_ids:
         _write_xy(os.path.join(out_dir, f"domain{d}_labeled.csv"), *benchmark.labeled(d))
         ux = benchmark.unlabeled(d)
         _write_xy(os.path.join(out_dir, f"domain{d}_unlabeled.csv"), ux, np.full(len(ux), -1))
-        write_csv(*truth_sidecar(out_dir, d), format_rows("%d", benchmark.quarantined_truth(d)))
         _write_xy(os.path.join(out_dir, f"domain{d}_test.csv"), *benchmark.test(d))
 

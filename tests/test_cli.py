@@ -30,10 +30,10 @@ def test_train_writes_artifacts(cfg_path, tmp_path, capsys):
     code = main(["train", "--config", cfg_path, "--target", "1", "--out", str(out)])
     assert code == 0
     assert "final target accuracy" in capsys.readouterr().out
-    for name in ("model.bin", "metrics.csv", "confidences.csv"):
-        assert (out / name).exists(), name
-    assert (out / "benchmark" / "domain0_labeled.csv").exists()
-    assert (out / "benchmark" / "domain2_unlabeled_truth.csv").exists()
+    # the run and the truth sidecars stats joins; gen-data exports the data
+    written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert written == sorted(["model.bin", "metrics.csv", "confidences.csv",
+                              *(f"benchmark/domain{d}_unlabeled_truth.csv" for d in range(3))])
 
 
 def test_train_generates_the_benchmark_once(cfg_path, tmp_path, monkeypatch):
@@ -48,11 +48,10 @@ def test_train_generates_the_benchmark_once(cfg_path, tmp_path, monkeypatch):
     out = tmp_path / "run"
     assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
     assert len(calls) == 1
-    # the exported benchmark is the one a fresh generation gives
+    # the truth sidecars are the ones a fresh generation gives
     fresh = tmp_path / "fresh"
-    synthdata.export_benchmark(synthdata.generate_benchmark(calls[0]), fresh)
-    for path in fresh.iterdir():
-        assert (out / "benchmark" / path.name).read_bytes() == path.read_bytes(), path.name
+    synthdata.export_truth(synthdata.generate_benchmark(calls[0]), fresh)
+    assert _listing(out / "benchmark") == _listing(fresh)
 
 
 def test_train_writes_the_confidences_of_its_epoch_logs(cfg_path, tmp_path):
@@ -115,7 +114,7 @@ def test_writer_error_exits_1_and_keeps_the_old_outputs(cfg_path, tmp_path, monk
     out = tmp_path / "run"
     (out / "benchmark").mkdir(parents=True)
     old = {"model.bin": b"old model", "confidences.csv": b"old log\r\n",
-           "benchmark/domain0_test.csv": b"old data\r\n"}
+           "benchmark/domain0_unlabeled_truth.csv": b"label\r\n9\r\n"}
     for name, data in old.items():
         (out / name).write_bytes(data)
     assert main(["train", "--config", cfg_path, "--out", str(out)]) == 1
@@ -145,7 +144,7 @@ def test_writer_error_on_the_last_epoch_surfaces_at_the_end(cfg_path, tmp_path, 
 
 def test_writer_error_stops_training_at_the_next_epoch(cfg_path, tmp_path, monkeypatch, capsys):
     def failing(*args):
-        raise OSError("cannot export")
+        raise OSError("cannot write")
 
     epochs_scored = []
     real = analysis.log_source_confidences
@@ -157,17 +156,17 @@ def test_writer_error_stops_training_at_the_next_epoch(cfg_path, tmp_path, monke
         epochs_scored.append(args[-1])
         return real(*args)
 
-    monkeypatch.setattr(cli, "export_benchmark", failing)
+    monkeypatch.setattr(analysis, "write_confidences_csv", failing)   # forked into the writer
     monkeypatch.setattr(analysis, "log_source_confidences", slow_first_epoch)
     cfg = tmp_path / "five.cfg"
     cfg.write_text(SMALL_CFG.replace("epochs = 2", "epochs = 5"))
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
-    assert capsys.readouterr().err == "error: cannot export\n"
+    assert capsys.readouterr().err == "error: cannot write\n"
     assert epochs_scored == [1]
 
 
 def test_writer_that_dies_without_a_word_exits_1(cfg_path, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "export_benchmark", lambda *args: os._exit(3))
+    monkeypatch.setattr(analysis, "write_confidences_csv", lambda *args: os._exit(3))
     out = tmp_path / "run"
     assert main(["train", "--config", cfg_path, "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: writer process exited with code 3\n"
@@ -181,9 +180,9 @@ THREE_SHORT_EPOCHS = "epochs = 3\nsteps_per_epoch = 1\n"
 
 
 def _gate_the_writer(monkeypatch, gate, then):
-    """Make the forked writer wait, instead of exporting, until the gate file
-    exists and then call `then`; the parent makes the gate in save_model,
-    after training has ended."""
+    """Make the forked writer wait, before it reads any log, until the gate
+    file exists, and then call `then` in place of write_confidences_csv; the
+    parent makes the gate in save_model, after training has ended."""
     real_save = cli.save_model
 
     def gated(*args):
@@ -198,13 +197,13 @@ def _gate_the_writer(monkeypatch, gate, then):
         gate.touch()
         return real_save(*args)
 
-    monkeypatch.setattr(cli, "export_benchmark", gated)   # forked into the writer
+    monkeypatch.setattr(analysis, "write_confidences_csv", gated)   # forked into the writer
     monkeypatch.setattr(cli, "save_model", opening_save)
 
 
 def test_training_never_waits_on_the_writer(tmp_path, monkeypatch):
     # a parent that blocked on handing over a log would wait for the gate's timeout
-    _gate_the_writer(monkeypatch, tmp_path / "gate", cli.export_benchmark)
+    _gate_the_writer(monkeypatch, tmp_path / "gate", analysis.write_confidences_csv)
     real_train = cli.train_one
     threads = []
 
@@ -365,13 +364,14 @@ def test_gen_data_exports(cfg_path, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["train", "gen-data"])
 def test_the_labels_per_class_flag_overrides_the_config(cfg_path, tmp_path, command):
-    # SMALL_CFG has labels_per_class = 4 and num_classes = 4
+    # SMALL_CFG has labels_per_class = 4, num_classes = 4 and 40 samples per
+    # class, 8 of them test ones: 2 labels leave 30 unlabeled per class, not 28
     out = tmp_path / "out"
     assert main([command, "--config", cfg_path, "--labels-per-class", "2", "--out", str(out)]) == 0
     data = out / "benchmark" if command == "train" else out
     for d in range(3):
-        lines = (data / f"domain{d}_labeled.csv").read_text().splitlines()
-        assert len(lines) == 1 + 2 * 4, d
+        lines = (data / f"domain{d}_unlabeled_truth.csv").read_text().splitlines()
+        assert len(lines) == 1 + 30 * 4, d
 
 
 # ------------------------------------------------------------ rejected input
@@ -481,6 +481,11 @@ test_usage_and_config_errors_exit_2 = _exits_2([
                 "protocol"),
     _bad_config("seeds = 0,0", "'seeds' must be one or more distinct seeds, got (0, 0)",
                 "protocol"),
+    # a config file that cannot be read, before any work
+    _usage_error("config-missing", ["train", "--config", "missing.cfg", "--out", "out"],
+                 "error: missing.cfg: [Errno 2] …"),
+    _usage_error("config-is-a-directory", ["train", "--config", ".", "--out", "out"],
+                 "error: .: [Errno 21] …"),
     # a config file is read as UTF-8, whatever the locale
     _usage_error("config-not-utf8", ["train", "--config", "bad.cfg", "--out", "out"],
                  "error: bad.cfg: 'utf-8' codec can't decode byte 0xff in position 10: "
@@ -690,7 +695,7 @@ def test_diverging_train_exits_1_without_outputs(tmp_path, capsys):
     cfg.write_text(DIVERGING_CFG)
     out = tmp_path / "out"
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
-    assert ("error: fixmatch+upcsc-t0-s0: l_total 1.36e+06 at step 1 is 1.26e+05 times step 0's "
+    assert ("error: fixmatch+upcsc-t0-s0: l_total 1.36e+06 at step 1 exceeds 100 times step 0's "
             "10.8\n") == capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["diverge.cfg"]
 

@@ -18,8 +18,8 @@ to move bytes records them again, on a CPU that runs every kernel set, with
 which rewrites digests.json with this machine's keys only, for each kernel
 set at each SIMD level reached by disabling targets from the top: a byte
 change leaves the digests of every other key stale. It prints, for each key,
-the outputs whose digest differs from the file it replaces, and the keys it
-adds or drops.
+against the file it replaces, the outputs no longer written, those newly
+written and those whose bytes moved, and the keys it adds or drops.
 """
 
 import json
@@ -137,7 +137,11 @@ if __name__ == "__main__":
         if key not in old:
             print(f"added {key}")
             continue
-        moved = sorted(name for name in {*sums, *old[key]} if sums.get(name) != old[key].get(name))
-        print(f"{key}: {', '.join(moved) or 'unchanged'}")
+        was = old[key]
+        changes = {"dropped": was.keys() - sums.keys(), "added": sums.keys() - was.keys(),
+                   "moved": {name for name in sums.keys() & was.keys() if sums[name] != was[name]}}
+        report = "; ".join(f"{kind} {len(names)}: {', '.join(sorted(names))}"
+                           for kind, names in changes.items() if names)
+        print(f"{key}: {report or 'unchanged'}")
     for key in old.keys() - digests.keys():
         print(f"dropped {key}")
