@@ -10,9 +10,10 @@ A sample is "confident" when its top confidence reaches the threshold; it
 then carries a pseudo label. Every other sample is "unconfident" and carries
 a row of the boolean candidate matrix K (n_unconfident, C): K[a, y] is True
 when class y scores strictly above uniform (1/C). A row's excluded classes
-are ~K[a], always derived, never stored. Every pair selection is an array
-expression over K and the pseudo labels. Both rules are written once, in
-confidence_roles, which the statistics in analysis read as well.
+are ~K[a], always derived, never stored. Both rules are written once, in
+confidence_roles, which the statistics in analysis read as well. UPC and SC
+select pairs by one rule, negative_pairs: two rows are a negative pair when
+their class sets, {pseudo label} or K's row, are disjoint.
 """
 
 from __future__ import annotations
@@ -129,95 +130,95 @@ def _cross_entropy(features, classifier, labels) -> Tensor:
                  (classifier, lambda g: (f.T @ (g / n * p)).T))
 
 
-def _checked_roles(pseudo, n_c: int, candidates, n_u: int, c: int):
-    """Pseudo labels (n_c,) and the boolean (n_u, C) candidate matrix, checked."""
+def _stacked_partition(n_rows: int, pseudo, candidates, weights, c: int) -> BatchPartition:
+    """The BatchPartition of n_rows rows stacked as the len(pseudo) confident
+    ones, then one unconfident row per candidate row; weights default to K."""
     pseudo = np.asarray(pseudo, dtype=np.int64)
-    if len(pseudo) != n_c:
-        raise ShapeError("pseudo labels and confident embeddings disagree in length")
     cand = np.asarray(candidates, dtype=bool)
-    if cand.shape != (n_u, c):
-        raise ShapeError(f"candidate matrix must be ({n_u}, {c}), got {cand.shape}")
-    return pseudo, cand
+    if cand.ndim != 2 or cand.shape[1] != c or len(pseudo) + len(cand) != n_rows:
+        raise ShapeError(f"{len(pseudo)} pseudo labels and a candidate matrix of shape "
+                         f"{cand.shape} must cover {n_rows} rows, with {c} classes")
+    weights = cand.astype(np.float64) if weights is None else np.asarray(weights, np.float64)
+    if weights.shape != cand.shape:
+        raise ShapeError(f"surrogate weights must be {cand.shape}, got {weights.shape}")
+    return BatchPartition(np.arange(len(pseudo)), pseudo, np.arange(len(pseudo), n_rows),
+                          cand, weights)
 
 
-def _proxy_contrast(z_a, proxies, weights, negatives) -> Tensor:
-    """The proxy-contrastive loss of PCL (Yao et al., CVPR 2022) that UPC and
-    SC share; they differ only in anchors, positives and negative masks.
+def _class_sets(part: BatchPartition, n_rows: int, c: int) -> np.ndarray:
+    """(n_rows, C) 0/1 class set of each row: its one-hot pseudo label if it is
+    confident, its candidate row K if not; an exactly uniform row's is empty."""
+    classes = np.zeros((n_rows, c))
+    classes[part.confident] = _onehot(part.pseudo_labels, c)
+    classes[part.unconfident] = part.candidates
+    return classes
 
-    Returns mean_i log(1 + sum_j m_ij exp(a_i . k_j) exp(-pos_i)) for anchor
-    rows a_i of z_a, positive logits pos_i = sum_y weights_iy (a_i . w_y)
-    over the proxy rows w_y, and the j running over every (keys, mask) side
-    in `negatives`, mask 0/1 of shape (n_a, n_keys). UPC's weights are
-    one-hot pseudo labels, SC's the surrogate weights. A side without keys
-    adds nothing. This is log(exp(pos) + rest) - pos, arranged so an anchor
-    with no negatives contributes log(1) = 0 exactly instead of rounding
-    noise.
 
-    One tape node. With r_i = g exp(-pos_i) / (n_a (1 + rest_i)), P = -r rest
-    weights and W the masked exp(a_i . k_j) of a side, the gradient is
-    P @ proxies plus, over sides, (r W) @ keys for z_a; (z_a.T @ P).T for
-    the proxies; and (r W).T @ z_a for each side's keys.
+def negative_pairs(classes, anchors) -> np.ndarray:
+    """The one negative-pair rule of UPC and SC: [i, j] is True when anchor
+    row anchors[i] and row j have disjoint class sets. Shared-class counts
+    are small integers, exact in float64. A row never pairs with itself, nor
+    with its other view, which shares its set."""
+    return classes[anchors] @ classes.T == 0.0
+
+
+def _proxy_contrast(z, proxies, classes, positives, anchors) -> Tensor:
+    """The proxy-contrastive loss of PCL (Yao et al., CVPR 2022), one value per
+    term t: the mean over its anchor rows i in anchors[t] of
+    log(1 + sum_j m_ij exp(z_i . z_j) exp(-pos_i)), with j over every row of
+    z, m the negative_pairs of the class sets `classes`, and positive logits
+    pos_i = sum_y positives_iy (z_i . w_y) over the proxy rows w_y. UPC's
+    positives are one-hot pseudo labels, SC's the surrogate weights. This is
+    log(exp(pos) + rest) - pos, arranged so an anchor with no negatives
+    contributes log(1) = 0 exactly instead of rounding noise.
+
+    One tape node over one anchors x rows product. With S the (n_a, terms)
+    share matrix, q_i = (S g)_i exp(-pos_i) / (1 + rest_i), G = q W over the
+    masked exps W and P = -q rest positives, the gradient is G.T @ z_a, plus
+    G @ z + P @ proxies on the anchor rows, for z; P.T @ z_a for the proxies.
     """
-    za, w = value_of(z_a), value_of(proxies)
+    zd, w = value_of(z), value_of(proxies)
+    rows, sizes = np.concatenate(anchors), [len(a) for a in anchors]
+    shares = np.repeat(np.eye(len(sizes)) / sizes, sizes, axis=0)
+    za, weights = zd[rows], positives[rows]
     pos = (za @ w.T * weights).sum(axis=1, keepdims=True)
-    live = [(keys, mask) for keys, mask in negatives if keys.shape[0]]
-    ks = [value_of(keys) for keys, _ in live]
-    ws = [np.exp(za @ k.T) * mask for k, (_, mask) in zip(ks, live)]
-    rest = sum(w_side.sum(axis=1, keepdims=True) for w_side in ws)
+    masked = np.exp(za @ zd.T)
+    masked *= negative_pairs(classes, rows)
+    rest = masked.sum(axis=1, keepdims=True)
     e_neg = np.exp(-pos)
     inner = 1.0 + rest * e_neg
-    n = len(inner)
-    r = e_neg / (n * inner)   # d value / d rest, per anchor
+    r = e_neg / inner   # d log(inner) / d rest, per anchor
 
-    def positive_share(g):   # d value / d (a_i . w_y)
-        return -g * r * rest * weights
+    def positive(g):   # d values / d (z_a . w_y); q W is d values / d (z_a . z_j)
+        return -(shares @ g)[:, None] * r * rest * weights
 
-    return _node(np.log(inner).sum() * (1.0 / n),
-                 (z_a, lambda g: sum(((g * r * w_side) @ k for k, w_side in zip(ks, ws)),
-                                     positive_share(g) @ w)),
-                 (proxies, lambda g: (za.T @ positive_share(g)).T),
-                 *((keys, lambda g, w_side=w_side: (g * r * w_side).T @ za)
-                   for (keys, _), w_side in zip(live, ws)))
+    def z_grad(g):
+        keys = (shares @ g)[:, None] * r * masked
+        out = keys.T @ za
+        out[rows] += keys @ zd + positive(g) @ w
+        return out
 
-
-def upc_negative_masks(pseudo, candidates) -> tuple[np.ndarray, np.ndarray]:
-    """0/1 negative-pair selections for the confident-anchor loss.
-
-    Returns (vs_confident, vs_unconfident): vs_confident[i, j] = 1 when
-    confident j carries a different pseudo label than anchor i, and
-    vs_unconfident[i, j] = 1 when unconfident j's candidate row K[j]
-    excludes anchor i's pseudo label. These are the masks the loss itself
-    consumes.
-    """
-    pseudo = np.asarray(pseudo, dtype=np.int64)
-    cand = np.asarray(candidates, dtype=bool)
-    vs_confident = (pseudo[:, None] != pseudo[None, :]).astype(np.float64)
-    vs_unconfident = (~cand[:, pseudo].T).astype(np.float64)
-    return vs_confident, vs_unconfident
+    return _node(np.log(inner).ravel() @ shares, (z, z_grad),
+                 (proxies, lambda g: positive(g).T @ za))
 
 
-def upc_loss(z_uc, w, pseudo, z_uu, candidates) -> Tensor:
-    """Contrastive pull of confident embeddings toward their pseudo proxies.
-
-    Anchor i (confident) pairs with w_{pseudo_i}. Negatives: confident j with
-    a different pseudo label, plus unconfident j whose candidate row
-    (`candidates`, the (n_uu, C) matrix K) excludes pseudo_i. Returns a
-    scalar Tensor (call .item() for the value, .backward() for gradients),
-    or a plain float64 when no input is a Tensor; with no confident samples
-    the result is a zero leaf.
-    """
-    c = w.shape[0]
-    pseudo, candidates = _checked_roles(pseudo, z_uc.shape[0], candidates, z_uu.shape[0], c)
-    if len(pseudo) == 0:
-        return Tensor(0.0)
-    vs_confident, vs_unconfident = upc_negative_masks(pseudo, candidates)
-    return _proxy_contrast(z_uc, w, _onehot(pseudo, c),
-                           [(z_uc, vs_confident), (z_uu, vs_unconfident)])
-
-
-def _surrogate_weights(conf_u: np.ndarray, candidates) -> np.ndarray:
-    """Per-row proxy weights, zero outside the candidate set."""
-    return np.where(candidates, conf_u, 0.0)
+def contrastive_terms(z, proxies, part: BatchPartition, flags: MethodFlags):
+    """(l_upc, l_sc) over the rows of z in the roles `part` gives them, from
+    one _proxy_contrast node, each term a one-entry node over its values.
+    UPC's anchors are the confident rows, SC's the unconfident rows with at
+    least one candidate; every row is a key. A term that is off or has no
+    anchor is a zero leaf."""
+    classes = _class_sets(part, z.shape[0], proxies.shape[0])
+    positives = classes.copy()
+    positives[part.unconfident] = part.weights
+    anchors = [part.confident if flags.upc else [], sc_anchor_rows(part) if flags.sc else []]
+    live = [t for t, a in enumerate(anchors) if len(a)]
+    if not live:
+        return Tensor(0.0), Tensor(0.0)
+    values = _proxy_contrast(z, proxies, classes, positives, [anchors[t] for t in live])
+    terms = {t: _node(value_of(values)[k], (values, lambda g, k=k: np.eye(len(live))[k] * g))
+             for k, t in enumerate(live)}
+    return tuple(terms[t] if t in terms else Tensor(0.0) for t in range(2))
 
 
 def sc_anchor_indices(candidates) -> np.ndarray:
@@ -225,46 +226,64 @@ def sc_anchor_indices(candidates) -> np.ndarray:
     return np.flatnonzero(np.asarray(candidates, dtype=bool).any(axis=1))
 
 
-def sc_negative_masks(candidates, pseudo) -> tuple[np.ndarray, np.ndarray]:
-    """0/1 negative-pair selections for the unconfident-anchor loss.
+def sc_anchor_rows(part: BatchPartition) -> np.ndarray:
+    """SC's anchors among the rows a partition covers."""
+    return part.unconfident[sc_anchor_indices(part.candidates)]
 
-    One row per anchor, sc_anchor_indices(candidates). vs_confident[a, j] = 1
-    when confident j's pseudo label falls outside anchor a's candidate row;
-    vs_unconfident[a, j] = 1 when unconfident j's candidate row shares no
-    class with anchor a's. These are the masks the loss itself consumes.
-    """
-    pseudo = np.asarray(pseudo, dtype=np.int64)
+
+def _negative_blocks(pseudo, candidates, anchors_of) -> tuple[np.ndarray, np.ndarray]:
+    """negative_pairs of the anchors_of(partition) rows of confident rows
+    stacked over unconfident ones, as 0/1 (vs_confident, vs_unconfident)."""
     cand = np.asarray(candidates, dtype=bool)
-    cand_a = cand[sc_anchor_indices(cand)]
-    vs_confident = (~cand_a[:, pseudo]).astype(np.float64)
-    # shared-candidate counts are small integers, exact in float64
-    shared = cand_a.astype(np.float64) @ cand.T.astype(np.float64)
-    vs_unconfident = (shared == 0.0).astype(np.float64)
-    return vs_confident, vs_unconfident
+    n_rows, c = len(pseudo) + len(cand), cand.shape[-1]
+    part = _stacked_partition(n_rows, pseudo, cand, None, c)
+    mask = negative_pairs(_class_sets(part, n_rows, c), anchors_of(part)).astype(np.float64)
+    return mask[:, :len(part.confident)], mask[:, len(part.confident):]
 
 
-def sc_loss(z_uu, w, weights, candidates, z_uc, pseudo) -> Tensor:
-    """Contrastive pull of unconfident embeddings toward their surrogate class.
+def upc_negative_masks(pseudo, candidates) -> tuple[np.ndarray, np.ndarray]:
+    """UPC's block of the negative-pair rule, one row per confident anchor i:
+    confident j of another pseudo label, unconfident j whose K[j] excludes
+    pseudo_i."""
+    return _negative_blocks(pseudo, candidates, lambda part: part.confident)
 
-    Anchors are unconfident samples with at least one candidate in
-    `candidates`, the (n_uu, C) matrix K; rows with none are skipped as
-    anchors but still obey the negative rules. An anchor's positive is its
-    surrogate class, the mix of proxy rows w (C, d) by its row of
-    `weights` (n_uu, C), the surrogate weights. Negatives: confident j whose
-    pseudo label the anchor excludes, plus unconfident j whose candidate row
-    shares no class with the anchor's.
+
+def sc_negative_masks(candidates, pseudo) -> tuple[np.ndarray, np.ndarray]:
+    """SC's block of the negative-pair rule, one row per anchor a of
+    sc_anchor_indices(candidates): confident j whose pseudo label a's row
+    excludes, unconfident j whose row shares no class with a's."""
+    return _negative_blocks(pseudo, candidates, sc_anchor_rows)
+
+
+def upc_loss(z, w, pseudo, candidates) -> Tensor:
+    """UPC alone: confident embeddings pulled toward their pseudo proxies.
+
+    z stacks the confident rows, one per pseudo label, over the unconfident
+    ones, one per row of `candidates`, the (n_u, C) matrix K. Anchor i pairs
+    with w_{pseudo_i}; negatives are upc_negative_masks'. Returns a scalar
+    Tensor (.item() for the value, .backward() for gradients), or a plain
+    float64 when no input is a Tensor; with no confident row, a zero leaf.
     """
-    n_uu, c = z_uu.shape[0], w.shape[0]
-    pseudo, candidates = _checked_roles(pseudo, z_uc.shape[0], candidates, n_uu, c)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (n_uu, c):
-        raise ShapeError(f"surrogate weights must be {(n_uu, c)}, got {weights.shape}")
-    anchors = sc_anchor_indices(candidates)
-    if anchors.size == 0:
-        return Tensor(0.0)
-    vs_confident, vs_unconfident = sc_negative_masks(candidates, pseudo)
-    return _proxy_contrast(gather_rows(z_uu, anchors), w, weights[anchors],
-                           [(z_uc, vs_confident), (z_uu, vs_unconfident)])
+    part = _stacked_partition(z.shape[0], pseudo, candidates, None, w.shape[0])
+    return contrastive_terms(z, w, part, MethodFlags(upc=True, sc=False))[0]
+
+
+def _surrogate_weights(conf_u: np.ndarray, candidates) -> np.ndarray:
+    """Per-row proxy weights, zero outside the candidate set."""
+    return np.where(candidates, conf_u, 0.0)
+
+
+def sc_loss(z, w, pseudo, candidates, weights) -> Tensor:
+    """SC alone: unconfident embeddings pulled toward their surrogate class.
+
+    z stacks rows as upc_loss does. Anchors are unconfident rows with a
+    candidate; a row with none is no anchor but still a negative. An
+    anchor's positive is its surrogate class, the mix of proxy rows w (C, d)
+    by its row of `weights` (n_u, C), the surrogate weights; negatives are
+    sc_negative_masks'.
+    """
+    part = _stacked_partition(z.shape[0], pseudo, candidates, weights, w.shape[0])
+    return contrastive_terms(z, w, part, MethodFlags(upc=False, sc=True))[1]
 
 
 def sum_terms(terms) -> Tensor:
@@ -321,14 +340,12 @@ def build_loss_graph(state, batch, views, flags: MethodFlags, tau: float, partit
     if (flags.upc or flags.sc) and n:
         w = project_proxies(tp)
         z = project_features(tp, f)
-        z_uc = gather_rows(z, np.concatenate([ci, n + ci]))
-        z_uu = gather_rows(z, np.concatenate([ui, n + ui]))
-        pseudo2 = np.concatenate([partition.pseudo_labels, partition.pseudo_labels])
-        cands2 = np.concatenate([partition.candidates, partition.candidates])
-        if flags.upc:
-            upc = upc_loss(z_uc, w, pseudo2, z_uu, cands2)
-        if flags.sc:
-            sc = sc_loss(z_uu, w, np.concatenate([partition.weights] * 2), cands2, z_uc, pseudo2)
+        # rows i and n + i, the two views of unlabeled row i, share its role
+        twice = {name: np.concatenate([getattr(partition, name)] * 2)
+                 for name in ("pseudo_labels", "candidates", "weights")}
+        views_part = BatchPartition(confident=np.concatenate([ci, n + ci]),
+                                    unconfident=np.concatenate([ui, n + ui]), **twice)
+        upc, sc = contrastive_terms(z, w, views_part, flags)
 
     terms = {"l_sup": sup, "l_unsup": unsup, "l_upc": upc, "l_sc": sc}
     terms["l_total"] = sum_terms(terms.values())

@@ -23,9 +23,9 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from upcsc.analysis import ConfidenceLog, confidence_rates
-from upcsc.autograd import _node
+from upcsc.autograd import Tensor, _node, gather_rows, value_of
 from upcsc.errors import ConfigError, DataError, ShapeError
-from upcsc.losses import (confidence_roles, sc_anchor_indices, sc_negative_masks,
+from upcsc.losses import (_onehot, confidence_roles, sc_anchor_indices, sc_negative_masks,
                           upc_negative_masks)
 from upcsc.model import ModelDims, ModelState, init_model
 from upcsc.numerics import _loaded_library_paths, _openblas_functions, as_matrix
@@ -165,6 +165,59 @@ def package_pair_selections(part) -> dict[str, object]:
             "sc_anchors": sc_anchor_indices(part.candidates).tolist(),
             "sc_vs_confident": (svs_c.shape, svs_c.tolist()),
             "sc_vs_unconfident": (svs_u.shape, svs_u.tolist())}
+
+
+def reference_proxy_contrast(z_a, proxies, weights, negatives):
+    """The proxy-contrastive kernel as one node per term, over (keys, mask)
+    sides: mean_i log(1 + sum_j m_ij exp(a_i . k_j) exp(-pos_i)) for anchor
+    rows a_i of z_a, pos_i = sum_y weights_iy (a_i . w_y), and j over every
+    side's keys; a side without keys adds nothing."""
+    za, w = value_of(z_a), value_of(proxies)
+    pos = (za @ w.T * weights).sum(axis=1, keepdims=True)
+    live = [(keys, mask) for keys, mask in negatives if keys.shape[0]]
+    ks = [value_of(keys) for keys, _ in live]
+    ws = [np.exp(za @ k.T) * mask for k, (_, mask) in zip(ks, live)]
+    rest = sum(w_side.sum(axis=1, keepdims=True) for w_side in ws)
+    e_neg = np.exp(-pos)
+    inner = 1.0 + rest * e_neg
+    n = len(inner)
+    r = e_neg / (n * inner)   # d value / d rest, per anchor
+
+    def positive_share(g):   # d value / d (a_i . w_y)
+        return -g * r * rest * weights
+
+    return _node(np.log(inner).sum() * (1.0 / n),
+                 (z_a, lambda g: sum(((g * r * w_side) @ k for k, w_side in zip(ks, ws)),
+                                     positive_share(g) @ w)),
+                 (proxies, lambda g: (za.T @ positive_share(g)).T),
+                 *((keys, lambda g, w_side=w_side: (g * r * w_side).T @ za)
+                   for (keys, _), w_side in zip(live, ws)))
+
+
+def reference_contrastive_terms(z, w, part, flags) -> tuple:
+    """(l_upc, l_sc) over the rows of z in the roles of BatchPartition `part`,
+    composed per role: each term its own reference_proxy_contrast node over
+    gathered copies of the confident and unconfident rows, with the four
+    role masks written out one expression each. A term that is off or has
+    no anchor is a zero leaf."""
+    c = w.shape[0]
+    pseudo, cand = part.pseudo_labels, part.candidates
+    z_uc, z_uu = gather_rows(z, part.confident), gather_rows(z, part.unconfident)
+    upc = sc = Tensor(0.0)
+    if flags.upc and len(pseudo):
+        vs_confident = (pseudo[:, None] != pseudo[None, :]).astype(np.float64)
+        vs_unconfident = (~cand[:, pseudo].T).astype(np.float64)
+        upc = reference_proxy_contrast(z_uc, w, _onehot(pseudo, c),
+                                       [(z_uc, vs_confident), (z_uu, vs_unconfident)])
+    anchors = np.flatnonzero(cand.any(axis=1))
+    if flags.sc and anchors.size:
+        cand_a = cand[anchors]
+        vs_confident = (~cand_a[:, pseudo]).astype(np.float64)
+        shared = cand_a.astype(np.float64) @ cand.T.astype(np.float64)
+        vs_unconfident = (shared == 0.0).astype(np.float64)
+        sc = reference_proxy_contrast(gather_rows(z_uu, anchors), w, part.weights[anchors],
+                                      [(z_uc, vs_confident), (z_uu, vs_unconfident)])
+    return upc, sc
 
 
 def confidence_counts(log, tau) -> tuple[int, list[int], list[bool]]:

@@ -53,7 +53,7 @@ def test_criterion_2_reduction_oracle():
         z = l2_normalize_rows(rng.standard_normal((n, d)))
         w = l2_normalize_rows(rng.standard_normal((c, d)))
         labels = rng.integers(0, c, n)
-        got = upc_loss(z, w, labels, np.zeros((0, d)), np.zeros((0, c), dtype=bool)).item()
+        got = upc_loss(z, w, labels, np.zeros((0, c), dtype=bool)).item()
         want = pcl_reference_loss(z, w, labels)
         worst = max(worst, abs(got - want))
     report("reduction oracle", worst <= EXACT,

@@ -112,27 +112,36 @@ def composed_cross_entropy(x, labels):
     return (lse + (-(x * onehot).sum(axis=1, keepdims=True))).sum() * (1.0 / n)
 
 
-def composed_proxy_contrast(z_a, pos, negatives):
-    sides = [(np.exp(z_a @ keys.T) * mask).sum(axis=1, keepdims=True)
-             for keys, mask in negatives if keys.shape[0]]
-    rest = sum(sides[1:], sides[0])
-    return np.log(rest * np.exp(-pos) + 1.0).sum() * (1.0 / len(pos))
+def composed_proxy_contrast(z, pos, sets, anchors):
+    """The kernel's values in the order of its ops, with the negative-pair
+    mask and the share matrix built from Python sets, row by row."""
+    rows = np.concatenate(anchors)
+    mask = np.array([[float(sets[i].isdisjoint(sets[j])) for j in range(len(sets))]
+                     for i in rows])
+    shares = np.array([[1.0 / len(a) if i in a else 0.0 for a in anchors] for i in rows])
+    rest = (np.exp(z[rows] @ z.T) * mask).sum(axis=1, keepdims=True)
+    return np.log(rest * np.exp(-pos) + 1.0).ravel() @ shares
 
 
-PROXY_WEIGHTS = RNG.random((4, 2))
+# class sets of rows 0..5: rows 0-1 anchor the first term and rows 2-3 the
+# second; row 2's set meets every other, so that anchor has no negative at
+# all, and rows 4-5 are keys only
+SETS = [{0}, {1}, {0, 1, 2}, {1, 2}, {2}, {0}]
+ANCHORS = [np.array([0, 1]), np.array([2, 3])]
+CLASSES = np.array([[float(y in s) for y in range(3)] for s in SETS])
+PROXY_WEIGHTS = RNG.random((6, 3))
+TERM_SEED = np.array([0.7, -1.3])
 
 
-def proxy_case(z, w, other, weights=PROXY_WEIGHTS):
-    """Anchors z (4, 3) that are also the first side's keys, proxies w (2, 3)
-    mixed by `weights` (4, 2) into the positives, a second side of keys
-    `other` (5, 3), a third side with no keys, and anchor 2 with no negative
-    at all (its mask row is zero on every side)."""
-    mask_self = 1.0 - np.eye(4)
-    mask_other = np.ones((4, 5))
-    mask_self[2] = mask_other[2] = 0.0
-    mask_other[0, 1:3] = 0.0
-    return z, w, weights, [(z, mask_self), (other, mask_other),
-                           (np.zeros((0, 3)), np.zeros((4, 0)))]
+def proxy_case(z, w, weights=PROXY_WEIGHTS):
+    """Rows z (6, 3), every one a key, proxies w (3, 3) mixed by `weights`
+    (6, 3) into the positives, in the roles of SETS and ANCHORS."""
+    return z, w, CLASSES, weights, ANCHORS
+
+
+def anchor_positives(z, w, weights=PROXY_WEIGHTS):
+    rows = np.concatenate(ANCHORS)
+    return (z[rows] @ w.T * weights[rows]).sum(axis=1, keepdims=True)
 
 
 def test_cross_entropy_grads_in_closed_form():
@@ -175,29 +184,32 @@ def test_l2_normalize_rows_matches_composed_ops_and_grad():
 
 
 def test_proxy_contrast_matches_composed_ops():
-    z, w, other = (RNG.standard_normal(s) for s in ((4, 3), (2, 3), (5, 3)))
-    pos = (z @ w.T * PROXY_WEIGHTS).sum(axis=1, keepdims=True)
-    expect = composed_proxy_contrast(z, pos, proxy_case(z, w, other)[3])
-    out = _proxy_contrast(*proxy_case(Tensor(z), Tensor(w), Tensor(other)))
-    assert out.item() == expect
-    assert _proxy_contrast(*proxy_case(z, w, other)) == expect
+    z, w = RNG.standard_normal((6, 3)), RNG.standard_normal((3, 3))
+    expect = composed_proxy_contrast(z, anchor_positives(z, w), SETS, ANCHORS)
+    out = _proxy_contrast(*proxy_case(Tensor(z), Tensor(w)))
+    assert np.array_equal(out.data, expect)
+    assert np.array_equal(_proxy_contrast(*proxy_case(z, w)), expect)
+    assert expect[0] > 0 and expect[1] > 0
 
 
 def test_proxy_contrast_positive_is_the_dot_with_the_weighted_proxy_mix():
     # SC's positive z_a . (weights @ w), its surrogate class, taken as the
     # weighted sum of the proxy logits z_a . w_y inside the kernel
+    rows = np.concatenate(ANCHORS)
     for _ in range(20):
-        z, w, other = (RNG.standard_normal(s) for s in ((4, 3), (2, 3), (5, 3)))
-        weights = RNG.random((4, 2))
-        pos = (z * (weights @ w)).sum(axis=1, keepdims=True)
-        case = proxy_case(z, w, other, weights)
-        assert abs(_proxy_contrast(*case) - composed_proxy_contrast(z, pos, case[3])) <= 1e-12
+        z, w = RNG.standard_normal((6, 3)), RNG.standard_normal((3, 3))
+        weights = RNG.random((6, 3))
+        pos = (z[rows] * (weights[rows] @ w)).sum(axis=1, keepdims=True)
+        expect = composed_proxy_contrast(z, pos, SETS, ANCHORS)
+        got = _proxy_contrast(*proxy_case(z, w, weights))
+        assert np.abs(got - expect).max() <= 1e-12
 
 
 def test_proxy_contrast_grads():
-    # z reaches the node both as anchors and as keys; both shares accumulate
-    check_op(lambda z, w, other: _proxy_contrast(*proxy_case(z, w, other)),
-             (4, 3), (2, 3), (5, 3))
+    # z reaches the node both as anchors and as keys; both shares accumulate,
+    # and each term's gradient carries its own weight
+    check_op(lambda z, w: seeded(_proxy_contrast(*proxy_case(z, w)), TERM_SEED),
+             (6, 3), (3, 3))
 
 
 def test_ndarray_operands_defer_to_tensor():
@@ -257,9 +269,9 @@ def count_nodes(monkeypatch):
     lambda t, c: _cross_entropy(t, c, [0, 2, 1]),
     lambda t, c: _cross_entropy(c, t, [0, 2, 1]),
     lambda t, c: linear(c, t, np.zeros(3)),
-    lambda t, c: _proxy_contrast(t, c, np.eye(3), [(c, np.ones((3, 3)))]),
-    lambda t, c: _proxy_contrast(c, c, np.eye(3), [(t, np.ones((3, 3)))]),
-    lambda t, c: _proxy_contrast(c, t, np.eye(3), [(c, np.ones((3, 3)))]),
+    lambda t, c: _proxy_contrast(t, c, np.eye(3), np.eye(3), [np.arange(3)]),
+    lambda t, c: _proxy_contrast(t, c, np.eye(3), np.eye(3), [np.array([0]), np.array([1, 2])]),
+    lambda t, c: _proxy_contrast(c, t, np.eye(3), np.eye(3), [np.arange(3)]),
     lambda t, c: l2_normalize_rows(t),
 ])
 def test_plain_operand_adds_exactly_one_node(monkeypatch, op):

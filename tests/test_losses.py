@@ -8,12 +8,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from oracles import pcl_reference_loss, with_params
+from oracles import pcl_reference_loss, reference_contrastive_terms, with_params
 
 from upcsc.autograd import Tensor, gather_rows
 from upcsc.errors import ConfigError, ShapeError
-from upcsc.losses import (LossBreakdown, MethodFlags, _cross_entropy, _surrogate_weights,
-                          build_loss_graph, param_gradients, partition_unlabeled,
+from upcsc.losses import (BatchPartition, LossBreakdown, MethodFlags, _cross_entropy,
+                          _surrogate_weights, build_loss_graph, contrastive_terms,
+                          param_gradients, partition_unlabeled,
                           sc_anchor_indices, sc_loss, sc_negative_masks, total_loss, upc_loss,
                           upc_negative_masks)
 from upcsc.model import ModelDims, ModelState, class_confidence, featurize, init_model
@@ -254,7 +255,7 @@ def test_upc_exclusion_gates_unconfident_negatives():
     z_uu = unit_rows(26, 2, 4)
     # first unconfident still considers class 0; second excludes it
     cands = cand_matrix([{0, 1}, {1, 2}])
-    value = upc_loss(z_uc, w, [0], z_uu, cands).item()
+    value = upc_loss(np.vstack([z_uc, z_uu]), w, [0], cands).item()
     pos = float(z_uc[0] @ w[0])
     rest = math.exp(float(z_uc[0] @ z_uu[1]))
     expect = math.log(math.exp(pos) + rest) - pos
@@ -264,26 +265,25 @@ def test_upc_exclusion_gates_unconfident_negatives():
 def test_upc_no_negatives_is_zero():
     z = unit_rows(27, 3, 4)
     w = unit_rows(28, 2, 4)
-    value = upc_loss(z, w, [1, 1, 1], np.zeros((0, 4)), cand_matrix([], c=2)).item()
+    value = upc_loss(z, w, [1, 1, 1], cand_matrix([], c=2)).item()
     assert abs(value) <= 1e-12
 
 
 def test_upc_no_confident_returns_constant_zero():
-    out = upc_loss(np.zeros((0, 4)), unit_rows(29, 3, 4), [], unit_rows(30, 2, 4),
-                   cand_matrix([{0}, {1}]))
+    out = upc_loss(unit_rows(30, 2, 4), unit_rows(29, 3, 4), [], cand_matrix([{0}, {1}]))
     assert out.item() == 0.0
 
 
 def test_upc_gradients_flow_to_inputs():
-    z_uc = Tensor(unit_rows(31, 3, 4))
+    # confident rows 0-2 as anchors, unconfident rows 3-4 as keys
+    z = Tensor(np.vstack([unit_rows(31, 3, 4), unit_rows(33, 2, 4)]))
     w = Tensor(unit_rows(32, 3, 4))
-    z_uu = Tensor(unit_rows(33, 2, 4))
     cands = cand_matrix([{1}, {2}])
-    out = upc_loss(z_uc, w, [0, 1, 2], z_uu, cands)
+    out = upc_loss(z, w, [0, 1, 2], cands)
     out.backward()
-    assert np.abs(z_uc.grad).max() > 0
+    assert np.abs(z.grad[:3]).max() > 0
     assert np.abs(w.grad).max() > 0
-    assert np.abs(z_uu.grad).max() > 0
+    assert np.abs(z.grad[3:]).max() > 0
 
 
 def test_plain_inputs_give_the_tensor_path_bytes():
@@ -291,27 +291,26 @@ def test_plain_inputs_give_the_tensor_path_bytes():
     for seed in range(20):
         rng = substream(40, seed)
         n_c, n_u = int(rng.integers(1, 8)), int(rng.integers(1, 8))
-        z_uc, z_uu, w = unit_rows(41 + seed, n_c, 4), unit_rows(61 + seed, n_u, 4), unit_rows(81, 3, 4)
+        z = np.vstack([unit_rows(41 + seed, n_c, 4), unit_rows(61 + seed, n_u, 4)])
+        w = unit_rows(81, 3, 4)
         pseudo = rng.integers(0, 3, n_c)
         cands = rng.random((n_u, 3)) < 0.5
         weights = rng.random((n_u, 3))
-        plain = (upc_loss(z_uc, w, pseudo, z_uu, cands),
-                 sc_loss(z_uu, w, weights, cands, z_uc, pseudo))
-        taped = (upc_loss(Tensor(z_uc), Tensor(w), pseudo, Tensor(z_uu), cands),
-                 sc_loss(Tensor(z_uu), Tensor(w), weights, cands, Tensor(z_uc), pseudo))
+        plain = (upc_loss(z, w, pseudo, cands), sc_loss(z, w, pseudo, cands, weights))
+        taped = (upc_loss(Tensor(z), Tensor(w), pseudo, cands),
+                 sc_loss(Tensor(z), Tensor(w), pseudo, cands, weights))
         for p, t in zip(plain, taped):
             assert p.item() == t.item(), seed
 
 
 def test_upc_shape_validation():
-    with pytest.raises(ShapeError):
-        upc_loss(unit_rows(34, 2, 4), unit_rows(35, 3, 4), [0], np.zeros((0, 4)), cand_matrix([]))
-    with pytest.raises(ShapeError):
-        upc_loss(unit_rows(34, 2, 4), unit_rows(35, 3, 4), [0, 1],
-                 unit_rows(36, 2, 4), cand_matrix([set()]))
+    z, w = np.vstack([unit_rows(34, 2, 4), unit_rows(36, 2, 4)]), unit_rows(35, 3, 4)
+    with pytest.raises(ShapeError):  # one pseudo label per confident row
+        upc_loss(z[:2], w, [0], cand_matrix([]))
+    with pytest.raises(ShapeError):  # one candidate row per unconfident row
+        upc_loss(z, w, [0, 1], cand_matrix([set()]))
     with pytest.raises(ShapeError):  # candidate rows need one column per class
-        upc_loss(unit_rows(34, 2, 4), unit_rows(35, 3, 4), [0, 1],
-                 unit_rows(36, 2, 4), cand_matrix([{0}, {1}], c=4))
+        upc_loss(z, w, [0, 1], cand_matrix([{0}, {1}], c=4))
 
 
 # ------------------------------------------------------- surrogate + sc loss
@@ -354,7 +353,7 @@ def test_sc_loss_hand_value_with_both_negative_kinds():
     conf = np.array([[0.5, 0.2, 0.3], [0.2, 0.45, 0.35]])
     weights = _surrogate_weights(conf, cand_matrix(sets))
     surrogates = weights @ w
-    value = sc_loss(z_uu, w, weights, cand_matrix(sets), z_uc, pseudo).item()
+    value = sc_loss(np.vstack([z_uc, z_uu]), w, pseudo, cand_matrix(sets), weights).item()
 
     expect_terms = []
     for i in range(2):
@@ -380,7 +379,7 @@ def test_sc_loss_degenerate_rows_skip_anchor_but_stay_negative():
     conf[2] = [0.4, 0.4, 0.2]
     weights = _surrogate_weights(conf, cands)
     surrogates = weights @ w
-    value = sc_loss(z_uu, w, weights, cands, np.zeros((0, 4)), []).item()
+    value = sc_loss(z_uu, w, [], cands, weights).item()
     # anchors are rows 0 and 2; the empty-set row 1 is disjoint from both, so
     # each anchor has exactly one negative: row 1
     expect = []
@@ -392,8 +391,8 @@ def test_sc_loss_degenerate_rows_skip_anchor_but_stay_negative():
 
 
 def test_sc_loss_no_anchors_zero():
-    value = sc_loss(unit_rows(48, 2, 4), unit_rows(51, 3, 4), np.zeros((2, 3)),
-                    cand_matrix([set(), set()]), np.zeros((0, 4)), []).item()
+    value = sc_loss(unit_rows(48, 2, 4), unit_rows(51, 3, 4), [], cand_matrix([set(), set()]),
+                    np.zeros((2, 3))).item()
     assert value == 0.0
 
 
@@ -401,19 +400,19 @@ def test_sc_shape_validation():
     z_uu, w = unit_rows(52, 2, 4), unit_rows(53, 3, 4)
     cands, weights = cand_matrix([{0}, {1}]), np.full((2, 3), 0.5)
     with pytest.raises(ShapeError):  # candidate rows need one column per proxy
-        sc_loss(z_uu, w, weights, cand_matrix([{0}, {1}], c=4), np.zeros((0, 4)), [])
+        sc_loss(z_uu, w, [], cand_matrix([{0}, {1}], c=4), weights)
     with pytest.raises(ShapeError):  # one weight row per unconfident sample
-        sc_loss(z_uu, w, weights[:1], cands, np.zeros((0, 4)), [])
+        sc_loss(z_uu, w, [], cands, weights[:1])
     with pytest.raises(ShapeError):  # one weight column per proxy
-        sc_loss(z_uu, w, np.full((2, 4), 0.5), cands, np.zeros((0, 4)), [])
-    with pytest.raises(ShapeError):
-        sc_loss(z_uu, w, weights, cands, unit_rows(54, 2, 4), [0])
+        sc_loss(z_uu, w, [], cands, np.full((2, 4), 0.5))
+    with pytest.raises(ShapeError):  # one pseudo label per confident row
+        sc_loss(np.vstack([unit_rows(54, 2, 4), z_uu]), w, [0], cands, weights)
 
 
 def test_sc_with_one_hot_candidates_is_upc_with_roles_swapped():
     # one candidate per unconfident row makes its surrogate a single proxy;
     # SC over those anchors then selects exactly UPC's pairs with the roles
-    # of the two embedding sets swapped, only summed in the other side order
+    # of the two embedding sets swapped, only summed in the other row order
     for seed in range(50):
         rng = substream(500 + seed)
         c = int(rng.integers(2, 6))
@@ -423,15 +422,14 @@ def test_sc_with_one_hot_candidates_is_upc_with_roles_swapped():
         p_u, p_c = rng.integers(0, c, n_u), rng.integers(0, c, n_c)
         z_u = l2_normalize_rows(rng.standard_normal((n_u, d)))
         z_c = l2_normalize_rows(rng.standard_normal((n_c, d)))
-        sc_in, upc_in = (Tensor(z_u), Tensor(z_c)), (Tensor(z_u), Tensor(z_c))
-        sc = sc_loss(sc_in[0], w, onehot(p_u, c).astype(float), onehot(p_u, c), sc_in[1], p_c)
-        upc = upc_loss(upc_in[0], w, p_u, upc_in[1], onehot(p_c, c))
+        sc_z, upc_z = Tensor(np.vstack([z_c, z_u])), Tensor(np.vstack([z_u, z_c]))
+        sc = sc_loss(sc_z, w, p_c, onehot(p_u, c), onehot(p_u, c).astype(float))
+        upc = upc_loss(upc_z, w, p_u, onehot(p_c, c))
         assert abs(sc.item() - upc.item()) <= 1e-12
         sc.backward()
         upc.backward()
-        for a, b in zip(sc_in, upc_in):
-            if a.grad is not None or b.grad is not None:
-                assert np.allclose(a.grad, b.grad, rtol=0.0, atol=1e-12)
+        swapped = np.vstack([upc_z.grad[n_u:], upc_z.grad[:n_u]])
+        assert np.allclose(sc_z.grad, swapped, rtol=0.0, atol=1e-12)
 
 
 def test_sc_loss_no_negatives_zero():
@@ -440,9 +438,60 @@ def test_sc_loss_no_negatives_zero():
     w = unit_rows(50, 3, 4)
     cands = cand_matrix([{0, 1}, {1, 2}])
     conf = np.array([[0.4, 0.4, 0.2], [0.2, 0.4, 0.4]])
-    value = sc_loss(z_uu, w, _surrogate_weights(conf, cands), cands, np.zeros((0, 4)),
-                    []).item()
+    value = sc_loss(z_uu, w, [], cands, _surrogate_weights(conf, cands)).item()
     assert abs(value) <= 1e-12
+
+
+def random_roles(rng, n_rows, c, p_confident, p_candidate):
+    """A BatchPartition of n_rows rows: each confident with p_confident, and
+    each class a candidate of an unconfident row with p_candidate."""
+    is_confident = rng.random(n_rows) < p_confident
+    ci, ui = np.flatnonzero(is_confident), np.flatnonzero(~is_confident)
+    cand = rng.random((len(ui), c)) < p_candidate
+    return BatchPartition(ci, rng.integers(0, c, len(ci)), ui, cand,
+                          np.where(cand, rng.random(cand.shape), 0.0))
+
+
+def single_anchor(rng, n_rows, c, p_confident, p_candidate):
+    """One confident row among unconfident rows that are all exactly uniform."""
+    part = random_roles(rng, n_rows, c, 0.0, 0.0)
+    return BatchPartition(part.unconfident[:1], np.array([c - 1]), part.unconfident[1:],
+                          part.candidates[1:], part.weights[1:])
+
+
+ROLE_CASES = {   # name: (partition maker, P(confident), P(candidate))
+    "mixed": (random_roles, 0.4, 0.4),
+    "no confident rows": (random_roles, 0.0, 0.5),
+    "no unconfident rows": (random_roles, 1.0, 0.5),
+    "only uniform unconfident rows": (random_roles, 0.5, 0.0),
+    "a single anchor": (single_anchor, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("flags", [ALL, MethodFlags(True, True, False),
+                                   MethodFlags(True, False, True)], ids=["both", "upc", "sc"])
+@pytest.mark.parametrize("case", ROLE_CASES)
+def test_contrastive_terms_match_the_per_role_reference(case, flags):
+    # one kernel over one anchors x rows product against two per-role nodes
+    # over gathered copies: values and input gradients, term by term, agree
+    # to 1e-12 relative (summation order differs)
+    make, p_confident, p_candidate = ROLE_CASES[case]
+    for seed in range(40):
+        rng = substream(600, seed)
+        n_rows, c, d = int(rng.integers(1, 13)), int(rng.integers(2, 6)), int(rng.integers(2, 6))
+        part = make(rng, n_rows, c, p_confident, p_candidate)
+        z, w = unit_rows(601 + seed, n_rows, d), unit_rows(701 + seed, c, d)
+        for t, name in enumerate(("l_upc", "l_sc")):
+            got_in = (Tensor(z.copy()), Tensor(w.copy()))
+            want_in = (Tensor(z.copy()), Tensor(w.copy()))
+            got = contrastive_terms(*got_in, part, flags)[t]
+            want = reference_contrastive_terms(*want_in, part, flags)[t]
+            assert abs(got.item() - want.item()) <= 1e-12 * abs(want.item()), (case, seed, name)
+            got.backward()
+            want.backward()
+            for a, b in zip(got_in, want_in):
+                a, b = (np.zeros_like(x.data) if x.grad is None else x.grad for x in (a, b))
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), (case, seed, name)
 
 
 # ---------------------------------------------------------------- total loss
@@ -575,7 +624,7 @@ def test_loss_graph_is_freed_without_the_cycle_collector():
         terms, _, tp = build_loss_graph(state, batch, views, ALL, 0.65)
         terms["l_total"].backward()
         refs = _reachable_nodes(terms["l_total"])
-        assert len(refs) > 20   # the fused graph has 28 nodes
+        assert len(refs) > 20   # the fused graph has 26 nodes
         del terms, tp
         assert [ref for ref in refs if ref() is not None] == []
     finally:
