@@ -100,14 +100,24 @@ class _TrainOutputs:
         self._notify(True)
 
     def commit(self) -> None:
-        """Wait for the writer, then move every staged file into `out`."""
+        """Wait for the writer, then move every staged file into `out`, once no
+        destination stands in the way: a staged directory may only go onto a
+        directory, a staged file onto anything else."""
         self._notify(None)
         message = self._report()
         if message is not None:
             raise RuntimeError(message)
         self._writer.join()
+        staged = []
         for root, _, files in os.walk(self.staging):
             dest = os.path.normpath(os.path.join(self.out, os.path.relpath(root, self.staging)))
+            if os.path.lexists(dest) and not os.path.isdir(dest):
+                raise FileExistsError(f"{dest} is in the way: it is not a directory")
+            for path in (os.path.join(dest, name) for name in files):
+                if os.path.isdir(path):
+                    raise IsADirectoryError(f"{path} is in the way: it is a directory")
+            staged.append((root, dest, files))
+        for root, dest, files in staged:
             os.makedirs(dest, exist_ok=True)
             for name in files:
                 os.replace(os.path.join(root, name), os.path.join(dest, name))

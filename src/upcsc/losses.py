@@ -130,26 +130,11 @@ def _cross_entropy(features, classifier, labels) -> Tensor:
                  (classifier, lambda g: (f.T @ (g / n * p)).T))
 
 
-def _stacked_partition(n_rows: int, pseudo, candidates, weights, c: int) -> BatchPartition:
-    """The BatchPartition of n_rows rows stacked as the len(pseudo) confident
-    ones, then one unconfident row per candidate row; weights default to K."""
-    pseudo = np.asarray(pseudo, dtype=np.int64)
-    cand = np.asarray(candidates, dtype=bool)
-    if cand.ndim != 2 or cand.shape[1] != c or len(pseudo) + len(cand) != n_rows:
-        raise ShapeError(f"{len(pseudo)} pseudo labels and a candidate matrix of shape "
-                         f"{cand.shape} must cover {n_rows} rows, with {c} classes")
-    weights = cand.astype(np.float64) if weights is None else np.asarray(weights, np.float64)
-    if weights.shape != cand.shape:
-        raise ShapeError(f"surrogate weights must be {cand.shape}, got {weights.shape}")
-    return BatchPartition(np.arange(len(pseudo)), pseudo, np.arange(len(pseudo), n_rows),
-                          cand, weights)
-
-
-def _class_sets(part: BatchPartition, n_rows: int, c: int) -> np.ndarray:
-    """(n_rows, C) 0/1 class set of each row: its one-hot pseudo label if it is
-    confident, its candidate row K if not; an exactly uniform row's is empty."""
-    classes = np.zeros((n_rows, c))
-    classes[part.confident] = _onehot(part.pseudo_labels, c)
+def _class_sets(part: BatchPartition) -> np.ndarray:
+    """(n, C) 0/1 class set of each row part covers: its one-hot pseudo label if
+    it is confident, its row of K if not; an exactly uniform row's is empty."""
+    classes = np.zeros((len(part.confident) + len(part.unconfident), part.candidates.shape[1]))
+    classes[part.confident] = _onehot(part.pseudo_labels, classes.shape[1])
     classes[part.unconfident] = part.candidates
     return classes
 
@@ -205,10 +190,15 @@ def _proxy_contrast(z, proxies, classes, positives, anchors) -> Tensor:
 def contrastive_terms(z, proxies, part: BatchPartition, flags: MethodFlags):
     """(l_upc, l_sc) over the rows of z in the roles `part` gives them, from
     one _proxy_contrast node, each term a one-entry node over its values.
-    UPC's anchors are the confident rows, SC's the unconfident rows with at
-    least one candidate; every row is a key. A term that is off or has no
-    anchor is a zero leaf."""
-    classes = _class_sets(part, z.shape[0], proxies.shape[0])
+    UPC's anchors are the confident rows, SC's sc_anchor_rows; every row is a
+    key. A term that is off or has no anchor is a zero leaf."""
+    n_c, n_u, c = len(part.confident), len(part.unconfident), proxies.shape[0]
+    if (n_c + n_u != z.shape[0] or len(part.pseudo_labels) != n_c
+            or np.shape(part.candidates) != (n_u, c) or np.shape(part.weights) != (n_u, c)):
+        raise ShapeError(f"{n_c} confident rows, {len(part.pseudo_labels)} pseudo labels, K "
+                         f"{np.shape(part.candidates)} and weights {np.shape(part.weights)} "
+                         f"do not fit {z.shape[0]} rows of {c} classes")
+    classes = _class_sets(part)
     positives = classes.copy()
     positives[part.unconfident] = part.weights
     anchors = [part.confident if flags.upc else [], sc_anchor_rows(part) if flags.sc else []]
@@ -221,69 +211,39 @@ def contrastive_terms(z, proxies, part: BatchPartition, flags: MethodFlags):
     return tuple(terms[t] if t in terms else Tensor(0.0) for t in range(2))
 
 
-def sc_anchor_indices(candidates) -> np.ndarray:
-    """Unconfident rows that qualify as anchors: at least one candidate."""
-    return np.flatnonzero(np.asarray(candidates, dtype=bool).any(axis=1))
-
-
 def sc_anchor_rows(part: BatchPartition) -> np.ndarray:
-    """SC's anchors among the rows a partition covers."""
-    return part.unconfident[sc_anchor_indices(part.candidates)]
+    """SC's anchors: the unconfident rows with at least one candidate."""
+    return part.unconfident[part.candidates.any(axis=1)]
 
 
-def _negative_blocks(pseudo, candidates, anchors_of) -> tuple[np.ndarray, np.ndarray]:
-    """negative_pairs of the anchors_of(partition) rows of confident rows
-    stacked over unconfident ones, as 0/1 (vs_confident, vs_unconfident)."""
-    cand = np.asarray(candidates, dtype=bool)
-    n_rows, c = len(pseudo) + len(cand), cand.shape[-1]
-    part = _stacked_partition(n_rows, pseudo, cand, None, c)
-    mask = negative_pairs(_class_sets(part, n_rows, c), anchors_of(part)).astype(np.float64)
-    return mask[:, :len(part.confident)], mask[:, len(part.confident):]
+def upc_negative_masks(part: BatchPartition) -> tuple[np.ndarray, np.ndarray]:
+    """UPC's (vs_confident, vs_unconfident) column blocks of negative_pairs,
+    one row per confident anchor."""
+    mask = negative_pairs(_class_sets(part), part.confident)
+    return mask[:, part.confident], mask[:, part.unconfident]
 
 
-def upc_negative_masks(pseudo, candidates) -> tuple[np.ndarray, np.ndarray]:
-    """UPC's block of the negative-pair rule, one row per confident anchor i:
-    confident j of another pseudo label, unconfident j whose K[j] excludes
-    pseudo_i."""
-    return _negative_blocks(pseudo, candidates, lambda part: part.confident)
+def sc_negative_masks(part: BatchPartition) -> tuple[np.ndarray, np.ndarray]:
+    """SC's (vs_confident, vs_unconfident) column blocks of negative_pairs,
+    one row per anchor of sc_anchor_rows."""
+    mask = negative_pairs(_class_sets(part), sc_anchor_rows(part))
+    return mask[:, part.confident], mask[:, part.unconfident]
 
 
-def sc_negative_masks(candidates, pseudo) -> tuple[np.ndarray, np.ndarray]:
-    """SC's block of the negative-pair rule, one row per anchor a of
-    sc_anchor_indices(candidates): confident j whose pseudo label a's row
-    excludes, unconfident j whose row shares no class with a's."""
-    return _negative_blocks(pseudo, candidates, sc_anchor_rows)
-
-
-def upc_loss(z, w, pseudo, candidates) -> Tensor:
-    """UPC alone: confident embeddings pulled toward their pseudo proxies.
-
-    z stacks the confident rows, one per pseudo label, over the unconfident
-    ones, one per row of `candidates`, the (n_u, C) matrix K. Anchor i pairs
-    with w_{pseudo_i}; negatives are upc_negative_masks'. Returns a scalar
-    Tensor (.item() for the value, .backward() for gradients), or a plain
-    float64 when no input is a Tensor; with no confident row, a zero leaf.
-    """
-    part = _stacked_partition(z.shape[0], pseudo, candidates, None, w.shape[0])
+def upc_loss(z, w, part: BatchPartition) -> Tensor:
+    """UPC alone over the rows of z in the roles `part` gives them; a zero leaf
+    with no confident row."""
     return contrastive_terms(z, w, part, MethodFlags(upc=True, sc=False))[0]
+
+
+def sc_loss(z, w, part: BatchPartition) -> Tensor:
+    """SC alone, as upc_loss; a zero leaf with no anchor in sc_anchor_rows."""
+    return contrastive_terms(z, w, part, MethodFlags(upc=False, sc=True))[1]
 
 
 def _surrogate_weights(conf_u: np.ndarray, candidates) -> np.ndarray:
     """Per-row proxy weights, zero outside the candidate set."""
     return np.where(candidates, conf_u, 0.0)
-
-
-def sc_loss(z, w, pseudo, candidates, weights) -> Tensor:
-    """SC alone: unconfident embeddings pulled toward their surrogate class.
-
-    z stacks rows as upc_loss does. Anchors are unconfident rows with a
-    candidate; a row with none is no anchor but still a negative. An
-    anchor's positive is its surrogate class, the mix of proxy rows w (C, d)
-    by its row of `weights` (n_u, C), the surrogate weights; negatives are
-    sc_negative_masks'.
-    """
-    part = _stacked_partition(z.shape[0], pseudo, candidates, weights, w.shape[0])
-    return contrastive_terms(z, w, part, MethodFlags(upc=False, sc=True))[1]
 
 
 def sum_terms(terms) -> Tensor:

@@ -25,8 +25,8 @@ from hypothesis import strategies as st
 from upcsc.analysis import ConfidenceLog, confidence_rates
 from upcsc.autograd import Tensor, _node, gather_rows, value_of
 from upcsc.errors import ConfigError, DataError, ShapeError
-from upcsc.losses import (_onehot, confidence_roles, sc_anchor_indices, sc_negative_masks,
-                          upc_negative_masks)
+from upcsc.losses import (BatchPartition, _onehot, confidence_roles, sc_anchor_rows,
+                          sc_negative_masks, upc_negative_masks)
 from upcsc.model import ModelDims, ModelState, init_model
 from upcsc.numerics import _loaded_library_paths, _openblas_functions, as_matrix
 
@@ -110,6 +110,16 @@ def pcl_reference_loss(z, w, labels) -> float:
     return total / len(z)
 
 
+def stacked_partition(pseudo, candidates, weights=None) -> BatchPartition:
+    """The BatchPartition of rows stacked as one confident row per pseudo
+    label over one unconfident row per row of the candidate matrix K;
+    surrogate weights default to K as 0/1 floats. Nothing is checked."""
+    pseudo, cand = np.asarray(pseudo, dtype=np.int64), np.asarray(candidates, dtype=bool)
+    weights = cand.astype(np.float64) if weights is None else np.asarray(weights, np.float64)
+    n_c = len(pseudo)
+    return BatchPartition(np.arange(n_c), pseudo, np.arange(n_c, n_c + len(cand)), cand, weights)
+
+
 def confidence_sets(conf, tau) -> tuple[list, list]:
     """The confidence rule row by row, as the method states it: a row whose
     top score reaches tau is confident, its pseudo label the first class at
@@ -151,18 +161,19 @@ def pair_selections(conf, tau) -> dict[str, object]:
     anchors = [cand for cand in cands if cand]
     return {"upc_vs_confident": _mask(pseudo, pseudo, lambda y_i, y_j: y_j != y_i),
             "upc_vs_unconfident": _mask(pseudo, cands, lambda y_i, c_j: y_i not in c_j),
-            "sc_anchors": [a for a, cand in enumerate(cands) if cand],
+            "sc_anchors": [i for i, cand in unconfident if cand],
             "sc_vs_confident": _mask(anchors, pseudo, lambda c_a, y_j: y_j not in c_a),
             "sc_vs_unconfident": _mask(anchors, cands, lambda c_a, c_j: c_a.isdisjoint(c_j))}
 
 
 def package_pair_selections(part) -> dict[str, object]:
-    """pair_selections' dict from the package's mask builders on a partition."""
-    vs_c, vs_u = upc_negative_masks(part.pseudo_labels, part.candidates)
-    svs_c, svs_u = sc_negative_masks(part.candidates, part.pseudo_labels)
+    """pair_selections' dict from the package's mask builders on a partition;
+    their boolean rows compare equal to the oracle's 0.0/1.0 rows."""
+    vs_c, vs_u = upc_negative_masks(part)
+    svs_c, svs_u = sc_negative_masks(part)
     return {"upc_vs_confident": (vs_c.shape, vs_c.tolist()),
             "upc_vs_unconfident": (vs_u.shape, vs_u.tolist()),
-            "sc_anchors": sc_anchor_indices(part.candidates).tolist(),
+            "sc_anchors": sc_anchor_rows(part).tolist(),
             "sc_vs_confident": (svs_c.shape, svs_c.tolist()),
             "sc_vs_unconfident": (svs_u.shape, svs_u.tolist())}
 

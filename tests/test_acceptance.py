@@ -12,7 +12,8 @@ import numpy as np
 from oracles import (DESK_CONFIG, candidate_set_sizes, config_text, confidence_counts,
                      confidence_sets, degenerate_uniform_count, inclusion_rate,
                      mean_candidate_fraction, package_pair_selections, pair_selections,
-                     paired_deltas, partition_sets, pcl_reference_loss, uus_rate, with_params)
+                     paired_deltas, partition_sets, pcl_reference_loss, stacked_partition,
+                     uus_rate, with_params)
 
 from upcsc import analysis
 from upcsc.cli import main
@@ -53,7 +54,7 @@ def test_criterion_2_reduction_oracle():
         z = l2_normalize_rows(rng.standard_normal((n, d)))
         w = l2_normalize_rows(rng.standard_normal((c, d)))
         labels = rng.integers(0, c, n)
-        got = upc_loss(z, w, labels, np.zeros((0, c), dtype=bool)).item()
+        got = upc_loss(z, w, stacked_partition(labels, np.zeros((0, c), dtype=bool))).item()
         want = pcl_reference_loss(z, w, labels)
         worst = max(worst, abs(got - want))
     report("reduction oracle", worst <= EXACT,

@@ -125,6 +125,32 @@ def test_writer_error_exits_1_and_keeps_the_old_outputs(cfg_path, tmp_path, monk
     assert _leftovers(tmp_path) == []
 
 
+@pytest.mark.parametrize("blocker, is_dir", [("benchmark", False),
+                                             ("benchmark/domain0_unlabeled_truth.csv", True)])
+def test_a_blocked_destination_exits_1_and_moves_nothing(cfg_path, tmp_path, capsys, blocker,
+                                                         is_dir):
+    # a file where the run puts a directory, or a directory where it puts a
+    # file; the top-level files would move before the blocked one is reached
+    out = tmp_path / "run"
+    (out / blocker).parent.mkdir(parents=True, exist_ok=True)
+    old = {"model.bin": b"old model", "metrics.csv": b"old metrics\r\n"}
+    if is_dir:
+        (out / blocker).mkdir()
+    else:
+        old[blocker] = b"not a directory\n"
+    for name, data in old.items():
+        (out / name).write_bytes(data)
+    paths = sorted(p.relative_to(out).as_posix() for p in out.rglob("*"))
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out / blocker) in err
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == paths
+    assert {p.relative_to(out).as_posix(): p.read_bytes()
+            for p in out.rglob("*") if p.is_file()} == old
+    assert multiprocessing.active_children() == []
+    assert _leftovers(tmp_path) == []
+
+
 def test_writer_error_on_the_last_epoch_surfaces_at_the_end(cfg_path, tmp_path, monkeypatch,
                                                             capsys):
     real = analysis.format_rows

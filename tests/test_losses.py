@@ -8,15 +8,15 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from oracles import pcl_reference_loss, reference_contrastive_terms, with_params
+from oracles import (pcl_reference_loss, reference_contrastive_terms, stacked_partition,
+                     with_params)
 
 from upcsc.autograd import Tensor, gather_rows
 from upcsc.errors import ConfigError, ShapeError
 from upcsc.losses import (BatchPartition, LossBreakdown, MethodFlags, _cross_entropy,
                           _surrogate_weights, build_loss_graph, contrastive_terms,
-                          param_gradients, partition_unlabeled,
-                          sc_anchor_indices, sc_loss, sc_negative_masks, total_loss, upc_loss,
-                          upc_negative_masks)
+                          param_gradients, partition_unlabeled, sc_anchor_rows, sc_loss,
+                          sc_negative_masks, total_loss, upc_loss, upc_negative_masks)
 from upcsc.model import ModelDims, ModelState, class_confidence, featurize, init_model
 from upcsc.numerics import l2_normalize_rows, softmax_rows, substream
 from upcsc.synthdata import BenchmarkConfig, TrainBatch, augment_views
@@ -255,7 +255,7 @@ def test_upc_exclusion_gates_unconfident_negatives():
     z_uu = unit_rows(26, 2, 4)
     # first unconfident still considers class 0; second excludes it
     cands = cand_matrix([{0, 1}, {1, 2}])
-    value = upc_loss(np.vstack([z_uc, z_uu]), w, [0], cands).item()
+    value = upc_loss(np.vstack([z_uc, z_uu]), w, stacked_partition([0], cands)).item()
     pos = float(z_uc[0] @ w[0])
     rest = math.exp(float(z_uc[0] @ z_uu[1]))
     expect = math.log(math.exp(pos) + rest) - pos
@@ -265,12 +265,13 @@ def test_upc_exclusion_gates_unconfident_negatives():
 def test_upc_no_negatives_is_zero():
     z = unit_rows(27, 3, 4)
     w = unit_rows(28, 2, 4)
-    value = upc_loss(z, w, [1, 1, 1], cand_matrix([], c=2)).item()
+    value = upc_loss(z, w, stacked_partition([1, 1, 1], cand_matrix([], c=2))).item()
     assert abs(value) <= 1e-12
 
 
 def test_upc_no_confident_returns_constant_zero():
-    out = upc_loss(unit_rows(30, 2, 4), unit_rows(29, 3, 4), [], cand_matrix([{0}, {1}]))
+    out = upc_loss(unit_rows(30, 2, 4), unit_rows(29, 3, 4),
+                   stacked_partition([], cand_matrix([{0}, {1}])))
     assert out.item() == 0.0
 
 
@@ -279,7 +280,7 @@ def test_upc_gradients_flow_to_inputs():
     z = Tensor(np.vstack([unit_rows(31, 3, 4), unit_rows(33, 2, 4)]))
     w = Tensor(unit_rows(32, 3, 4))
     cands = cand_matrix([{1}, {2}])
-    out = upc_loss(z, w, [0, 1, 2], cands)
+    out = upc_loss(z, w, stacked_partition([0, 1, 2], cands))
     out.backward()
     assert np.abs(z.grad[:3]).max() > 0
     assert np.abs(w.grad).max() > 0
@@ -296,21 +297,30 @@ def test_plain_inputs_give_the_tensor_path_bytes():
         pseudo = rng.integers(0, 3, n_c)
         cands = rng.random((n_u, 3)) < 0.5
         weights = rng.random((n_u, 3))
-        plain = (upc_loss(z, w, pseudo, cands), sc_loss(z, w, pseudo, cands, weights))
-        taped = (upc_loss(Tensor(z), Tensor(w), pseudo, cands),
-                 sc_loss(Tensor(z), Tensor(w), pseudo, cands, weights))
+        part = stacked_partition(pseudo, cands, weights)
+        plain = (upc_loss(z, w, part), sc_loss(z, w, part))
+        taped = (upc_loss(Tensor(z), Tensor(w), part), sc_loss(Tensor(z), Tensor(w), part))
         for p, t in zip(plain, taped):
             assert p.item() == t.item(), seed
 
 
+def misfit(part, **fields):
+    """part with `fields` replaced, past BatchPartition's lack of checks."""
+    return BatchPartition(**{**vars(part), **fields})
+
+
 def test_upc_shape_validation():
     z, w = np.vstack([unit_rows(34, 2, 4), unit_rows(36, 2, 4)]), unit_rows(35, 3, 4)
+    part = stacked_partition([0, 1], cand_matrix([{0}, {1}]))
+    upc_loss(z, w, part)
+    with pytest.raises(ShapeError):  # the partition covers every row of z
+        upc_loss(z[:3], w, part)
     with pytest.raises(ShapeError):  # one pseudo label per confident row
-        upc_loss(z[:2], w, [0], cand_matrix([]))
+        upc_loss(z, w, misfit(part, pseudo_labels=np.array([0])))
     with pytest.raises(ShapeError):  # one candidate row per unconfident row
-        upc_loss(z, w, [0, 1], cand_matrix([set()]))
+        upc_loss(z, w, misfit(part, candidates=cand_matrix([{0}])))
     with pytest.raises(ShapeError):  # candidate rows need one column per class
-        upc_loss(z, w, [0, 1], cand_matrix([{0}, {1}], c=4))
+        upc_loss(z, w, misfit(part, candidates=cand_matrix([{0}, {1}], c=4)))
 
 
 # ------------------------------------------------------- surrogate + sc loss
@@ -329,7 +339,7 @@ def test_surrogate_class_empty_candidate_rejected():
     cand = cand_matrix([{0}, set()])
     weights = _surrogate_weights(np.array([[0.4, 0.3, 0.3], [1 / 3, 1 / 3, 1 / 3]]), cand)
     assert weights[1].tolist() == [0.0, 0.0, 0.0]
-    assert sc_anchor_indices(cand).tolist() == [0]
+    assert sc_anchor_rows(stacked_partition([2], cand)).tolist() == [1]
 
 
 def test_surrogate_norm_bounded_by_one():
@@ -353,7 +363,8 @@ def test_sc_loss_hand_value_with_both_negative_kinds():
     conf = np.array([[0.5, 0.2, 0.3], [0.2, 0.45, 0.35]])
     weights = _surrogate_weights(conf, cand_matrix(sets))
     surrogates = weights @ w
-    value = sc_loss(np.vstack([z_uc, z_uu]), w, pseudo, cand_matrix(sets), weights).item()
+    value = sc_loss(np.vstack([z_uc, z_uu]), w,
+                    stacked_partition(pseudo, cand_matrix(sets), weights)).item()
 
     expect_terms = []
     for i in range(2):
@@ -379,7 +390,7 @@ def test_sc_loss_degenerate_rows_skip_anchor_but_stay_negative():
     conf[2] = [0.4, 0.4, 0.2]
     weights = _surrogate_weights(conf, cands)
     surrogates = weights @ w
-    value = sc_loss(z_uu, w, [], cands, weights).item()
+    value = sc_loss(z_uu, w, stacked_partition([], cands, weights)).item()
     # anchors are rows 0 and 2; the empty-set row 1 is disjoint from both, so
     # each anchor has exactly one negative: row 1
     expect = []
@@ -391,22 +402,23 @@ def test_sc_loss_degenerate_rows_skip_anchor_but_stay_negative():
 
 
 def test_sc_loss_no_anchors_zero():
-    value = sc_loss(unit_rows(48, 2, 4), unit_rows(51, 3, 4), [], cand_matrix([set(), set()]),
-                    np.zeros((2, 3))).item()
+    value = sc_loss(unit_rows(48, 2, 4), unit_rows(51, 3, 4),
+                    stacked_partition([], cand_matrix([set(), set()]), np.zeros((2, 3)))).item()
     assert value == 0.0
 
 
 def test_sc_shape_validation():
-    z_uu, w = unit_rows(52, 2, 4), unit_rows(53, 3, 4)
-    cands, weights = cand_matrix([{0}, {1}]), np.full((2, 3), 0.5)
+    z, w = np.vstack([unit_rows(54, 2, 4), unit_rows(52, 2, 4)]), unit_rows(53, 3, 4)
+    part = stacked_partition([0, 1], cand_matrix([{0}, {1}]), np.full((2, 3), 0.5))
+    sc_loss(z, w, part)
     with pytest.raises(ShapeError):  # candidate rows need one column per proxy
-        sc_loss(z_uu, w, [], cand_matrix([{0}, {1}], c=4), weights)
+        sc_loss(z, w, misfit(part, candidates=cand_matrix([{0}, {1}], c=4)))
     with pytest.raises(ShapeError):  # one weight row per unconfident sample
-        sc_loss(z_uu, w, [], cands, weights[:1])
+        sc_loss(z, w, misfit(part, weights=part.weights[:1]))
     with pytest.raises(ShapeError):  # one weight column per proxy
-        sc_loss(z_uu, w, [], cands, np.full((2, 4), 0.5))
+        sc_loss(z, w, misfit(part, weights=np.full((2, 4), 0.5)))
     with pytest.raises(ShapeError):  # one pseudo label per confident row
-        sc_loss(np.vstack([unit_rows(54, 2, 4), z_uu]), w, [0], cands, weights)
+        sc_loss(z, w, misfit(part, pseudo_labels=np.array([0])))
 
 
 def test_sc_with_one_hot_candidates_is_upc_with_roles_swapped():
@@ -423,8 +435,8 @@ def test_sc_with_one_hot_candidates_is_upc_with_roles_swapped():
         z_u = l2_normalize_rows(rng.standard_normal((n_u, d)))
         z_c = l2_normalize_rows(rng.standard_normal((n_c, d)))
         sc_z, upc_z = Tensor(np.vstack([z_c, z_u])), Tensor(np.vstack([z_u, z_c]))
-        sc = sc_loss(sc_z, w, p_c, onehot(p_u, c), onehot(p_u, c).astype(float))
-        upc = upc_loss(upc_z, w, p_u, onehot(p_c, c))
+        sc = sc_loss(sc_z, w, stacked_partition(p_c, onehot(p_u, c)))
+        upc = upc_loss(upc_z, w, stacked_partition(p_u, onehot(p_c, c)))
         assert abs(sc.item() - upc.item()) <= 1e-12
         sc.backward()
         upc.backward()
@@ -438,7 +450,7 @@ def test_sc_loss_no_negatives_zero():
     w = unit_rows(50, 3, 4)
     cands = cand_matrix([{0, 1}, {1, 2}])
     conf = np.array([[0.4, 0.4, 0.2], [0.2, 0.4, 0.4]])
-    value = sc_loss(z_uu, w, [], cands, _surrogate_weights(conf, cands)).item()
+    value = sc_loss(z_uu, w, stacked_partition([], cands, _surrogate_weights(conf, cands))).item()
     assert abs(value) <= 1e-12
 
 
@@ -632,8 +644,8 @@ def test_loss_graph_is_freed_without_the_cycle_collector():
 
 
 def test_negative_mask_shapes_on_empty_sides():
-    vs_c, vs_u = upc_negative_masks([0, 1], cand_matrix([]))
+    vs_c, vs_u = upc_negative_masks(stacked_partition([0, 1], cand_matrix([])))
     assert vs_c.shape == (2, 2) and vs_u.shape == (2, 0)
-    svs_c, svs_u = sc_negative_masks(cand_matrix([{0}]), [])
+    svs_c, svs_u = sc_negative_masks(stacked_partition([], cand_matrix([{0}])))
     assert svs_c.shape == (1, 0) and svs_u.shape == (1, 1)
-    assert sc_negative_masks(cand_matrix([set()]), [0])[0].shape == (0, 1)
+    assert sc_negative_masks(stacked_partition([0], cand_matrix([set()])))[0].shape == (0, 1)
