@@ -92,18 +92,3 @@ def relu(x):
     a = value_of(x)
     return _node(np.maximum(a, 0.0), (x, lambda g: g * (a > 0.0)))
 
-
-def gather_rows(t, idx):
-    """Select rows t[idx]; idx must be strictly increasing, so the gradient
-    scatters back by plain assignment."""
-    idx = np.asarray(idx, dtype=np.intp)
-    if idx.size > 1 and not (idx[1:] > idx[:-1]).all():
-        raise ValueError("gather_rows needs strictly increasing row indices")
-    a = value_of(t)
-
-    def vjp(g):
-        full = np.zeros_like(a)
-        full[idx] = g
-        return full
-
-    return _node(a[idx], (t, vjp))

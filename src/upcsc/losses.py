@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, _node, gather_rows, value_of
+from .autograd import Tensor, _node, value_of
 from .errors import ConfigError, ShapeError
 from .model import ModelState, class_confidence, featurize, project_features, project_proxies
 from .numerics import as_matrix
@@ -103,38 +103,50 @@ def param_gradients(tape_state) -> dict[str, np.ndarray]:
             for name, t in tape_state.param_items()}
 
 
-def _onehot(labels, c: int) -> np.ndarray:
-    """(n, C) float rows with a 1 at each label; labels must lie in [0, C)."""
-    labels = np.asarray(labels, dtype=np.int64)
+def _class_index(labels, c: int) -> np.ndarray:
+    """labels as an index array into C classes; each must lie in [0, C)."""
+    labels = np.asarray(labels, dtype=np.intp)
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise ValueError("label out of range")
-    onehot = np.zeros((len(labels), c))
-    onehot[np.arange(len(labels)), labels] = 1.0
-    return onehot
+    return labels
 
 
-def _cross_entropy(features, classifier, labels) -> Tensor:
-    """Mean cross-entropy of the proxy logits features @ classifier.T, one
-    node. With d = g/n (softmax - onehot), the gradient is d @ classifier
-    for the features and (features.T @ d).T for the classifier."""
-    f, w = value_of(features), value_of(classifier)
+def _cross_entropy(features, classifier, labels, rows=None) -> Tensor:
+    """Mean cross-entropy of the proxy logits f @ classifier.T over the rows f
+    of features that `rows` selects, every row when rows is None; rows must be
+    strictly increasing, so their gradient scatters back by plain assignment.
+    One node: with d = g/n (softmax - onehot), the gradient is d @ classifier
+    for f and (f.T @ d).T for the classifier."""
+    fd, w = value_of(features), value_of(classifier)
+    if rows is not None and not (np.diff(rows) > 0).all():
+        raise ValueError("cross-entropy needs strictly increasing row indices")
+    f = fd if rows is None else fd[rows]
     a = f @ w.T
     n = len(a)
-    onehot = _onehot(labels, a.shape[1])
+    picked = np.arange(n), _class_index(labels, a.shape[1])
     m = a.max(axis=1, keepdims=True)   # shifts logsumexp exactly, so no overflow
     e = np.exp(a - m)
     s = e.sum(axis=1, keepdims=True)
-    value = (np.log(s) + m - (a * onehot).sum(axis=1, keepdims=True)).sum() * (1.0 / n)
-    p = e / s - onehot
-    return _node(value, (features, lambda g: g / n * p @ w),
-                 (classifier, lambda g: (f.T @ (g / n * p)).T))
+    value = (np.log(s) + m - a[picked][:, None]).sum() * (1.0 / n)
+    p = e / s
+    p[picked] -= 1.0
+
+    def f_grad(g):
+        d = g / n * p @ w
+        if rows is None:
+            return d
+        full = np.zeros_like(fd)
+        full[rows] = d
+        return full
+
+    return _node(value, (features, f_grad), (classifier, lambda g: (f.T @ (g / n * p)).T))
 
 
 def _class_sets(part: BatchPartition) -> np.ndarray:
     """(n, C) 0/1 class set of each row part covers: its one-hot pseudo label if
     it is confident, its row of K if not; an exactly uniform row's is empty."""
     classes = np.zeros((len(part.confident) + len(part.unconfident), part.candidates.shape[1]))
-    classes[part.confident] = _onehot(part.pseudo_labels, classes.shape[1])
+    classes[part.confident, _class_index(part.pseudo_labels, classes.shape[1])] = 1.0
     classes[part.unconfident] = part.candidates
     return classes
 
@@ -296,7 +308,7 @@ def build_loss_graph(state, batch, views, flags: MethodFlags, tau: float, partit
     unsup = upc = sc = Tensor(0.0)
     ci, ui = partition.confident, partition.unconfident
     if flags.unsup and ci.size:
-        unsup = _cross_entropy(gather_rows(f, n + ci), tp.classifier, partition.pseudo_labels)
+        unsup = _cross_entropy(f, tp.classifier, partition.pseudo_labels, n + ci)
     if (flags.upc or flags.sc) and n:
         w = project_proxies(tp)
         z = project_features(tp, f)

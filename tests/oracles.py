@@ -1,6 +1,6 @@
 """Plain-loop reference implementations the tests check the package against,
-the test-side scalar node that seeds a backward pass, and helpers that only
-tests call.
+the test-side scalar node that seeds a backward pass and the row gather node
+the per-role reference composes, and helpers that only tests call.
 
 The confidence rule's one set oracle lives here: confidence_sets restates it
 row by row with Python sets, pair_selections derives every pair selection of
@@ -23,9 +23,9 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from upcsc.analysis import ConfidenceLog, confidence_rates
-from upcsc.autograd import Tensor, _node, gather_rows, value_of
+from upcsc.autograd import Tensor, _node, value_of
 from upcsc.errors import ConfigError, DataError, ShapeError
-from upcsc.losses import (BatchPartition, _onehot, confidence_roles, sc_anchor_rows,
+from upcsc.losses import (BatchPartition, confidence_roles, sc_anchor_rows,
                           sc_negative_masks, upc_negative_masks)
 from upcsc.model import ModelDims, ModelState, init_model
 from upcsc.numerics import _loaded_library_paths, _openblas_functions, as_matrix
@@ -82,6 +82,20 @@ def inclusion_rate(log, tau) -> float:
 def seeded(out, s):
     """The scalar sum(out * s) as one node, so out.grad becomes s on backward."""
     return _node((out.data * s).sum(), (out, lambda g: g * s))
+
+
+def gather_rows(t, idx):
+    """The rows t[idx] as one node; idx has no repeats, so the gradient
+    scatters back to those rows by plain assignment. The per-role reference
+    composes its terms from it."""
+    a = value_of(t)
+
+    def vjp(g):
+        full = np.zeros_like(a)
+        full[idx] = g
+        return full
+
+    return _node(a[idx], (t, vjp))
 
 
 def pcl_reference_loss(z, w, labels) -> float:
@@ -218,7 +232,7 @@ def reference_contrastive_terms(z, w, part, flags) -> tuple:
     if flags.upc and len(pseudo):
         vs_confident = (pseudo[:, None] != pseudo[None, :]).astype(np.float64)
         vs_unconfident = (~cand[:, pseudo].T).astype(np.float64)
-        upc = reference_proxy_contrast(z_uc, w, _onehot(pseudo, c),
+        upc = reference_proxy_contrast(z_uc, w, np.eye(c)[pseudo],
                                        [(z_uc, vs_confident), (z_uu, vs_unconfident)])
     anchors = np.flatnonzero(cand.any(axis=1))
     if flags.sc and anchors.size:

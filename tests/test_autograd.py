@@ -1,6 +1,6 @@
 """Tape correctness: every op's and every fused loss kernel's backward
-against central differences, graph-shape cases (reuse, the strictly
-increasing gather) and the constant rule: plain-array operands get no node,
+against central differences, graph-shape cases (reuse, cross-entropy over
+selected rows) and the constant rule: plain-array operands get no node,
 and all-constant ops return plain arrays. A Tensor has no arithmetic, so each
 check seeds its backward through the test-side scalar node `seeded`. The
 kernels' values must equal the composed numpy arithmetic bit for bit."""
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import seeded
-from upcsc.autograd import Tensor, gather_rows, linear, relu
+from upcsc.autograd import Tensor, linear, relu
 from upcsc.losses import _cross_entropy, _proxy_contrast, sum_terms
 from upcsc.numerics import l2_normalize_rows
 
@@ -69,24 +69,6 @@ def test_value_reuse_accumulates():
     t = Tensor(a.copy())
     sum_terms([seeded(t, s1), seeded(relu(t), s2)]).backward()
     assert np.array_equal(t.grad, s1 + s2 * (a > 0))
-
-
-def test_gather_rows_scatters_back_and_rejects_unsorted_indices():
-    t = Tensor(RNG.standard_normal((4, 3)))
-    seed = RNG.standard_normal((2, 3))
-    seeded(gather_rows(t, np.array([1, 3])), seed).backward()
-    expect = np.zeros((4, 3))
-    expect[[1, 3]] = seed
-    assert np.array_equal(t.grad, expect)
-    for idx in ([1, 1, 3], [3, 1], [0, 2, 2]):
-        with pytest.raises(ValueError):
-            gather_rows(t, np.array(idx))
-
-
-def test_gather_rows_empty_index():
-    t = Tensor(RNG.standard_normal((4, 3)))
-    out = gather_rows(t, np.array([], dtype=np.int64))
-    assert out.shape == (0, 3)
 
 
 def test_sum_terms_adds_left_to_right_with_identity_grads():
@@ -164,6 +146,26 @@ def test_cross_entropy_matches_reference_and_softmax_grad():
     assert out.item() == composed_cross_entropy(x, LABELS)
     out.backward()
     assert np.allclose(t.grad, (softmax(x) - np.eye(4)[LABELS]) / 6, atol=1e-12)
+
+
+def test_cross_entropy_over_rows_is_the_dense_kernel_on_those_rows():
+    # scoring rows [1, 3] of f equals the dense kernel over f[[1, 3]]: the
+    # same value and classifier gradient, its feature gradient on those rows
+    # and zero on every other row
+    fd, wd = RNG.standard_normal((5, 4)), RNG.standard_normal((3, 4))
+    rows, labels = np.array([1, 3]), np.array([2, 0])
+    f, w = Tensor(fd), Tensor(wd)
+    out = _cross_entropy(f, w, labels, rows)
+    out.backward()
+    f_rows, w_dense = Tensor(fd[rows]), Tensor(wd)
+    dense = _cross_entropy(f_rows, w_dense, labels)
+    dense.backward()
+    assert out.item() == dense.item()
+    expect = np.zeros_like(fd)
+    expect[rows] = f_rows.grad
+    assert np.array_equal(f.grad, expect)
+    assert np.array_equal(w.grad, w_dense.grad)
+    check_op(lambda f, w: _cross_entropy(f, w, labels, rows), (5, 4), (3, 4))
 
 
 def test_cross_entropy_extreme_values_finite():
@@ -265,7 +267,7 @@ def count_nodes(monkeypatch):
 
 @pytest.mark.parametrize("op", [
     lambda t, c: relu(t),
-    lambda t, c: gather_rows(t, [0, 2]),
+    lambda t, c: _cross_entropy(t, c, [0, 2], rows=[0, 2]),
     lambda t, c: _cross_entropy(t, c, [0, 2, 1]),
     lambda t, c: _cross_entropy(c, t, [0, 2, 1]),
     lambda t, c: linear(c, t, np.zeros(3)),
@@ -291,5 +293,5 @@ def test_constant_only_ops_return_plain_arrays():
     assert type(h) is np.ndarray and np.array_equal(h, x @ w + b)
     r = relu(h)
     assert type(r) is np.ndarray and np.array_equal(r, np.maximum(h, 0.0))
-    g = gather_rows(r, [0, 2])
-    assert type(g) is np.ndarray and np.array_equal(g, r[[0, 2]])
+    ce = _cross_entropy(r, np.eye(2), [1, 0], rows=[0, 2])
+    assert type(ce) is np.float64 and ce == _cross_entropy(r[[0, 2]], np.eye(2), [1, 0])

@@ -8,10 +8,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from oracles import (pcl_reference_loss, reference_contrastive_terms, stacked_partition,
-                     with_params)
+from oracles import (gather_rows, pcl_reference_loss, reference_contrastive_terms,
+                     stacked_partition, with_params)
 
-from upcsc.autograd import Tensor, gather_rows
+from upcsc.autograd import Tensor
 from upcsc.errors import ConfigError, ShapeError
 from upcsc.losses import (BatchPartition, LossBreakdown, MethodFlags, _cross_entropy,
                           _surrogate_weights, build_loss_graph, contrastive_terms,
@@ -321,6 +321,29 @@ def test_upc_shape_validation():
         upc_loss(z, w, misfit(part, candidates=cand_matrix([{0}])))
     with pytest.raises(ShapeError):  # candidate rows need one column per class
         upc_loss(z, w, misfit(part, candidates=cand_matrix([{0}, {1}], c=4)))
+
+
+def upc_with_pseudo_labels(pseudo):
+    z, w = np.vstack([unit_rows(34, 2, 4), unit_rows(36, 2, 4)]), unit_rows(35, 3, 4)
+    return upc_loss(z, w, stacked_partition(pseudo, cand_matrix([{0}, {1}])))
+
+
+# where labels and rows enter: fancy indexing would wrap a label of -1 onto the
+# last class, and the scatter of selected rows is a plain assignment
+@pytest.mark.parametrize("call, message", [
+    (lambda: _cross_entropy(np.zeros((2, 3)), np.eye(3), [0, -1]), "label out of range"),
+    (lambda: _cross_entropy(np.zeros((2, 3)), np.eye(3), [0, 3]), "label out of range"),
+    (lambda: upc_with_pseudo_labels([0, -1]), "label out of range"),
+    (lambda: upc_with_pseudo_labels([0, 3]), "label out of range"),
+    (lambda: _cross_entropy(np.zeros((3, 3)), np.eye(3), [0, 1], rows=[2, 0]),
+     "strictly increasing"),
+    (lambda: _cross_entropy(np.zeros((3, 3)), np.eye(3), [0, 1], rows=[1, 1]),
+     "strictly increasing"),
+], ids=["ce_label_-1", "ce_label_C", "pseudo_label_-1", "pseudo_label_C", "unsorted_rows",
+        "repeated_rows"])
+def test_labels_and_rows_are_checked_where_they_enter(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # ------------------------------------------------------- surrogate + sc loss
