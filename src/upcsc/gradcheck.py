@@ -1,10 +1,10 @@
 """Finite-difference audit of every loss term's analytic gradients.
 
 The losses read the weak-view confidences only through the batch partition
-(roles, pseudo labels, candidate sets and surrogate weights), a constant
-input that carries no gradient. A central-difference probe therefore pins
-the partition the base point's own graph made, so both sides differentiate
-the same function of the parameters.
+(roles, class sets and positive weights), a constant input that carries no
+gradient. A central-difference probe therefore pins the partition the base
+point's own graph made, so both sides differentiate the same function of
+the parameters.
 
 The probe is the 4-point central stencil, whose truncation error is O(h^4),
 and a coordinate passes when the analytic gradient a and the stencil f agree

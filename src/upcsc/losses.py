@@ -4,16 +4,18 @@ by build_loss_graph.
 
 Batch roles come from the weak-view confidences, which are always treated as
 constants: gradients flow through the projected embeddings and the proxies,
-never through the partition, the pseudo labels, or the surrogate weights.
+never through the partition's roles, class sets or positive weights.
 
-A sample is "confident" when its top confidence reaches the threshold; it
-then carries a pseudo label. Every other sample is "unconfident" and carries
-a row of the boolean candidate matrix K (n_unconfident, C): K[a, y] is True
-when class y scores strictly above uniform (1/C). A row's excluded classes
-are ~K[a], always derived, never stored. Both rules are written once, in
-confidence_roles, which the statistics in analysis read as well. UPC and SC
-select pairs by one rule, negative_pairs: two rows are a negative pair when
-their class sets, {pseudo label} or K's row, are disjoint.
+A sample is "confident" when its top confidence reaches the threshold; its
+class set is then its pseudo label. Every other sample is "unconfident" and
+its class set is its row of the candidate matrix K: K[i, y] is True when
+class y scores strictly above uniform (1/C). A row's excluded classes are
+the complement of its set, always derived, never stored. Both rules are
+written once, in confidence_roles, which the statistics in analysis read as
+well. The partition stores each row's class set as a 0/1 row, and the
+weights of the proxies the row is pulled toward beside it. UPC and SC select
+pairs by one rule, negative_pairs: two rows are a negative pair when their
+class sets are disjoint.
 """
 
 from __future__ import annotations
@@ -40,17 +42,18 @@ class MethodFlags:
 class BatchPartition:
     """Roles of the rows of one unlabeled batch, as arrays.
 
-    confident (n_c,) are batch rows in increasing order and pseudo_labels
-    (n_c,) their labels. unconfident (n_u,) are the remaining rows in
-    increasing order and candidates is the candidate matrix K, boolean of
-    shape (n_u, C), one row per unconfident sample; weights (n_u, C) are
-    those samples' surrogate weights.
+    confident (n_c,) are batch rows in increasing order, unconfident (n_u,)
+    the remaining rows in increasing order. classes (n, C) holds each row's
+    class set as 0/1: the one-hot pseudo label of a confident row, the row
+    of K of an unconfident one, empty for an exactly uniform row. positives
+    (n, C) holds the weights of the proxies each row is pulled toward: the
+    same one-hot for a confident row, its surrogate weights K * conf for an
+    unconfident one.
     """
     confident: np.ndarray
-    pseudo_labels: np.ndarray
     unconfident: np.ndarray
-    candidates: np.ndarray
-    weights: np.ndarray
+    classes: np.ndarray
+    positives: np.ndarray
 
 
 def check_threshold(tau: float, num_classes: int) -> None:
@@ -76,14 +79,14 @@ def confidence_roles(conf, tau: float) -> tuple[np.ndarray, np.ndarray]:
 
 def partition_unlabeled(conf, tau: float) -> BatchPartition:
     """Split confidence rows into confident and unconfident rows by
-    confidence_roles. Pseudo labels break argmax ties toward the lowest
-    class index."""
+    confidence_roles, with their class sets and positive weights. Pseudo
+    labels break argmax ties toward the lowest class index."""
     conf = as_matrix(conf)
     is_confident, k = confidence_roles(conf, tau)
-    ci = np.flatnonzero(is_confident)
-    ui = np.flatnonzero(~is_confident)
-    k = k[ui]
-    return BatchPartition(ci, conf[ci].argmax(axis=1), ui, k, _surrogate_weights(conf[ui], k))
+    ci, ui = np.flatnonzero(is_confident), np.flatnonzero(~is_confident)
+    classes, positives = k.astype(np.float64), np.where(k, conf, 0.0)
+    classes[ci] = positives[ci] = np.eye(conf.shape[1])[conf[ci].argmax(axis=1)]
+    return BatchPartition(ci, ui, classes, positives)
 
 
 @dataclass(frozen=True)
@@ -103,27 +106,21 @@ def param_gradients(tape_state) -> dict[str, np.ndarray]:
             for name, t in tape_state.param_items()}
 
 
-def _class_index(labels, c: int) -> np.ndarray:
-    """labels as an index array into C classes; each must lie in [0, C)."""
-    labels = np.asarray(labels, dtype=np.intp)
-    if labels.size and (labels.min() < 0 or labels.max() >= c):
-        raise ValueError("label out of range")
-    return labels
-
-
-def _cross_entropy(features, classifier, labels, rows=None) -> Tensor:
+def _cross_entropy(features, classifier, labels, rows) -> Tensor:
     """Mean cross-entropy of the proxy logits f @ classifier.T over the rows f
-    of features that `rows` selects, every row when rows is None; rows must be
-    strictly increasing, so their gradient scatters back by plain assignment.
-    One node: with d = g/n (softmax - onehot), the gradient is d @ classifier
-    for f and (f.T @ d).T for the classifier."""
+    of features that `rows` selects; rows must be strictly increasing, so
+    their gradient scatters back by plain assignment, and each label must lie
+    in [0, C). One node: with d = g/n (softmax - onehot), the gradient is
+    d @ classifier for f and (f.T @ d).T for the classifier."""
     fd, w = value_of(features), value_of(classifier)
-    if rows is not None and not (np.diff(rows) > 0).all():
+    if not (np.diff(rows) > 0).all():
         raise ValueError("cross-entropy needs strictly increasing row indices")
-    f = fd if rows is None else fd[rows]
+    f = fd[rows]
     a = f @ w.T
-    n = len(a)
-    picked = np.arange(n), _class_index(labels, a.shape[1])
+    n, labels = len(a), np.asarray(labels, dtype=np.intp)
+    if labels.size and (labels.min() < 0 or labels.max() >= a.shape[1]):
+        raise ValueError("label out of range")
+    picked = np.arange(n), labels
     m = a.max(axis=1, keepdims=True)   # shifts logsumexp exactly, so no overflow
     e = np.exp(a - m)
     s = e.sum(axis=1, keepdims=True)
@@ -132,23 +129,11 @@ def _cross_entropy(features, classifier, labels, rows=None) -> Tensor:
     p[picked] -= 1.0
 
     def f_grad(g):
-        d = g / n * p @ w
-        if rows is None:
-            return d
         full = np.zeros_like(fd)
-        full[rows] = d
+        full[rows] = g / n * p @ w
         return full
 
     return _node(value, (features, f_grad), (classifier, lambda g: (f.T @ (g / n * p)).T))
-
-
-def _class_sets(part: BatchPartition) -> np.ndarray:
-    """(n, C) 0/1 class set of each row part covers: its one-hot pseudo label if
-    it is confident, its row of K if not; an exactly uniform row's is empty."""
-    classes = np.zeros((len(part.confident) + len(part.unconfident), part.candidates.shape[1]))
-    classes[part.confident, _class_index(part.pseudo_labels, classes.shape[1])] = 1.0
-    classes[part.unconfident] = part.candidates
-    return classes
 
 
 def negative_pairs(classes, anchors) -> np.ndarray:
@@ -204,20 +189,18 @@ def contrastive_terms(z, proxies, part: BatchPartition, flags: MethodFlags):
     one _proxy_contrast node, each term a one-entry node over its values.
     UPC's anchors are the confident rows, SC's sc_anchor_rows; every row is a
     key. A term that is off or has no anchor is a zero leaf."""
-    n_c, n_u, c = len(part.confident), len(part.unconfident), proxies.shape[0]
-    if (n_c + n_u != z.shape[0] or len(part.pseudo_labels) != n_c
-            or np.shape(part.candidates) != (n_u, c) or np.shape(part.weights) != (n_u, c)):
-        raise ShapeError(f"{n_c} confident rows, {len(part.pseudo_labels)} pseudo labels, K "
-                         f"{np.shape(part.candidates)} and weights {np.shape(part.weights)} "
-                         f"do not fit {z.shape[0]} rows of {c} classes")
-    classes = _class_sets(part)
-    positives = classes.copy()
-    positives[part.unconfident] = part.weights
+    n_c, n_u, n, c = len(part.confident), len(part.unconfident), z.shape[0], proxies.shape[0]
+    if (n_c + n_u != n or np.shape(part.classes) != (n, c)
+            or np.shape(part.positives) != (n, c)):
+        raise ShapeError(f"{n_c} confident and {n_u} unconfident rows, classes "
+                         f"{np.shape(part.classes)} and positives {np.shape(part.positives)} "
+                         f"do not fit {n} rows of {c} classes")
     anchors = [part.confident if flags.upc else [], sc_anchor_rows(part) if flags.sc else []]
     live = [t for t, a in enumerate(anchors) if len(a)]
     if not live:
         return Tensor(0.0), Tensor(0.0)
-    values = _proxy_contrast(z, proxies, classes, positives, [anchors[t] for t in live])
+    values = _proxy_contrast(z, proxies, part.classes, part.positives,
+                             [anchors[t] for t in live])
     terms = {t: _node(value_of(values)[k], (values, lambda g, k=k: np.eye(len(live))[k] * g))
              for k, t in enumerate(live)}
     return tuple(terms[t] if t in terms else Tensor(0.0) for t in range(2))
@@ -225,20 +208,20 @@ def contrastive_terms(z, proxies, part: BatchPartition, flags: MethodFlags):
 
 def sc_anchor_rows(part: BatchPartition) -> np.ndarray:
     """SC's anchors: the unconfident rows with at least one candidate."""
-    return part.unconfident[part.candidates.any(axis=1)]
+    return part.unconfident[part.classes[part.unconfident].any(axis=1)]
 
 
 def upc_negative_masks(part: BatchPartition) -> tuple[np.ndarray, np.ndarray]:
     """UPC's (vs_confident, vs_unconfident) column blocks of negative_pairs,
     one row per confident anchor."""
-    mask = negative_pairs(_class_sets(part), part.confident)
+    mask = negative_pairs(part.classes, part.confident)
     return mask[:, part.confident], mask[:, part.unconfident]
 
 
 def sc_negative_masks(part: BatchPartition) -> tuple[np.ndarray, np.ndarray]:
     """SC's (vs_confident, vs_unconfident) column blocks of negative_pairs,
     one row per anchor of sc_anchor_rows."""
-    mask = negative_pairs(_class_sets(part), sc_anchor_rows(part))
+    mask = negative_pairs(part.classes, sc_anchor_rows(part))
     return mask[:, part.confident], mask[:, part.unconfident]
 
 
@@ -251,11 +234,6 @@ def upc_loss(z, w, part: BatchPartition) -> Tensor:
 def sc_loss(z, w, part: BatchPartition) -> Tensor:
     """SC alone, as upc_loss; a zero leaf with no anchor in sc_anchor_rows."""
     return contrastive_terms(z, w, part, MethodFlags(upc=False, sc=True))[1]
-
-
-def _surrogate_weights(conf_u: np.ndarray, candidates) -> np.ndarray:
-    """Per-row proxy weights, zero outside the candidate set."""
-    return np.where(candidates, conf_u, 0.0)
 
 
 def sum_terms(terms) -> Tensor:
@@ -294,7 +272,8 @@ def build_loss_graph(state, batch, views, flags: MethodFlags, tau: float, partit
     if np.shape(views) != (2 * n, state.dims.input_dim):
         raise ShapeError(f"views must be ({2 * n}, {state.dims.input_dim}), got {np.shape(views)}")
 
-    sup = _cross_entropy(featurize(tp, x_l), tp.classifier, y_l) if len(y_l) else Tensor(0.0)
+    sup = (_cross_entropy(featurize(tp, x_l), tp.classifier, y_l, np.arange(len(y_l)))
+           if len(y_l) else Tensor(0.0))
 
     if n:
         # one forward over both views: rows [0, n) are weak, [n, 2n) strong
@@ -308,15 +287,14 @@ def build_loss_graph(state, batch, views, flags: MethodFlags, tau: float, partit
     unsup = upc = sc = Tensor(0.0)
     ci, ui = partition.confident, partition.unconfident
     if flags.unsup and ci.size:
-        unsup = _cross_entropy(f, tp.classifier, partition.pseudo_labels, n + ci)
+        unsup = _cross_entropy(f, tp.classifier, partition.classes[ci].argmax(axis=1), n + ci)
     if (flags.upc or flags.sc) and n:
         w = project_proxies(tp)
         z = project_features(tp, f)
         # rows i and n + i, the two views of unlabeled row i, share its role
-        twice = {name: np.concatenate([getattr(partition, name)] * 2)
-                 for name in ("pseudo_labels", "candidates", "weights")}
-        views_part = BatchPartition(confident=np.concatenate([ci, n + ci]),
-                                    unconfident=np.concatenate([ui, n + ui]), **twice)
+        views_part = BatchPartition(np.concatenate([ci, n + ci]), np.concatenate([ui, n + ui]),
+                                    np.concatenate([partition.classes] * 2),
+                                    np.concatenate([partition.positives] * 2))
         upc, sc = contrastive_terms(z, w, views_part, flags)
 
     terms = {"l_sup": sup, "l_unsup": unsup, "l_upc": upc, "l_sc": sc}

@@ -124,14 +124,29 @@ def pcl_reference_loss(z, w, labels) -> float:
     return total / len(z)
 
 
+def role_partition(confident, pseudo, unconfident, candidates, weights=None) -> BatchPartition:
+    """The BatchPartition that gives rows `confident` the pseudo labels
+    `pseudo` and rows `unconfident` the rows of the candidate matrix K as
+    class sets, with `weights` as their positives; those surrogate weights
+    default to K as 0/1 floats. The two tables are built from these terms,
+    one row at a time, and nothing is checked."""
+    cand = np.asarray(candidates, dtype=bool)
+    weights = cand if weights is None else np.asarray(weights, np.float64)
+    n, c = len(confident) + len(unconfident), cand.shape[1]
+    classes, positives = np.zeros((n, c)), np.zeros((n, c))
+    for i, y in zip(confident, pseudo, strict=True):
+        classes[i, y] = positives[i, y] = 1.0
+    for i, row, weight in zip(unconfident, cand, weights, strict=True):
+        classes[i], positives[i] = row, weight
+    return BatchPartition(np.asarray(confident, dtype=np.intp),
+                          np.asarray(unconfident, dtype=np.intp), classes, positives)
+
+
 def stacked_partition(pseudo, candidates, weights=None) -> BatchPartition:
-    """The BatchPartition of rows stacked as one confident row per pseudo
-    label over one unconfident row per row of the candidate matrix K;
-    surrogate weights default to K as 0/1 floats. Nothing is checked."""
-    pseudo, cand = np.asarray(pseudo, dtype=np.int64), np.asarray(candidates, dtype=bool)
-    weights = cand.astype(np.float64) if weights is None else np.asarray(weights, np.float64)
-    n_c = len(pseudo)
-    return BatchPartition(np.arange(n_c), pseudo, np.arange(n_c, n_c + len(cand)), cand, weights)
+    """role_partition's BatchPartition of rows stacked as one confident row
+    per pseudo label over one unconfident row per row of K."""
+    n_c, n_u = len(pseudo), len(candidates)
+    return role_partition(np.arange(n_c), pseudo, np.arange(n_c, n_c + n_u), candidates, weights)
 
 
 def confidence_sets(conf, tau) -> tuple[list, list]:
@@ -151,11 +166,15 @@ def confidence_sets(conf, tau) -> tuple[list, list]:
 
 
 def partition_sets(part) -> tuple[list, list]:
-    """A BatchPartition read back as confidence_sets' two lists; rows and
-    their labels or candidate rows must pair up one to one."""
-    return (list(zip(part.confident.tolist(), part.pseudo_labels.tolist(), strict=True)),
-            [(i, frozenset(np.flatnonzero(row).tolist()))
-             for i, row in zip(part.unconfident.tolist(), part.candidates, strict=True)])
+    """A BatchPartition's class sets read back as confidence_sets' two lists;
+    a confident row's set must hold exactly its one pseudo label."""
+    def pseudo_label(i):
+        (y,) = np.flatnonzero(part.classes[i]).tolist()
+        return y
+
+    return ([(i, pseudo_label(i)) for i in part.confident.tolist()],
+            [(i, frozenset(np.flatnonzero(part.classes[i]).tolist()))
+             for i in part.unconfident.tolist()])
 
 
 def _mask(anchors, keys, selects) -> tuple:
@@ -226,7 +245,8 @@ def reference_contrastive_terms(z, w, part, flags) -> tuple:
     role masks written out one expression each. A term that is off or has
     no anchor is a zero leaf."""
     c = w.shape[0]
-    pseudo, cand = part.pseudo_labels, part.candidates
+    pseudo = part.classes[part.confident].argmax(axis=1)
+    cand = part.classes[part.unconfident] > 0.0
     z_uc, z_uu = gather_rows(z, part.confident), gather_rows(z, part.unconfident)
     upc = sc = Tensor(0.0)
     if flags.upc and len(pseudo):
@@ -240,7 +260,8 @@ def reference_contrastive_terms(z, w, part, flags) -> tuple:
         vs_confident = (~cand_a[:, pseudo]).astype(np.float64)
         shared = cand_a.astype(np.float64) @ cand.T.astype(np.float64)
         vs_unconfident = (shared == 0.0).astype(np.float64)
-        sc = reference_proxy_contrast(gather_rows(z_uu, anchors), w, part.weights[anchors],
+        sc = reference_proxy_contrast(gather_rows(z_uu, anchors), w,
+                                      part.positives[part.unconfident[anchors]],
                                       [(z_uc, vs_confident), (z_uu, vs_unconfident)])
     return upc, sc
 

@@ -81,6 +81,7 @@ def test_sum_terms_adds_left_to_right_with_identity_grads():
 
 
 LABELS = np.array([2, 0, 3, 3, 1, 0])
+EVERY_ROW = np.arange(len(LABELS))
 
 
 def composed_cross_entropy(x, labels):
@@ -131,25 +132,25 @@ def test_cross_entropy_grads_in_closed_form():
     # form: d = (softmax - onehot) / n gives d @ W for f and d.T @ f for W
     f = Tensor(RNG.standard_normal((6, 5)))
     w = Tensor(RNG.standard_normal((4, 5)))
-    _cross_entropy(f, w, LABELS).backward()
+    _cross_entropy(f, w, LABELS, EVERY_ROW).backward()
     d = (softmax(f.data @ w.data.T) - np.eye(4)[LABELS]) / 6
     assert np.allclose(f.grad, d @ w.data, atol=1e-12)
     assert np.allclose(w.grad, d.T @ f.data, atol=1e-12)
-    check_op(lambda f, w: _cross_entropy(f, w, LABELS), (6, 5), (4, 5))
+    check_op(lambda f, w: _cross_entropy(f, w, LABELS, EVERY_ROW), (6, 5), (4, 5))
 
 
 def test_cross_entropy_matches_reference_and_softmax_grad():
     # identity proxies make the logits the features themselves, exactly
     x = RNG.standard_normal((6, 4)) * 30  # large enough to break naive exp
     t = Tensor(x.copy())
-    out = _cross_entropy(t, np.eye(4), LABELS)
+    out = _cross_entropy(t, np.eye(4), LABELS, EVERY_ROW)
     assert out.item() == composed_cross_entropy(x, LABELS)
     out.backward()
     assert np.allclose(t.grad, (softmax(x) - np.eye(4)[LABELS]) / 6, atol=1e-12)
 
 
 def test_cross_entropy_over_rows_is_the_dense_kernel_on_those_rows():
-    # scoring rows [1, 3] of f equals the dense kernel over f[[1, 3]]: the
+    # scoring rows [1, 3] of f equals scoring every row of f[[1, 3]]: the
     # same value and classifier gradient, its feature gradient on those rows
     # and zero on every other row
     fd, wd = RNG.standard_normal((5, 4)), RNG.standard_normal((3, 4))
@@ -158,7 +159,7 @@ def test_cross_entropy_over_rows_is_the_dense_kernel_on_those_rows():
     out = _cross_entropy(f, w, labels, rows)
     out.backward()
     f_rows, w_dense = Tensor(fd[rows]), Tensor(wd)
-    dense = _cross_entropy(f_rows, w_dense, labels)
+    dense = _cross_entropy(f_rows, w_dense, labels, np.arange(2))
     dense.backward()
     assert out.item() == dense.item()
     expect = np.zeros_like(fd)
@@ -170,7 +171,7 @@ def test_cross_entropy_over_rows_is_the_dense_kernel_on_those_rows():
 
 def test_cross_entropy_extreme_values_finite():
     t = Tensor(np.array([[1000.0, 999.0], [-1000.0, -1000.5]]))
-    out = _cross_entropy(t, np.eye(2), [1, 0])
+    out = _cross_entropy(t, np.eye(2), [1, 0], np.arange(2))
     assert np.isfinite(out.item())
     out.backward()
     assert np.all(np.isfinite(t.grad))
@@ -268,8 +269,8 @@ def count_nodes(monkeypatch):
 @pytest.mark.parametrize("op", [
     lambda t, c: relu(t),
     lambda t, c: _cross_entropy(t, c, [0, 2], rows=[0, 2]),
-    lambda t, c: _cross_entropy(t, c, [0, 2, 1]),
-    lambda t, c: _cross_entropy(c, t, [0, 2, 1]),
+    lambda t, c: _cross_entropy(t, c, [0, 2, 1], np.arange(3)),
+    lambda t, c: _cross_entropy(c, t, [0, 2, 1], np.arange(3)),
     lambda t, c: linear(c, t, np.zeros(3)),
     lambda t, c: _proxy_contrast(t, c, np.eye(3), np.eye(3), [np.arange(3)]),
     lambda t, c: _proxy_contrast(t, c, np.eye(3), np.eye(3), [np.array([0]), np.array([1, 2])]),
@@ -294,4 +295,5 @@ def test_constant_only_ops_return_plain_arrays():
     r = relu(h)
     assert type(r) is np.ndarray and np.array_equal(r, np.maximum(h, 0.0))
     ce = _cross_entropy(r, np.eye(2), [1, 0], rows=[0, 2])
-    assert type(ce) is np.float64 and ce == _cross_entropy(r[[0, 2]], np.eye(2), [1, 0])
+    assert type(ce) is np.float64
+    assert ce == _cross_entropy(r[[0, 2]], np.eye(2), [1, 0], np.arange(2))

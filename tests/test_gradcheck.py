@@ -11,7 +11,7 @@ from upcsc.errors import ConfigError
 from upcsc.gradcheck import (check_losses, find_checkable_case, _analytic_gradients,
                              _error_ratio, _fd_gradients, _relu_margin, _term_values,
                              _ALL_FLAGS, MIN_TERM_VALUE, RELU_MARGIN, TAU)
-from upcsc.losses import LossBreakdown, build_loss_graph
+from upcsc.losses import BatchPartition, LossBreakdown, build_loss_graph
 from upcsc.model import param_layout
 from upcsc.synthdata import TrainBatch
 
@@ -79,7 +79,7 @@ def test_checkable_cases_really_are():
         assert _relu_margin(state, batch, views) >= RELU_MARGIN
         rows = np.concatenate([part.confident, part.unconfident])
         assert sorted(rows.tolist()) == list(range(len(batch.unlabeled_x)))
-        assert np.all(part.weights.sum(axis=1) <= 1.0 + 1e-12)
+        assert np.all(part.positives.sum(axis=1) <= 1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("n_u", [1, 2])
@@ -105,8 +105,7 @@ def test_draws_are_reproducible():
     b = find_checkable_case(7)
     assert np.array_equal(a[1].unlabeled_x, b[1].unlabeled_x)
     assert np.array_equal(a[2], b[2])
-    for field in ("confident", "pseudo_labels", "unconfident", "candidates",
-                  "weights"):
+    for field in (f.name for f in fields(BatchPartition)):
         assert np.array_equal(getattr(a[3], field), getattr(b[3], field)), field
     for (name, pa), (_, pb) in zip(a[0].param_items(), b[0].param_items()):
         assert np.array_equal(pa, pb), name

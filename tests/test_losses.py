@@ -8,16 +8,17 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from oracles import (gather_rows, pcl_reference_loss, reference_contrastive_terms,
-                     stacked_partition, with_params)
+from oracles import (confidence_sets, gather_rows, pcl_reference_loss,
+                     reference_contrastive_terms, role_partition, stacked_partition, with_params)
 
 from upcsc.autograd import Tensor
 from upcsc.errors import ConfigError, ShapeError
 from upcsc.losses import (BatchPartition, LossBreakdown, MethodFlags, _cross_entropy,
-                          _surrogate_weights, build_loss_graph, contrastive_terms,
+                          build_loss_graph, contrastive_terms,
                           param_gradients, partition_unlabeled, sc_anchor_rows, sc_loss,
                           sc_negative_masks, total_loss, upc_loss, upc_negative_masks)
-from upcsc.model import ModelDims, ModelState, class_confidence, featurize, init_model
+from upcsc.model import (ModelDims, ModelState, class_confidence, featurize, init_model,
+                         project_features, project_proxies)
 from upcsc.numerics import l2_normalize_rows, softmax_rows, substream
 from upcsc.synthdata import BenchmarkConfig, TrainBatch, augment_views
 
@@ -79,6 +80,11 @@ def onehot(labels, c):
     return np.eye(c, dtype=bool)[np.asarray(labels, dtype=int)]
 
 
+def surrogate(conf, cand):
+    """The surrogate weights of rows with candidate sets cand: conf on K, 0 off it."""
+    return np.where(cand, conf, 0.0)
+
+
 def cand_matrix(sets, c=3):
     """Boolean candidate matrix K with one row per class set."""
     out = np.zeros((len(sets), c), dtype=bool)
@@ -98,10 +104,9 @@ def test_partition_hand_case():
     ])
     part = partition_unlabeled(conf, tau=0.9)
     assert part.confident.tolist() == [0]
-    assert part.pseudo_labels.tolist() == [0]
     assert part.unconfident.tolist() == [1, 2]
-    assert part.candidates.tolist() == [[True, True, False], [False, False, False]]
-    assert (~part.candidates.any(axis=1)).sum() == 1
+    assert part.classes.tolist() == [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
+    assert part.positives.tolist() == [[1.0, 0.0, 0.0], [0.50, 0.40, 0.0], [0.0, 0.0, 0.0]]
 
 
 def test_partition_threshold_boundary_is_inclusive():
@@ -114,7 +119,7 @@ def test_partition_threshold_boundary_is_inclusive():
 def test_partition_argmax_tie_lowest_index():
     part = partition_unlabeled(np.array([[0.48, 0.48, 0.04]]), tau=0.4)
     assert part.confident.tolist() == [0]
-    assert part.pseudo_labels.tolist() == [0]
+    assert part.classes.tolist() == part.positives.tolist() == [[1.0, 0.0, 0.0]]
 
 
 def test_partition_rejects_bad_tau():
@@ -182,7 +187,7 @@ def test_unsup_term_empty_batch():
     value, grads, part = unsup_term(state, x_u, tau=0.9, views=views_of(x_u, 11))
     assert value == 0.0 and max_abs(grads) == 0.0
     assert part.confident.size == 0 and part.unconfident.size == 0
-    assert part.candidates.shape == (0, DIMS.num_classes)
+    assert part.classes.shape == part.positives.shape == (0, DIMS.num_classes)
 
 
 def test_unsup_term_compositional_oracle():
@@ -203,7 +208,8 @@ def test_unsup_term_compositional_oracle():
     assert np.array_equal(ci, part.confident)
     tp = ModelState(DIMS, {name: Tensor(a) for name, a in state.param_items()})
     strong = gather_rows(featurize(tp, views), len(x_u) + ci)
-    expect = _cross_entropy(strong, tp.classifier, part2.pseudo_labels)
+    pseudo = [y for _, y in confidence_sets(conf, 0.9)[0]]
+    expect = _cross_entropy(strong, tp.classifier, pseudo, np.arange(len(ci)))
     expect.backward()
     assert value == expect.item()
     expect_grads = param_gradients(tp)
@@ -315,32 +321,26 @@ def test_upc_shape_validation():
     upc_loss(z, w, part)
     with pytest.raises(ShapeError):  # the partition covers every row of z
         upc_loss(z[:3], w, part)
-    with pytest.raises(ShapeError):  # one pseudo label per confident row
-        upc_loss(z, w, misfit(part, pseudo_labels=np.array([0])))
-    with pytest.raises(ShapeError):  # one candidate row per unconfident row
-        upc_loss(z, w, misfit(part, candidates=cand_matrix([{0}])))
-    with pytest.raises(ShapeError):  # candidate rows need one column per class
-        upc_loss(z, w, misfit(part, candidates=cand_matrix([{0}, {1}], c=4)))
-
-
-def upc_with_pseudo_labels(pseudo):
-    z, w = np.vstack([unit_rows(34, 2, 4), unit_rows(36, 2, 4)]), unit_rows(35, 3, 4)
-    return upc_loss(z, w, stacked_partition(pseudo, cand_matrix([{0}, {1}])))
+    with pytest.raises(ShapeError):  # the two roles cover every row of z
+        upc_loss(z, w, misfit(part, confident=part.confident[:1]))
+    with pytest.raises(ShapeError):  # one class set per row
+        upc_loss(z, w, misfit(part, classes=part.classes[:3]))
+    with pytest.raises(ShapeError):  # class sets need one column per class
+        upc_loss(z, w, misfit(part, classes=np.zeros((4, 4))))
 
 
 # where labels and rows enter: fancy indexing would wrap a label of -1 onto the
 # last class, and the scatter of selected rows is a plain assignment
 @pytest.mark.parametrize("call, message", [
-    (lambda: _cross_entropy(np.zeros((2, 3)), np.eye(3), [0, -1]), "label out of range"),
-    (lambda: _cross_entropy(np.zeros((2, 3)), np.eye(3), [0, 3]), "label out of range"),
-    (lambda: upc_with_pseudo_labels([0, -1]), "label out of range"),
-    (lambda: upc_with_pseudo_labels([0, 3]), "label out of range"),
+    (lambda: _cross_entropy(np.zeros((2, 3)), np.eye(3), [0, -1], np.arange(2)),
+     "label out of range"),
+    (lambda: _cross_entropy(np.zeros((2, 3)), np.eye(3), [0, 3], np.arange(2)),
+     "label out of range"),
     (lambda: _cross_entropy(np.zeros((3, 3)), np.eye(3), [0, 1], rows=[2, 0]),
      "strictly increasing"),
     (lambda: _cross_entropy(np.zeros((3, 3)), np.eye(3), [0, 1], rows=[1, 1]),
      "strictly increasing"),
-], ids=["ce_label_-1", "ce_label_C", "pseudo_label_-1", "pseudo_label_C", "unsorted_rows",
-        "repeated_rows"])
+], ids=["ce_label_-1", "ce_label_C", "unsorted_rows", "repeated_rows"])
 def test_labels_and_rows_are_checked_where_they_enter(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -350,18 +350,23 @@ def test_labels_and_rows_are_checked_where_they_enter(call, message):
 
 def test_surrogate_class_hand_value_and_batched_agreement():
     w = unit_rows(40, 3, 5)
-    conf = np.array([[0.40, 0.35, 0.25], [0.20, 0.30, 0.50]])
+    conf = np.array([[0.40, 0.35, 0.25], [0.20, 0.36, 0.44]])
     cand = cand_matrix([{0, 1}, {1, 2}])
-    expect = np.array([0.40 * w[0] + 0.35 * w[1], 0.30 * w[1] + 0.50 * w[2]])
-    assert np.allclose(_surrogate_weights(conf, cand) @ w, expect, atol=1e-15)
+    positives = partition_unlabeled(conf, tau=0.9).positives
+    assert positives.tolist() == surrogate(conf, cand).tolist()
+    expect = np.array([0.40 * w[0] + 0.35 * w[1], 0.36 * w[1] + 0.44 * w[2]])
+    assert np.allclose(positives @ w, expect, atol=1e-15)
 
 
 def test_surrogate_class_empty_candidate_rejected():
     # an exactly uniform row has no surrogate class: zero weights, and it is
     # no SC anchor
+    conf = np.array([[0.4, 0.3, 0.3], [1 / 3, 1 / 3, 1 / 3]])
     cand = cand_matrix([{0}, set()])
-    weights = _surrogate_weights(np.array([[0.4, 0.3, 0.3], [1 / 3, 1 / 3, 1 / 3]]), cand)
-    assert weights[1].tolist() == [0.0, 0.0, 0.0]
+    part = partition_unlabeled(conf, tau=0.9)
+    assert part.positives.tolist() == surrogate(conf, cand).tolist()
+    assert part.positives[1].tolist() == [0.0, 0.0, 0.0]
+    assert sc_anchor_rows(part).tolist() == [0]
     assert sc_anchor_rows(stacked_partition([2], cand)).tolist() == [1]
 
 
@@ -372,9 +377,11 @@ def test_surrogate_norm_bounded_by_one():
         w = l2_normalize_rows(rng.standard_normal((c, 6)))
         conf = softmax_rows(rng.standard_normal((1, c)) * 2)
         cand = conf > 1 / c
-        if not cand.any():
+        part = partition_unlabeled(conf, tau=0.999)
+        if not cand.any() or len(part.confident):
             continue
-        assert np.linalg.norm(_surrogate_weights(conf, cand) @ w) <= 1.0 + 1e-12
+        assert part.positives.tolist() == surrogate(conf, cand).tolist()
+        assert np.linalg.norm(part.positives @ w) <= 1.0 + 1e-12
 
 
 def test_sc_loss_hand_value_with_both_negative_kinds():
@@ -384,7 +391,7 @@ def test_sc_loss_hand_value_with_both_negative_kinds():
     sets = ({0}, {1, 2})  # disjoint from each other
     pseudo = [0, 1]  # pseudo 1 is excluded by anchor 0; pseudo 0 is not
     conf = np.array([[0.5, 0.2, 0.3], [0.2, 0.45, 0.35]])
-    weights = _surrogate_weights(conf, cand_matrix(sets))
+    weights = surrogate(conf, cand_matrix(sets))
     surrogates = weights @ w
     value = sc_loss(np.vstack([z_uc, z_uu]), w,
                     stacked_partition(pseudo, cand_matrix(sets), weights)).item()
@@ -411,7 +418,7 @@ def test_sc_loss_degenerate_rows_skip_anchor_but_stay_negative():
     conf = np.full((3, 3), 1 / 3)
     conf[0] = [0.5, 0.25, 0.25]
     conf[2] = [0.4, 0.4, 0.2]
-    weights = _surrogate_weights(conf, cands)
+    weights = surrogate(conf, cands)
     surrogates = weights @ w
     value = sc_loss(z_uu, w, stacked_partition([], cands, weights)).item()
     # anchors are rows 0 and 2; the empty-set row 1 is disjoint from both, so
@@ -434,14 +441,14 @@ def test_sc_shape_validation():
     z, w = np.vstack([unit_rows(54, 2, 4), unit_rows(52, 2, 4)]), unit_rows(53, 3, 4)
     part = stacked_partition([0, 1], cand_matrix([{0}, {1}]), np.full((2, 3), 0.5))
     sc_loss(z, w, part)
-    with pytest.raises(ShapeError):  # candidate rows need one column per proxy
-        sc_loss(z, w, misfit(part, candidates=cand_matrix([{0}, {1}], c=4)))
-    with pytest.raises(ShapeError):  # one weight row per unconfident sample
-        sc_loss(z, w, misfit(part, weights=part.weights[:1]))
-    with pytest.raises(ShapeError):  # one weight column per proxy
-        sc_loss(z, w, misfit(part, weights=np.full((2, 4), 0.5)))
-    with pytest.raises(ShapeError):  # one pseudo label per confident row
-        sc_loss(z, w, misfit(part, pseudo_labels=np.array([0])))
+    with pytest.raises(ShapeError):  # class sets need one column per proxy
+        sc_loss(z, w, misfit(part, classes=np.zeros((4, 4))))
+    with pytest.raises(ShapeError):  # one positive row per row
+        sc_loss(z, w, misfit(part, positives=part.positives[:3]))
+    with pytest.raises(ShapeError):  # one positive column per proxy
+        sc_loss(z, w, misfit(part, positives=np.full((4, 4), 0.5)))
+    with pytest.raises(ShapeError):  # one class set per row
+        sc_loss(z, w, misfit(part, classes=part.classes[:3]))
 
 
 def test_sc_with_one_hot_candidates_is_upc_with_roles_swapped():
@@ -473,7 +480,7 @@ def test_sc_loss_no_negatives_zero():
     w = unit_rows(50, 3, 4)
     cands = cand_matrix([{0, 1}, {1, 2}])
     conf = np.array([[0.4, 0.4, 0.2], [0.2, 0.4, 0.4]])
-    value = sc_loss(z_uu, w, stacked_partition([], cands, _surrogate_weights(conf, cands))).item()
+    value = sc_loss(z_uu, w, stacked_partition([], cands, surrogate(conf, cands))).item()
     assert abs(value) <= 1e-12
 
 
@@ -483,15 +490,13 @@ def random_roles(rng, n_rows, c, p_confident, p_candidate):
     is_confident = rng.random(n_rows) < p_confident
     ci, ui = np.flatnonzero(is_confident), np.flatnonzero(~is_confident)
     cand = rng.random((len(ui), c)) < p_candidate
-    return BatchPartition(ci, rng.integers(0, c, len(ci)), ui, cand,
+    return role_partition(ci, rng.integers(0, c, len(ci)), ui, cand,
                           np.where(cand, rng.random(cand.shape), 0.0))
 
 
 def single_anchor(rng, n_rows, c, p_confident, p_candidate):
     """One confident row among unconfident rows that are all exactly uniform."""
-    part = random_roles(rng, n_rows, c, 0.0, 0.0)
-    return BatchPartition(part.unconfident[:1], np.array([c - 1]), part.unconfident[1:],
-                          part.candidates[1:], part.weights[1:])
+    return stacked_partition([c - 1], np.zeros((n_rows - 1, c), dtype=bool))
 
 
 ROLE_CASES = {   # name: (partition maker, P(confident), P(candidate))
@@ -581,6 +586,28 @@ def test_total_loss_empty_unlabeled():
     assert max_abs(grads) > 0  # supervised part still trains
 
 
+def test_both_views_of_a_row_take_its_weak_view_role():
+    # rows i and n + i of the stacked views, the two views of unlabeled row
+    # i, take row i's class set and positives: the graph's UPC and SC are
+    # the kernel's over the stacked projections in the roles the set oracle
+    # gives the weak views, each role written out once per view
+    state = sharp_state()
+    batch = random_batch(120, n_u=10)
+    views = views_of(batch.unlabeled_x, 121, strong_dropout=0.05)
+    terms, _, _ = build_loss_graph(state, batch, views, ALL, 0.65)
+    n, f = len(batch.unlabeled_x), featurize(state, views)
+    conf = class_confidence(state, f[:n])
+    confident, unconfident = confidence_sets(conf, 0.65)
+    assert confident and any(cand for _, cand in unconfident)   # both terms have anchors
+    ci, ui = [i for i, _ in confident], [i for i, _ in unconfident]
+    cand = cand_matrix([cand for _, cand in unconfident])
+    part = role_partition(ci + [n + i for i in ci], [y for _, y in confident] * 2,
+                          ui + [n + i for i in ui], np.vstack([cand, cand]),
+                          np.vstack([surrogate(conf[ui], cand)] * 2))
+    upc, sc = contrastive_terms(project_features(state, f), project_proxies(state), part, ALL)
+    assert (terms["l_upc"].item(), terms["l_sc"].item()) == (upc.item(), sc.item())
+
+
 def test_build_loss_graph_counts_degenerate_uniform():
     state = sharp_state()
     batch = random_batch(110, n_u=3)
@@ -589,7 +616,7 @@ def test_build_loss_graph_counts_degenerate_uniform():
     conf[1] = [0.6, 0.3, 0.1]
     terms, part, _ = build_loss_graph(state, batch, views_of(batch.unlabeled_x, 111), ALL, 0.65,
                                       partition=partition_unlabeled(conf, 0.65))
-    assert (~part.candidates.any(axis=1)).sum() == 1
+    assert (~part.classes.any(axis=1)).sum() == 1
     assert len(part.confident) == 1 and len(part.unconfident) == 2
     assert np.isfinite(terms["l_sc"].item())
 
@@ -626,8 +653,7 @@ def test_pinning_the_natural_confidences_changes_nothing():
     pinned_terms, pinned_part, _ = build_loss_graph(state, batch, views, ALL, 0.65,
                                                     partition=free_part)
     assert pinned_part is free_part
-    for field in ("confident", "pseudo_labels", "unconfident", "candidates",
-                  "weights"):
+    for field in (f.name for f in fields(BatchPartition)):
         assert np.array_equal(getattr(natural, field), getattr(free_part, field)), field
     for name in ("l_sup", "l_unsup", "l_upc", "l_sc"):
         assert pinned_terms[name].item() == free_terms[name].item(), name

@@ -13,7 +13,7 @@ from hypothesis import example, given
 
 from oracles import (PROPERTY_SETTINGS, confidence_rows, confidence_sets,
                      package_pair_selections, pair_selections, partition_sets)
-from upcsc.losses import _surrogate_weights, partition_unlabeled
+from upcsc.losses import partition_unlabeled
 
 
 def _uniform(n, c):
@@ -46,9 +46,9 @@ def test_partition_matches_set_oracle(batch):
     confident, unconfident = confidence_sets(conf, tau)
 
     assert partition_sets(part) == (confident, unconfident)
-    assert part.candidates.dtype == bool
-    assert part.candidates.shape == (len(unconfident), c)
-    assert (~part.candidates.any(axis=1)).sum() == sum(1 for _, cand in unconfident if not cand)
+    assert part.classes.shape == part.positives.shape == (n, c)
+    assert np.isin(part.classes, (0.0, 1.0)).all()
+    assert (~part.classes.any(axis=1)).sum() == sum(1 for _, cand in unconfident if not cand)
     assert sorted(part.confident.tolist() + part.unconfident.tolist()) == list(range(n))
 
 
@@ -67,9 +67,13 @@ def test_pair_masks_match_set_oracle(batch):
 def test_surrogate_weights_match_set_oracle(batch):
     conf, tau = batch
     part = partition_unlabeled(conf, tau)
-    _, unconfident = confidence_sets(conf, tau)
-    weights = _surrogate_weights(conf[part.unconfident], part.candidates)
-    expect = [[float(conf[i, y]) if y in cand else 0.0 for y in range(conf.shape[1])]
-              for i, cand in unconfident]
-    assert weights.tolist() == expect
-    assert part.weights.tolist() == expect
+    confident, unconfident = confidence_sets(conf, tau)
+    c = conf.shape[1]
+    k = np.zeros(conf.shape, dtype=bool)   # the oracle's own candidate sets
+    for i, cand in unconfident:
+        k[i, list(cand)] = True
+    rows = [i for i, _ in unconfident]
+    assert part.positives[rows].tolist() == np.where(k, conf, 0.0)[rows].tolist()
+    # a confident row is pulled toward its pseudo label's proxy alone
+    assert part.positives[[i for i, _ in confident]].tolist() == [
+        [float(y == label) for y in range(c)] for _, label in confident]
