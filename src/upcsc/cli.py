@@ -34,9 +34,17 @@ def _config_from_args(args, **overrides) -> "TrainConfig":
     return build_train_config({**values, **overrides})
 
 
+def _nearest_existing(path: str) -> str:
+    """path, or else its nearest ancestor that exists."""
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    return path
+
+
 class _TrainOutputs:
-    """`upcsc train`'s outputs, written to a staging directory beside `out`
-    and moved into `out` only once the whole run has succeeded.
+    """`upcsc train`'s outputs, written to a staging directory in the nearest
+    existing directory above `out` and moved into `out`, whose missing
+    parents are made then, only once the whole run has succeeded.
 
     A forked writer process writes confidences.csv there, its one job, from
     the epoch logs that `send` hands it while this process trains. Each log
@@ -54,13 +62,8 @@ class _TrainOutputs:
 
     def __enter__(self):
         head, name = os.path.split(self.out)
-        # the outermost directory this run makes, removed again on failure
-        parent, self._made = head, None
-        while not os.path.exists(parent):
-            self._made, parent = parent, os.path.dirname(parent)
-        os.makedirs(head, exist_ok=True)
-        self.staging = tempfile.mkdtemp(prefix=f".{name}.", suffix=".staging", dir=head)
-        self._made = self._made or self.staging
+        self.staging = tempfile.mkdtemp(prefix=f".{name}.", suffix=".staging",
+                                        dir=_nearest_existing(head))
         ctx = multiprocessing.get_context("fork")
         self._writer = ctx.Process(target=self._write, daemon=True)
         self._ends = contextlib.ExitStack()
@@ -85,7 +88,7 @@ class _TrainOutputs:
             self._writer.terminate()   # a no-op once commit has joined it
             self._writer.join()
         self._ends.close()
-        shutil.rmtree(self.staging if exc_type is None else self._made, ignore_errors=True)
+        shutil.rmtree(self.staging, ignore_errors=True)
 
     def path(self, name: str) -> str:
         return os.path.join(self.staging, name)
@@ -215,9 +218,7 @@ def _out_dir(out: str) -> str:
     or unless it or else its nearest existing ancestor is a directory."""
     if not out:
         raise argparse.ArgumentTypeError("an empty path is not a directory")
-    path = os.path.abspath(out)
-    while not os.path.lexists(path):
-        path = os.path.dirname(path)
+    path = _nearest_existing(os.path.abspath(out))
     if not os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"{path} is not a directory")
     return out

@@ -40,8 +40,11 @@ _TAG_INIT = 7
 _TAG_STEP = 11
 
 # a step whose l_total exceeds this multiple of the run's first step's has
-# blown up even while finite; no default protocol step of any method passes 3.3x
+# blown up even while finite; no default protocol step of any method passes 3.3x.
+# Step 0's l_total counts as at least LOSS_FLOOR nats, so a run whose first
+# loss is near 0 is not stopped by noise on that 0
 MAX_LOSS_GROWTH = 100.0
+LOSS_FLOOR = 1.0
 
 
 @dataclass(frozen=True)
@@ -184,12 +187,13 @@ def train_one(config: TrainConfig, target: int, seed: int,
                 if bad:
                     raise DivergenceError(f"{run_id}: non-finite {bad} at step {step}")
                 if step == 0:
-                    first_total = breakdown.l_total
-                elif breakdown.l_total > MAX_LOSS_GROWTH * first_total:
-                    # step 0's l_total can be exactly 0, so the growth is not a ratio
+                    first = breakdown.l_total
+                    bound = MAX_LOSS_GROWTH * max(first, LOSS_FLOOR)
+                elif breakdown.l_total > bound:
+                    floor = "" if first >= LOSS_FLOOR else f"{LOSS_FLOOR:g}, the floor under "
                     raise DivergenceError(f"{run_id}: l_total {breakdown.l_total:.3g} at step "
-                                          f"{step} exceeds {MAX_LOSS_GROWTH:g} times step 0's "
-                                          f"{first_total:.3g}")
+                                          f"{step} exceeds {MAX_LOSS_GROWTH:g} times {floor}"
+                                          f"step 0's {first:.3g}")
                 rates = {g: cosine_lr(base, step, total_steps) for g, base in base_rates.items()}
                 state = sgd_step(state, grads, rates)
             for name in sums:

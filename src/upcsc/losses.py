@@ -213,26 +213,29 @@ def sc_anchor_rows(part: BatchPartition) -> np.ndarray:
 
 def upc_negative_masks(part: BatchPartition) -> tuple[np.ndarray, np.ndarray]:
     """UPC's (vs_confident, vs_unconfident) column blocks of negative_pairs,
-    one row per confident anchor."""
+    one row per confident anchor. No step calls this or the three functions
+    below, which run contrastive_terms and negative_pairs as a step does:
+    they stay only as targets bench/tracer.py wraps by name."""
     mask = negative_pairs(part.classes, part.confident)
     return mask[:, part.confident], mask[:, part.unconfident]
 
 
 def sc_negative_masks(part: BatchPartition) -> tuple[np.ndarray, np.ndarray]:
     """SC's (vs_confident, vs_unconfident) column blocks of negative_pairs,
-    one row per anchor of sc_anchor_rows."""
+    one row per anchor of sc_anchor_rows; a tracer target only."""
     mask = negative_pairs(part.classes, sc_anchor_rows(part))
     return mask[:, part.confident], mask[:, part.unconfident]
 
 
 def upc_loss(z, w, part: BatchPartition) -> Tensor:
     """UPC alone over the rows of z in the roles `part` gives them; a zero leaf
-    with no confident row."""
+    with no confident row. A tracer target only."""
     return contrastive_terms(z, w, part, MethodFlags(upc=True, sc=False))[0]
 
 
 def sc_loss(z, w, part: BatchPartition) -> Tensor:
-    """SC alone, as upc_loss; a zero leaf with no anchor in sc_anchor_rows."""
+    """SC alone, as upc_loss; a zero leaf with no anchor in sc_anchor_rows. A
+    tracer target only."""
     return contrastive_terms(z, w, part, MethodFlags(upc=False, sc=True))[1]
 
 

@@ -15,6 +15,7 @@ import os
 import platform
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +23,13 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from upcsc.analysis import ConfidenceLog, confidence_rates
+from upcsc.analysis import ConfidenceLog
 from upcsc.autograd import Tensor, _node, value_of
 from upcsc.errors import ConfigError, DataError, ShapeError
-from upcsc.losses import (BatchPartition, confidence_roles, sc_anchor_rows,
-                          sc_negative_masks, upc_negative_masks)
+from upcsc.losses import BatchPartition, confidence_roles, negative_pairs, sc_anchor_rows
 from upcsc.model import ModelDims, ModelState, init_model
 from upcsc.numerics import _loaded_library_paths, _openblas_functions, as_matrix
+from upcsc.synthdata import DomainBenchmark
 
 
 # this checkout's package source, which every child interpreter imports first
@@ -59,24 +60,6 @@ DESK_CONFIG = {"num_domains": 3, "num_classes": 4, "latent_dim": 8,
 def config_text(keys) -> str:
     """A config file's text: one `key = value` line for each of `keys`."""
     return "".join(f"{key} = {value}\n" for key, value in keys.items())
-
-
-class UndefinedStatisticError(ValueError):
-    """The requested statistic is undefined on this input (empty denominator)."""
-
-
-def uus_rate(log, tau) -> float:
-    """Fraction of samples of a ConfidenceLog below the confidence threshold."""
-    return confidence_rates(log, tau)[0]
-
-
-def inclusion_rate(log, tau) -> float:
-    """Among the unconfident samples of a ConfidenceLog, how often the true
-    class sits in the candidate set."""
-    inclusion = confidence_rates(log, tau)[1]
-    if math.isnan(inclusion):
-        raise UndefinedStatisticError("no unconfident samples; inclusion rate undefined")
-    return inclusion
 
 
 def seeded(out, s):
@@ -200,15 +183,17 @@ def pair_selections(conf, tau) -> dict[str, object]:
 
 
 def package_pair_selections(part) -> dict[str, object]:
-    """pair_selections' dict from the package's mask builders on a partition;
-    their boolean rows compare equal to the oracle's 0.0/1.0 rows."""
-    vs_c, vs_u = upc_negative_masks(part)
-    svs_c, svs_u = sc_negative_masks(part)
-    return {"upc_vs_confident": (vs_c.shape, vs_c.tolist()),
-            "upc_vs_unconfident": (vs_u.shape, vs_u.tolist()),
-            "sc_anchors": sc_anchor_rows(part).tolist(),
-            "sc_vs_confident": (svs_c.shape, svs_c.tolist()),
-            "sc_vs_unconfident": (svs_u.shape, svs_u.tolist())}
+    """pair_selections' dict from the package's one pair rule on a partition:
+    the confident and unconfident column blocks of negative_pairs over each
+    term's anchors, whose boolean rows compare equal to the oracle's 0.0/1.0
+    rows."""
+    anchors = sc_anchor_rows(part)
+    out = {"sc_anchors": anchors.tolist()}
+    for term, rows in (("upc", part.confident), ("sc", anchors)):
+        mask = negative_pairs(part.classes, rows)
+        for side, cols in (("confident", part.confident), ("unconfident", part.unconfident)):
+            out[f"{term}_vs_{side}"] = (mask[:, cols].shape, mask[:, cols].tolist())
+    return out
 
 
 def reference_proxy_contrast(z_a, proxies, weights, negatives):
@@ -346,11 +331,9 @@ def degenerate_uniform_count(log, tau) -> int:
 
 def mean_candidate_fraction(log, tau) -> float:
     """E[|candidate set|] / C over unconfident samples: the chance level that
-    inclusion_rate should be compared against."""
+    the inclusion rate should be compared against, and nan where that rate is."""
     sizes = candidate_set_sizes(log, tau)
-    if sizes.size == 0:
-        raise UndefinedStatisticError("no unconfident samples")
-    return float(sizes.mean()) / log.num_classes
+    return float(sizes.mean()) / log.num_classes if sizes.size else math.nan
 
 
 def tiny_state() -> ModelState:
@@ -362,6 +345,17 @@ def with_params(state, arrays) -> ModelState:
     """New ModelState taking any array present in `arrays`, copying the rest."""
     return ModelState(state.dims, {name: arrays.get(name, a).copy()
                                    for name, a in state.param_items()})
+
+
+def relabeled(bench, perm) -> DomainBenchmark:
+    """bench with every class y renamed perm[y]: each domain's labeled, test
+    and quarantined unlabeled labels, and the prototypes' rows; the data stay."""
+    perm = np.asarray(perm)
+    prototypes = np.empty_like(bench.prototypes)
+    prototypes[perm] = bench.prototypes
+    domains = [replace(s, labeled_y=perm[s.labeled_y], unlabeled_truth=perm[s.unlabeled_truth],
+                       test_y=perm[s.test_y]) for s in bench._domains]
+    return DomainBenchmark(bench.config, prototypes, bench.specs, domains)
 
 
 def invert(spec, x) -> np.ndarray:

@@ -10,16 +10,15 @@ from collections import Counter
 
 import numpy as np
 from oracles import (DESK_CONFIG, candidate_set_sizes, config_text, confidence_counts,
-                     confidence_sets, degenerate_uniform_count, inclusion_rate,
-                     mean_candidate_fraction, package_pair_selections, pair_selections,
-                     paired_deltas, partition_sets, pcl_reference_loss, stacked_partition,
-                     uus_rate, with_params)
+                     confidence_sets, degenerate_uniform_count, mean_candidate_fraction,
+                     package_pair_selections, pair_selections, paired_deltas, partition_sets,
+                     pcl_reference_loss, stacked_partition, with_params)
 
 from upcsc import analysis
 from upcsc.cli import main
 from upcsc.gradcheck import check_losses
 from upcsc.harness import TrainConfig, run_protocol, train_one
-from upcsc.losses import MethodFlags, partition_unlabeled, total_loss, upc_loss
+from upcsc.losses import MethodFlags, contrastive_terms, partition_unlabeled, total_loss
 from upcsc.model import ModelDims, init_model
 from upcsc.numerics import l2_normalize_rows, softmax_rows, substream
 from upcsc.synthdata import BenchmarkConfig, TrainBatch, augment_views
@@ -54,7 +53,8 @@ def test_criterion_2_reduction_oracle():
         z = l2_normalize_rows(rng.standard_normal((n, d)))
         w = l2_normalize_rows(rng.standard_normal((c, d)))
         labels = rng.integers(0, c, n)
-        got = upc_loss(z, w, stacked_partition(labels, np.zeros((0, c), dtype=bool))).item()
+        part = stacked_partition(labels, np.zeros((0, c), dtype=bool))
+        got = contrastive_terms(z, w, part, MethodFlags(upc=True, sc=False))[0].item()
         want = pcl_reference_loss(z, w, labels)
         worst = max(worst, abs(got - want))
     report("reduction oracle", worst <= EXACT,
@@ -93,9 +93,12 @@ def test_criterion_4_statistics_oracles():
         tau = float(rng.uniform(1 / c + 0.02, 0.98))
 
         n_unconfident, sizes, hits = confidence_counts(log, tau)
-        assert uus_rate(log, tau) == n_unconfident / n
+        uus, inclusion = analysis.confidence_rates(log, tau)
+        assert uus == n_unconfident / n
         if n_unconfident:
-            assert inclusion_rate(log, tau) == sum(hits) / n_unconfident
+            assert inclusion == sum(hits) / n_unconfident
+        else:
+            assert math.isnan(inclusion)
         hist = analysis.confusing_class_histogram(log, tau)
         assert hist == dict(Counter(size for size in sizes if size >= 1))
         assert sum(hist.values()) + degenerate_uniform_count(log, tau) == n_unconfident
@@ -133,8 +136,7 @@ def test_criterion_6_observation_reproduction():
         train_one(cfg, target=target, seed=0, on_epoch=epoch_logs.append)
         logs.append(analysis.ConfidenceLog.concatenate(epoch_logs).filter(epoch=3))
     pooled = analysis.ConfidenceLog.concatenate(logs)
-    uus = uus_rate(pooled, cfg.tau)
-    incl = inclusion_rate(pooled, cfg.tau)
+    uus, incl = analysis.confidence_rates(pooled, cfg.tau)
     chance = mean_candidate_fraction(pooled, cfg.tau)
     sizes = candidate_set_sizes(pooled, cfg.tau)
     median_size = float(np.median(sizes))

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import (UndefinedStatisticError, degenerate_uniform_count, inclusion_rate,
-                     mean_candidate_fraction, stats_rows_reference, uus_rate)
+from oracles import degenerate_uniform_count, mean_candidate_fraction, stats_rows_reference
 from upcsc import analysis
 from upcsc.analysis import (ConfidenceLog, confusing_class_histogram, load_confidence_log,
                             top1_accuracy, write_confidences_csv, write_histogram_csv,
@@ -55,24 +54,18 @@ def test_uus_rate_extremes():
     c = 4
     onehot = np.eye(c)[[0, 1, 2]]
     log = ConfidenceLog([1] * 3, [0] * 3, onehot, [0, 1, 2])
-    assert uus_rate(log, 0.95) == 0.0
+    assert analysis.confidence_rates(log, 0.95)[0] == 0.0
     uniform = np.full((3, c), 1 / c)
     log2 = ConfidenceLog([1] * 3, [0] * 3, uniform, [0, 1, 2])
-    assert uus_rate(log2, 0.95) == 1.0
+    assert analysis.confidence_rates(log2, 0.95)[0] == 1.0
 
 
 def test_uus_rate_rejects_bad_tau_and_empty():
     log = random_log(2)
     with pytest.raises(ConfigError):
-        uus_rate(log, 0.1)
+        analysis.confidence_rates(log, 0.1)
     with pytest.raises(DataError):
-        uus_rate(log.filter(epoch=99), 0.9)
-
-
-def test_inclusion_rate_undefined_when_all_confident():
-    log = ConfidenceLog([1], [0], np.array([[0.99, 0.005, 0.005]]), [0])
-    with pytest.raises(UndefinedStatisticError):
-        inclusion_rate(log, 0.9)
+        analysis.confidence_rates(log.filter(epoch=99), 0.9)
 
 
 def test_confidence_rates_reads_nan_inclusion_when_all_confident():
@@ -96,8 +89,7 @@ def test_mean_candidate_fraction():
     # candidate sizes 2 and 2, so fraction 2/4
     assert mean_candidate_fraction(log, 0.9) == 0.5
     confident = ConfidenceLog([1], [0], np.array([[0.97, 0.01, 0.01, 0.01]]), [0])
-    with pytest.raises(UndefinedStatisticError):
-        mean_candidate_fraction(confident, 0.9)
+    assert np.isnan(mean_candidate_fraction(confident, 0.9))
 
 
 def test_top1_accuracy():

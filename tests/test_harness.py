@@ -2,24 +2,26 @@
 
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from oracles import DESK_CONFIG, final_accuracies, paired_deltas
+from oracles import DESK_CONFIG, final_accuracies, paired_deltas, relabeled, with_params
 from upcsc import analysis, harness
 from upcsc.errors import ConfigError, DivergenceError
 from upcsc.harness import (EPOCH_METRICS, METHODS, TrainConfig, build_train_config,
                            parse_config_file, run_protocol, train_one, write_metrics_csv,
                            write_results_csv)
+from upcsc.losses import LossBreakdown
 from upcsc.model import ModelDims
 from upcsc.numerics import substream
 from upcsc.synthdata import (BenchmarkConfig, DomainBenchmark, generate_benchmark, sample_batch,
                              strong_augment, weak_augment)
 
 DESK = build_train_config(DESK_CONFIG)
+LOSS_TERMS = [f.name for f in fields(LossBreakdown)]
 SMALL_BENCH = DESK.benchmark
 
 
@@ -181,6 +183,35 @@ def test_train_one_stops_a_finite_blow_up():
         train_one(cfg, target=0, seed=0)
 
 
+# two classes 200 apart: step 0's l_total reads 3.9e-06 under supervised-only
+# and 0.0251 under fixmatch, and both runs then reach target accuracy 1
+NEAR_ZERO_START = {**DESK_CONFIG, "num_classes": 2, "master_seed": 0, "class_separation": 200,
+                   "hidden_dims": "16", "labeled_per_domain": 1, "epochs": 5,
+                   "steps_per_epoch": 20}
+
+
+@pytest.mark.parametrize("method", ["supervised-only", "fixmatch"])
+def test_a_run_whose_first_loss_is_near_0_is_not_stopped(method):
+    # the growth bound used to be 100 times step 0's l_total itself, which
+    # stopped these runs at 0.00328 (step 2) and 6.09 (step 1)
+    cfg = build_train_config({**NEAR_ZERO_START, "method": method})
+    assert train_one(cfg, target=0, seed=0).final_accuracy == 1.0
+
+
+def test_the_growth_bound_names_the_floor_under_step_0(monkeypatch):
+    totals = iter([1e-6, 99.0, 150.0])
+
+    def fake_totals(*args, real=harness.total_loss):
+        breakdown, grads = real(*args)
+        return replace(breakdown, l_total=next(totals)), grads
+
+    monkeypatch.setattr(harness, "total_loss", fake_totals)
+    with pytest.raises(DivergenceError, match=r"^fixmatch\+upcsc-t0-s0: l_total 150 at step 2 "
+                                              r"exceeds 100 times 1, the floor under step 0's "
+                                              r"1e-06$"):
+        train_one(small_config(), target=0, seed=0)
+
+
 def test_train_one_names_the_step_whose_weights_overflow_the_scores():
     # at this separation the one step is finite but leaves weights whose
     # epoch scores overflow; the run used to fail with "confidence rows
@@ -190,6 +221,48 @@ def test_train_one_names_the_step_whose_weights_overflow_the_scores():
     with pytest.raises(DivergenceError, match=r"^fixmatch\+upcsc-t0-s0: confidence rows must "
                                               r"be finite when scored after step 0$"):
         train_one(cfg, target=0, seed=0)
+
+
+def test_a_run_on_relabeled_classes_is_the_run_relabeled(monkeypatch, tmp_path):
+    # every class y renamed PERM[y], the truth included, and the classifier's
+    # rows permuted alike at init: each method's run gives every loss term to
+    # 1e-12 relative and every rate and accuracy exactly. The confidence
+    # log's columns are class-indexed, so they permute; stats.csv and
+    # histogram.csv hold no class index, so their bytes agree
+    perm = np.array([2, 0, 3, 1])
+    bench = generate_benchmark(SMALL_BENCH)
+
+    def permuted_init(dims, seed, real=harness.init_model):
+        state = real(dims, seed)
+        rows = np.empty_like(state.classifier)
+        rows[perm] = state.classifier
+        return with_params(state, {"classifier.weight": rows})
+
+    for method in METHODS:
+        cfg, runs = small_config(method, steps_per_epoch=10), []
+        for data, init in ((bench, harness.init_model), (relabeled(bench, perm), permuted_init)):
+            logs = []
+            monkeypatch.setattr(harness, "init_model", init)
+            runs.append((train_one(cfg, target=0, seed=0, benchmark=data, on_epoch=logs.append),
+                         analysis.ConfidenceLog.concatenate(logs)))
+        monkeypatch.undo()
+        (base, base_log), (other, other_log) = runs
+        assert len(base.epochs) == len(other.epochs) == 2
+        for a, b in zip(base.epochs, other.epochs):
+            for name, x in vars(a).items():
+                y = getattr(b, name)
+                if name in LOSS_TERMS:
+                    assert abs(x - y) <= 1e-12 * x, (method, a.epoch, name, x, y)
+                else:   # inclusion_rate is nan with no unconfident sample
+                    assert x == y or math.isnan(x) and math.isnan(y), (method, a.epoch, name)
+        assert np.array_equal(other_log.truth, perm[base_log.truth])
+        assert np.allclose(other_log.conf[:, perm], base_log.conf, rtol=1e-12, atol=0.0)
+        for log, name in ((base_log, "base"), (other_log, "other")):
+            analysis.write_stats_csv(log, cfg.tau, tmp_path / f"{name}_stats.csv")
+            analysis.write_histogram_csv(log, cfg.tau, 2, tmp_path / f"{name}_histogram.csv")
+        for kind in ("stats", "histogram"):
+            assert ((tmp_path / f"base_{kind}.csv").read_bytes()
+                    == (tmp_path / f"other_{kind}.csv").read_bytes()), (method, kind)
 
 
 def test_train_one_rejects_bad_target():

@@ -8,15 +8,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from oracles import (confidence_sets, gather_rows, pcl_reference_loss,
+from oracles import (confidence_sets, gather_rows, package_pair_selections, pcl_reference_loss,
                      reference_contrastive_terms, role_partition, stacked_partition, with_params)
 
 from upcsc.autograd import Tensor
 from upcsc.errors import ConfigError, ShapeError
 from upcsc.losses import (BatchPartition, LossBreakdown, MethodFlags, _cross_entropy,
-                          build_loss_graph, contrastive_terms,
-                          param_gradients, partition_unlabeled, sc_anchor_rows, sc_loss,
-                          sc_negative_masks, total_loss, upc_loss, upc_negative_masks)
+                          build_loss_graph, contrastive_terms, param_gradients,
+                          partition_unlabeled, sc_anchor_rows, total_loss)
 from upcsc.model import (ModelDims, ModelState, class_confidence, featurize, init_model,
                          project_features, project_proxies)
 from upcsc.numerics import l2_normalize_rows, softmax_rows, substream
@@ -26,6 +25,7 @@ DIMS = ModelDims(input_dim=5, hidden_dims=(6,), feature_dim=4, num_classes=3)
 ALL = MethodFlags(True, True, True)
 SUP_ONLY = MethodFlags(False, False, False)
 UNSUP_ONLY = MethodFlags(True, False, False)
+UPC, SC = MethodFlags(upc=True, sc=False), MethodFlags(upc=False, sc=True)
 
 
 def sharp_state(boost=6.0):
@@ -253,7 +253,7 @@ def test_pcl_same_label_no_negatives():
     assert pcl_reference_loss(z, w, [1, 1, 1, 1]) == pytest.approx(0.0, abs=1e-12)
 
 
-# ------------------------------------------------------------------ upc loss
+# ------------------------------------------- upc and sc (contrastive_terms)
 
 def test_upc_exclusion_gates_unconfident_negatives():
     z_uc = unit_rows(24, 1, 4)
@@ -261,24 +261,36 @@ def test_upc_exclusion_gates_unconfident_negatives():
     z_uu = unit_rows(26, 2, 4)
     # first unconfident still considers class 0; second excludes it
     cands = cand_matrix([{0, 1}, {1, 2}])
-    value = upc_loss(np.vstack([z_uc, z_uu]), w, stacked_partition([0], cands)).item()
+    value = contrastive_terms(np.vstack([z_uc, z_uu]), w, stacked_partition([0], cands),
+                              UPC)[0].item()
     pos = float(z_uc[0] @ w[0])
     rest = math.exp(float(z_uc[0] @ z_uu[1]))
     expect = math.log(math.exp(pos) + rest) - pos
     assert value == pytest.approx(expect, abs=1e-12)
 
 
-def test_upc_no_negatives_is_zero():
-    z = unit_rows(27, 3, 4)
-    w = unit_rows(28, 2, 4)
-    value = upc_loss(z, w, stacked_partition([1, 1, 1], cand_matrix([], c=2))).item()
-    assert abs(value) <= 1e-12
+ZERO_TERMS = {   # name: (term, partition, whether the term has an anchor)
+    "upc_no_negatives": (0, stacked_partition([1, 1, 1], cand_matrix([], c=2)), True),
+    "upc_no_confident": (0, stacked_partition([], cand_matrix([{0}, {1}])), False),
+    "sc_no_anchors": (1, stacked_partition([], cand_matrix([set(), set()]), np.zeros((2, 3))),
+                      False),
+    # two anchors whose candidate sets overlap, and no confident samples
+    "sc_no_negatives": (1, stacked_partition([], cand_matrix([{0, 1}, {1, 2}]),
+                                             [[0.4, 0.4, 0.0], [0.0, 0.4, 0.4]]), True),
+}
 
 
-def test_upc_no_confident_returns_constant_zero():
-    out = upc_loss(unit_rows(30, 2, 4), unit_rows(29, 3, 4),
-                   stacked_partition([], cand_matrix([{0}, {1}])))
-    assert out.item() == 0.0
+@pytest.mark.parametrize("case", ZERO_TERMS)
+def test_a_term_without_negatives_or_anchors_is_zero(case):
+    # anchors without a negative give log(1) = 0 up to rounding; a term with
+    # no anchor is a constant zero leaf
+    t, part, anchored = ZERO_TERMS[case]
+    (n, c), flags = part.classes.shape, (UPC, SC)[t]
+    out = contrastive_terms(unit_rows(27, n, 4), unit_rows(28, c, 4), part, flags)[t]
+    if anchored:
+        assert abs(out.item()) <= 1e-12
+    else:
+        assert out.item() == 0.0 and out._inputs == ()
 
 
 def test_upc_gradients_flow_to_inputs():
@@ -286,7 +298,7 @@ def test_upc_gradients_flow_to_inputs():
     z = Tensor(np.vstack([unit_rows(31, 3, 4), unit_rows(33, 2, 4)]))
     w = Tensor(unit_rows(32, 3, 4))
     cands = cand_matrix([{1}, {2}])
-    out = upc_loss(z, w, stacked_partition([0, 1, 2], cands))
+    out = contrastive_terms(z, w, stacked_partition([0, 1, 2], cands), UPC)[0]
     out.backward()
     assert np.abs(z.grad[:3]).max() > 0
     assert np.abs(w.grad).max() > 0
@@ -304,29 +316,51 @@ def test_plain_inputs_give_the_tensor_path_bytes():
         cands = rng.random((n_u, 3)) < 0.5
         weights = rng.random((n_u, 3))
         part = stacked_partition(pseudo, cands, weights)
-        plain = (upc_loss(z, w, part), sc_loss(z, w, part))
-        taped = (upc_loss(Tensor(z), Tensor(w), part), sc_loss(Tensor(z), Tensor(w), part))
+        plain = contrastive_terms(z, w, part, ALL)
+        taped = contrastive_terms(Tensor(z), Tensor(w), part, ALL)
         for p, t in zip(plain, taped):
             assert p.item() == t.item(), seed
 
 
-def misfit(part, **fields):
-    """part with `fields` replaced, past BatchPartition's lack of checks."""
-    return BatchPartition(**{**vars(part), **fields})
+# two confident rows over two unconfident ones fit 4 rows of z and 3 proxies
+Z4, W3 = np.vstack([unit_rows(34, 2, 4), unit_rows(36, 2, 4)]), unit_rows(35, 3, 4)
+FIT = stacked_partition([0, 1], cand_matrix([{0}, {1}]), np.full((2, 3), 0.5))
 
 
-def test_upc_shape_validation():
-    z, w = np.vstack([unit_rows(34, 2, 4), unit_rows(36, 2, 4)]), unit_rows(35, 3, 4)
-    part = stacked_partition([0, 1], cand_matrix([{0}, {1}]))
-    upc_loss(z, w, part)
-    with pytest.raises(ShapeError):  # the partition covers every row of z
-        upc_loss(z[:3], w, part)
-    with pytest.raises(ShapeError):  # the two roles cover every row of z
-        upc_loss(z, w, misfit(part, confident=part.confident[:1]))
-    with pytest.raises(ShapeError):  # one class set per row
-        upc_loss(z, w, misfit(part, classes=part.classes[:3]))
-    with pytest.raises(ShapeError):  # class sets need one column per class
-        upc_loss(z, w, misfit(part, classes=np.zeros((4, 4))))
+def misfit(flags, rows=4, **fields):
+    """contrastive_terms over the first `rows` rows of Z4 with FIT's `fields`
+    replaced, past BatchPartition's lack of checks."""
+    part = BatchPartition(**{**vars(FIT), **fields})
+    return lambda: contrastive_terms(Z4[:rows], W3, part, flags)
+
+
+def pinned_misfit():
+    """build_loss_graph on 3 unlabeled rows with a partition of 2 pinned."""
+    batch = random_batch(112, n_u=3)
+    build_loss_graph(sharp_state(), batch, views_of(batch.unlabeled_x, 113), ALL, 0.65,
+                     partition=partition_unlabeled(np.full((2, 3), 1 / 3), 0.65))
+
+
+MISFITS = {
+    "partition_short_of_z": misfit(UPC, rows=3),
+    "roles_short_of_z": misfit(UPC, confident=FIT.confident[:1]),
+    "upc_classes_short_of_z": misfit(UPC, classes=FIT.classes[:3]),
+    "upc_classes_not_one_per_proxy": misfit(UPC, classes=np.zeros((4, 4))),
+    "sc_classes_not_one_per_proxy": misfit(SC, classes=np.zeros((4, 4))),
+    "positives_short_of_z": misfit(SC, positives=FIT.positives[:3]),
+    "positives_not_one_per_proxy": misfit(SC, positives=np.full((4, 4), 0.5)),
+    "sc_classes_short_of_z": misfit(SC, classes=FIT.classes[:3]),
+    "pinned_partition_short_of_the_batch": pinned_misfit,
+}
+
+
+@pytest.mark.parametrize("case", MISFITS)
+def test_a_partition_that_does_not_fit_is_a_shape_error(case):
+    # the terms take a partition whose roles and tables cover their rows of z,
+    # with one column per proxy; the graph one that covers its unlabeled rows
+    contrastive_terms(Z4, W3, FIT, ALL)
+    with pytest.raises(ShapeError):
+        MISFITS[case]()
 
 
 # where labels and rows enter: fancy indexing would wrap a label of -1 onto the
@@ -346,7 +380,7 @@ def test_labels_and_rows_are_checked_where_they_enter(call, message):
         call()
 
 
-# ------------------------------------------------------- surrogate + sc loss
+# -------------------------------------------------- surrogate weights and sc
 
 def test_surrogate_class_hand_value_and_batched_agreement():
     w = unit_rows(40, 3, 5)
@@ -384,7 +418,7 @@ def test_surrogate_norm_bounded_by_one():
         assert np.linalg.norm(part.positives @ w) <= 1.0 + 1e-12
 
 
-def test_sc_loss_hand_value_with_both_negative_kinds():
+def test_sc_hand_value_with_both_negative_kinds():
     z_uu = unit_rows(43, 2, 4)
     z_uc = unit_rows(44, 2, 4)
     w = unit_rows(45, 3, 4)
@@ -393,8 +427,8 @@ def test_sc_loss_hand_value_with_both_negative_kinds():
     conf = np.array([[0.5, 0.2, 0.3], [0.2, 0.45, 0.35]])
     weights = surrogate(conf, cand_matrix(sets))
     surrogates = weights @ w
-    value = sc_loss(np.vstack([z_uc, z_uu]), w,
-                    stacked_partition(pseudo, cand_matrix(sets), weights)).item()
+    value = contrastive_terms(np.vstack([z_uc, z_uu]), w,
+                              stacked_partition(pseudo, cand_matrix(sets), weights), SC)[1].item()
 
     expect_terms = []
     for i in range(2):
@@ -411,7 +445,7 @@ def test_sc_loss_hand_value_with_both_negative_kinds():
     assert value > 0  # both anchors really saw negatives
 
 
-def test_sc_loss_degenerate_rows_skip_anchor_but_stay_negative():
+def test_sc_degenerate_rows_skip_anchor_but_stay_negative():
     z_uu = unit_rows(46, 3, 4)
     w = unit_rows(47, 3, 4)
     cands = cand_matrix([{0}, set(), {0, 1}])
@@ -420,7 +454,7 @@ def test_sc_loss_degenerate_rows_skip_anchor_but_stay_negative():
     conf[2] = [0.4, 0.4, 0.2]
     weights = surrogate(conf, cands)
     surrogates = weights @ w
-    value = sc_loss(z_uu, w, stacked_partition([], cands, weights)).item()
+    value = contrastive_terms(z_uu, w, stacked_partition([], cands, weights), SC)[1].item()
     # anchors are rows 0 and 2; the empty-set row 1 is disjoint from both, so
     # each anchor has exactly one negative: row 1
     expect = []
@@ -429,26 +463,6 @@ def test_sc_loss_degenerate_rows_skip_anchor_but_stay_negative():
         rest = math.exp(float(z_uu[i] @ z_uu[1]))
         expect.append(math.log(math.exp(pos) + rest) - pos)
     assert value == pytest.approx(np.mean(expect), abs=1e-12)
-
-
-def test_sc_loss_no_anchors_zero():
-    value = sc_loss(unit_rows(48, 2, 4), unit_rows(51, 3, 4),
-                    stacked_partition([], cand_matrix([set(), set()]), np.zeros((2, 3)))).item()
-    assert value == 0.0
-
-
-def test_sc_shape_validation():
-    z, w = np.vstack([unit_rows(54, 2, 4), unit_rows(52, 2, 4)]), unit_rows(53, 3, 4)
-    part = stacked_partition([0, 1], cand_matrix([{0}, {1}]), np.full((2, 3), 0.5))
-    sc_loss(z, w, part)
-    with pytest.raises(ShapeError):  # class sets need one column per proxy
-        sc_loss(z, w, misfit(part, classes=np.zeros((4, 4))))
-    with pytest.raises(ShapeError):  # one positive row per row
-        sc_loss(z, w, misfit(part, positives=part.positives[:3]))
-    with pytest.raises(ShapeError):  # one positive column per proxy
-        sc_loss(z, w, misfit(part, positives=np.full((4, 4), 0.5)))
-    with pytest.raises(ShapeError):  # one class set per row
-        sc_loss(z, w, misfit(part, classes=part.classes[:3]))
 
 
 def test_sc_with_one_hot_candidates_is_upc_with_roles_swapped():
@@ -465,23 +479,13 @@ def test_sc_with_one_hot_candidates_is_upc_with_roles_swapped():
         z_u = l2_normalize_rows(rng.standard_normal((n_u, d)))
         z_c = l2_normalize_rows(rng.standard_normal((n_c, d)))
         sc_z, upc_z = Tensor(np.vstack([z_c, z_u])), Tensor(np.vstack([z_u, z_c]))
-        sc = sc_loss(sc_z, w, stacked_partition(p_c, onehot(p_u, c)))
-        upc = upc_loss(upc_z, w, stacked_partition(p_u, onehot(p_c, c)))
+        sc = contrastive_terms(sc_z, w, stacked_partition(p_c, onehot(p_u, c)), SC)[1]
+        upc = contrastive_terms(upc_z, w, stacked_partition(p_u, onehot(p_c, c)), UPC)[0]
         assert abs(sc.item() - upc.item()) <= 1e-12
         sc.backward()
         upc.backward()
         swapped = np.vstack([upc_z.grad[n_u:], upc_z.grad[:n_u]])
         assert np.allclose(sc_z.grad, swapped, rtol=0.0, atol=1e-12)
-
-
-def test_sc_loss_no_negatives_zero():
-    # single anchor, overlapping sets everywhere, no confident samples
-    z_uu = unit_rows(49, 2, 4)
-    w = unit_rows(50, 3, 4)
-    cands = cand_matrix([{0, 1}, {1, 2}])
-    conf = np.array([[0.4, 0.4, 0.2], [0.2, 0.4, 0.4]])
-    value = sc_loss(z_uu, w, stacked_partition([], cands, surrogate(conf, cands))).item()
-    assert abs(value) <= 1e-12
 
 
 def random_roles(rng, n_rows, c, p_confident, p_candidate):
@@ -621,14 +625,6 @@ def test_build_loss_graph_counts_degenerate_uniform():
     assert np.isfinite(terms["l_sc"].item())
 
 
-def test_build_loss_graph_rejects_bad_pinned_shape():
-    state = sharp_state()
-    batch = random_batch(112, n_u=3)
-    with pytest.raises(ShapeError):
-        build_loss_graph(state, batch, views_of(batch.unlabeled_x, 113), ALL, 0.65,
-                         partition=partition_unlabeled(np.full((2, 3), 1 / 3), 0.65))
-
-
 @pytest.mark.parametrize("rows,cols", [(3, 5), (6, 4), (12, 5), (0, 5)])
 def test_build_loss_graph_rejects_views_of_the_wrong_shape(rows, cols):
     # 3 unlabeled rows need 6 views of the 5 input features
@@ -693,8 +689,11 @@ def test_loss_graph_is_freed_without_the_cycle_collector():
 
 
 def test_negative_mask_shapes_on_empty_sides():
-    vs_c, vs_u = upc_negative_masks(stacked_partition([0, 1], cand_matrix([])))
-    assert vs_c.shape == (2, 2) and vs_u.shape == (2, 0)
-    svs_c, svs_u = sc_negative_masks(stacked_partition([], cand_matrix([{0}])))
-    assert svs_c.shape == (1, 0) and svs_u.shape == (1, 1)
-    assert sc_negative_masks(stacked_partition([0], cand_matrix([set()])))[0].shape == (0, 1)
+    # the column blocks of negative_pairs over each term's anchors
+    for pseudo, sets, block, shape in (([0, 1], [], "upc_vs_confident", (2, 2)),
+                                       ([0, 1], [], "upc_vs_unconfident", (2, 0)),
+                                       ([], [{0}], "sc_vs_confident", (1, 0)),
+                                       ([], [{0}], "sc_vs_unconfident", (1, 1)),
+                                       ([0], [set()], "sc_vs_confident", (0, 1))):
+        part = stacked_partition(pseudo, cand_matrix(sets))
+        assert package_pair_selections(part)[block][0] == shape, (pseudo, sets, block)
